@@ -293,6 +293,8 @@ def _exp_grover(params: dict, rng: np.random.Generator):
     marked = int(params.get("marked", N // 3))
     budget = ifr.grover_iteration_budget(N)
     iterations = int(params.get("iterations", budget))
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
     if theory == "quantum":
         m = th.quantum_theory(n)
     elif theory == "quaternionic":
@@ -400,6 +402,8 @@ def _exp_localizable_union(params: dict, rng: np.random.Generator):
 
 def _exp_uncertainty(params: dict, rng: np.random.Generator):
     samples = int(params.get("samples", 10000))
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     states = unc.random_pure_qubit_states(samples, rng)
     worst_schrodinger = math.inf
     worst_robertson = math.inf

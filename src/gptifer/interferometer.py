@@ -153,6 +153,8 @@ class GroverConfig:
     iterations: int
 
     def __post_init__(self):
+        if self.N < 2 or self.N & (self.N - 1):
+            raise ValueError("N must be a power of two, at least 2")
         if not 0 <= self.marked < self.N:
             raise ValueError("marked branch out of range")
         if self.iterations < 0:
@@ -278,7 +280,9 @@ def find_distinguishing_effect(
     pairing 1 with every constant output and 0 with every balanced output;
     weak mode demands a majority margin on both sides.  Round and
     matrix-backed theories verify a supplied analytic candidate instead.
-    Returns a witness effect, or None when no effect exists.
+    Returns a witness effect, or None when no effect exists: for the LP,
+    only when the solver proves the constraints infeasible.  Any other
+    solver failure raises RuntimeError rather than claim a no-go.
     """
     constant_out, balanced_out = _dj_outputs(m, enc, s_in)
     if candidate is not None:
@@ -320,8 +324,12 @@ def find_distinguishing_effect(
         bounds=[(None, None)] * dim,
         method="highs",
     )
-    if not result.success:
+    if result.status == 2:
         return None
+    if not result.success:
+        raise RuntimeError(
+            f"effect search LP ended with status {result.status}: {result.message}"
+        )
     return Effect(result.x)
 
 
@@ -388,6 +396,10 @@ def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int, enc: 
     phase flip on branch 0, and the beamsplitter again, starting from the
     uniform superposition the beamsplitter prepares out of branch 0.
     """
+    if not 0 <= marked < m.n_branches:
+        raise ValueError(f"marked branch {marked} is outside [0, {m.n_branches})")
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be non-negative")
     if m.beamsplitter is None:
         diagnosis = ""
         try:

@@ -89,45 +89,40 @@ def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
     )
 
 
+def _hamilton_sign_tensor() -> np.ndarray:
+    # _HAMILTON[p, q, r] is the coefficient of unit r in (unit p)(unit q)
+    table = np.zeros((4, 4, 4))
+    for p, x in enumerate(np.eye(4)):
+        for q, y in enumerate(np.eye(4)):
+            table[p, q] = qmul(Quaternion(*x), Quaternion(*y)).components()
+    table.setflags(write=False)
+    return table
+
+
+# (r, pq) layout, so the contraction over component pairs is one matmul
+_HAMILTON = _hamilton_sign_tensor().reshape(16, 4).T
+
+
+def _hamilton_contract(pairs: np.ndarray) -> np.ndarray:
+    """Components of a Hamilton product from its (4, 4, ...) component pairs."""
+    return (_HAMILTON @ pairs.reshape(16, -1)).reshape((4,) + pairs.shape[2:])
+
+
 def _hamilton_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # component form of the Hamilton product; real matrices commute with
-    # the unit symbols, so each component is a sum of real matrix products
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return np.stack(
-        [
-            a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3,
-            a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2,
-            a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1,
-            a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0,
-        ]
-    )
+    # real matrices commute with the unit symbols, so every pair of
+    # components contributes one real matrix product; one batched matmul
+    # forms all sixteen and the sign tensor sums them into four components
+    return _hamilton_contract(np.matmul(a[:, None], b[None, :]))
 
 
-def _right_scalar(comps: np.ndarray, q: Quaternion) -> np.ndarray:
-    """Entrywise product comps * q with the scalar on the right."""
-    a0, a1, a2, a3 = comps
-    return np.stack(
-        [
-            a0 * q.a - a1 * q.b - a2 * q.c - a3 * q.d,
-            a0 * q.b + a1 * q.a + a2 * q.d - a3 * q.c,
-            a0 * q.c - a1 * q.d + a2 * q.a + a3 * q.b,
-            a0 * q.d + a1 * q.c - a2 * q.b + a3 * q.a,
-        ]
-    )
+def _hamilton_entrywise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise Hamilton product of two (4, ...) component arrays."""
+    return _hamilton_contract(a[:, None] * b[None, :])
 
 
-def _left_scalar(q: Quaternion, comps: np.ndarray) -> np.ndarray:
-    """Entrywise product q * comps with the scalar on the left."""
-    b0, b1, b2, b3 = comps
-    return np.stack(
-        [
-            q.a * b0 - q.b * b1 - q.c * b2 - q.d * b3,
-            q.a * b1 + q.b * b0 + q.c * b3 - q.d * b2,
-            q.a * b2 - q.b * b3 + q.c * b0 + q.d * b1,
-            q.a * b3 + q.b * b2 - q.c * b1 + q.d * b0,
-        ]
-    )
+def _product_trace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Components of tr(a @ b) in O(rows * cols), without forming a @ b."""
+    return _hamilton_contract(np.einsum("pij,qji->pq", a, b))
 
 
 class QuatMatrix:
@@ -301,7 +296,7 @@ class QuatKet:
 
     def left_scalar(self, h: Quaternion) -> "QuatKet":
         """Global phase h applied from the left: entries become h * psi_i."""
-        return QuatKet(_left_scalar(h, self.comps))
+        return QuatKet(_hamilton_entrywise(np.array(h.components())[:, None], self.comps))
 
     def dagger_dot(self, other: "QuatKet") -> Quaternion:
         """Symplectic inner product sum_i conj(self_i) * other_i."""
@@ -350,13 +345,13 @@ def real_trace_prob(E: QuatMatrix, rho: QuatMatrix, atol: float = DEFAULT_ATOL) 
     package (real-symmetric effects, or effects sharing the state's imaginary
     plane) keep the trace exactly real.
     """
-    t = (E @ rho).trace()
-    residue = max(abs(t.b), abs(t.c), abs(t.d))
+    t = _product_trace(E.comps, rho.comps)
+    residue = max(abs(t[1]), abs(t[2]), abs(t[3]))
     if residue > atol:
         raise NumericConsistencyError(
             f"trace has imaginary residue {residue:.3e} above tolerance {atol:.1e}"
         )
-    return t.a
+    return t[0]
 
 
 def real_trace(M: QuatMatrix) -> float:
@@ -390,10 +385,9 @@ def _vec_conj(comps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vec_inner(u: np.ndarray, v: np.ndarray) -> Quaternion:
-    # sum_i conj(u_i) v_i over (4, n) component arrays
-    total = _hamilton_matmul(_vec_conj(u)[:, None, :], v[:, :, None])
-    return Quaternion(*total[:, 0, 0])
+def _vec_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # sum_i conj(u_i) v_i over (4, n) component arrays, as a (4, 1) column
+    return _hamilton_matmul(_vec_conj(u)[:, None, :], v[:, :, None])[:, 0]
 
 
 def random_symplectic(n: int, rng: np.random.Generator) -> QuatMatrix:
@@ -403,7 +397,7 @@ def random_symplectic(n: int, rng: np.random.Generator) -> QuatMatrix:
     for v in cols:
         w = v
         for u in ortho:
-            w = w - _right_scalar(u, _vec_inner(u, w))
+            w = w - _hamilton_entrywise(u, _vec_inner(u, w))
         norm = np.sqrt(np.sum(w**2))
         if norm < 1e-12:
             raise RuntimeError("Gram-Schmidt degenerated; retry with another seed")

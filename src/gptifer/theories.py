@@ -32,6 +32,7 @@ from .quaternion import (
     QuatKet,
     QuatMatrix,
     Quaternion,
+    _hamilton_entrywise,
     conjugate_state,
     is_symplectic,
     qmul,
@@ -584,7 +585,7 @@ class DensityMatrixTheory(TheoryModel):
         return tuple(states)
 
     def probability(self, effect, state) -> float:
-        t = complex(np.trace(effect @ state))
+        t = complex(np.einsum("ij,ji->", effect, state))
         if abs(t.imag) > self.atol:
             raise NumericConsistencyError(
                 f"trace has imaginary residue {abs(t.imag):.3e}"
@@ -645,7 +646,7 @@ class DensityMatrixTheory(TheoryModel):
     def is_identity_map(self, trans) -> bool:
         d = np.diagonal(trans)
         return bool(
-            np.allclose(trans, np.diag(d), rtol=0.0, atol=self.atol)
+            self._is_diagonal(trans)
             and np.allclose(d, d[0], rtol=0.0, atol=self.atol)
             and abs(abs(d[0]) - 1.0) <= self.atol
         )
@@ -671,7 +672,15 @@ class DensityMatrixTheory(TheoryModel):
         )
 
     def _is_diagonal(self, U) -> bool:
-        return bool(np.allclose(U, np.diag(np.diagonal(U)), rtol=0.0, atol=self.atol))
+        # the off-diagonal entries of an n x n matrix, read row by row, are
+        # the first n columns of its flat tail reshaped to (n - 1, n + 1)
+        U = np.asarray(U)
+        n = U.shape[0]
+        off = U.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+        return bool(
+            (not off.any() or np.abs(off).max() <= self.atol)
+            and not np.isnan(np.diagonal(U)).any()
+        )
 
     def _is_diagonal_unitary(self, U) -> bool:
         return self._is_unitary(U) and self._is_diagonal(U)
@@ -869,24 +878,25 @@ class QuaternionicTheory(TheoryModel):
 
     def maps_commute(self, a: QuatMatrix, b: QuatMatrix) -> bool:
         if a.is_diagonal(atol=self.atol) and b.is_diagonal(atol=self.atol):
-            left = [qmul(a.at(i, i), b.at(i, i)) for i in range(self.dim)]
-            right = [qmul(b.at(i, i), a.at(i, i)) for i in range(self.dim)]
-            return self._same_diagonal_action(left, right)
+            return self._diagonals_commute(a, b)
         left = a @ b
         right = b @ a
         ratio = right.dagger() @ left
         return self.is_identity_map(ratio)
 
-    def _same_diagonal_action(self, p, q) -> bool:
-        # diag(p) and diag(q) induce the same conjugation exactly when
-        # conj(q_i) p_i is one common real sign
-        ratios = [qmul(qi.conjugate(), pi) for pi, qi in zip(p, q)]
-        first = ratios[0]
-        if abs(first.b) > self.atol or abs(first.c) > self.atol or abs(first.d) > self.atol:
+    def _diagonals_commute(self, a: QuatMatrix, b: QuatMatrix) -> bool:
+        # diag(ab) and diag(ba) induce the same conjugation exactly when
+        # conj((ba)_i) (ab)_i is one common real sign
+        pair = np.stack([np.diagonal(m.comps, axis1=1, axis2=2) for m in (a, b)], axis=1)
+        left, right = _hamilton_entrywise(pair, pair[:, ::-1]).swapaxes(0, 1)
+        right[1:] *= -1.0
+        ratios = _hamilton_entrywise(right, left)
+        r0, r1, r2, r3 = ratios[:, 0].tolist()
+        if abs(r1) > self.atol or abs(r2) > self.atol or abs(r3) > self.atol:
             return False
-        if abs(abs(first.a) - 1.0) > self.atol:
+        if abs(abs(r0) - 1.0) > self.atol:
             return False
-        return all(r.isclose(first, atol=self.atol) for r in ratios)
+        return bool(np.all(np.abs(ratios - ratios[:, :1]) <= self.atol))
 
     # -- group families ------------------------------------------------------------
 

@@ -179,6 +179,28 @@ def test_cli_rejects_unknown_experiment():
         main(["run", "nope"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "grover", "--iterations", "-1"],
+        ["run", "grover", "--marked", "-1"],
+        ["run", "uncertainty", "--samples", "0"],
+    ],
+)
+def test_cli_rejects_invalid_counts_as_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_experiments_reject_invalid_counts():
+    with pytest.raises(ValueError, match="iterations"):
+        run_experiment("grover", {"N": 4, "iterations": -1})
+    with pytest.raises(ValueError, match="samples"):
+        run_experiment("uncertainty", {"samples": 0})
+
+
 def test_cli_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("GPT_IFER_SEED", "7")
     main(["run", "containment"])

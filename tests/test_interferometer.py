@@ -16,10 +16,13 @@ Core claims:
     - unordered search matches sin^2((2k+1) asin(1/sqrt(N))) and the
       quaternionic run reproduces the complex run
     - wire formats for oracle tables and search configs round-trip
+    - invalid search inputs and inconclusive LP solves raise instead of
+      returning a curve or a no-go
 """
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,6 +53,7 @@ from gptifer.interferometer import (
     spekkens_epistemic_dj_instruments,
     spekkens_ontic_dj_instruments,
 )
+from gptifer.quaternion import QuatMatrix, Quaternion
 from gptifer.theories import (
     classical_theory,
     dball_theory,
@@ -193,6 +197,18 @@ def test_hidden_variable_runs_land_in_overlapping_classes():
     assert probs[(1, 0)] == 0.5
 
 
+def test_quaternionic_i_and_j_phases_on_one_branch_do_not_commute():
+    m = quaternionic_theory(2)
+    one = Quaternion(1.0)
+    i_phase = QuatMatrix.diag([Quaternion(0.0, 1.0), one])
+    j_phase = QuatMatrix.diag([Quaternion(0.0, 0.0, 1.0), one])
+    identity = QuatMatrix.identity(2)
+    enc = BranchEncoding(((i_phase, j_phase), (identity, identity)))
+    with pytest.raises(NonCommutingEncodingError) as err:
+        build_oracle(m, OracleSpec(1, (0, 1)), enc)
+    assert str(err.value) == "choices on branches 0 and 0 do not commute"
+
+
 # -- effect search -----------------------------------------------------------------------------
 
 
@@ -212,6 +228,20 @@ def test_restricted_toy_bit_search_finds_witness_and_x_plus_works():
             out = run_dj(m, spec, enc, s_in, effect)
             expected = 1.0 if classify(spec) == "constant" else 0.0
             assert out.p_constant_effect == pytest.approx(expected, abs=1e-9)
+
+
+def test_inconclusive_lp_raises_instead_of_reporting_no_effect(monkeypatch):
+    import gptifer.interferometer as ifr
+
+    def iteration_limit(*args, **kwargs):
+        return SimpleNamespace(
+            status=1, success=False, message="Iteration limit reached.", x=None
+        )
+
+    monkeypatch.setattr(ifr, "linprog", iteration_limit)
+    m, enc, s_in, _ = spekkens_ontic_dj_instruments()
+    with pytest.raises(RuntimeError, match="status 1: Iteration limit reached"):
+        find_distinguishing_effect(m, enc, s_in, strict=True)
 
 
 def test_quantum_candidate_is_the_plus_projector():
@@ -360,6 +390,18 @@ def test_grover_config_validation():
         GroverConfig(4, 4, 1)
     with pytest.raises(ValueError):
         GroverConfig(4, 0, -1)
+    for N in (-2, 0, 1, 3, 6, 12):
+        with pytest.raises(ValueError):
+            GroverConfig(N, 0, 0)
+
+
+def test_success_curve_rejects_out_of_range_inputs():
+    m = quantum_theory(2)
+    for marked in (-1, 4):
+        with pytest.raises(ValueError, match="marked branch"):
+            grover_success_curve(m, marked, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        grover_success_curve(m, 0, -1)
 
 
 # -- wire formats ---------------------------------------------------------------------------------------------

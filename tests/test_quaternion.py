@@ -11,7 +11,11 @@ Core claims:
     - the real trace is cyclic; the residue-checked pairing agrees on the
       residue-free family
     - the fixed branch projectors are real, diagonal, idempotent and complete
+    - the batched product, entrywise product and trace kernels agree with
+      entry-by-entry qmul sums
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from gptifer.quaternion import (
     real_trace,
     real_trace_prob,
 )
+from gptifer.quaternion import _hamilton_entrywise, _hamilton_matmul, _product_trace
 
 RNG = np.random.default_rng(2024)
 
@@ -140,11 +145,16 @@ def test_jk_phased_superposition_probability():
 
 
 def test_residue_guard_raises_on_cross_plane_pair():
+    # hand expansion: tr(e_i rho_j) = 1/2 - k/2, so the residue is exactly 1/2
     inv = 1.0 / np.sqrt(2.0)
     e_i = QuatKet.from_quaternions([Quaternion(inv), Quaternion(0, inv)]).density()
     rho_j = QuatKet.from_quaternions([Quaternion(inv), Quaternion(0, 0, inv)]).density()
-    with pytest.raises(NumericConsistencyError):
+    with pytest.raises(
+        NumericConsistencyError,
+        match=r"^trace has imaginary residue 5\.000e-01 above tolerance 1\.0e-09$",
+    ):
         real_trace_prob(e_i, rho_j)
+    assert real_trace_prob(e_i, rho_j, atol=0.5) == pytest.approx(0.5, abs=1e-15)
 
 
 # -- conjugation ----------------------------------------------------------------------
@@ -247,3 +257,58 @@ def test_kets_expose_symplectic_inner_product():
     overlap = phi.dagger_dot(phi.left_scalar(I))
     assert abs(overlap.norm()) == pytest.approx(0.0, abs=1e-12)
     assert phi.dagger_dot(phi).isclose(ONE, atol=1e-12)
+
+
+# -- kernels against entry-by-entry references -----------------------------------------
+
+
+def _quats(comps):
+    return [[Quaternion(*comps[:, i, j]) for j in range(comps.shape[2])] for i in range(comps.shape[1])]
+
+
+def _qsum(terms):
+    total = Quaternion()
+    for q in terms:
+        total = total + q
+    return total
+
+
+SIZES = (1, 2, 5, 16)
+
+
+@pytest.mark.parametrize("rows,cols", itertools.product(SIZES, SIZES))
+def test_batched_product_matches_qmul_loop(rows, cols):
+    rng = np.random.default_rng(rows * 100 + cols)
+    for inner in SIZES:
+        a = rng.standard_normal((4, rows, inner))
+        b = rng.standard_normal((4, inner, cols))
+        qa, qb = _quats(a), _quats(b)
+        ref = np.array(
+            [
+                [_qsum(qmul(qa[i][k], qb[k][j]) for k in range(inner)).components() for j in range(cols)]
+                for i in range(rows)
+            ]
+        ).transpose(2, 0, 1)
+        np.testing.assert_allclose(_hamilton_matmul(a, b), ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows,cols", itertools.product(SIZES, SIZES))
+def test_trace_kernel_matches_qmul_loop(rows, cols):
+    rng = np.random.default_rng(rows * 100 + cols + 7)
+    a = rng.standard_normal((4, rows, cols))
+    b = rng.standard_normal((4, cols, rows))
+    qa, qb = _quats(a), _quats(b)
+    ref = _qsum(qmul(qa[i][j], qb[j][i]) for i in range(rows) for j in range(cols))
+    np.testing.assert_allclose(_product_trace(a, b), ref.components(), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cols", SIZES)
+def test_entrywise_product_matches_qmul(cols):
+    rng = np.random.default_rng(cols)
+    a = rng.standard_normal((4, 3, cols))
+    b = rng.standard_normal((4, 3, cols))
+    qa, qb = _quats(a), _quats(b)
+    ref = np.array(
+        [[qmul(qa[i][j], qb[i][j]).components() for j in range(cols)] for i in range(3)]
+    ).transpose(2, 0, 1)
+    np.testing.assert_allclose(_hamilton_entrywise(a, b), ref, rtol=0.0, atol=1e-12)

@@ -8,6 +8,8 @@ Core claims:
     - toy bit: recorded subset-sign convention fixes all statistics vectors;
       epistemic pure states have one deterministic pair and the rest uniform
     - quaternionic two-level states project exactly onto the 5-ball
+    - the loop-free diagonal and commutation checks agree with their
+      allclose and qmul references, NaN and infinite entries included
     - containment: octahedron inside tetrahedron and ball; tetrahedron
       vertices break the ball bound but stay inside the cube
     - every finite group element preserves its state space
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from gptifer.core import GptState, preserves_statespace
-from gptifer.quaternion import QuatKet, Quaternion
+from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion, qmul, random_unit_quaternion
 from gptifer.theories import (
     classical_theory,
     dball_theory,
@@ -249,7 +251,67 @@ def test_quantum_contains_rejects_non_states():
     assert not m.contains(np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex))
 
 
+def _allclose_is_diagonal(U, atol):
+    return bool(np.allclose(U, np.diag(np.diagonal(U)), rtol=0.0, atol=atol))
+
+
+def test_quantum_diagonal_check_matches_allclose_reference():
+    m = quantum_theory(2)
+    rng = np.random.default_rng(5)
+    base = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 4)))
+    cases = [base, m._sample_unitary(rng), np.zeros((4, 4), dtype=complex)]
+    for (i, j), value in itertools.product(
+        [(0, 0), (2, 2), (0, 3), (3, 1)],
+        [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), 1e-9, 1.01e-9, 0.6e-9 + 0.8e-9j],
+    ):
+        U = base.copy()
+        U[i, j] = value
+        cases.append(U)
+    for U in cases:
+        assert m._is_diagonal(U) == _allclose_is_diagonal(U, m.atol)
+    assert not m._is_diagonal(np.diag([np.nan, 1.0, 1.0, 1.0]).astype(complex))
+
+
 # -- quaternionic ------------------------------------------------------------------
+
+
+def _qmul_diagonals_commute(m, a, b):
+    # entry-by-entry reference: conj((ba)_i) (ab)_i is one common real sign
+    da = [a.at(i, i) for i in range(m.dim)]
+    db = [b.at(i, i) for i in range(m.dim)]
+    ratios = [qmul(qmul(y, x).conjugate(), qmul(x, y)) for x, y in zip(da, db)]
+    first = ratios[0]
+    if max(abs(first.b), abs(first.c), abs(first.d)) > m.atol:
+        return False
+    if abs(abs(first.a) - 1.0) > m.atol:
+        return False
+    return all(r.isclose(first, atol=m.atol) for r in ratios)
+
+
+def test_quaternionic_diagonal_commutation_matches_qmul_reference():
+    m = quaternionic_theory(4)
+    rng = np.random.default_rng(11)
+    one = Quaternion(1.0)
+
+    def complex_phase():
+        t = rng.uniform(0.0, 2.0 * np.pi)
+        return Quaternion(np.cos(t), np.sin(t))
+
+    pairs = []
+    for _ in range(20):
+        generic = [QuatMatrix.diag([random_unit_quaternion(rng) for _ in range(4)]) for _ in range(2)]
+        planar = [QuatMatrix.diag([complex_phase() for _ in range(4)]) for _ in range(2)]
+        local = [QuatMatrix.diag([random_unit_quaternion(rng), one, one, one]) for _ in range(2)]
+        pairs += [generic, planar, local]
+    outcomes = set()
+    for a, b in pairs:
+        expected = _qmul_diagonals_commute(m, a, b)
+        outcomes.add(expected)
+        assert m.maps_commute(a, b) == expected
+    assert outcomes == {True, False}
+    nan = QuatMatrix.diag([Quaternion(np.nan), one, one, one])
+    assert not m.maps_commute(nan, QuatMatrix.identity(4))
+
 
 
 def test_uniform_ket_gives_equal_branch_probabilities():
