@@ -30,6 +30,28 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    # the off-diagonal entries of an n x n matrix, read row by row, are the
+    # first n columns of its flat tail reshaped to (n - 1, n + 1); leading
+    # axes (such as quaternion components) are carried along
+    lead, n = a.shape[:-2], a.shape[-1]
+    return a.reshape(*lead, -1)[..., 1:].reshape(*lead, n - 1, n + 1)[..., :n]
+
+
+def is_diagonal(a, atol: float) -> bool:
+    """Whether every off-diagonal entry of the trailing square axes is within ``atol``.
+
+    The comparison is absolute (no relative term). An infinite diagonal entry
+    still counts as diagonal; NaN anywhere makes the answer False.
+    """
+    a = np.asarray(a)
+    off = _off_diagonal(a)
+    return bool(
+        (not off.any() or np.abs(off).max() <= atol)
+        and not np.isnan(np.diagonal(a, axis1=-2, axis2=-1)).any()
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class GptState:
     """Vector of fiducial-measurement outcome probabilities."""

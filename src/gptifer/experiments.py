@@ -405,18 +405,13 @@ def _exp_uncertainty(params: dict, rng: np.random.Generator):
     if samples < 1:
         raise ValueError("samples must be at least 1")
     states = unc.random_pure_qubit_states(samples, rng)
-    worst_schrodinger = math.inf
-    worst_robertson = math.inf
-    worst_gap = math.inf
-    worst_norm_dev = 0.0
-    for rho in states:
-        lhs_s, rhs = unc.schrodinger_bound(rho, unc.PAULI_X, unc.PAULI_Y)
-        lhs_r, _ = unc.robertson_bound(rho, unc.PAULI_X, unc.PAULI_Y)
-        worst_schrodinger = min(worst_schrodinger, rhs - lhs_s)
-        worst_robertson = min(worst_robertson, rhs - lhs_r)
-        worst_gap = min(worst_gap, lhs_s - lhs_r)
-        norm = unc.bloch_norm(unc.pauli_expectations(rho))
-        worst_norm_dev = max(worst_norm_dev, abs(norm - 1.0))
+    lhs_s, rhs = unc.schrodinger_bound(states, unc.PAULI_X, unc.PAULI_Y)
+    lhs_r, _ = unc.robertson_bound(states, unc.PAULI_X, unc.PAULI_Y)
+    norms = unc.bloch_norm(unc.pauli_expectations(states))
+    worst_schrodinger = float(np.min(rhs - lhs_s))
+    worst_robertson = float(np.min(rhs - lhs_r))
+    worst_gap = float(np.min(lhs_s - lhs_r))
+    worst_norm_dev = float(np.max(np.abs(norms - 1.0)))
     disallowed = th.qubit_state_from_expectations(1.0, 1.0, 0.0)
     rejected = not th.qubit_theory().contains(disallowed)
     results = {

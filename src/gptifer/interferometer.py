@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +63,14 @@ class UnsupportedTheoryError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _exact_int(value, label: str) -> int:
+    # bool, str and float are refused rather than coerced; numpy integers
+    # become the equal Python int so that specs compare and serialize alike
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class OracleSpec:
     """Truth table of f: n-bit strings -> {0, 1}, indexed by branch."""
@@ -70,7 +79,8 @@ class OracleSpec:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(b) for b in self.table))
+        object.__setattr__(self, "n", _exact_int(self.n, "n"))
+        object.__setattr__(self, "table", tuple(_exact_int(b, "table entry") for b in self.table))
         if self.n < 1:
             raise ValueError("need at least one input bit")
         if len(self.table) != 2**self.n:
@@ -84,7 +94,7 @@ class OracleSpec:
     @classmethod
     def from_json(cls, text: str) -> "OracleSpec":
         data = json.loads(text)
-        return cls(n=int(data["n"]), table=tuple(data["table"]))
+        return cls(n=data["n"], table=tuple(data["table"]))
 
     @classmethod
     def from_file(cls, path) -> "OracleSpec":

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import is_diagonal
+
 DEFAULT_ATOL = 1e-9
 
 
@@ -192,8 +194,7 @@ class QuatMatrix:
         return Quaternion(*self.comps[:, i, j])
 
     def is_diagonal(self, atol: float = DEFAULT_ATOL) -> bool:
-        off = self.comps - self.comps * np.eye(self.shape[0])[None, :, :]
-        return bool(np.all(np.abs(off) <= atol))
+        return is_diagonal(self.comps, atol)
 
     def diagonal(self) -> list[Quaternion]:
         return [self.at(i, i) for i in range(self.n)]

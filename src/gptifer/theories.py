@@ -25,6 +25,7 @@ from .core import (
     ParametricGroup,
     TheoryModel,
     VectorTheory,
+    is_diagonal,
     valid_layout,
 )
 from .quaternion import (
@@ -646,7 +647,7 @@ class DensityMatrixTheory(TheoryModel):
     def is_identity_map(self, trans) -> bool:
         d = np.diagonal(trans)
         return bool(
-            self._is_diagonal(trans)
+            is_diagonal(trans, self.atol)
             and np.allclose(d, d[0], rtol=0.0, atol=self.atol)
             and abs(abs(d[0]) - 1.0) <= self.atol
         )
@@ -654,12 +655,13 @@ class DensityMatrixTheory(TheoryModel):
     def maps_commute(self, a, b) -> bool:
         # complex diagonals always commute; otherwise compare the products
         # up to the unobservable global phase
-        if self._is_diagonal(a) and self._is_diagonal(b):
+        if is_diagonal(a, self.atol) and is_diagonal(b, self.atol):
             return True
         left = a @ b
         right = b @ a
         t = np.trace(right.conj().T @ left) / self.dim
-        if abs(abs(t) - 1.0) > self.atol:
+        # written so that a NaN overlap fails here, before the division
+        if not abs(abs(t) - 1.0) <= self.atol:
             return False
         phase = t / abs(t)
         return bool(np.allclose(left, phase * right, rtol=0.0, atol=self.atol))
@@ -671,19 +673,8 @@ class DensityMatrixTheory(TheoryModel):
             np.allclose(U.conj().T @ U, np.eye(self.dim), rtol=0.0, atol=self.atol)
         )
 
-    def _is_diagonal(self, U) -> bool:
-        # the off-diagonal entries of an n x n matrix, read row by row, are
-        # the first n columns of its flat tail reshaped to (n - 1, n + 1)
-        U = np.asarray(U)
-        n = U.shape[0]
-        off = U.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
-        return bool(
-            (not off.any() or np.abs(off).max() <= self.atol)
-            and not np.isnan(np.diagonal(U)).any()
-        )
-
     def _is_diagonal_unitary(self, U) -> bool:
-        return self._is_unitary(U) and self._is_diagonal(U)
+        return self._is_unitary(U) and is_diagonal(U, self.atol)
 
     def _sample_unitary(self, rng: np.random.Generator) -> np.ndarray:
         Z = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal(
@@ -985,13 +976,13 @@ def random_pure_quaternionic_state(N: int, rng: np.random.Generator) -> QuatMatr
 def theory_by_name(name: str, n: int = 1, N: int = 2) -> TheoryModel:
     """Resolve a CLI theory name; ``n`` feeds quantum, ``N`` the rest."""
     if name == "classical":
-        return classical_theory(max(N, 2))
+        return classical_theory(N)
     if name == "qubit":
         return qubit_theory()
     if name == "quantum":
         return quantum_theory(n)
     if name == "quaternionic":
-        return quaternionic_theory(max(N, 2))
+        return quaternionic_theory(N)
     if name == "spekkens-ontic":
         return spekkens_ontic_theory()
     if name == "spekkens-epistemic":

@@ -21,11 +21,14 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class PauliExpectations:
-    """Expectation values of the three Pauli measurements."""
+    """Expectation values of the three Pauli measurements.
 
-    ex: float
-    ey: float
-    ez: float
+    Fields are floats for one state and float arrays for a stack of states.
+    """
+
+    ex: float | np.ndarray
+    ey: float | np.ndarray
+    ez: float | np.ndarray
 
 
 def _require_hermitian(M: np.ndarray, label: str, atol: float = 1e-9) -> np.ndarray:
@@ -35,55 +38,69 @@ def _require_hermitian(M: np.ndarray, label: str, atol: float = 1e-9) -> np.ndar
     return M
 
 
-def _expval(rho: np.ndarray, M: np.ndarray) -> float:
-    return float(np.real(np.trace(M @ rho)))
+def _trace(M: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """tr(M rho) for one state, or for each state of an (n, 2, 2) stack."""
+    return np.einsum("ij,...ji->...", M, rho)
+
+
+def _expval(M: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return np.real(_trace(M, rho))
+
+
+def _floats(*values) -> tuple:
+    # one state gives Python floats, a stack gives float arrays
+    return tuple(float(v) if np.ndim(v) == 0 else v for v in values)
+
+
+def _variance_product(rho: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    ex = _expval(X, rho)
+    ey = _expval(Y, rho)
+    var_x = _expval(X @ X, rho) - ex**2
+    var_y = _expval(Y @ Y, rho) - ey**2
+    return ex, ey, var_x * var_y
 
 
 def pauli_expectations(rho: np.ndarray) -> PauliExpectations:
-    """Pauli expectation triple of a qubit density matrix."""
+    """Pauli expectation triple of a qubit density matrix or a stack of them."""
     rho = np.asarray(rho, dtype=complex)
     return PauliExpectations(
-        ex=_expval(rho, PAULI_X),
-        ey=_expval(rho, PAULI_Y),
-        ez=_expval(rho, PAULI_Z),
+        *_floats(_expval(PAULI_X, rho), _expval(PAULI_Y, rho), _expval(PAULI_Z, rho))
     )
 
 
-def schrodinger_bound(rho: np.ndarray, X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
+def schrodinger_bound(rho: np.ndarray, X: np.ndarray, Y: np.ndarray) -> tuple:
     """Both sides of the variance-product bound with the anti-commutator term.
 
     Returns ``(lhs, rhs)`` where
     ``lhs = |<[X,Y]>|^2 / 4 + |<{X,Y}> - 2<X><Y>|^2 / 4`` and
     ``rhs = Var(X) * Var(Y)``.  Nothing is asserted; callers compare.
+    ``rho`` is one (2, 2) state, giving two floats, or an (n, 2, 2) stack,
+    giving two float arrays of length n.
     """
     X = _require_hermitian(X, "X")
     Y = _require_hermitian(Y, "Y")
     rho = np.asarray(rho, dtype=complex)
-    ex = _expval(rho, X)
-    ey = _expval(rho, Y)
-    comm = np.trace((X @ Y - Y @ X) @ rho)
-    anti = np.trace((X @ Y + Y @ X) @ rho)
+    ex, ey, rhs = _variance_product(rho, X, Y)
+    comm = _trace(X @ Y - Y @ X, rho)
+    anti = _trace(X @ Y + Y @ X, rho)
     lhs = 0.25 * np.abs(comm) ** 2 + 0.25 * np.abs(anti - 2.0 * ex * ey) ** 2
-    var_x = _expval(rho, X @ X) - ex**2
-    var_y = _expval(rho, Y @ Y) - ey**2
-    return float(lhs), float(var_x * var_y)
+    return _floats(lhs, rhs)
 
 
-def robertson_bound(rho: np.ndarray, X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
-    """Commutator-only variant; its lhs never exceeds the anti-commutator one."""
+def robertson_bound(rho: np.ndarray, X: np.ndarray, Y: np.ndarray) -> tuple:
+    """Commutator-only variant; its lhs never exceeds the anti-commutator one.
+
+    Takes one state or a stack, like :func:`schrodinger_bound`.
+    """
     X = _require_hermitian(X, "X")
     Y = _require_hermitian(Y, "Y")
     rho = np.asarray(rho, dtype=complex)
-    comm = np.trace((X @ Y - Y @ X) @ rho)
-    lhs = 0.25 * np.abs(comm) ** 2
-    ex = _expval(rho, X)
-    ey = _expval(rho, Y)
-    var_x = _expval(rho, X @ X) - ex**2
-    var_y = _expval(rho, Y @ Y) - ey**2
-    return float(lhs), float(var_x * var_y)
+    _, _, rhs = _variance_product(rho, X, Y)
+    lhs = 0.25 * np.abs(_trace(X @ Y - Y @ X, rho)) ** 2
+    return _floats(lhs, rhs)
 
 
-def bloch_norm(p: PauliExpectations) -> float:
+def bloch_norm(p: PauliExpectations) -> float | np.ndarray:
     """Squared length of the expectation vector; valid qubit states stay <= 1."""
     return p.ex**2 + p.ey**2 + p.ez**2
 

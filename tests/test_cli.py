@@ -185,6 +185,7 @@ def test_cli_rejects_unknown_experiment():
         ["run", "grover", "--iterations", "-1"],
         ["run", "grover", "--marked", "-1"],
         ["run", "uncertainty", "--samples", "0"],
+        ["run", "phase-group", "--theory", "classical", "--N", "1"],
     ],
 )
 def test_cli_rejects_invalid_counts_as_usage_errors(argv, capsys):

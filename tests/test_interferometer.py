@@ -81,6 +81,48 @@ def test_spec_validation():
         OracleSpec(1, (0, 2))
 
 
+@pytest.mark.parametrize(
+    "n,table",
+    [
+        (1, (0.7, 1)),
+        (1, (0.0, 1)),
+        (1, ("1", "0")),
+        (1, (True, False)),
+        (1, (np.bool_(True), 0)),
+        (1.0, (0, 1)),
+        (True, (0, 1)),
+        ("1", (0, 1)),
+    ],
+)
+def test_spec_rejects_non_integer_entries(n, table):
+    with pytest.raises(ValueError):
+        OracleSpec(n, table)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 1.9, "table": [0, 1]}',
+        '{"n": 1.0, "table": [0, 1]}',
+        '{"n": true, "table": [0, 1]}',
+        '{"n": 1, "table": [0.0, 1]}',
+        '{"n": 1, "table": [true, false]}',
+        '{"n": 1, "table": ["0", "1"]}',
+        '{"n": 1, "table": "01"}',
+    ],
+)
+def test_spec_from_json_rejects_non_integers(text):
+    with pytest.raises(ValueError):
+        OracleSpec.from_json(text)
+
+
+def test_spec_accepts_numpy_integers_as_plain_ints():
+    spec = OracleSpec(np.int64(1), tuple(np.array([0, 1], dtype=np.int8)))
+    assert spec == OracleSpec(1, (0, 1))
+    assert type(spec.n) is int and all(type(b) is int for b in spec.table)
+    assert OracleSpec.from_json(spec.to_json()) == spec
+
+
 def test_constant_balanced_counts():
     assert len(constant_balanced_specs(1)) == 4
     assert len(constant_balanced_specs(2)) == 8

@@ -9,18 +9,21 @@ Core claims:
       epistemic pure states have one deterministic pair and the rest uniform
     - quaternionic two-level states project exactly onto the 5-ball
     - the loop-free diagonal and commutation checks agree with their
-      allclose and qmul references, NaN and infinite entries included
+      allclose and qmul references, NaN and infinite entries included; the
+      complex and quaternionic diagonal checks give the same answer on
+      non-finite entries without a floating-point warning
     - containment: octahedron inside tetrahedron and ball; tetrahedron
       vertices break the ball bound but stay inside the cube
     - every finite group element preserves its state space
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from gptifer.core import GptState, preserves_statespace
+from gptifer.core import GptState, is_diagonal, preserves_statespace
 from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion, qmul, random_unit_quaternion
 from gptifer.theories import (
     classical_theory,
@@ -268,8 +271,59 @@ def test_quantum_diagonal_check_matches_allclose_reference():
         U[i, j] = value
         cases.append(U)
     for U in cases:
-        assert m._is_diagonal(U) == _allclose_is_diagonal(U, m.atol)
-    assert not m._is_diagonal(np.diag([np.nan, 1.0, 1.0, 1.0]).astype(complex))
+        assert is_diagonal(U, m.atol) == _allclose_is_diagonal(U, m.atol)
+    assert not is_diagonal(np.diag([np.nan, 1.0, 1.0, 1.0]).astype(complex), m.atol)
+
+
+NON_FINITE_DIAGONALS = [
+    ([np.inf, 1.0], True),
+    ([-np.inf, 1.0], True),
+    ([np.nan, 1.0], False),
+    ([1.0, np.nan], False),
+]
+
+
+@pytest.mark.parametrize("entries,expected", NON_FINITE_DIAGONALS)
+def test_diagonal_predicates_agree_on_non_finite_entries(entries, expected):
+    m = quantum_theory(1)
+    real = np.diag(entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_diagonal(real.astype(complex), m.atol) is expected
+        assert QuatMatrix.from_real(real).is_diagonal(atol=m.atol) is expected
+        comps = np.zeros((4, 2, 2))
+        comps[2] = real  # the same entries on the j component
+        assert QuatMatrix(comps).is_diagonal(atol=m.atol) is expected
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_diagonal_predicates_reject_non_finite_off_diagonal_entries(value):
+    m = quantum_theory(1)
+    real = np.eye(2)
+    real[0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_diagonal(real.astype(complex), m.atol)
+        assert not QuatMatrix.from_real(real).is_diagonal(atol=m.atol)
+
+
+def test_quaternionic_diagonal_check_keeps_its_tolerance():
+    for scale, expected in ((1e-9, True), (1.01e-9, False)):
+        comps = np.zeros((4, 3, 3))
+        comps[0] = np.eye(3)
+        comps[3, 2, 0] = scale
+        assert QuatMatrix(comps).is_diagonal(atol=1e-9) is expected
+
+
+def test_commutation_with_a_nan_overlap_is_false_without_warning():
+    m = quantum_theory(1)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entries in ([np.nan, 1.0], [1.0, np.nan]):
+            nan_diag = np.diag(entries).astype(complex)
+            assert not m.maps_commute(nan_diag, flip)
+            assert not m.maps_commute(flip, nan_diag)
 
 
 # -- quaternionic ------------------------------------------------------------------
@@ -431,3 +485,17 @@ def test_theory_by_name_round_trip():
     assert theory_by_name("quaternionic", N=4).dim == 4
     with pytest.raises(ValueError):
         theory_by_name("octonionic")
+
+
+@pytest.mark.parametrize(
+    "name,N,message",
+    [
+        ("classical", 1, "needs N >= 2"),
+        ("classical", 0, "needs N >= 2"),
+        ("quaternionic", 1, "need at least two levels"),
+        ("quaternionic", -3, "need at least two levels"),
+    ],
+)
+def test_theory_by_name_passes_small_N_to_the_constructor(name, N, message):
+    with pytest.raises(ValueError, match=message):
+        theory_by_name(name, N=N)
