@@ -12,7 +12,6 @@ from .core import (
     VectorTheory,
     apply,
     is_valid_effect,
-    is_valid_state,
     preserves_statespace,
     probability,
 )
@@ -22,13 +21,13 @@ from .quaternion import (
     QuatMatrix,
     Quaternion,
     conjugate_state,
-    dagger,
     is_symplectic,
     qmul,
     real_trace_prob,
 )
 from .theories import (
     DensityMatrixTheory,
+    MatrixTheory,
     QuaternionicTheory,
     classical_theory,
     dball_theory,
@@ -41,7 +40,6 @@ from .theories import (
     theory_by_name,
 )
 from .phase import (
-    BranchLocalReport,
     PhaseGroupReport,
     branch_local_subgroup,
     is_branch_local,

@@ -62,8 +62,7 @@ def main(argv=None) -> int:
     try:
         report = run_experiment(args.experiment, params)
     except ValueError as exc:
-        parser.error(str(exc))
-        return 2  # unreachable; parser.error exits
+        parser.error(str(exc))  # exits 2
 
     print(report.to_canonical_json())
     if args.out:

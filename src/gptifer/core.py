@@ -38,6 +38,11 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(*lead, -1)[..., 1:].reshape(*lead, n - 1, n + 1)[..., :n]
 
 
+def _off_diagonal_within(a: np.ndarray, atol: float) -> bool:
+    off = _off_diagonal(a)
+    return bool(not off.any() or np.abs(off).max() <= atol)
+
+
 def is_diagonal(a, atol: float) -> bool:
     """Whether every off-diagonal entry of the trailing square axes is within ``atol``.
 
@@ -45,11 +50,20 @@ def is_diagonal(a, atol: float) -> bool:
     still counts as diagonal; NaN anywhere makes the answer False.
     """
     a = np.asarray(a)
-    off = _off_diagonal(a)
-    return bool(
-        (not off.any() or np.abs(off).max() <= atol)
-        and not np.isnan(np.diagonal(a, axis1=-2, axis2=-1)).any()
-    )
+    return _off_diagonal_within(a, atol) and not np.isnan(
+        np.diagonal(a, axis1=-2, axis2=-1)
+    ).any()
+
+
+def finite_diagonal(a, atol: float) -> np.ndarray | None:
+    """The diagonal of the trailing square axes, or None unless every
+    off-diagonal entry is within ``atol`` (as in :func:`is_diagonal`) and
+    every diagonal entry is finite."""
+    a = np.asarray(a)
+    if not _off_diagonal_within(a, atol):
+        return None
+    d = np.diagonal(a, axis1=-2, axis2=-1)
+    return d if np.isfinite(d).all() else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,17 +288,6 @@ class TheoryModel:
     def maps_commute(self, a, b) -> bool:
         raise NotImplementedError
 
-    def maps_equivalent(self, a, b) -> bool:
-        """Operational equality: identical action on every spanning state.
-
-        Transformations differing only by an unobservable global phase are
-        equivalent under this comparison.
-        """
-        return all(
-            self.states_close(self.apply(a, s), self.apply(b, s))
-            for s in self.spanning_states
-        )
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -391,11 +394,6 @@ def apply(T: LinearMap, s: GptState) -> GptState:
     return GptState(T.matrix @ s.probs)
 
 
-def is_valid_state(m: TheoryModel, s) -> bool:
-    """Whether ``s`` belongs to the state space of ``m``."""
-    return m.contains(s)
-
-
 def preserves_statespace(m: TheoryModel, T) -> bool:
     """Whether ``T`` maps the state space of ``m`` into itself.
 
@@ -444,13 +442,3 @@ def valid_layout(s: GptState, layout: Sequence[tuple[str, int]], atol: float) ->
             return False
         offset += count
     return True
-
-
-def block_slices(layout: Sequence[tuple[str, int]]) -> dict[str, slice]:
-    """Map measurement labels to their index ranges in the state vector."""
-    slices: dict[str, slice] = {}
-    offset = 0
-    for label, count in layout:
-        slices[label] = slice(offset, offset + count)
-        offset += count
-    return slices

@@ -107,6 +107,28 @@ def _round(x: float, places: int = 12) -> float:
     return 0.0 if r == 0.0 else r
 
 
+class _Params(dict):
+    """Run parameters that record which of them the run reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read: set[str] = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _named_theory(params: dict, default: str):
+    """The theory a run names, reading only the size parameter it takes."""
+    name = params.get("theory", default)
+    if name == "quantum":
+        return name, th.quantum_theory(int(params.get("n", 1)))
+    if name in ("classical", "quaternionic"):
+        return name, th.theory_by_name(name, N=int(params.get("N", 2)))
+    return name, th.theory_by_name(name)
+
+
 def _jsonsafe(value):
     """Convert numpy scalars and containers to plain JSON-ready values."""
     if isinstance(value, dict):
@@ -326,8 +348,7 @@ _EXPECTED_PHASE = {
 
 
 def _exp_phase_group(params: dict, rng: np.random.Generator):
-    theory = params.get("theory", "gbit2")
-    m = th.theory_by_name(theory, n=int(params.get("n", 1)), N=int(params.get("N", 2)))
+    theory, m = _named_theory(params, "gbit2")
     report = ph.phase_group(m, rng=rng)
     if report.is_finite:
         names = report.element_names()
@@ -360,8 +381,7 @@ _EXPECTED_BRANCH_LOCAL = {
 
 
 def _exp_branch_local(params: dict, rng: np.random.Generator):
-    theory = params.get("theory", "spekkens-ontic")
-    m = th.theory_by_name(theory, n=int(params.get("n", 1)), N=int(params.get("N", 2)))
+    theory, m = _named_theory(params, "spekkens-ontic")
     reports = [ph.branch_local_subgroup(m, b, rng=rng) for b in range(m.n_branches)]
     if reports[0].is_finite:
         subgroups = [list(r.element_names()) for r in reports]
@@ -391,8 +411,7 @@ _EXPECTED_UNION = {
 
 
 def _exp_localizable_union(params: dict, rng: np.random.Generator):
-    theory = params.get("theory", "gbit2")
-    m = th.theory_by_name(theory, n=int(params.get("n", 1)), N=int(params.get("N", 2)))
+    theory, m = _named_theory(params, "gbit2")
     union = tuple(sorted(e.name for e in ph.localizable_union(m)))
     expected = _EXPECTED_UNION.get(theory)
     results = {"union": list(union)}
@@ -541,16 +560,24 @@ REGISTRY = {
 
 
 def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
-    """Execute a registered experiment and assemble its report."""
+    """Execute a registered experiment and assemble its report.
+
+    Raises ValueError when a parameter is one the run does not read for the
+    theory it runs, rather than ignore it.
+    """
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise ValueError(f"unknown experiment {name!r}; registered: {known}")
-    params = dict(params or {})
+    params = _Params(params or {})
     seed = int(params.pop("seed", DEFAULT_SEED))
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     theory, used_params, results, passed = REGISTRY[name](params, rng)
     runtime_ms = int((time.perf_counter() - start) * 1000.0)
+    unread = sorted(set(params) - params.read)
+    if unread:
+        on = f" on theory {theory!r}" if theory else ""
+        raise ValueError(f"{name}{on} does not read parameter(s): {', '.join(unread)}")
     used_params["seed"] = seed
     return ExperimentReport(
         experiment=name,

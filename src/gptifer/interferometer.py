@@ -23,10 +23,8 @@ from scipy.optimize import linprog
 
 from .core import Effect, GptState, TheoryModel, VectorTheory
 from .phase import is_branch_local, localizable_union
-from .quaternion import QuatMatrix, Quaternion
 from .theories import (
-    DensityMatrixTheory,
-    QuaternionicTheory,
+    MatrixTheory,
     embed_rotation,
     gbit_theory,
     quantum_theory,
@@ -453,42 +451,30 @@ def run_grover(m: TheoryModel, cfg: GroverConfig, enc: BranchEncoding | None = N
 
 
 def sign_encoding(m: TheoryModel) -> BranchEncoding:
-    """Identity / phase-flip pair on every branch (quantum or quaternionic)."""
-    if isinstance(m, DensityMatrixTheory):
-        pairs = []
-        for x in range(m.dim):
-            d = np.ones(m.dim, dtype=complex)
-            d[x] = -1.0
-            pairs.append((m.identity_map(), np.diag(d)))
-        return BranchEncoding(tuple(pairs))
-    if isinstance(m, QuaternionicTheory):
-        pairs = []
-        for x in range(m.dim):
-            entries = [Quaternion(1.0)] * m.dim
-            entries[x] = Quaternion(-1.0)
-            pairs.append((m.identity_map(), QuatMatrix.diag(entries)))
-        return BranchEncoding(tuple(pairs))
-    raise UnsupportedTheoryError(f"no sign encoding for theory {m.name!r}")
+    """Identity / phase-flip pair on every branch of a matrix theory."""
+    if not isinstance(m, MatrixTheory):
+        raise UnsupportedTheoryError(f"no sign encoding for theory {m.name!r}")
+    # 1 - 2 e_x flips the sign of branch x alone
+    flips = (m.diagonal_map(1.0 - 2.0 * np.eye(m.dim)[x]) for x in range(m.dim))
+    return BranchEncoding(tuple((m.identity_map(), flip) for flip in flips))
+
+
+def _matrix_dj_instruments(m: MatrixTheory):
+    """Model, sign encoding, uniform input state and closing effect."""
+    if m.beamsplitter is None:
+        raise ValueError("branch count must be a power of two")
+    B = m.beamsplitter
+    return m, sign_encoding(m), m.uniform_superposition(), B @ m.branch_state(0) @ B
 
 
 def quantum_dj_instruments(n: int):
-    """Model, encoding, input state and closing effect for 2**n branches."""
-    m = quantum_theory(n)
-    enc = sign_encoding(m)
-    s_in = m.uniform_superposition()
-    B = m.beamsplitter
-    e_C = B @ m.branch_state(0) @ B
-    return m, enc, s_in, e_C
+    """Instruments for 2**n branches."""
+    return _matrix_dj_instruments(quantum_theory(n))
 
 
 def quaternionic_dj_instruments(N: int):
-    m = quaternionic_theory(N)
-    if m.beamsplitter is None:
-        raise ValueError("branch count must be a power of two")
-    enc = sign_encoding(m)
-    s_in = m.uniform_superposition()
-    e_C = m.beamsplitter @ m.branch_state(0) @ m.beamsplitter
-    return m, enc, s_in, e_C
+    """Instruments for N branches; N must be a power of two."""
+    return _matrix_dj_instruments(quaternionic_theory(N))
 
 
 def spekkens_epistemic_dj_instruments():

@@ -80,13 +80,15 @@ def quantum_branch_local_form_check(U: np.ndarray, branch: int, atol: float = 1e
 
 @dataclass(frozen=True)
 class PhaseGroupReport:
-    """Phase group of a theory: explicit elements or a verified family."""
+    """Phase group of a theory, or with ``branch`` set its subgroup
+    localizable to that branch: explicit elements or a verified family."""
 
     theory: str
     is_finite: bool
     elements: tuple[LinearMap, ...] | None
     family: str | None
     verified_samples: int = 0
+    branch: int | None = None
 
     def element_names(self) -> tuple[str, ...]:
         if self.elements is None:
@@ -101,34 +103,8 @@ class PhaseGroupReport:
             "family": self.family,
             "verified_samples": self.verified_samples,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class BranchLocalReport:
-    """Subgroup of the phase group localizable to one branch."""
-
-    theory: str
-    branch: int
-    is_finite: bool
-    elements: tuple[LinearMap, ...] | None
-    family: str | None
-    verified_samples: int = 0
-
-    def element_names(self) -> tuple[str, ...]:
-        if self.elements is None:
-            return ()
-        return tuple(sorted(e.name for e in self.elements))
-
-    def to_canonical_json(self) -> str:
-        payload = {
-            "theory": self.theory,
-            "branch": self.branch,
-            "is_finite": self.is_finite,
-            "elements": list(self.element_names()) if self.is_finite else None,
-            "family": self.family,
-            "verified_samples": self.verified_samples,
-        }
+        if self.branch is not None:
+            payload["branch"] = self.branch
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -163,14 +139,14 @@ def branch_local_subgroup(
     branch: int,
     rng: np.random.Generator | None = None,
     samples: int = 100,
-) -> BranchLocalReport:
+) -> PhaseGroupReport:
     """Members of the phase group localizable to ``branch``."""
     if isinstance(m.group, FiniteGroup):
         report = phase_group(m)
         elements = tuple(
             T for T in report.elements if is_branch_local(m, T, branch)
         )
-        return BranchLocalReport(m.name, branch, True, elements, None)
+        return PhaseGroupReport(m.name, True, elements, None, branch=branch)
     group: ParametricGroup = m.group
     family = group.branch_family(branch)
     rng = np.random.default_rng(0) if rng is None else rng
@@ -180,7 +156,7 @@ def branch_local_subgroup(
             raise RuntimeError(
                 f"declared branch-{branch} family of {m.name!r} failed verification"
             )
-    return BranchLocalReport(m.name, branch, False, None, family.description, samples)
+    return PhaseGroupReport(m.name, False, None, family.description, samples, branch)
 
 
 def localizable_union(m: TheoryModel) -> frozenset[LinearMap]:

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import is_diagonal
-
-DEFAULT_ATOL = 1e-9
+from .core import DEFAULT_ATOL, is_diagonal
 
 
 class NumericConsistencyError(ArithmeticError):
@@ -122,6 +120,13 @@ def _hamilton_entrywise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _hamilton_contract(a[:, None] * b[None, :])
 
 
+def _conj(comps: np.ndarray) -> np.ndarray:
+    """Entrywise conjugate of a (4, ...) component array, as a new array."""
+    out = comps.copy()
+    out[1:] *= -1.0
+    return out
+
+
 def _product_trace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Components of tr(a @ b) in O(rows * cols), without forming a @ b."""
     return _hamilton_contract(np.einsum("pij,qji->pq", a, b))
@@ -167,37 +172,17 @@ class QuatMatrix:
             comps[:, idx, idx] = q.components()
         return cls(comps)
 
-    @classmethod
-    def from_quaternions(cls, rows) -> "QuatMatrix":
-        n_rows = len(rows)
-        n_cols = len(rows[0])
-        comps = np.zeros((4, n_rows, n_cols))
-        for i, row in enumerate(rows):
-            for j, q in enumerate(row):
-                comps[:, i, j] = q.components()
-        return cls(comps)
-
     # -- structure ----------------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.comps.shape[1], self.comps.shape[2]
 
-    @property
-    def n(self) -> int:
-        rows, cols = self.shape
-        if rows != cols:
-            raise ValueError("matrix is not square")
-        return rows
-
     def at(self, i: int, j: int) -> Quaternion:
         return Quaternion(*self.comps[:, i, j])
 
     def is_diagonal(self, atol: float = DEFAULT_ATOL) -> bool:
         return is_diagonal(self.comps, atol)
-
-    def diagonal(self) -> list[Quaternion]:
-        return [self.at(i, i) for i in range(self.n)]
 
     # -- algebra -------------------------------------------------------------
 
@@ -219,12 +204,7 @@ class QuatMatrix:
         return QuatMatrix(-self.comps)
 
     def dagger(self) -> "QuatMatrix":
-        comps = np.transpose(self.comps, (0, 2, 1)).copy()
-        comps[1:] *= -1.0
-        return QuatMatrix(comps)
-
-    def trace(self) -> Quaternion:
-        return Quaternion(*(np.trace(self.comps[c]) for c in range(4)))
+        return QuatMatrix(_conj(np.transpose(self.comps, (0, 2, 1))))
 
     def isclose(self, other: "QuatMatrix", atol: float = DEFAULT_ATOL) -> bool:
         return bool(np.allclose(self.comps, other.comps, rtol=0.0, atol=atol))
@@ -274,12 +254,6 @@ class QuatKet:
         return cls(comps)
 
     @classmethod
-    def basis(cls, n: int, index: int) -> "QuatKet":
-        comps = np.zeros((4, n))
-        comps[0, index] = 1.0
-        return cls(comps)
-
-    @classmethod
     def uniform(cls, n: int) -> "QuatKet":
         comps = np.zeros((4, n))
         comps[0] = 1.0 / np.sqrt(n)
@@ -288,9 +262,6 @@ class QuatKet:
     @property
     def dim(self) -> int:
         return self.comps.shape[1]
-
-    def at(self, i: int) -> Quaternion:
-        return Quaternion(*self.comps[:, i])
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.comps**2)))
@@ -301,17 +272,11 @@ class QuatKet:
 
     def dagger_dot(self, other: "QuatKet") -> Quaternion:
         """Symplectic inner product sum_i conj(self_i) * other_i."""
-        bra = self.comps.copy()
-        bra[1:] *= -1.0
-        total = _hamilton_matmul(bra[:, None, :], other.comps[:, :, None])
-        return Quaternion(*total[:, 0, 0])
+        return Quaternion(*_vec_inner(self.comps, other.comps)[:, 0])
 
     def density(self) -> QuatMatrix:
         """Rank-1 projector |psi><psi| with entries psi_i * conj(psi_k)."""
-        col = self.comps[:, :, None]
-        bra = self.comps[:, None, :].copy()
-        bra[1:] *= -1.0
-        return QuatMatrix(_hamilton_matmul(col, bra))
+        return QuatMatrix(_hamilton_matmul(self.comps[:, :, None], _conj(self.comps[:, None, :])))
 
     def isclose(self, other: "QuatKet", atol: float = DEFAULT_ATOL) -> bool:
         return bool(np.allclose(self.comps, other.comps, rtol=0.0, atol=atol))
@@ -323,11 +288,6 @@ class QuatKet:
 # ---------------------------------------------------------------------------
 # Module operations
 # ---------------------------------------------------------------------------
-
-
-def dagger(M: QuatMatrix) -> QuatMatrix:
-    """Symplectic dagger: transpose plus entrywise quaternionic conjugation."""
-    return M.dagger()
 
 
 def is_symplectic(M: QuatMatrix, atol: float = DEFAULT_ATOL) -> bool:
@@ -370,25 +330,15 @@ def conjugate_state(S: QuatMatrix, rho: QuatMatrix) -> QuatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def random_quaternion(rng: np.random.Generator) -> Quaternion:
-    return Quaternion(*rng.standard_normal(4))
-
-
 def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
     comps = rng.standard_normal(4)
     comps /= np.linalg.norm(comps)
     return Quaternion(*comps)
 
 
-def _vec_conj(comps: np.ndarray) -> np.ndarray:
-    out = comps.copy()
-    out[1:] *= -1.0
-    return out
-
-
 def _vec_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # sum_i conj(u_i) v_i over (4, n) component arrays, as a (4, 1) column
-    return _hamilton_matmul(_vec_conj(u)[:, None, :], v[:, :, None])[:, 0]
+    return _hamilton_matmul(_conj(u)[:, None, :], v[:, :, None])[:, 0]
 
 
 def random_symplectic(n: int, rng: np.random.Generator) -> QuatMatrix:

@@ -25,7 +25,7 @@ from .core import (
     ParametricGroup,
     TheoryModel,
     VectorTheory,
-    is_diagonal,
+    finite_diagonal,
     valid_layout,
 )
 from .quaternion import (
@@ -35,10 +35,7 @@ from .quaternion import (
     Quaternion,
     _hamilton_entrywise,
     conjugate_state,
-    is_symplectic,
-    qmul,
     random_symplectic,
-    random_unit_quaternion,
     real_trace_prob,
 )
 from .uncertainty import PAULI_X, PAULI_Y, PAULI_Z
@@ -506,70 +503,85 @@ def spekkens_epistemic_theory() -> TheoryModel:
 
 
 # ---------------------------------------------------------------------------
-# Many-level quantum theory on density matrices
+# Matrix theories: quantum theory over the complex numbers and the quaternions
 # ---------------------------------------------------------------------------
 
 
-class DensityMatrixTheory(TheoryModel):
-    """N = 2**n level quantum system; states are density matrices.
+class MatrixTheory(TheoryModel):
+    """N-level system whose states are density matrices over a scalar algebra.
 
-    Probabilities are computed on demand from the matrices rather than a
-    tomographic vector; :meth:`gpt_vector` exposes the branch statistics and
-    the post-beamsplitter interference statistics as a probability vector.
+    Probabilities are computed on demand; :meth:`gpt_vector` exposes the
+    branch and post-beamsplitter statistics as a probability vector.  Shared
+    code reads a matrix through its *entries*, a (k, N, N) array of the k
+    algebra components.  A subclass declares its algebra (``PHASES``,
+    ``PINNED``, family descriptions, the ``_``-prefixed hooks the methods
+    below call) and implements ``probability`` and ``apply`` natively.
     """
 
-    def __init__(self, n_qubits: int):
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        N = 2**n_qubits
-        self.n_qubits = n_qubits
+    #: Unit scalars as component rows, 1 first.  With the branch projectors,
+    #: their pair states span the unit-trace Hermitian matrices.
+    PHASES: np.ndarray
+    #: Rows of ``PHASES`` whose pair states the locality probes add, so that
+    #: a common remote entry must be central (a global phase).
+    PINNED: tuple[int, ...]
+
+    def __init__(self, name: str, N: int, group_name: str, sample_group):
         self.dim = N
-        super().__init__(
-            name="quantum",
-            fiducial_layout=(("Z", N), ("X", N)),
-            n_branches=N,
-            group=ParametricGroup(
-                group=ParametricFamily(
-                    f"unitary group U({N})", self._is_unitary, self._sample_unitary
-                ),
-                phase_family=ParametricFamily(
-                    "branch-diagonal unitaries",
-                    self._is_diagonal_unitary,
-                    self._sample_diagonal_unitary,
-                ),
-                branch_family=self._branch_family,
-            ),
-            atol=DEFAULT_ATOL,
+        group = ParametricFamily(group_name, self._is_group_element, sample_group)
+        phases = ParametricFamily(
+            self.PHASE_FAMILY,
+            self._is_diagonal_unit,
+            lambda rng: self._from_diagonal(self._random_phases(rng, self.dim)),
         )
-        self.beamsplitter = hadamard_matrix(n_qubits).astype(complex)
-        self._z = tuple(self._projector(j) for j in range(N))
+        super().__init__(
+            name, (("Z", N), ("X", N)), N, ParametricGroup(group, phases, self._branch_family)
+        )
+        n_qubits = int(round(np.log2(N)))
+        if 2**n_qubits == N:
+            self.beamsplitter = self._matrix(self._lift(hadamard_matrix(n_qubits)))
+        self._z = tuple(self.branch_state(j) for j in range(N))
 
-    # -- constructors for states -------------------------------------------
+    def _lift(self, real) -> np.ndarray:
+        # entries of a real array: component 0, in the algebra's dtype
+        entries = np.zeros((self.PHASES.shape[1],) + np.shape(real), dtype=self.PHASES.dtype)
+        entries[0] = real
+        return entries
 
-    def _projector(self, j: int) -> np.ndarray:
-        P = np.zeros((self.dim, self.dim), dtype=complex)
-        P[j, j] = 1.0
-        return P
+    def _diagonal(self, M) -> np.ndarray | None:
+        # (k, N) diagonal entries, or None unless M is diagonal and finite
+        return finite_diagonal(self._entries(M), self.atol)
 
-    def branch_state(self, j: int) -> np.ndarray:
-        return self._projector(j)
+    def _from_diagonal(self, d):
+        return self._matrix(d[:, :, None] * np.eye(self.dim))
 
-    @staticmethod
-    def density_from_ket(psi) -> np.ndarray:
-        psi = np.asarray(psi, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
-        return np.outer(psi, psi.conj())
+    def diagonal_map(self, values):
+        """Diagonal map with the real entries ``values``."""
+        return self._matrix(self._lift(np.diag(values)))
 
-    def uniform_superposition(self) -> np.ndarray:
-        return self.density_from_ket(np.full(self.dim, 1.0))
+    def branch_state(self, j: int):
+        return self.diagonal_map(np.eye(self.dim)[j])
 
-    def _pair_ket(self, j: int, k: int, phase: complex) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[j] = 1.0
-        psi[k] = phase
-        return psi / np.sqrt(2.0)
+    def _pure(self, ket):
+        # |psi><psi| of the ket with (k, N) entries
+        col = self._matrix(ket[:, :, None])
+        return col @ self._dagger(col)
 
-    # -- model interface -----------------------------------------------------
+    def uniform_superposition(self):
+        return self._pure(self._lift(np.full(self.dim, 1.0 / np.sqrt(self.dim))))
+
+    def _pair_state(self, j: int, k: int, phase: int):
+        ket = self._lift(np.zeros(self.dim))
+        ket[0, j] = 1.0 / np.sqrt(2.0)
+        ket[:, k] = self.PHASES[phase] / np.sqrt(2.0)
+        return self._pure(ket)
+
+    def _pair_states(self, levels):
+        # projectors plus one pair state per pair of levels and phase: an
+        # affine spanning set of the unit-trace Hermitian matrices on levels
+        states = [self.branch_state(j) for j in levels]
+        for j, k in itertools.combinations(levels, 2):
+            states.extend(self._pair_state(j, k, p) for p in range(len(self.PHASES)))
+        return tuple(states)
 
     @property
     def z_effects(self):
@@ -577,14 +589,141 @@ class DensityMatrixTheory(TheoryModel):
 
     @cached_property
     def spanning_states(self):
-        # tomographically complete pure-state family: an affine spanning
-        # set of the unit-trace Hermitian matrices
-        states = [self._projector(j) for j in range(self.dim)]
-        for j, k in itertools.combinations(range(self.dim), 2):
-            for phase in (1.0, 1.0j):
-                states.append(self.density_from_ket(self._pair_ket(j, k, phase)))
-        return tuple(states)
+        return self._pair_states(range(self.dim))
 
+    def face_states(self, branch: int):
+        """Pure states affinely spanning all densities with zero row and
+        column at ``branch``."""
+        return self._pair_states([j for j in range(self.dim) if j != branch])
+
+    def branch_local_probes(self, branch: int):
+        """Probe set equivalent to the full face for the group's maps.
+
+        Fixing a zero-support state with distinct spectrum forces the map to
+        be branch-diagonal; fixing the uniform remote superposition forces a
+        common remote entry; the pair states of the ``PINNED`` phases (i and
+        j for quaternions) force that entry to be central.
+        """
+        others = [j for j in range(self.dim) if j != branch]
+        if len(others) == 1:
+            return (self.branch_state(others[0]),)
+        weights = np.zeros(self.dim)
+        weights[others] = np.arange(1.0, len(others) + 1.0)
+        uniform = self._lift(np.zeros(self.dim))
+        uniform[0, others] = 1.0 / np.sqrt(len(others))
+        pinned = tuple(self._pair_state(others[0], others[1], p) for p in self.PINNED)
+        return (self.diagonal_map(weights / weights.sum()), self._pure(uniform)) + pinned
+
+    def contains(self, state) -> bool:
+        entries = self._entries(state)
+        if entries.shape[1:] != (self.dim, self.dim):
+            raise ValueError("state has the wrong dimension")
+        if not self.states_close(state, self._dagger(state)):
+            return False
+        if abs(np.trace(entries[0]).real - 1.0) > self.atol:
+            return False
+        return bool(np.linalg.eigvalsh(self._complex_form(state)).min() >= -self.atol)
+
+    def states_close(self, a, b) -> bool:
+        return bool(np.allclose(self._entries(a), self._entries(b), rtol=0.0, atol=self.atol))
+
+    def compose(self, second, first):
+        return second @ first
+
+    def identity_map(self):
+        return self.diagonal_map(np.ones(self.dim))
+
+    def _is_group_element(self, M) -> bool:
+        # unitary or symplectic: M M^dagger is the identity
+        return self.states_close(M @ self._dagger(M), self.identity_map())
+
+    def _is_central_unit(self, d) -> bool:
+        # whether the (k, N) entries d all lie within atol of one global
+        # phase: a unit complex number, or a real sign for quaternions
+        first = d[0, 0]
+        if not abs(abs(first) - 1.0) <= self.atol:
+            return False
+        deviation = d.copy()
+        deviation[0] -= first
+        return bool(np.abs(deviation).max() <= self.atol)
+
+    def is_identity_map(self, trans) -> bool:
+        # acts as the identity exactly when it is a global phase times it
+        d = self._diagonal(trans)
+        return d is not None and self._is_central_unit(d)
+
+    def maps_commute(self, a, b) -> bool:
+        # ab and ba induce one conjugation exactly when (ba)^dagger (ab) acts
+        # as the identity.  A non-finite entry gives False: the diagonal path
+        # takes finite diagonals only, the other path checks every entry
+        da, db = self._diagonal(a), self._diagonal(b)
+        if da is not None and db is not None:
+            return self._diagonals_commute(da, db)
+        if not (np.isfinite(self._entries(a)).all() and np.isfinite(self._entries(b)).all()):
+            return False
+        return self.is_identity_map(self._dagger(b @ a) @ (a @ b))
+
+    def _is_diagonal_unit(self, S) -> bool:
+        d = self._diagonal(S)
+        return d is not None and bool(np.all(np.abs(np.linalg.norm(d, axis=0) - 1.0) <= self.atol))
+
+    def _branch_family(self, branch: int) -> ParametricFamily:
+        def contains(S) -> bool:
+            if not self._is_diagonal_unit(S):
+                return False
+            return self._is_central_unit(np.delete(self._diagonal(S), branch, axis=1))
+
+        def sample(rng: np.random.Generator):
+            # the central part of a random unit (itself if complex, its real
+            # sign if quaternionic) as global phase, a random unit on branch
+            first = self._random_phases(rng, 1)[0, 0]
+            global_phase = first / abs(first)
+            d = self._lift(np.full(self.dim, global_phase))
+            d[:, branch] = global_phase * self._random_phases(rng, 1)[:, 0]
+            return self._from_diagonal(d)
+
+        return ParametricFamily(self.BRANCH_FAMILY.format(branch=branch), contains, sample)
+
+    def gpt_vector(self, state) -> GptState:
+        """Branch probabilities plus post-beamsplitter interference
+        statistics as one probability vector."""
+        if self.beamsplitter is None:
+            raise ValueError("interference statistics need a power-of-two dimension")
+        B = self.beamsplitter
+        branch = np.diagonal(self._entries(state)[0]).real
+        interference = np.diagonal(self._entries(B @ state @ B)[0]).real
+        return GptState(np.concatenate([branch, interference]))
+
+
+class DensityMatrixTheory(MatrixTheory):
+    """N = 2**n level quantum system: complex entries, unitary dynamics.
+
+    Matrices stay native complex arrays; their entries are a (1, N, N) view.
+    """
+
+    PHASES = np.array([[1.0], [1.0j]])
+    PINNED = ()  # every unit complex number is a global phase
+    PHASE_FAMILY = "branch-diagonal unitaries"
+    BRANCH_FAMILY = "phase on branch {branch} up to a global phase"
+
+    def __init__(self, n_qubits: int):
+        if n_qubits < 1:
+            raise ValueError("need at least one qubit")
+        self.n_qubits = n_qubits
+        N = 2**n_qubits
+        super().__init__("quantum", N, f"unitary group U({N})", self._sample_unitary)
+
+    _matrix = staticmethod(lambda entries: entries[0])
+    _entries = staticmethod(lambda M: np.asarray(M)[None])
+    _dagger = staticmethod(lambda M: np.asarray(M).conj().T)
+    _complex_form = staticmethod(np.asarray)
+
+    def _random_phases(self, rng, count):
+        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))[None]
+
+    _diagonals_commute = staticmethod(lambda da, db: True)  # complex numbers commute
+
+    # bench/tracer.py times these five through each class's own __dict__
     def probability(self, effect, state) -> float:
         t = complex(np.einsum("ij,ji->", effect, state))
         if abs(t.imag) > self.atol:
@@ -596,85 +735,9 @@ class DensityMatrixTheory(TheoryModel):
     def apply(self, trans, state):
         return trans @ state @ trans.conj().T
 
-    def contains(self, state) -> bool:
-        state = np.asarray(state)
-        if state.shape != (self.dim, self.dim):
-            raise ValueError("state has the wrong dimension")
-        if not np.allclose(state, state.conj().T, rtol=0.0, atol=self.atol):
-            return False
-        if abs(np.trace(state).real - 1.0) > self.atol:
-            return False
-        return bool(np.linalg.eigvalsh(state).min() >= -self.atol)
-
-    def face_states(self, branch: int):
-        """Pure states affinely spanning all densities with zero row and
-        column at ``branch``."""
-        others = [j for j in range(self.dim) if j != branch]
-        states = [self._projector(j) for j in others]
-        for j, k in itertools.combinations(others, 2):
-            for phase in (1.0, 1.0j):
-                states.append(self.density_from_ket(self._pair_ket(j, k, phase)))
-        return tuple(states)
-
-    def branch_local_probes(self, branch: int):
-        """Two-state probe set equivalent to the full face for unitaries.
-
-        Fixing a zero-support state with distinct spectrum forces the map to
-        be branch-diagonal; fixing the uniform superposition of the remote
-        branches then forces the remote phases to agree.
-        """
-        others = [j for j in range(self.dim) if j != branch]
-        if len(others) == 1:
-            return (self._projector(others[0]),)
-        weights = np.arange(1.0, len(others) + 1.0)
-        weights /= weights.sum()
-        rho_w = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, j in zip(weights, others):
-            rho_w[j, j] = w
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[others] = 1.0 / np.sqrt(len(others))
-        return (rho_w, self.density_from_ket(psi))
-
-    def states_close(self, a, b) -> bool:
-        return bool(np.allclose(a, b, rtol=0.0, atol=self.atol))
-
-    def compose(self, second, first):
-        return second @ first
-
-    def identity_map(self):
-        return np.eye(self.dim, dtype=complex)
-
-    def is_identity_map(self, trans) -> bool:
-        d = np.diagonal(trans)
-        return bool(
-            is_diagonal(trans, self.atol)
-            and np.allclose(d, d[0], rtol=0.0, atol=self.atol)
-            and abs(abs(d[0]) - 1.0) <= self.atol
-        )
-
-    def maps_commute(self, a, b) -> bool:
-        # complex diagonals always commute; otherwise compare the products
-        # up to the unobservable global phase
-        if is_diagonal(a, self.atol) and is_diagonal(b, self.atol):
-            return True
-        left = a @ b
-        right = b @ a
-        t = np.trace(right.conj().T @ left) / self.dim
-        # written so that a NaN overlap fails here, before the division
-        if not abs(abs(t) - 1.0) <= self.atol:
-            return False
-        phase = t / abs(t)
-        return bool(np.allclose(left, phase * right, rtol=0.0, atol=self.atol))
-
-    # -- group families -------------------------------------------------------
-
-    def _is_unitary(self, U) -> bool:
-        return bool(
-            np.allclose(U.conj().T @ U, np.eye(self.dim), rtol=0.0, atol=self.atol)
-        )
-
-    def _is_diagonal_unitary(self, U) -> bool:
-        return self._is_unitary(U) and is_diagonal(U, self.atol)
+    compose = MatrixTheory.compose
+    is_identity_map = MatrixTheory.is_identity_map
+    maps_commute = MatrixTheory.maps_commute
 
     def _sample_unitary(self, rng: np.random.Generator) -> np.ndarray:
         Z = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal(
@@ -684,257 +747,58 @@ class DensityMatrixTheory(TheoryModel):
         d = np.diagonal(R)
         return Q * (d / np.abs(d))[None, :]
 
-    def _sample_diagonal_unitary(self, rng: np.random.Generator) -> np.ndarray:
-        return np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, self.dim)))
 
-    def _branch_family(self, branch: int) -> ParametricFamily:
-        def contains(U) -> bool:
-            if not self._is_diagonal_unitary(U):
-                return False
-            d = np.diagonal(U)
-            remote = d[[j for j in range(self.dim) if j != branch]]
-            return bool(np.allclose(remote, remote[0], rtol=0.0, atol=self.atol))
+class QuaternionicTheory(MatrixTheory):
+    """N-level quaternionic quantum system with symplectic dynamics.
 
-        def sample(rng: np.random.Generator) -> np.ndarray:
-            global_phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            local_phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            d = np.full(self.dim, global_phase, dtype=complex)
-            d[branch] *= local_phase
-            return np.diag(d)
+    Matrices are :class:`QuatMatrix` values, whose (4, N, N) component array
+    is their entries.  Only the real signs +1 and -1 are global phases.
+    """
 
-        return ParametricFamily(
-            f"phase on branch {branch} up to a global phase", contains, sample
-        )
-
-    # -- derived statistics ---------------------------------------------------
-
-    def gpt_vector(self, state) -> GptState:
-        """Branch probabilities plus post-beamsplitter interference
-        statistics as one probability vector."""
-        B = self.beamsplitter
-        mixed = B @ state @ B
-        branch = np.real(np.diagonal(state))
-        interference = np.real(np.diagonal(mixed))
-        return GptState(np.concatenate([branch, interference]))
-
-
-def quantum_theory(n: int) -> DensityMatrixTheory:
-    """Quantum system with 2**n branches, one per length-n bit-string."""
-    return DensityMatrixTheory(n)
-
-
-# ---------------------------------------------------------------------------
-# Quaternionic quantum theory
-# ---------------------------------------------------------------------------
-
-
-_QUAT_PHASES = (
-    Quaternion(1.0),
-    Quaternion(0.0, 1.0),
-    Quaternion(0.0, 0.0, 1.0),
-    Quaternion(0.0, 0.0, 0.0, 1.0),
-)
-
-
-class QuaternionicTheory(TheoryModel):
-    """N-level quaternionic quantum system with symplectic dynamics."""
+    PHASES = np.eye(4)  # 1, i, j, k
+    PINNED = (1, 2)  # an entry commuting with i and j commutes with k = ij
+    PHASE_FAMILY = "diagonal unit-quaternion matrices"
+    BRANCH_FAMILY = "unit quaternion on branch {branch}, common sign elsewhere"
 
     def __init__(self, N: int):
         if N < 2:
             raise ValueError("need at least two levels")
-        self.dim = N
         super().__init__(
-            name="quaternionic",
-            fiducial_layout=(("Z", N), ("X", N)),
-            n_branches=N,
-            group=ParametricGroup(
-                group=ParametricFamily(
-                    f"symplectic group Sp({N})",
-                    lambda S: is_symplectic(S, atol=self.atol),
-                    lambda rng: random_symplectic(N, rng),
-                ),
-                phase_family=ParametricFamily(
-                    "diagonal unit-quaternion matrices",
-                    self._is_diagonal_unit,
-                    self._sample_diagonal_unit,
-                ),
-                branch_family=self._branch_family,
-            ),
-            atol=DEFAULT_ATOL,
-        )
-        n_qubits = int(round(np.log2(N)))
-        if 2**n_qubits == N:
-            self.beamsplitter = QuatMatrix.from_real(hadamard_matrix(n_qubits))
-        self._z = tuple(
-            QuatMatrix.from_real(np.diag(np.eye(N)[j])) for j in range(N)
+            "quaternionic", N, f"symplectic group Sp({N})", lambda rng: random_symplectic(N, rng)
         )
 
-    # -- state constructors ----------------------------------------------------
+    _matrix = staticmethod(QuatMatrix)
+    _entries = staticmethod(lambda M: M.comps)
+    _dagger = staticmethod(QuatMatrix.dagger)
+    _complex_form = staticmethod(QuatMatrix.complex_adjoint)
 
-    def branch_state(self, j: int) -> QuatMatrix:
-        return self._z[j]
+    def _random_phases(self, rng, count):
+        q = rng.standard_normal((count, 4))
+        return (q / np.linalg.norm(q, axis=1, keepdims=True)).T
 
-    def _pair_ket(self, j: int, k: int, phase: Quaternion) -> QuatKet:
-        entries = [Quaternion() for _ in range(self.dim)]
-        entries[j] = Quaternion(1.0 / np.sqrt(2.0))
-        entries[k] = phase * (1.0 / np.sqrt(2.0))
-        return QuatKet.from_quaternions(entries)
+    def _diagonals_commute(self, da, db) -> bool:
+        # diag(ab) and diag(ba) induce the same conjugation exactly when
+        # conj((ba)_i) (ab)_i is one common real sign
+        pair = np.stack([da, db], axis=1)
+        left, right = _hamilton_entrywise(pair, pair[:, ::-1]).swapaxes(0, 1)
+        right[1:] *= -1.0
+        return self._is_central_unit(_hamilton_entrywise(right, left))
 
-    def uniform_superposition(self) -> QuatMatrix:
-        return QuatKet.uniform(self.dim).density()
-
-    # -- model interface ---------------------------------------------------------
-
-    @property
-    def z_effects(self):
-        return self._z
-
-    @cached_property
-    def spanning_states(self):
-        states = [self._z[j] for j in range(self.dim)]
-        for j, k in itertools.combinations(range(self.dim), 2):
-            for phase in _QUAT_PHASES:
-                states.append(self._pair_ket(j, k, phase).density())
-        return tuple(states)
-
+    # bench/tracer.py times these five through each class's own __dict__
     def probability(self, effect, state) -> float:
         return real_trace_prob(effect, state, atol=self.atol)
 
     def apply(self, trans, state):
         return conjugate_state(trans, state)
 
-    def contains(self, state: QuatMatrix) -> bool:
-        if state.shape != (self.dim, self.dim):
-            raise ValueError("state has the wrong dimension")
-        if not state.is_hermitian(atol=self.atol):
-            return False
-        if abs(np.trace(state.comps[0]) - 1.0) > self.atol:
-            return False
-        return bool(np.linalg.eigvalsh(state.complex_adjoint()).min() >= -self.atol)
+    compose = MatrixTheory.compose
+    is_identity_map = MatrixTheory.is_identity_map
+    maps_commute = MatrixTheory.maps_commute
 
-    def face_states(self, branch: int):
-        others = [j for j in range(self.dim) if j != branch]
-        states = [self._z[j] for j in others]
-        for j, k in itertools.combinations(others, 2):
-            for phase in _QUAT_PHASES:
-                states.append(self._pair_ket(j, k, phase).density())
-        return tuple(states)
 
-    def branch_local_probes(self, branch: int):
-        """Four-state probe set equivalent to the full face for symplectics.
-
-        A distinct-spectrum zero-support state forces diagonality; the
-        uniform remote superposition forces a common remote entry; the i-
-        and j-phased pair states force that entry to be real.
-        """
-        others = [j for j in range(self.dim) if j != branch]
-        if len(others) == 1:
-            return (self._z[others[0]],)
-        weights = np.arange(1.0, len(others) + 1.0)
-        weights /= weights.sum()
-        comps = np.zeros((4, self.dim, self.dim))
-        for w, j in zip(weights, others):
-            comps[0, j, j] = w
-        rho_w = QuatMatrix(comps)
-        uniform = np.zeros((4, self.dim))
-        uniform[0, others] = 1.0 / np.sqrt(len(others))
-        rho_u = QuatKet(uniform).density()
-        a, b = others[0], others[1]
-        rho_i = self._pair_ket(a, b, _QUAT_PHASES[1]).density()
-        rho_j = self._pair_ket(a, b, _QUAT_PHASES[2]).density()
-        return (rho_w, rho_u, rho_i, rho_j)
-
-    def states_close(self, a: QuatMatrix, b: QuatMatrix) -> bool:
-        return a.isclose(b, atol=self.atol)
-
-    def compose(self, second, first):
-        return second @ first
-
-    def identity_map(self):
-        return QuatMatrix.identity(self.dim)
-
-    def is_identity_map(self, trans: QuatMatrix) -> bool:
-        # acts as the identity exactly when it is +1 or -1 times the
-        # identity (only real units are central)
-        if not trans.is_diagonal(atol=self.atol):
-            return False
-        diag = trans.comps[:, range(self.dim), range(self.dim)]
-        if np.any(np.abs(diag[1:]) > self.atol):
-            return False
-        first = diag[0, 0]
-        return bool(
-            abs(abs(first) - 1.0) <= self.atol
-            and np.allclose(diag[0], first, rtol=0.0, atol=self.atol)
-        )
-
-    def maps_commute(self, a: QuatMatrix, b: QuatMatrix) -> bool:
-        if a.is_diagonal(atol=self.atol) and b.is_diagonal(atol=self.atol):
-            return self._diagonals_commute(a, b)
-        left = a @ b
-        right = b @ a
-        ratio = right.dagger() @ left
-        return self.is_identity_map(ratio)
-
-    def _diagonals_commute(self, a: QuatMatrix, b: QuatMatrix) -> bool:
-        # diag(ab) and diag(ba) induce the same conjugation exactly when
-        # conj((ba)_i) (ab)_i is one common real sign
-        pair = np.stack([np.diagonal(m.comps, axis1=1, axis2=2) for m in (a, b)], axis=1)
-        left, right = _hamilton_entrywise(pair, pair[:, ::-1]).swapaxes(0, 1)
-        right[1:] *= -1.0
-        ratios = _hamilton_entrywise(right, left)
-        r0, r1, r2, r3 = ratios[:, 0].tolist()
-        if abs(r1) > self.atol or abs(r2) > self.atol or abs(r3) > self.atol:
-            return False
-        if abs(abs(r0) - 1.0) > self.atol:
-            return False
-        return bool(np.all(np.abs(ratios - ratios[:, :1]) <= self.atol))
-
-    # -- group families ------------------------------------------------------------
-
-    def _diag_entries(self, S: QuatMatrix):
-        return [S.at(i, i) for i in range(self.dim)]
-
-    def _is_diagonal_unit(self, S: QuatMatrix) -> bool:
-        if not S.is_diagonal(atol=self.atol):
-            return False
-        return all(abs(q.norm() - 1.0) <= self.atol for q in self._diag_entries(S))
-
-    def _sample_diagonal_unit(self, rng: np.random.Generator) -> QuatMatrix:
-        return QuatMatrix.diag([random_unit_quaternion(rng) for _ in range(self.dim)])
-
-    def _branch_family(self, branch: int) -> ParametricFamily:
-        def contains(S: QuatMatrix) -> bool:
-            if not self._is_diagonal_unit(S):
-                return False
-            remote = [q for i, q in enumerate(self._diag_entries(S)) if i != branch]
-            first = remote[0]
-            if abs(first.b) > self.atol or abs(first.c) > self.atol or abs(first.d) > self.atol:
-                return False
-            if abs(abs(first.a) - 1.0) > self.atol:
-                return False
-            return all(q.isclose(first, atol=self.atol) for q in remote)
-
-        def sample(rng: np.random.Generator) -> QuatMatrix:
-            sign = Quaternion(float(rng.choice((-1.0, 1.0))))
-            entries = [sign for _ in range(self.dim)]
-            entries[branch] = qmul(random_unit_quaternion(rng), sign)
-            return QuatMatrix.diag(entries)
-
-        return ParametricFamily(
-            f"unit quaternion on branch {branch}, common sign elsewhere",
-            contains,
-            sample,
-        )
-
-    # -- derived statistics -----------------------------------------------------------
-
-    def gpt_vector(self, state: QuatMatrix) -> GptState:
-        if self.beamsplitter is None:
-            raise ValueError("interference statistics need a power-of-two dimension")
-        mixed = conjugate_state(self.beamsplitter, state)
-        branch = np.diagonal(state.comps[0]).copy()
-        interference = np.diagonal(mixed.comps[0]).copy()
-        return GptState(np.concatenate([branch, interference]))
+def quantum_theory(n: int) -> DensityMatrixTheory:
+    """Quantum system with 2**n branches, one per length-n bit-string."""
+    return DensityMatrixTheory(n)
 
 
 def quaternionic_theory(N: int) -> QuaternionicTheory:
@@ -954,8 +818,8 @@ def quaternionic_two_level_gpt_state(rho: QuatMatrix) -> GptState:
         raise ValueError("expected a 2x2 quaternionic state")
     off = rho.at(0, 1)
     entries = []
-    for q in _QUAT_PHASES:
-        p_plus = 0.5 + (off * q).a
+    for q in QuaternionicTheory.PHASES:
+        p_plus = 0.5 + (off * Quaternion(*q)).a
         entries.extend([p_plus, 1.0 - p_plus])
     p_z = rho.at(0, 0).a
     entries.extend([p_z, 1.0 - p_z])

@@ -6,6 +6,8 @@ Core claims:
     - CSV flattening yields one row per leaf of the canonical payload
     - the CLI runs experiments, honors GPT_IFER_SEED, writes reports, and
       exits 0 exactly on pass
+    - a parameter the run does not read for its theory is an error (exit 2),
+      never silently dropped
 """
 
 import csv
@@ -193,6 +195,36 @@ def test_cli_rejects_invalid_counts_as_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "uncertainty", "--samples", "5", "--theory", "quaternionic", "--N", "99",
+         "--marked", "3"],
+        ["run", "dj-sweep", "--theory", "quantum", "--N", "99"],
+        ["run", "phase-group", "--theory", "gbit2", "--N", "3"],
+        ["run", "grover", "--theory", "quantum", "--N", "4", "--n", "2"],
+        ["run", "containment", "--theory", "qubit"],
+    ],
+)
+def test_cli_rejects_parameters_the_run_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_unread_parameters_are_named():
+    with pytest.raises(ValueError, match=r"does not read parameter\(s\): N, marked, theory$"):
+        run_experiment("uncertainty", {"samples": 5, "theory": "quaternionic", "N": 99, "marked": 3})
+    with pytest.raises(ValueError, match=r"dj-sweep on theory 'classical' .*: N, n$"):
+        run_experiment("dj-sweep", {"theory": "classical", "n": 2, "N": 4})
+    # each theory reads its own size parameter
+    assert run_experiment("phase-group", {"theory": "quaternionic", "N": 3}).passed
+    assert run_experiment("phase-group", {"theory": "quantum", "n": 2}).passed
+    with pytest.raises(ValueError, match=": n$"):
+        run_experiment("phase-group", {"theory": "quaternionic", "n": 2})
 
 
 def test_experiments_reject_invalid_counts():

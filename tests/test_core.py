@@ -22,7 +22,6 @@ from gptifer.core import (
     GptState,
     LinearMap,
     apply,
-    is_valid_state,
     preserves_statespace,
     probability,
 )
@@ -112,22 +111,22 @@ def test_apply_dimension_mismatch():
 
 def test_unit_bloch_vector_is_valid():
     m = qubit_theory()
-    assert is_valid_state(m, qubit_state_from_expectations(1.0, 0.0, 0.0))
-    assert is_valid_state(m, qubit_state_from_expectations(0.6, 0.0, 0.8))
+    assert m.contains(qubit_state_from_expectations(1.0, 0.0, 0.0))
+    assert m.contains(qubit_state_from_expectations(0.6, 0.0, 0.8))
 
 
 def test_double_certainty_is_invalid_for_qubit():
     # P(Z=+1) = 1 together with P(X=+1) = 1 violates the uncertainty bound
     m = qubit_theory()
-    assert not is_valid_state(m, GptState([1, 0, 0.5, 0.5, 1, 0]))
+    assert not m.contains(GptState([1, 0, 0.5, 0.5, 1, 0]))
 
 
 def test_gbit_accepts_every_deterministic_vertex():
     m = gbit_theory(3)
     for v in m.spanning_states:
-        assert is_valid_state(m, v)
+        assert m.contains(v)
     # the same double-certainty vector is fine without the uncertainty bound
-    assert is_valid_state(m, GptState([1, 0, 1, 0, 0.5, 0.5]))
+    assert m.contains(GptState([1, 0, 1, 0, 0.5, 0.5]))
 
 
 # -- state-space preservation ----------------------------------------------------

@@ -12,13 +12,17 @@ Core claims:
       form; unit quaternions on one branch pass; a global non-real
       quaternion phase is observable while the real signs are not
     - the reduced branch-locality probes agree with the full face families
-    - reports serialize to canonical JSON
+    - reports serialize to canonical JSON; one report type serves phase
+      groups and branch-local subgroups, with ``branch`` only in the latter
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from gptifer.phase import (
+    PhaseGroupReport,
     branch_local_subgroup,
     is_branch_local,
     is_phase_operation,
@@ -323,6 +327,22 @@ def test_branch_report_golden_json():
         '{"branch":0,"elements":["1234","2134"],"family":null,'
         '"is_finite":true,"theory":"spekkens-ontic","verified_samples":0}'
     )
+
+
+def test_one_report_type_serializes_branch_only_when_set():
+    group = phase_group(quantum_theory(2), rng=np.random.default_rng(0), samples=5)
+    local = branch_local_subgroup(quantum_theory(2), 3, rng=np.random.default_rng(0), samples=5)
+    assert type(group) is type(local) is PhaseGroupReport
+    assert group.branch is None and "branch" not in json.loads(group.to_canonical_json())
+    assert local.branch == 3
+    assert json.loads(local.to_canonical_json()) == {
+        "branch": 3,
+        "elements": None,
+        "family": "phase on branch 3 up to a global phase",
+        "is_finite": False,
+        "theory": "quantum",
+        "verified_samples": 5,
+    }
 
 
 def test_report_element_order_is_name_sorted():

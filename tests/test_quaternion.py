@@ -30,7 +30,6 @@ from gptifer.quaternion import (
     QuatMatrix,
     Quaternion,
     conjugate_state,
-    dagger,
     is_symplectic,
     qmul,
     random_symplectic,
@@ -76,20 +75,20 @@ def test_noncommutativity_witness_and_real_center():
 
 def test_dagger_fixes_real_symmetric():
     M = QuatMatrix.from_real([[1.0, 2.0], [2.0, 5.0]])
-    assert dagger(M).isclose(M)
+    assert M.dagger().isclose(M)
 
 
 def test_dagger_conjugates_imaginary_diagonal():
     M = QuatMatrix.diag([I, ONE])
     expected = QuatMatrix.diag([Quaternion(0.0, -1.0), ONE])
-    assert dagger(M).isclose(expected)
+    assert M.dagger().isclose(expected)
 
 
 def test_dagger_antihomomorphism_on_random_symplectics():
     for _ in range(5):
         S = random_symplectic(3, RNG)
         T = random_symplectic(3, RNG)
-        assert dagger(S @ T).isclose(dagger(T) @ dagger(S), atol=1e-9)
+        assert (S @ T).dagger().isclose(T.dagger() @ S.dagger(), atol=1e-9)
 
 
 # -- symplectic membership ----------------------------------------------------------
@@ -113,7 +112,7 @@ def test_random_symplectic_really_is():
     for n in (2, 4):
         S = random_symplectic(n, RNG)
         assert is_symplectic(S)
-        assert (dagger(S) @ S).isclose(QuatMatrix.identity(n), atol=1e-9)
+        assert (S.dagger() @ S).isclose(QuatMatrix.identity(n), atol=1e-9)
 
 
 # -- probabilities -----------------------------------------------------------------
@@ -208,7 +207,7 @@ def test_trace_cyclicity_on_residue_free_family():
         rho = QuatMatrix.from_real(rho_real)
         E = QuatMatrix.from_real(np.diag([1.0, 0.0, 0.0]))
         lhs = real_trace_prob(E, conjugate_state(S, rho))
-        rhs = real_trace_prob(dagger(S) @ E @ S, rho)
+        rhs = real_trace_prob(S.dagger() @ E @ S, rho)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -247,7 +246,7 @@ def test_complex_adjoint_is_multiplicative_and_faithful():
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        dagger(A).complex_adjoint(), A.complex_adjoint().conj().T, atol=1e-12
+        A.dagger().complex_adjoint(), A.complex_adjoint().conj().T, atol=1e-12
     )
 
 

@@ -15,6 +15,10 @@ Core claims:
     - containment: octahedron inside tetrahedron and ball; tetrahedron
       vertices break the ball bound but stay inside the cube
     - every finite group element preserves its state space
+    - the complex and quaternionic theories share one matrix core: the same
+      probe counts (2 and 4), byte-identical identity, sign-flip and branch
+      maps to the former per-theory constructions, and one verdict on maps
+      with non-finite entries (no commutation, no warning)
 """
 
 import itertools
@@ -25,10 +29,15 @@ import pytest
 
 from gptifer.core import GptState, is_diagonal, preserves_statespace
 from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion, qmul, random_unit_quaternion
+from gptifer.interferometer import sign_encoding
 from gptifer.theories import (
+    DensityMatrixTheory,
+    MatrixTheory,
+    QuaternionicTheory,
     classical_theory,
     dball_theory,
     gbit_theory,
+    hadamard_matrix,
     quantum_theory,
     quaternionic_theory,
     quaternionic_two_level_gpt_state,
@@ -499,3 +508,89 @@ def test_theory_by_name_round_trip():
 def test_theory_by_name_passes_small_N_to_the_constructor(name, N, message):
     with pytest.raises(ValueError, match=message):
         theory_by_name(name, N=N)
+
+
+# -- the shared matrix core -----------------------------------------------------------
+
+
+def test_both_matrix_theories_share_the_core():
+    for m in (quantum_theory(2), quaternionic_theory(4)):
+        assert isinstance(m, MatrixTheory)
+    assert issubclass(DensityMatrixTheory, MatrixTheory)
+    assert issubclass(QuaternionicTheory, MatrixTheory)
+
+
+@pytest.mark.parametrize("m,count", [(quantum_theory(2), 2), (quaternionic_theory(4), 4)])
+def test_branch_local_probe_counts(m, count):
+    for branch in range(m.n_branches):
+        probes = m.branch_local_probes(branch)
+        assert len(probes) == count
+        assert all(m.contains(s) for s in probes)
+    # with two branches the remote projector alone is the whole face
+    for small in (quantum_theory(1), quaternionic_theory(2)):
+        assert len(small.branch_local_probes(0)) == 1
+
+
+def test_quantum_maps_match_the_former_constructions_bytewise():
+    m = quantum_theory(2)
+    assert m.identity_map().tobytes() == np.eye(4, dtype=complex).tobytes()
+    assert m.branch_state(2).dtype == complex
+    for x, (identity, flip) in enumerate(sign_encoding(m).pairs):
+        d = np.ones(4, dtype=complex)
+        d[x] = -1.0
+        assert flip.dtype == complex and flip.tobytes() == np.diag(d).tobytes()
+        assert identity.tobytes() == np.eye(4, dtype=complex).tobytes()
+    assert m.beamsplitter.tobytes() == hadamard_matrix(2).astype(complex).tobytes()
+
+
+def test_quaternionic_maps_match_the_former_constructions_bytewise():
+    m = quaternionic_theory(4)
+    assert m.identity_map().comps.tobytes() == QuatMatrix.identity(4).comps.tobytes()
+    for x, (_, flip) in enumerate(sign_encoding(m).pairs):
+        entries = [Quaternion(1.0)] * 4
+        entries[x] = Quaternion(-1.0)
+        assert flip.comps.tobytes() == QuatMatrix.diag(entries).comps.tobytes()
+    expected = QuatKet(np.vstack([np.full(4, 0.5), np.zeros((3, 4))])).density()
+    assert m.uniform_superposition().comps.tobytes() == expected.comps.tobytes()
+
+
+def test_quaternionic_branch_family_samples_a_sign_times_a_local_unit():
+    m = quaternionic_theory(4)
+    rng = np.random.default_rng(4)
+    for branch in range(4):
+        family = m.group.branch_family(branch)
+        for _ in range(20):
+            S = family.sample(rng)
+            assert family.contains(S)
+            remote = [S.at(i, i) for i in range(4) if i != branch]
+            assert remote[0].a in (-1.0, 1.0) and all(q == remote[0] for q in remote)
+    # an i phase off the branch is not a global phase
+    i_phase = QuatMatrix.diag([Quaternion(0.0, 1.0)] * 4)
+    assert not m.group.branch_family(0).contains(i_phase)
+    assert m.group.phase_family.contains(i_phase)
+
+
+_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "m,lift",
+    [(quantum_theory(1), lambda a: np.asarray(a, dtype=complex)), (quaternionic_theory(2), QuatMatrix.from_real)],
+    ids=["quantum", "quaternionic"],
+)
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_maps_commute_with_nothing(m, lift, value):
+    diag = lift(np.diag([value, 1.0]))
+    off = lift(np.array([[1.0, value], [0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (diag, off):
+            for other in (bad, lift(_FLIP), m.identity_map(), lift(np.diag([-1.0, 1.0]))):
+                assert m.maps_commute(bad, other) is False
+                assert m.maps_commute(other, bad) is False
+        assert not m.is_identity_map(diag)
+    # finite maps keep their answers on both paths
+    assert m.maps_commute(lift(np.diag([-1.0, 1.0])), m.identity_map())
+    assert m.maps_commute(lift(_FLIP), lift(_FLIP))
+    hadamard = lift(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    assert not m.maps_commute(hadamard, lift(np.diag([-1.0, 1.0])))
