@@ -16,8 +16,12 @@ import sys
 from .experiments import REGISTRY, emit_report, run_experiment
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("GPT_IFER_SEED", "0"))
+def _default_seed(parser: argparse.ArgumentParser) -> int:
+    raw = os.environ.get("GPT_IFER_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        parser.error(f"GPT_IFER_SEED must be an integer, got {raw!r}")  # exits 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,12 +33,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one named experiment")
     run_p.add_argument("experiment", choices=sorted(REGISTRY), metavar="experiment")
-    run_p.add_argument("--theory", help="theory name (classical, qubit, quantum, gbit2, gbit3, dball<d>, spekkens-ontic, spekkens-epistemic, quaternionic)")
-    run_p.add_argument("--n", type=int, help="input bits for quantum runs")
-    run_p.add_argument("--N", type=int, help="branch count for quaternionic and search runs")
-    run_p.add_argument("--marked", type=int, help="marked branch for the search run")
-    run_p.add_argument("--iterations", type=int, help="search repetitions")
-    run_p.add_argument("--samples", type=int, help="sample count for sampled experiments")
+    run_parameters = [
+        run_p.add_argument("--theory", help="theory name (classical, qubit, quantum, gbit2, gbit3, dball<d>, spekkens-ontic, spekkens-epistemic, quaternionic)"),
+        run_p.add_argument("--n", type=int, help="input bits for quantum runs"),
+        run_p.add_argument("--N", type=int, help="branch count for classical, quaternionic and search runs"),
+        run_p.add_argument("--marked", type=int, help="marked branch for the search run"),
+        run_p.add_argument("--iterations", type=int, help="search repetitions"),
+        run_p.add_argument("--samples", type=int, help="sample count for sampled experiments"),
+    ]
+    # the options that are handed to the run as its parameters
+    run_p.set_defaults(run_parameters=tuple(a.dest for a in run_parameters))
     run_p.add_argument("--seed", type=int, default=None, help="random seed (default: GPT_IFER_SEED or 0)")
     run_p.add_argument("--out", help="write the report to this path")
     run_p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -53,11 +61,11 @@ def main(argv=None) -> int:
         return 0
 
     params = {}
-    for key in ("theory", "n", "N", "marked", "iterations", "samples"):
+    for key in args.run_parameters:
         value = getattr(args, key)
         if value is not None:
             params[key] = value
-    params["seed"] = args.seed if args.seed is not None else _default_seed()
+    params["seed"] = args.seed if args.seed is not None else _default_seed(parser)
 
     try:
         report = run_experiment(args.experiment, params)

@@ -9,11 +9,13 @@ kept out of the canonical payload for exactly that reason.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -107,28 +109,6 @@ def _round(x: float, places: int = 12) -> float:
     return 0.0 if r == 0.0 else r
 
 
-class _Params(dict):
-    """Run parameters that record which of them the run reads."""
-
-    def __init__(self, params):
-        super().__init__(params)
-        self.read: set[str] = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-
-def _named_theory(params: dict, default: str):
-    """The theory a run names, reading only the size parameter it takes."""
-    name = params.get("theory", default)
-    if name == "quantum":
-        return name, th.quantum_theory(int(params.get("n", 1)))
-    if name in ("classical", "quaternionic"):
-        return name, th.theory_by_name(name, N=int(params.get("N", 2)))
-    return name, th.theory_by_name(name)
-
-
 def _jsonsafe(value):
     """Convert numpy scalars and containers to plain JSON-ready values."""
     if isinstance(value, dict):
@@ -149,194 +129,183 @@ def _jsonsafe(value):
 # ---------------------------------------------------------------------------
 
 
-def _exp_dj_sweep(params: dict, rng: np.random.Generator):
-    theory = params.get("theory", "quantum")
-    if theory == "quantum":
-        n = int(params.get("n", 2))
-        m, enc, s_in, e_C = ifr.quantum_dj_instruments(n)
-        specs = ifr.constant_balanced_specs(n)
-        max_dev = 0.0
-        correct = 0
-        for spec in specs:
-            out = ifr.run_dj(m, spec, enc, s_in, e_C)
-            closed = abs(sum((-1.0) ** b for b in spec.table)) ** 2 / 4.0**n
-            max_dev = max(max_dev, abs(out.p_constant_effect - closed))
-            if out.verdict == ifr.classify(spec):
-                correct += 1
-        results = {
-            "n": n,
-            "functions": len(specs),
-            "correct_verdicts": correct,
-            "max_closed_form_deviation": _round(max_dev),
-        }
-        return theory, {"n": n}, results, correct == len(specs) and max_dev <= 1e-12
-
-    if theory == "quaternionic":
-        N = int(params.get("N", 4))
-        m, enc, s_in, e_C = ifr.quaternionic_dj_instruments(N)
-        n = int(round(math.log2(N)))
-        specs = ifr.constant_balanced_specs(n)
-        test_effects = list(m.z_effects) + [e_C]
-        correct = 0
-        negation_gap = 0.0
-        for spec in specs:
-            out = ifr.run_dj(m, spec, enc, s_in, e_C)
-            if out.verdict == ifr.classify(spec):
-                correct += 1
-            negated = ifr.OracleSpec(n, tuple(1 - b for b in spec.table))
-            out_neg = ifr.run_dj(m, negated, enc, s_in, e_C)
-            negation_gap = max(
-                negation_gap,
-                max(
-                    abs(m.probability(e, out.output_state) - m.probability(e, out_neg.output_state))
-                    for e in test_effects
-                ),
-            )
-        results = {
-            "N": N,
-            "functions": len(specs),
-            "correct_verdicts": correct,
-            "max_negation_gap": _round(negation_gap),
-        }
-        return theory, {"N": N}, results, correct == len(specs) and negation_gap <= 1e-9
-
-    if theory == "classical":
-        m = th.classical_theory(2)
-        group = ph.phase_group(m)
-        locals_trivial = all(
-            ph.branch_local_subgroup(m, b).element_names() == ("identity",)
-            for b in range(m.n_branches)
-        )
-        # the only criterion-i encoding is the trivial one; run it over all
-        # tables and confirm the statistics never depend on f
-        enc = ifr.BranchEncoding(((m.identity_map(), m.identity_map()),) * 2)
-        s_in = GptState([0.5, 0.5])
-        outputs = []
-        for spec in ifr.constant_balanced_specs(1):
-            oracle = ifr.build_oracle(m, spec, enc)
-            outputs.append(m.apply(oracle, s_in).probs)
-        f_independent = all(np.array_equal(outputs[0], out) for out in outputs[1:])
-        results = {
-            "phase_group": list(group.element_names()),
-            "branch_local_trivial": locals_trivial,
-            "outputs_f_independent": f_independent,
-        }
-        passed = group.element_names() == ("identity",) and locals_trivial and f_independent
-        return theory, {}, results, passed
-
-    if theory in ("gbit2", "gbit3"):
-        d = int(theory[4:])
-        m = th.gbit_theory(d)
-        group = ph.phase_group(m)
-        union = sorted(e.name for e in ph.localizable_union(m))
-        rejected = 0
-        nontrivial = [e for e in group.elements if e.name != "identity"]
-        for elem in nontrivial:
-            for branch in range(m.n_branches):
-                pairs = [(m.identity_map(), m.identity_map())] * m.n_branches
-                pairs[branch] = (m.identity_map(), elem)
-                try:
-                    ifr.build_oracle(
-                        m,
-                        ifr.OracleSpec(1, tuple(1 if b == branch else 0 for b in range(2))),
-                        ifr.BranchEncoding(tuple(pairs)),
-                    )
-                except ifr.BranchLocalityError:
-                    rejected += 1
-        attempted = len(nontrivial) * m.n_branches
-        results = {
-            "phase_group_order": len(group.elements),
-            "localizable_union": union,
-            "encodings_attempted": attempted,
-            "encodings_rejected": rejected,
-        }
-        passed = len(group.elements) > 1 and union == ["identity"] and rejected == attempted
-        if d == 2:
-            gm, x_flip, s_in, e_C = ifr.gbit_global_instruments()
-            global_ok = True
-            for spec in ifr.constant_balanced_specs(1):
-                out = ifr.run_dj_with_global_oracle(gm, spec, x_flip, s_in, e_C)
-                if out.verdict != ifr.classify(spec) or out.p_constant_effect not in (0.0, 1.0):
-                    global_ok = False
-            results["global_protocol_exact"] = global_ok
-            passed = passed and global_ok
-        return theory, {}, results, passed
-
-    if theory == "spekkens-epistemic":
-        m, enc, s_in, e_C = ifr.spekkens_epistemic_dj_instruments()
-        probs = {}
-        ok = True
-        for spec in ifr.constant_balanced_specs(1):
-            out = ifr.run_dj(m, spec, enc, s_in, e_C)
-            probs["".join(map(str, spec.table))] = out.p_constant_effect
-            if out.verdict != ifr.classify(spec):
-                ok = False
-        witness = ifr.find_distinguishing_effect(m, enc, s_in, strict=True)
-        results = {"probabilities": probs, "strict_effect_exists": witness is not None}
-        return theory, {}, results, ok and witness is not None
-
-    if theory == "spekkens-ontic":
-        m, enc, s_in, e_C = ifr.spekkens_ontic_dj_instruments()
-        weak = ifr.find_distinguishing_effect(m, enc, s_in, strict=False)
-        strict = ifr.find_distinguishing_effect(m, enc, s_in, strict=True)
-        # criterion i itself is satisfied by this encoding
-        criterion_i = all(
-            m.is_identity_map(T) or ph.is_branch_local(m, T, branch)
-            for branch, _, T in enc.members()
-        )
-        results = {
-            "criterion_i_satisfied": criterion_i,
-            "weak_effect_exists": weak is not None,
-            "strict_effect_exists": strict is not None,
-        }
-        return theory, {}, results, criterion_i and weak is None and strict is None
-
-    if theory == "qubit" or theory.startswith("dball"):
-        m = th.qubit_theory() if theory == "qubit" else th.dball_theory(int(theory[5:]))
-        m, enc, s_in, e_C = ifr.ball_dj_instruments(m)
-        ok = True
-        probs = {}
-        for spec in ifr.constant_balanced_specs(1):
-            out = ifr.run_dj(m, spec, enc, s_in, e_C)
-            probs["".join(map(str, spec.table))] = _round(out.p_constant_effect)
-            if out.verdict != ifr.classify(spec):
-                ok = False
-        return theory, {}, {"probabilities": probs}, ok
-
-    raise ValueError(f"dj-sweep does not support theory {theory!r}")
+def _dj_runs(instruments, n: int = 1, run=None):
+    """Yield (spec, run(model, spec, choices, s_in, e_C)) per promise table
+    on n bits, one at a time: no outcome is kept.  ``run`` defaults to
+    ``run_dj``, looked up per call so that a wrapped ``run_dj`` is seen."""
+    run = run or ifr.run_dj
+    m, choices, s_in, e_C = instruments
+    for spec in ifr.constant_balanced_specs(n):
+        yield spec, run(m, spec, choices, s_in, e_C)
 
 
-def _exp_grover(params: dict, rng: np.random.Generator):
-    theory = params.get("theory", "quantum")
-    N = int(params.get("N", 16))
+def _verdicts_and_probabilities(instruments) -> tuple[bool, dict]:
+    """Whether each one-bit verdict is right, and p(constant effect) per table."""
+    ok, probs = True, {}
+    for spec, out in _dj_runs(instruments):
+        probs["".join(map(str, spec.table))] = out.p_constant_effect
+        ok = ok and out.verdict == ifr.classify(spec)
+    return ok, probs
+
+
+def _dj_quantum(theory, *, n=2):
+    correct, max_dev = 0, 0.0
+    for functions, (spec, out) in enumerate(_dj_runs(ifr.quantum_dj_instruments(n), n), 1):
+        closed = abs(sum((-1.0) ** b for b in spec.table)) ** 2 / 4.0**n
+        max_dev = max(max_dev, abs(out.p_constant_effect - closed))
+        correct += out.verdict == ifr.classify(spec)
+    results = {
+        "n": n,
+        "functions": functions,
+        "correct_verdicts": correct,
+        "max_closed_form_deviation": _round(max_dev),
+    }
+    return theory, {"n": n}, results, correct == functions and max_dev <= 1e-12
+
+
+def _dj_quaternionic(theory, *, N=4):
+    m, enc, s_in, e_C = instruments = ifr.quaternionic_dj_instruments(N)
     n = int(round(math.log2(N)))
-    if 2**n != N:
-        raise ValueError("N must be a power of two")
-    marked = int(params.get("marked", N // 3))
+    test_effects = list(m.z_effects) + [e_C]
+    correct, negation_gap = 0, 0.0
+    for functions, (spec, out) in enumerate(_dj_runs(instruments, n), 1):
+        correct += out.verdict == ifr.classify(spec)
+        negated = ifr.OracleSpec(n, tuple(1 - b for b in spec.table))
+        out_neg = ifr.run_dj(m, negated, enc, s_in, e_C)
+        for e in test_effects:
+            gap = abs(m.probability(e, out.output_state) - m.probability(e, out_neg.output_state))
+            negation_gap = max(negation_gap, gap)
+    results = {
+        "N": N,
+        "functions": functions,
+        "correct_verdicts": correct,
+        "max_negation_gap": _round(negation_gap),
+    }
+    return theory, {"N": N}, results, correct == functions and negation_gap <= 1e-9
+
+
+def _dj_classical(theory):
+    m = th.classical_theory(2)
+    group = ph.phase_group(m)
+    locals_trivial = all(
+        ph.branch_local_subgroup(m, b).element_names() == ("identity",)
+        for b in range(m.n_branches)
+    )
+    # the only criterion-i encoding is the trivial one; run it over all
+    # tables and confirm the statistics never depend on f
+    enc = ifr.BranchEncoding(((m.identity_map(), m.identity_map()),) * 2)
+
+    def output(m, spec, enc, s_in, _):
+        return m.apply(ifr.build_oracle(m, spec, enc), s_in).probs
+
+    outputs = (probs for _, probs in _dj_runs((m, enc, GptState([0.5, 0.5]), None), run=output))
+    first = next(outputs)
+    f_independent = all(np.array_equal(first, out) for out in outputs)
+    results = {
+        "phase_group": list(group.element_names()),
+        "branch_local_trivial": locals_trivial,
+        "outputs_f_independent": f_independent,
+    }
+    passed = group.element_names() == ("identity",) and locals_trivial and f_independent
+    return theory, {}, results, passed
+
+
+def _dj_gbit(theory):
+    m = th.theory_by_name(theory)
+    group = ph.phase_group(m)
+    union = sorted(e.name for e in ph.localizable_union(m))
+    rejected = 0
+    nontrivial = [e for e in group.elements if e.name != "identity"]
+    for elem in nontrivial:
+        for branch in range(m.n_branches):
+            pairs = [(m.identity_map(), m.identity_map())] * m.n_branches
+            pairs[branch] = (m.identity_map(), elem)
+            spec = ifr.OracleSpec(1, tuple(1 if b == branch else 0 for b in range(2)))
+            try:
+                ifr.build_oracle(m, spec, ifr.BranchEncoding(tuple(pairs)))
+            except ifr.BranchLocalityError:
+                rejected += 1
+    attempted = len(nontrivial) * m.n_branches
+    results = {
+        "phase_group_order": len(group.elements),
+        "localizable_union": union,
+        "encodings_attempted": attempted,
+        "encodings_rejected": rejected,
+    }
+    passed = len(group.elements) > 1 and union == ["identity"] and rejected == attempted
+    if theory == "gbit2":
+        results["global_protocol_exact"] = global_ok = all(
+            out.verdict == ifr.classify(spec) and out.p_constant_effect in (0.0, 1.0)
+            for spec, out in _dj_runs(ifr.gbit_global_instruments(), run=ifr.run_dj_with_global_oracle)
+        )
+        passed = passed and global_ok
+    return theory, {}, results, passed
+
+
+def _dj_spekkens_epistemic(theory):
+    instruments = ifr.spekkens_epistemic_dj_instruments()
+    ok, probs = _verdicts_and_probabilities(instruments)
+    witness = ifr.find_distinguishing_effect(*instruments[:3], strict=True)
+    results = {"probabilities": probs, "strict_effect_exists": witness is not None}
+    return theory, {}, results, ok and witness is not None
+
+
+def _dj_spekkens_ontic(theory):
+    m, enc, s_in, _ = ifr.spekkens_ontic_dj_instruments()
+    weak = ifr.find_distinguishing_effect(m, enc, s_in, strict=False)
+    strict = ifr.find_distinguishing_effect(m, enc, s_in, strict=True)
+    # criterion i itself is satisfied by this encoding
+    criterion_i = all(
+        m.is_identity_map(T) or ph.is_branch_local(m, T, branch)
+        for branch, _, T in enc.members()
+    )
+    results = {
+        "criterion_i_satisfied": criterion_i,
+        "weak_effect_exists": weak is not None,
+        "strict_effect_exists": strict is not None,
+    }
+    return theory, {}, results, criterion_i and weak is None and strict is None
+
+
+def _dj_ball(theory):
+    ok, probs = _verdicts_and_probabilities(ifr.ball_dj_instruments(th.theory_by_name(theory)))
+    return theory, {}, {"probabilities": {k: _round(p) for k, p in probs.items()}}, ok
+
+
+#: dj-sweep runs one entry per theory; ``dball`` stands for every ``dball<d>``.
+DJ_SWEEP = {
+    "quantum": _dj_quantum, "quaternionic": _dj_quaternionic, "classical": _dj_classical,
+    "gbit2": _dj_gbit, "gbit3": _dj_gbit, "qubit": _dj_ball, "dball": _dj_ball,
+    "spekkens-epistemic": _dj_spekkens_epistemic, "spekkens-ontic": _dj_spekkens_ontic,
+}
+
+
+def _exp_grover(rng, *, theory="quantum", N=16, marked=None, iterations=None):
+    # N is checked before the budget, the default for iterations, is taken from it
+    cfg = ifr.GroverConfig(N, N // 3 if marked is None else marked, iterations or 0)
     budget = ifr.grover_iteration_budget(N)
-    iterations = int(params.get("iterations", budget))
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
+    if iterations is None:
+        cfg = replace(cfg, iterations=budget)
     if theory == "quantum":
-        m = th.quantum_theory(n)
+        m = th.quantum_theory(N.bit_length() - 1)
     elif theory == "quaternionic":
         m = th.quaternionic_theory(N)
     else:
         raise ValueError(f"grover does not support theory {theory!r}")
-    curve = ifr.grover_success_curve(m, marked, max(iterations, budget))
+    curve = ifr.grover_success_curve(m, cfg.marked, max(cfg.iterations, budget))
     closed = [ifr.grover_closed_form(N, k) for k in range(len(curve))]
     max_dev = max(abs(a - b) for a, b in zip(curve, closed))
     results = {
         "N": N,
-        "marked": marked,
-        "iterations": iterations,
+        "marked": cfg.marked,
+        "iterations": cfg.iterations,
         "budget": budget,
-        "success_probability": _round(curve[iterations]),
+        "success_probability": _round(curve[cfg.iterations]),
         "success_at_budget": _round(curve[budget]),
         "max_closed_form_deviation": _round(max_dev),
     }
     passed = max_dev <= 1e-9 and curve[budget] > 0.5
-    return theory, {"N": N, "marked": marked, "iterations": iterations}, results, passed
+    return theory, asdict(cfg), results, passed
 
 
 _EXPECTED_PHASE = {
@@ -347,8 +316,9 @@ _EXPECTED_PHASE = {
 }
 
 
-def _exp_phase_group(params: dict, rng: np.random.Generator):
-    theory, m = _named_theory(params, "gbit2")
+def _exp_phase_group(rng, *, theory="gbit2", n=None, N=None):
+    sizes = th.theory_sizes(theory, n, N)
+    m = th.theory_by_name(theory, **sizes)
     report = ph.phase_group(m, rng=rng)
     if report.is_finite:
         names = report.element_names()
@@ -365,7 +335,7 @@ def _exp_phase_group(params: dict, rng: np.random.Generator):
             "verified_samples": report.verified_samples,
         }
         passed = report.verified_samples > 0
-    return theory, {"theory": theory}, results, passed
+    return theory, {"theory": theory, **sizes}, results, passed
 
 
 _EXPECTED_BRANCH_LOCAL = {
@@ -374,31 +344,27 @@ _EXPECTED_BRANCH_LOCAL = {
         ("1234", "1243", "2134", "2143"),
         ("1234", "1243", "2134", "2143"),
     ),
-    "gbit2": (("identity",), ("identity",)),
-    "gbit3": (("identity",), ("identity",)),
-    "classical": (("identity",), ("identity",)),
 }
 
 
-def _exp_branch_local(params: dict, rng: np.random.Generator):
-    theory, m = _named_theory(params, "spekkens-ontic")
+def _exp_branch_local(rng, *, theory="spekkens-ontic", n=None, N=None):
+    sizes = th.theory_sizes(theory, n, N)
+    m = th.theory_by_name(theory, **sizes)
     reports = [ph.branch_local_subgroup(m, b, rng=rng) for b in range(m.n_branches)]
     if reports[0].is_finite:
         subgroups = [list(r.element_names()) for r in reports]
         results = {"subgroups": subgroups}
         expected = _EXPECTED_BRANCH_LOCAL.get(theory)
-        passed = (
-            tuple(tuple(s) for s in subgroups) == expected
-            if expected is not None
-            else True
-        )
+        if theory in ("classical", "gbit2", "gbit3"):  # only the identity stays on a branch
+            expected = (("identity",),) * m.n_branches
+        passed = expected is None or tuple(tuple(s) for s in subgroups) == expected
     else:
         results = {
             "families": [r.family for r in reports],
             "verified_samples": [r.verified_samples for r in reports],
         }
         passed = all(r.verified_samples > 0 for r in reports)
-    return theory, {"theory": theory}, results, passed
+    return theory, {"theory": theory, **sizes}, results, passed
 
 
 _EXPECTED_UNION = {
@@ -410,17 +376,17 @@ _EXPECTED_UNION = {
 }
 
 
-def _exp_localizable_union(params: dict, rng: np.random.Generator):
-    theory, m = _named_theory(params, "gbit2")
+def _exp_localizable_union(rng, *, theory="gbit2", n=None, N=None):
+    sizes = th.theory_sizes(theory, n, N)
+    m = th.theory_by_name(theory, **sizes)
     union = tuple(sorted(e.name for e in ph.localizable_union(m)))
     expected = _EXPECTED_UNION.get(theory)
     results = {"union": list(union)}
     passed = union == expected if expected is not None else True
-    return theory, {"theory": theory}, results, passed
+    return theory, {"theory": theory, **sizes}, results, passed
 
 
-def _exp_uncertainty(params: dict, rng: np.random.Generator):
-    samples = int(params.get("samples", 10000))
+def _exp_uncertainty(rng, *, samples=10000):
     if samples < 1:
         raise ValueError("samples must be at least 1")
     states = unc.random_pure_qubit_states(samples, rng)
@@ -451,7 +417,7 @@ def _exp_uncertainty(params: dict, rng: np.random.Generator):
     return "qubit", {"samples": samples}, results, passed
 
 
-def _exp_containment(params: dict, rng: np.random.Generator):
+def _exp_containment(rng):
     # The knowledge restriction shrinks the hidden-variable tetrahedron to
     # the octahedron, which sits inside the Bloch ball; the deterministic
     # hidden states themselves overfill the ball (they defeat the
@@ -490,7 +456,7 @@ def _exp_containment(params: dict, rng: np.random.Generator):
     return None, {}, results, passed
 
 
-def _exp_spekkens_compare(params: dict, rng: np.random.Generator):
+def _exp_spekkens_compare(rng):
     m_on, enc_on, s_on, _ = ifr.spekkens_ontic_dj_instruments()
     m_ep, enc_ep, s_ep, e_ep = ifr.spekkens_epistemic_dj_instruments()
     weak_on = ifr.find_distinguishing_effect(m_on, enc_on, s_on, strict=False)
@@ -512,7 +478,7 @@ def _exp_spekkens_compare(params: dict, rng: np.random.Generator):
     return "spekkens", {}, results, passed
 
 
-def _exp_quaternionic_globalphase(params: dict, rng: np.random.Generator):
+def _exp_quaternionic_globalphase(rng):
     m = th.quaternionic_theory(2)
     j_plus = QuatKet.from_quaternions(
         [Quaternion(1.0 / math.sqrt(2.0)), Quaternion(0.0, 0.0, 1.0 / math.sqrt(2.0))]
@@ -547,7 +513,7 @@ def _exp_quaternionic_globalphase(params: dict, rng: np.random.Generator):
 
 
 REGISTRY = {
-    "dj-sweep": _exp_dj_sweep,
+    "dj-sweep": DJ_SWEEP,
     "grover": _exp_grover,
     "phase-group": _exp_phase_group,
     "branch-local": _exp_branch_local,
@@ -562,22 +528,37 @@ REGISTRY = {
 def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
     """Execute a registered experiment and assemble its report.
 
-    Raises ValueError when a parameter is one the run does not read for the
-    theory it runs, rather than ignore it.
+    A run reads exactly the keyword-only parameters of its function;
+    dj-sweep first picks the function for its theory.  Before the run starts, a
+    parameter the run does not read, or a count that is not an integer,
+    raises ValueError rather than be ignored or coerced.
     """
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise ValueError(f"unknown experiment {name!r}; registered: {known}")
-    params = _Params(params or {})
-    seed = int(params.pop("seed", DEFAULT_SEED))
+    params = dict(params or {})
+    seed = ifr._exact_int(params.pop("seed", DEFAULT_SEED), "seed")
     rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    theory, used_params, results, passed = REGISTRY[name](params, rng)
-    runtime_ms = int((time.perf_counter() - start) * 1000.0)
-    unread = sorted(set(params) - params.read)
+    run, theory = REGISTRY[name], params.get("theory")
+    if isinstance(run, dict):
+        theory = params.pop("theory", "quantum")
+        entry = run.get("dball" if theory.startswith("dball") else theory)
+        if entry is None:
+            raise ValueError(f"{name} does not support theory {theory!r}")
+        run = partial(entry, theory)
+    else:
+        run = partial(run, rng)
+    reads = inspect.signature(run.func).parameters.values()
+    unread = sorted(set(params) - {p.name for p in reads if p.kind is p.KEYWORD_ONLY})
     if unread:
-        on = f" on theory {theory!r}" if theory else ""
+        on = f" on theory {theory!r}" if theory and "theory" not in unread else ""
         raise ValueError(f"{name}{on} does not read parameter(s): {', '.join(unread)}")
+    for key, value in params.items():
+        if key != "theory":
+            params[key] = ifr._exact_int(value, key)
+    start = time.perf_counter()
+    theory, used_params, results, passed = run(**params)
+    runtime_ms = int((time.perf_counter() - start) * 1000.0)
     used_params["seed"] = seed
     return ExperimentReport(
         experiment=name,

@@ -161,6 +161,8 @@ class GroverConfig:
     iterations: int
 
     def __post_init__(self):
+        for name in ("N", "marked", "iterations"):
+            object.__setattr__(self, name, _exact_int(getattr(self, name), name))
         if self.N < 2 or self.N & (self.N - 1):
             raise ValueError("N must be a power of two, at least 2")
         if not 0 <= self.marked < self.N:
@@ -177,7 +179,7 @@ class GroverConfig:
     @classmethod
     def from_json(cls, text: str) -> "GroverConfig":
         data = json.loads(text)
-        return cls(int(data["N"]), int(data["marked"]), int(data["iterations"]))
+        return cls(data["N"], data["marked"], data["iterations"])
 
 
 # ---------------------------------------------------------------------------

@@ -837,16 +837,32 @@ def random_pure_quaternionic_state(N: int, rng: np.random.Generator) -> QuatMatr
 # ---------------------------------------------------------------------------
 
 
-def theory_by_name(name: str, n: int = 1, N: int = 2) -> TheoryModel:
-    """Resolve a CLI theory name; ``n`` feeds quantum, ``N`` the rest."""
+#: The CLI theory names that take a size: the size parameter and its default.
+_SIZED = {"quantum": ("n", 1), "classical": ("N", 2), "quaternionic": ("N", 2)}
+
+
+def theory_sizes(name: str, n: int | None = None, N: int | None = None) -> dict[str, int]:
+    """The size theory ``name`` reads, its default if not given; a size it
+    does not read raises ValueError naming it."""
+    key, default = _SIZED.get(name, (None, None))
+    given = {"n": n, "N": N}
+    unread = [k for k, v in given.items() if v is not None and k != key]
+    if unread:
+        raise ValueError(f"theory {name!r} does not read parameter(s): {', '.join(unread)}")
+    return {} if key is None else {key: default if given[key] is None else given[key]}
+
+
+def theory_by_name(name: str, n: int | None = None, N: int | None = None) -> TheoryModel:
+    """Resolve a CLI theory name; ``n`` sizes quantum, ``N`` classical and quaternionic."""
+    sizes = theory_sizes(name, n, N)
     if name == "classical":
-        return classical_theory(N)
+        return classical_theory(**sizes)
     if name == "qubit":
         return qubit_theory()
     if name == "quantum":
-        return quantum_theory(n)
+        return quantum_theory(**sizes)
     if name == "quaternionic":
-        return quaternionic_theory(N)
+        return quaternionic_theory(**sizes)
     if name == "spekkens-ontic":
         return spekkens_ontic_theory()
     if name == "spekkens-epistemic":

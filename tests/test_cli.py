@@ -7,17 +7,21 @@ Core claims:
     - the CLI runs experiments, honors GPT_IFER_SEED, writes reports, and
       exits 0 exactly on pass
     - a parameter the run does not read for its theory is an error (exit 2),
-      never silently dropped
+      never silently dropped; so is a count that is not an integer, and
+      both are refused before the run does any work
+    - every parameter a run reads is a command-line option
 """
 
 import csv
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from gptifer.cli import main
+import gptifer.interferometer as ifr
+from gptifer.cli import build_parser, main
 from gptifer.experiments import (
     REGISTRY,
     ExperimentReport,
@@ -73,8 +77,9 @@ def test_remaining_dj_sweep_variants_pass():
     ):
         report = run_experiment("dj-sweep", dict(params))
         assert report.passed, report.results
-    with pytest.raises(ValueError):
-        run_experiment("dj-sweep", {"theory": "octonionic"})
+    for theory in ("octonionic", "gbit4"):
+        with pytest.raises(ValueError, match=f"dj-sweep does not support theory '{theory}'"):
+            run_experiment("dj-sweep", {"theory": theory})
 
 
 def test_grover_experiment_variants_pass():
@@ -227,6 +232,68 @@ def test_unread_parameters_are_named():
         run_experiment("phase-group", {"theory": "quaternionic", "n": 2})
 
 
+def test_parameters_are_checked_before_the_run(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(ifr, "grover_success_curve", fail)
+    with pytest.raises(ValueError, match=r"grover on theory 'quaternionic' .*: samples$"):
+        run_experiment("grover", {"theory": "quaternionic", "N": 64, "samples": 1})
+    with pytest.raises(ValueError, match="N must be an integer"):
+        run_experiment("grover", {"N": 16.9})
+
+
+@pytest.mark.parametrize(
+    "name,params,key",
+    [
+        ("uncertainty", {"samples": 2.7}, "samples"),
+        ("grover", {"N": 16.9}, "N"),
+        ("grover", {"marked": 1.0}, "marked"),
+        ("dj-sweep", {"n": "2"}, "n"),
+        ("phase-group", {"theory": "quantum", "n": True}, "n"),
+        ("containment", {"seed": 0.5}, "seed"),
+    ],
+)
+def test_non_integer_parameters_are_refused(name, params, key):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        run_experiment(name, params)
+
+
+def test_sized_runs_record_their_size():
+    one = run_experiment("phase-group", {"theory": "quantum", "n": 1})
+    two = run_experiment("phase-group", {"theory": "quantum", "n": 2})
+    assert one.parameters == {"theory": "quantum", "n": 1, "seed": 0}
+    assert two.parameters["n"] == 2
+    assert one.to_canonical_json() != two.to_canonical_json()
+    assert run_experiment("branch-local", {"theory": "quaternionic"}).parameters["N"] == 2
+    union = run_experiment("localizable-union", {"theory": "classical", "N": 3})
+    assert union.parameters == {"theory": "classical", "N": 3, "seed": 0}
+    # unsized theories record no size
+    assert run_experiment("phase-group", {"theory": "gbit2"}).parameters == {"theory": "gbit2", "seed": 0}
+
+
+def test_classical_branch_local_passes_at_every_size():
+    for N in (2, 3):
+        report = run_experiment("branch-local", {"theory": "classical", "N": N})
+        assert report.passed
+        assert report.results["subgroups"] == [["identity"]] * N
+
+
+def test_every_run_parameter_is_a_cli_option():
+    options = set(build_parser().parse_args(["run", "containment"]).run_parameters)
+    runs = []
+    for entry in REGISTRY.values():
+        runs += entry.values() if isinstance(entry, dict) else [entry]
+    read = {
+        p.name
+        for run in runs
+        for p in inspect.signature(run).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    }
+    assert {"theory", "n", "N", "marked", "iterations", "samples"} <= read
+    assert read <= options
+
+
 def test_experiments_reject_invalid_counts():
     with pytest.raises(ValueError, match="iterations"):
         run_experiment("grover", {"N": 4, "iterations": -1})
@@ -239,6 +306,16 @@ def test_cli_env_seed(monkeypatch, capsys):
     main(["run", "containment"])
     printed = capsys.readouterr().out
     assert json.loads(printed)["parameters"]["seed"] == 7
+
+
+def test_cli_rejects_a_malformed_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv("GPT_IFER_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "containment"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "GPT_IFER_SEED must be an integer" in captured.err
 
 
 def test_cli_entry_point_runs_as_module():

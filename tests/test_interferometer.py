@@ -462,3 +462,18 @@ def test_grover_config_json_round_trip():
     cfg = GroverConfig(16, 5, 3)
     assert json.loads(cfg.to_json()) == {"N": 16, "marked": 5, "iterations": 3}
     assert GroverConfig.from_json(cfg.to_json()) == cfg
+
+
+@pytest.mark.parametrize(
+    "text,label",
+    [
+        ('{"N": 16.9, "marked": 1, "iterations": 3}', "N"),
+        ('{"N": 16, "marked": true, "iterations": 3}', "marked"),
+        ('{"N": 16, "marked": 1, "iterations": "3"}', "iterations"),
+        ('{"N": 16.0, "marked": 1, "iterations": 3}', "N"),
+    ],
+)
+def test_grover_config_accepts_only_integers(text, label):
+    with pytest.raises(ValueError, match=f"{label} must be an integer"):
+        GroverConfig.from_json(text)
+    assert GroverConfig(np.int64(16), 1, 3) == GroverConfig(16, 1, 3)

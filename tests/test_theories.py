@@ -51,6 +51,7 @@ from gptifer.theories import (
     spekkens_ontic_statistics,
     spekkens_ontic_theory,
     theory_by_name,
+    theory_sizes,
 )
 
 
@@ -508,6 +509,22 @@ def test_theory_by_name_round_trip():
 def test_theory_by_name_passes_small_N_to_the_constructor(name, N, message):
     with pytest.raises(ValueError, match=message):
         theory_by_name(name, N=N)
+
+
+@pytest.mark.parametrize(
+    "name,sizes,unread",
+    [("gbit2", {"N": 3}, "N"), ("qubit", {"n": 5}, "n"), ("quaternionic", {"n": 7}, "n")],
+)
+def test_theory_by_name_refuses_a_size_the_theory_does_not_read(name, sizes, unread):
+    with pytest.raises(ValueError, match=f"theory '{name}' does not read parameter\\(s\\): {unread}$"):
+        theory_by_name(name, **sizes)
+
+
+def test_theory_sizes_fill_defaults():
+    assert theory_sizes("quantum") == {"n": 1}
+    assert theory_sizes("classical", N=3) == {"N": 3}
+    assert theory_sizes("quaternionic") == {"N": 2}
+    assert theory_sizes("gbit3") == {}
 
 
 # -- the shared matrix core -----------------------------------------------------------
