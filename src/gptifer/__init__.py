@@ -21,7 +21,6 @@ from .quaternion import (
     QuatMatrix,
     Quaternion,
     conjugate_state,
-    is_symplectic,
     qmul,
     real_trace_prob,
 )
@@ -46,7 +45,6 @@ from .phase import (
     is_phase_operation,
     localizable_union,
     phase_group,
-    quantum_phase_form_check,
 )
 from .interferometer import (
     BranchEncoding,

@@ -14,6 +14,7 @@ import os
 import sys
 
 from .experiments import REGISTRY, emit_report, run_experiment
+from .theories import THEORY_NAMES
 
 
 def _default_seed(parser: argparse.ArgumentParser) -> int:
@@ -34,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one named experiment")
     run_p.add_argument("experiment", choices=sorted(REGISTRY), metavar="experiment")
     run_parameters = [
-        run_p.add_argument("--theory", help="theory name (classical, qubit, quantum, gbit2, gbit3, dball<d>, spekkens-ontic, spekkens-epistemic, quaternionic)"),
+        run_p.add_argument("--theory", help=f"theory name ({', '.join(THEORY_NAMES)})"),
         run_p.add_argument("--n", type=int, help="input bits for quantum runs"),
         run_p.add_argument("--N", type=int, help="branch count for classical, quaternionic and search runs"),
         run_p.add_argument("--marked", type=int, help="marked branch for the search run"),

@@ -157,15 +157,6 @@ class FiniteGroup:
     def __iter__(self):
         return iter(self.elements)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.elements)
-
-    def contains_map(self, T: LinearMap, atol: float = 0.0) -> bool:
-        return any(
-            np.allclose(T.matrix, e.matrix, rtol=0.0, atol=atol) for e in self.elements
-        )
-
     def by_name(self, name: str) -> LinearMap:
         for e in self.elements:
             if e.name == name:

@@ -112,8 +112,16 @@ def classify(spec: OracleSpec) -> str:
     return "neither"
 
 
+#: Largest n whose promise tables are enumerated: 12,872 tables at n = 4,
+#: C(32, 16) + 2 = 601,080,392 at n = 5.
+MAX_PROMISE_BITS = 4
+
+
 def constant_balanced_specs(n: int) -> tuple[OracleSpec, ...]:
-    """All constant then all balanced tables, in lexicographic order."""
+    """All constant then all balanced tables, in lexicographic order; n above
+    :data:`MAX_PROMISE_BITS` raises ValueError before any table is built."""
+    if n > MAX_PROMISE_BITS:
+        raise ValueError(f"promise tables are enumerated for n <= {MAX_PROMISE_BITS}, got n = {n}")
     N = 2**n
     specs = [OracleSpec(n, (0,) * N), OracleSpec(n, (1,) * N)]
     for ones in itertools.combinations(range(N), N // 2):
@@ -353,34 +361,6 @@ def _candidate_works(m, candidate, constant_out, balanced_out, strict) -> bool:
     return all(p >= 0.5 + WEAK_MARGIN for p in p_const) and all(
         p <= 0.5 - WEAK_MARGIN for p in p_bal
     )
-
-
-def balanced_pair_distinguishability(m: TheoryModel, enc: BranchEncoding, s_in, effects):
-    """Exploratory survey: which pairs of balanced tables give outputs that
-    some test effect can tell apart.
-
-    Negations of each other are expected to be indistinguishable; the
-    remaining pairs usually are distinguishable, but no invariant is
-    asserted here.
-    """
-    n = int(round(math.log2(m.n_branches)))
-    balanced = [s for s in constant_balanced_specs(n) if classify(s) == "balanced"]
-    outputs = {s.table: m.apply(build_oracle(m, s, enc), s_in) for s in balanced}
-    rows = []
-    for sa, sb in itertools.combinations(balanced, 2):
-        gap = max(
-            abs(m.probability(e, outputs[sa.table]) - m.probability(e, outputs[sb.table]))
-            for e in effects
-        )
-        negation = all(a != b for a, b in zip(sa.table, sb.table))
-        rows.append(
-            {
-                "pair": [list(sa.table), list(sb.table)],
-                "negation": negation,
-                "max_effect_gap": gap,
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -44,36 +44,6 @@ def is_branch_local(m: TheoryModel, T, branch: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Analytic forms for quantum transformations (used as oracles against the
-# operational predicates above)
-# ---------------------------------------------------------------------------
-
-
-def quantum_phase_form_check(U: np.ndarray, atol: float = 1e-9) -> bool:
-    """Whether a unitary is diagonal in the branch basis."""
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(U.conj().T @ U, np.eye(U.shape[0]), rtol=0.0, atol=atol):
-        raise ValueError("matrix is not unitary")
-    return bool(np.allclose(U, np.diag(np.diagonal(U)), rtol=0.0, atol=atol))
-
-
-def quantum_branch_local_form_check(U: np.ndarray, branch: int, atol: float = 1e-9) -> bool:
-    """Whether a unitary is a phase on one branch times a global phase.
-
-    The form is diagonal with all entries away from ``branch`` equal, i.e.
-    exp(i Phi) (exp(i phi) |branch><branch| + sum of the other projectors).
-    """
-    U = np.asarray(U, dtype=complex)
-    if not quantum_phase_form_check(U, atol=atol):
-        return False
-    d = np.diagonal(U)
-    remote = d[[j for j in range(U.shape[0]) if j != branch]]
-    return bool(np.allclose(remote, remote[0], rtol=0.0, atol=atol))
-
-
-# ---------------------------------------------------------------------------
 # Group-level reports
 # ---------------------------------------------------------------------------
 

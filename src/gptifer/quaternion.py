@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, is_diagonal
+from .core import DEFAULT_ATOL
 
 
 class NumericConsistencyError(ArithmeticError):
@@ -178,12 +178,6 @@ class QuatMatrix:
     def shape(self) -> tuple[int, int]:
         return self.comps.shape[1], self.comps.shape[2]
 
-    def at(self, i: int, j: int) -> Quaternion:
-        return Quaternion(*self.comps[:, i, j])
-
-    def is_diagonal(self, atol: float = DEFAULT_ATOL) -> bool:
-        return is_diagonal(self.comps, atol)
-
     # -- algebra -------------------------------------------------------------
 
     def __matmul__(self, other):
@@ -208,9 +202,6 @@ class QuatMatrix:
 
     def isclose(self, other: "QuatMatrix", atol: float = DEFAULT_ATOL) -> bool:
         return bool(np.allclose(self.comps, other.comps, rtol=0.0, atol=atol))
-
-    def is_hermitian(self, atol: float = DEFAULT_ATOL) -> bool:
-        return self.isclose(self.dagger(), atol=atol)
 
     def complex_adjoint(self) -> np.ndarray:
         """Complex 2N x 2M matrix representing this matrix faithfully.
@@ -253,26 +244,9 @@ class QuatKet:
             comps[:, i] = q.components()
         return cls(comps)
 
-    @classmethod
-    def uniform(cls, n: int) -> "QuatKet":
-        comps = np.zeros((4, n))
-        comps[0] = 1.0 / np.sqrt(n)
-        return cls(comps)
-
     @property
     def dim(self) -> int:
         return self.comps.shape[1]
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.comps**2)))
-
-    def left_scalar(self, h: Quaternion) -> "QuatKet":
-        """Global phase h applied from the left: entries become h * psi_i."""
-        return QuatKet(_hamilton_entrywise(np.array(h.components())[:, None], self.comps))
-
-    def dagger_dot(self, other: "QuatKet") -> Quaternion:
-        """Symplectic inner product sum_i conj(self_i) * other_i."""
-        return Quaternion(*_vec_inner(self.comps, other.comps)[:, 0])
 
     def density(self) -> QuatMatrix:
         """Rank-1 projector |psi><psi| with entries psi_i * conj(psi_k)."""
@@ -288,14 +262,6 @@ class QuatKet:
 # ---------------------------------------------------------------------------
 # Module operations
 # ---------------------------------------------------------------------------
-
-
-def is_symplectic(M: QuatMatrix, atol: float = DEFAULT_ATOL) -> bool:
-    """Whether M @ M.dagger() is the identity within tolerance."""
-    rows, cols = M.shape
-    if rows != cols:
-        raise ValueError("symplectic test requires a square matrix")
-    return (M @ M.dagger()).isclose(QuatMatrix.identity(rows), atol=atol)
 
 
 def real_trace_prob(E: QuatMatrix, rho: QuatMatrix, atol: float = DEFAULT_ATOL) -> float:
@@ -315,11 +281,6 @@ def real_trace_prob(E: QuatMatrix, rho: QuatMatrix, atol: float = DEFAULT_ATOL) 
     return t[0]
 
 
-def real_trace(M: QuatMatrix) -> float:
-    """Real part of the trace (the basis-independent quaternionic trace)."""
-    return float(np.trace(M.comps[0]))
-
-
 def conjugate_state(S: QuatMatrix, rho: QuatMatrix) -> QuatMatrix:
     """Image S rho S.dagger() of a state under a symplectic transformation."""
     return S @ rho @ S.dagger()
@@ -328,12 +289,6 @@ def conjugate_state(S: QuatMatrix, rho: QuatMatrix) -> QuatMatrix:
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-
-def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
-    comps = rng.standard_normal(4)
-    comps /= np.linalg.norm(comps)
-    return Quaternion(*comps)
 
 
 def _vec_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:

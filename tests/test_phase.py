@@ -28,10 +28,8 @@ from gptifer.phase import (
     is_phase_operation,
     localizable_union,
     phase_group,
-    quantum_branch_local_form_check,
-    quantum_phase_form_check,
 )
-from gptifer.quaternion import QuatMatrix, Quaternion, random_unit_quaternion
+from gptifer.quaternion import QuatMatrix, Quaternion
 from gptifer.theories import (
     classical_theory,
     dball_theory,
@@ -41,6 +39,11 @@ from gptifer.theories import (
     qubit_theory,
     spekkens_epistemic_theory,
     spekkens_ontic_theory,
+)
+from reference import (
+    quantum_branch_local_form_check,
+    quantum_phase_form_check,
+    random_unit_quaternion,
 )
 
 RNG = np.random.default_rng(99)

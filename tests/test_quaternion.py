@@ -3,13 +3,14 @@
 Core claims:
     - the Hamilton product satisfies the defining unit relations
     - the symplectic dagger anti-commutes over products
-    - symplectic membership accepts unit-diagonal and random Gram-Schmidt
-      matrices and rejects non-unit scalings
+    - membership in Sp(N), as the quaternionic theory decides it, accepts
+      unit-diagonal and random Gram-Schmidt matrices and rejects non-unit
+      scalings
     - probabilities come out of real traces, with the imaginary-residue
       guard raising on genuinely non-real traces
     - conjugation by a global non-real unit changes states; real units never do
-    - the real trace is cyclic; the residue-checked pairing agrees on the
-      residue-free family
+    - the real part of the trace is cyclic; the residue-checked pairing
+      agrees on the residue-free family
     - the fixed branch projectors are real, diagonal, idempotent and complete
     - the batched product, entrywise product and trace kernels agree with
       entry-by-entry qmul sums
@@ -30,14 +31,13 @@ from gptifer.quaternion import (
     QuatMatrix,
     Quaternion,
     conjugate_state,
-    is_symplectic,
     qmul,
     random_symplectic,
-    random_unit_quaternion,
-    real_trace,
     real_trace_prob,
 )
-from gptifer.quaternion import _hamilton_entrywise, _hamilton_matmul, _product_trace
+from gptifer.quaternion import _hamilton_entrywise, _hamilton_matmul, _product_trace, _vec_inner
+from gptifer.theories import quaternionic_theory
+from reference import random_unit_quaternion
 
 RNG = np.random.default_rng(2024)
 
@@ -94,6 +94,11 @@ def test_dagger_antihomomorphism_on_random_symplectics():
 # -- symplectic membership ----------------------------------------------------------
 
 
+def is_symplectic(S):
+    # the library's own check: membership in the theory's group Sp(N)
+    return quaternionic_theory(S.shape[0]).group.group.contains(S)
+
+
 def test_identity_is_symplectic():
     assert is_symplectic(QuatMatrix.identity(3))
 
@@ -122,7 +127,7 @@ Z0 = QuatMatrix.from_real(np.diag([1.0, 0.0]))
 
 
 def uniform_rho():
-    return QuatKet.uniform(2).density()
+    return quaternionic_theory(2).uniform_superposition()
 
 
 def test_uniform_superposition_probability():
@@ -179,8 +184,8 @@ def test_global_imaginary_phase_changes_j_valued_state():
     out = conjugate_state(G, rho)
     assert not out.isclose(rho, atol=1e-6)
     # Hermiticity and trace survive
-    assert out.is_hermitian()
-    assert real_trace(out) == pytest.approx(1.0, abs=1e-12)
+    assert out.isclose(out.dagger())
+    assert np.trace(out.comps[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_global_real_signs_never_change_states():
@@ -217,7 +222,7 @@ def test_real_trace_cyclicity_fully_generic():
         comps_a = RNG.standard_normal((4, 3, 3))
         comps_b = RNG.standard_normal((4, 3, 3))
         A, B = QuatMatrix(comps_a), QuatMatrix(comps_b)
-        assert real_trace(A @ B) == pytest.approx(real_trace(B @ A), abs=1e-9)
+        assert np.trace((A @ B).comps[0]) == pytest.approx(np.trace((B @ A).comps[0]), abs=1e-9)
 
 
 def test_fixed_branch_projectors_are_real_diagonal_complete():
@@ -250,12 +255,13 @@ def test_complex_adjoint_is_multiplicative_and_faithful():
     )
 
 
-def test_kets_expose_symplectic_inner_product():
+def test_symplectic_inner_product_kernel():
+    # the Gram-Schmidt kernel of random_symplectic: sum_i conj(u_i) v_i
     inv = 1.0 / np.sqrt(2.0)
-    phi = QuatKet.from_quaternions([Quaternion(inv), Quaternion(0, 0, inv)])
-    overlap = phi.dagger_dot(phi.left_scalar(I))
-    assert abs(overlap.norm()) == pytest.approx(0.0, abs=1e-12)
-    assert phi.dagger_dot(phi).isclose(ONE, atol=1e-12)
+    phi = QuatKet.from_quaternions([Quaternion(inv), Quaternion(0, 0, inv)]).comps
+    i_phi = _hamilton_entrywise(np.array(I.components())[:, None], phi)  # i psi_i
+    assert Quaternion(*_vec_inner(phi, i_phi)[:, 0]).norm() == pytest.approx(0.0, abs=1e-12)
+    assert Quaternion(*_vec_inner(phi, phi)[:, 0]).isclose(ONE, atol=1e-12)
 
 
 # -- kernels against entry-by-entry references -----------------------------------------

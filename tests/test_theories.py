@@ -15,6 +15,8 @@ Core claims:
     - containment: octahedron inside tetrahedron and ball; tetrahedron
       vertices break the ball bound but stay inside the cube
     - every finite group element preserves its state space
+    - theory names resolve through one table of exact names and the
+      gbit<d>/dball<d> families; every reader refuses a malformed name
     - the complex and quaternionic theories share one matrix core: the same
       probe counts (2 and 4), byte-identical identity, sign-flip and branch
       maps to the former per-theory constructions, and one verdict on maps
@@ -22,36 +24,42 @@ Core claims:
 """
 
 import itertools
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from gptifer.core import GptState, is_diagonal, preserves_statespace
-from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion, qmul, random_unit_quaternion
+from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion, qmul
 from gptifer.interferometer import sign_encoding
 from gptifer.theories import (
     DensityMatrixTheory,
     MatrixTheory,
     QuaternionicTheory,
+    THEORY_NAMES,
     classical_theory,
     dball_theory,
     gbit_theory,
     hadamard_matrix,
     quantum_theory,
     quaternionic_theory,
-    quaternionic_two_level_gpt_state,
-    qubit_state_from_density,
     qubit_state_from_expectations,
-    qubit_state_from_ket,
     qubit_theory,
-    random_pure_quaternionic_state,
     spekkens_epistemic_statistics,
     spekkens_epistemic_theory,
     spekkens_ontic_statistics,
     spekkens_ontic_theory,
     theory_by_name,
+    theory_form,
     theory_sizes,
+)
+from reference import (
+    quaternionic_two_level_gpt_state,
+    qubit_state_from_density,
+    qubit_state_from_ket,
+    random_pure_quaternionic_state,
+    random_unit_quaternion,
 )
 
 
@@ -300,10 +308,10 @@ def test_diagonal_predicates_agree_on_non_finite_entries(entries, expected):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert is_diagonal(real.astype(complex), m.atol) is expected
-        assert QuatMatrix.from_real(real).is_diagonal(atol=m.atol) is expected
+        assert is_diagonal(QuatMatrix.from_real(real).comps, m.atol) is expected
         comps = np.zeros((4, 2, 2))
         comps[2] = real  # the same entries on the j component
-        assert QuatMatrix(comps).is_diagonal(atol=m.atol) is expected
+        assert is_diagonal(QuatMatrix(comps).comps, m.atol) is expected
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -314,7 +322,7 @@ def test_diagonal_predicates_reject_non_finite_off_diagonal_entries(value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not is_diagonal(real.astype(complex), m.atol)
-        assert not QuatMatrix.from_real(real).is_diagonal(atol=m.atol)
+        assert not is_diagonal(QuatMatrix.from_real(real).comps, m.atol)
 
 
 def test_quaternionic_diagonal_check_keeps_its_tolerance():
@@ -322,7 +330,7 @@ def test_quaternionic_diagonal_check_keeps_its_tolerance():
         comps = np.zeros((4, 3, 3))
         comps[0] = np.eye(3)
         comps[3, 2, 0] = scale
-        assert QuatMatrix(comps).is_diagonal(atol=1e-9) is expected
+        assert is_diagonal(QuatMatrix(comps).comps, 1e-9) is expected
 
 
 def test_commutation_with_a_nan_overlap_is_false_without_warning():
@@ -341,8 +349,8 @@ def test_commutation_with_a_nan_overlap_is_false_without_warning():
 
 def _qmul_diagonals_commute(m, a, b):
     # entry-by-entry reference: conj((ba)_i) (ab)_i is one common real sign
-    da = [a.at(i, i) for i in range(m.dim)]
-    db = [b.at(i, i) for i in range(m.dim)]
+    da = [Quaternion(*a.comps[:, i, i]) for i in range(m.dim)]
+    db = [Quaternion(*b.comps[:, i, i]) for i in range(m.dim)]
     ratios = [qmul(qmul(y, x).conjugate(), qmul(x, y)) for x, y in zip(da, db)]
     first = ratios[0]
     if max(abs(first.b), abs(first.c), abs(first.d)) > m.atol:
@@ -419,7 +427,7 @@ def test_sign_flipped_kets_are_operationally_identical():
         comps /= np.sqrt(np.sum(comps**2))
         ket = QuatKet(comps)
         rho = ket.density()
-        rho_neg = ket.left_scalar(Quaternion(-1.0)).density()
+        rho_neg = QuatKet(-comps).density()  # the global phase -1 on the ket
         for e in effects:
             assert m.probability(e, rho) == pytest.approx(
                 m.probability(e, rho_neg), abs=1e-12
@@ -495,6 +503,27 @@ def test_theory_by_name_round_trip():
     assert theory_by_name("quaternionic", N=4).dim == 4
     with pytest.raises(ValueError):
         theory_by_name("octonionic")
+
+
+@pytest.mark.parametrize(
+    "name", ["gbit", "dball", "gbit 2", "gbit+2", "gbit02", "dball05", "gbit<d>", "gbit2 ", "Gbit2"]
+)
+def test_malformed_theory_names_are_refused_by_every_reader(name):
+    message = f"unknown theory name {re.escape(repr(name))}; accepted forms: classical, .*, gbit<d>, dball<d>"
+    for read in (theory_by_name, theory_sizes, theory_form):
+        with pytest.raises(ValueError, match=message):
+            read(name)
+
+
+def test_theory_forms_cover_the_exact_names_and_both_families():
+    assert THEORY_NAMES == (
+        "classical", "qubit", "quantum", "quaternionic", "spekkens-ontic",
+        "spekkens-epistemic", "gbit<d>", "dball<d>",
+    )
+    assert [theory_form(n) for n in ("quantum", "gbit2", "gbit10", "dball5")] == [
+        "quantum", "gbit<d>", "gbit<d>", "dball<d>",
+    ]
+    assert theory_by_name("dball12").name == "dball12"
 
 
 @pytest.mark.parametrize(
@@ -579,7 +608,7 @@ def test_quaternionic_branch_family_samples_a_sign_times_a_local_unit():
         for _ in range(20):
             S = family.sample(rng)
             assert family.contains(S)
-            remote = [S.at(i, i) for i in range(4) if i != branch]
+            remote = [Quaternion(*S.comps[:, i, i]) for i in range(4) if i != branch]
             assert remote[0].a in (-1.0, 1.0) and all(q == remote[0] for q in remote)
     # an i phase off the branch is not a global phase
     i_phase = QuatMatrix.diag([Quaternion(0.0, 1.0)] * 4)
