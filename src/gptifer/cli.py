@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(run_parameters=tuple(a.dest for a in run_parameters))
     run_p.add_argument("--seed", type=int, default=None, help="random seed (default: GPT_IFER_SEED or 0)")
     run_p.add_argument("--out", help="write the report to this path")
-    run_p.add_argument("--format", choices=("json", "csv"), default="json")
+    run_p.add_argument("--format", choices=("json", "csv"), help="format of the --out file (default: json)")
 
     sub.add_parser("list", help="print the experiment registry")
     return parser
@@ -67,6 +67,8 @@ def main(argv=None) -> int:
         if value is not None:
             params[key] = value
     params["seed"] = args.seed if args.seed is not None else _default_seed(parser)
+    if args.format and not args.out:
+        parser.error("--format applies only to the report written with --out")  # exits 2
 
     try:
         report = run_experiment(args.experiment, params)
@@ -75,7 +77,7 @@ def main(argv=None) -> int:
 
     print(report.to_canonical_json())
     if args.out:
-        emit_report(report, args.out, fmt=args.format)
+        emit_report(report, args.out, fmt=args.format or "json")
     return 0 if report.passed else 1
 
 

@@ -129,14 +129,36 @@ def _jsonsafe(value):
 # ---------------------------------------------------------------------------
 
 
-def _dj_runs(instruments, n: int = 1, run=None):
-    """Yield (spec, run(model, spec, choices, s_in, e_C)) per promise table
-    on n bits, one at a time: no outcome is kept.  ``run`` defaults to
-    ``run_dj``, looked up per call so that a wrapped ``run_dj`` is seen."""
-    run = run or ifr.run_dj
+def _finite_answers(m) -> tuple:
+    """The one table of finite answers: a theory's phase group, each branch's localizable
+    subgroup and their union.  A phase group is given by its sorted names, or past gbit2
+    by its order: gbit<d> relabels the d - 1 measurements besides the branch one."""
+    one, toy, d = ("identity",), ("1234", "1243", "2134", "2143"), len(m.fiducial_layout)
+    only_identity_localizes = ((one,) * m.n_branches, one)
+    answers = {
+        "classical": (one, *only_identity_localizes),
+        "gbit2": (("X-flip", "identity"), *only_identity_localizes),
+        "gbit<d>": (math.factorial(d - 1) * 2 ** (d - 1), *only_identity_localizes),
+        # the ontic toy bit localizes disjoint swaps, one to each branch
+        "spekkens-ontic": (toy, (("1234", "2134"), ("1234", "1243")), ("1234", "1243", "2134")),
+        # the epistemic toy bit shares one group across both branches
+        "spekkens-epistemic": (toy, (toy, toy), toy),
+    }
+    return answers.get(m.name) or answers[th.theory_form(m.name)]
+
+
+def _sized_theory(theory: str, n, N):
+    """The model a group run reads, and its parameters as reported."""
+    sizes = th.theory_sizes(theory, n, N)
+    return th.theory_by_name(theory, **sizes), {"theory": theory, **sizes}
+
+
+def _dj_runs(instruments, n: int = 1):
+    """Yield (spec, run_dj outcome) per promise table on n bits, one at a time: no
+    outcome is kept, and ``run_dj`` is looked up per call so a wrapped one is seen."""
     m, choices, s_in, e_C = instruments
     for spec in ifr.constant_balanced_specs(n):
-        yield spec, run(m, spec, choices, s_in, e_C)
+        yield spec, ifr.run_dj(m, spec, choices, s_in, e_C)
 
 
 def _verdicts_and_probabilities(instruments) -> tuple[bool, dict]:
@@ -186,34 +208,31 @@ def _dj_quaternionic(theory, *, N=4):
 
 def _dj_classical(theory):
     m = th.classical_theory(2)
+    phase, branch_local, _ = _finite_answers(m)
     group = ph.phase_group(m)
     locals_trivial = all(
-        ph.branch_local_subgroup(m, b).element_names() == ("identity",)
+        ph.branch_local_subgroup(m, b).element_names() == branch_local[b]
         for b in range(m.n_branches)
     )
     # the only criterion-i encoding is the trivial one; run it over all
     # tables and confirm the statistics never depend on f
     enc = ifr.BranchEncoding(((m.identity_map(), m.identity_map()),) * 2)
-
-    def output(m, spec, enc, s_in, _):
-        return m.apply(ifr.build_oracle(m, spec, enc), s_in).probs
-
-    outputs = (probs for _, probs in _dj_runs((m, enc, GptState([0.5, 0.5]), None), run=output))
-    first = next(outputs)
-    f_independent = all(np.array_equal(first, out) for out in outputs)
+    outputs = [s.probs for outs in ifr._dj_outputs(m, enc, GptState([0.5, 0.5])) for s in outs]
+    f_independent = all(np.array_equal(outputs[0], out) for out in outputs)
     results = {
         "phase_group": list(group.element_names()),
         "branch_local_trivial": locals_trivial,
         "outputs_f_independent": f_independent,
     }
-    passed = group.element_names() == ("identity",) and locals_trivial and f_independent
+    passed = group.element_names() == phase and locals_trivial and f_independent
     return theory, {}, results, passed
 
 
 def _dj_gbit(theory):
     m = th.theory_by_name(theory)
+    phase, _, expected_union = _finite_answers(m)
     group = ph.phase_group(m)
-    union = sorted(e.name for e in ph.localizable_union(m))
+    union = tuple(sorted(e.name for e in ph.localizable_union(m)))
     rejected = 0
     nontrivial = [e for e in group.elements if e.name != "identity"]
     for elem in nontrivial:
@@ -228,15 +247,17 @@ def _dj_gbit(theory):
     attempted = len(nontrivial) * m.n_branches
     results = {
         "phase_group_order": len(group.elements),
-        "localizable_union": union,
+        "localizable_union": list(union),
         "encodings_attempted": attempted,
         "encodings_rejected": rejected,
     }
-    passed = len(group.elements) > 1 and union == ["identity"] and rejected == attempted
+    order_or_names = len(group.elements) if isinstance(phase, int) else group.element_names()
+    passed = order_or_names == phase and union == expected_union and rejected == attempted
     if theory == "gbit2":
+        gm, x_flip, s_in, e_C = ifr.gbit_global_instruments()
+        outs = {s: ifr.run_dj_with_global_oracle(gm, s, x_flip, s_in, e_C) for s in ifr.constant_balanced_specs(1)}
         results["global_protocol_exact"] = global_ok = all(
-            out.verdict == ifr.classify(spec) and out.p_constant_effect in (0.0, 1.0)
-            for spec, out in _dj_runs(ifr.gbit_global_instruments(), run=ifr.run_dj_with_global_oracle)
+            out.verdict == ifr.classify(spec) and out.p_constant_effect in (0.0, 1.0) for spec, out in outs.items()
         )
         passed = passed and global_ok
     return theory, {}, results, passed
@@ -309,26 +330,16 @@ def _exp_grover(rng, *, theory="quantum", N=16, marked=None, iterations=None):
     return theory, asdict(cfg), results, passed
 
 
-_EXPECTED_PHASE = {
-    "classical": ("identity",),
-    "gbit2": ("X-flip", "identity"),
-    "spekkens-ontic": ("1234", "1243", "2134", "2143"),
-    "spekkens-epistemic": ("1234", "1243", "2134", "2143"),
-}
-
-
 def _exp_phase_group(rng, *, theory="gbit2", n=None, N=None):
-    sizes = th.theory_sizes(theory, n, N)
-    m = th.theory_by_name(theory, **sizes)
+    m, params = _sized_theory(theory, n, N)
     report = ph.phase_group(m, rng=rng)
     if report.is_finite:
         names = report.element_names()
         results = {"is_finite": True, "elements": list(names)}
-        expected = _EXPECTED_PHASE.get(theory)
-        passed = names == expected if expected is not None else len(names) >= 1
-        if theory == "gbit3":
-            passed = len(names) == 8 and "identity" in names
+        expected = _finite_answers(m)[0]
+        if isinstance(expected, int):  # the answer is an order, and the report gives it
             results["order"] = len(names)
+        passed = results.get("order", names) == expected
     else:
         results = {
             "is_finite": False,
@@ -336,55 +347,29 @@ def _exp_phase_group(rng, *, theory="gbit2", n=None, N=None):
             "verified_samples": report.verified_samples,
         }
         passed = report.verified_samples > 0
-    return theory, {"theory": theory, **sizes}, results, passed
-
-
-_EXPECTED_BRANCH_LOCAL = {
-    "spekkens-ontic": (("1234", "2134"), ("1234", "1243")),
-    "spekkens-epistemic": (
-        ("1234", "1243", "2134", "2143"),
-        ("1234", "1243", "2134", "2143"),
-    ),
-}
+    return theory, params, results, passed
 
 
 def _exp_branch_local(rng, *, theory="spekkens-ontic", n=None, N=None):
-    sizes = th.theory_sizes(theory, n, N)
-    m = th.theory_by_name(theory, **sizes)
+    m, params = _sized_theory(theory, n, N)
     reports = [ph.branch_local_subgroup(m, b, rng=rng) for b in range(m.n_branches)]
     if reports[0].is_finite:
-        subgroups = [list(r.element_names()) for r in reports]
-        results = {"subgroups": subgroups}
-        expected = _EXPECTED_BRANCH_LOCAL.get(theory)
-        if theory in ("classical", "gbit2", "gbit3"):  # only the identity stays on a branch
-            expected = (("identity",),) * m.n_branches
-        passed = expected is None or tuple(tuple(s) for s in subgroups) == expected
+        subgroups = tuple(r.element_names() for r in reports)
+        results = {"subgroups": [list(s) for s in subgroups]}
+        passed = subgroups == _finite_answers(m)[1]
     else:
         results = {
             "families": [r.family for r in reports],
             "verified_samples": [r.verified_samples for r in reports],
         }
         passed = all(r.verified_samples > 0 for r in reports)
-    return theory, {"theory": theory, **sizes}, results, passed
-
-
-_EXPECTED_UNION = {
-    "gbit2": ("identity",),
-    "gbit3": ("identity",),
-    "classical": ("identity",),
-    "spekkens-ontic": ("1234", "1243", "2134"),
-    "spekkens-epistemic": ("1234", "1243", "2134", "2143"),
-}
+    return theory, params, results, passed
 
 
 def _exp_localizable_union(rng, *, theory="gbit2", n=None, N=None):
-    sizes = th.theory_sizes(theory, n, N)
-    m = th.theory_by_name(theory, **sizes)
+    m, params = _sized_theory(theory, n, N)
     union = tuple(sorted(e.name for e in ph.localizable_union(m)))
-    expected = _EXPECTED_UNION.get(theory)
-    results = {"union": list(union)}
-    passed = union == expected if expected is not None else True
-    return theory, {"theory": theory, **sizes}, results, passed
+    return theory, params, {"union": list(union)}, union == _finite_answers(m)[2]
 
 
 def _exp_uncertainty(rng, *, samples=10000):

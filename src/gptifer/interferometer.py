@@ -228,12 +228,16 @@ def build_oracle(m: TheoryModel, spec: OracleSpec, enc: BranchEncoding):
     return oracle
 
 
-def _verdict(p: float) -> str:
-    if abs(p - 1.0) <= VERDICT_ATOL:
-        return "constant"
-    if abs(p) <= VERDICT_ATOL:
-        return "balanced"
-    return "indeterminate"
+def _query(m: TheoryModel, spec: OracleSpec, oracle, s_in, e_C) -> DJOutcome:
+    """The tail every constant-vs-balanced query shares: the promise check,
+    then ``oracle(promise)`` applied to ``s_in`` and read out with ``e_C``."""
+    promise = classify(spec)
+    if promise == "neither":
+        raise ValueError("the constant-vs-balanced run requires a promise-abiding table")
+    s_out = m.apply(oracle(promise), s_in)
+    p = m.probability(e_C, s_out)
+    verdict = "constant" if abs(p - 1.0) <= VERDICT_ATOL else "balanced" if abs(p) <= VERDICT_ATOL else "indeterminate"
+    return DJOutcome(p, verdict, s_out)
 
 
 def run_dj(m: TheoryModel, spec: OracleSpec, enc: BranchEncoding, s_in, e_C) -> DJOutcome:
@@ -242,12 +246,7 @@ def run_dj(m: TheoryModel, spec: OracleSpec, enc: BranchEncoding, s_in, e_C) -> 
     ``s_in`` and ``e_C`` are fixed by the caller before the truth table is
     consulted, keeping the instruments independent of the oracle's content.
     """
-    if classify(spec) == "neither":
-        raise ValueError("the constant-vs-balanced run requires a promise-abiding table")
-    oracle = build_oracle(m, spec, enc)
-    s_out = m.apply(oracle, s_in)
-    p = m.probability(e_C, s_out)
-    return DJOutcome(p, _verdict(p), s_out)
+    return _query(m, spec, lambda _: build_oracle(m, spec, enc), s_in, e_C)
 
 
 def run_dj_with_global_oracle(m: TheoryModel, spec: OracleSpec, balanced_op, s_in, e_C) -> DJOutcome:
@@ -257,13 +256,7 @@ def run_dj_with_global_oracle(m: TheoryModel, spec: OracleSpec, balanced_op, s_i
     balanced: a trivial oracle that answers the question directly, with no
     distributed structure left.
     """
-    promise = classify(spec)
-    if promise == "neither":
-        raise ValueError("the constant-vs-balanced run requires a promise-abiding table")
-    op = m.identity_map() if promise == "constant" else balanced_op
-    s_out = m.apply(op, s_in)
-    p = m.probability(e_C, s_out)
-    return DJOutcome(p, _verdict(p), s_out)
+    return _query(m, spec, lambda promise: m.identity_map() if promise == "constant" else balanced_op, s_in, e_C)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +372,7 @@ def grover_iteration_budget(N: int) -> int:
     return int(math.floor(math.pi / 4.0 * math.sqrt(N)))
 
 
-def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int, enc: BranchEncoding | None = None):
+def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int):
     """Marked-branch probability after 0..max_iterations rounds.
 
     Each round applies the marked-branch phase flip, the beamsplitter, a
@@ -402,11 +395,8 @@ def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int, enc: 
             f"theory {m.name!r} has no beamsplitter transform{diagnosis}"
         )
     N = m.n_branches
-    n = int(round(math.log2(N)))
-    if 2**n != N:
-        raise ValueError("the beamsplitter cascade needs a power-of-two branch count")
-    if enc is None:
-        enc = sign_encoding(m)
+    n = int(round(math.log2(N)))  # exact: only a power-of-two N has a beamsplitter
+    enc = sign_encoding(m)
     oracle = build_oracle(m, OracleSpec(n, tuple(1 if x == marked else 0 for x in range(N))), enc)
     flip0 = build_oracle(m, OracleSpec(n, tuple(1 if x == 0 else 0 for x in range(N))), enc)
     B = m.beamsplitter
@@ -420,11 +410,11 @@ def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int, enc: 
     return curve
 
 
-def run_grover(m: TheoryModel, cfg: GroverConfig, enc: BranchEncoding | None = None) -> float:
+def run_grover(m: TheoryModel, cfg: GroverConfig) -> float:
     """Probability of finding the marked branch after cfg.iterations rounds."""
     if cfg.N != m.n_branches:
         raise ValueError("configured branch count does not match the theory")
-    return grover_success_curve(m, cfg.marked, cfg.iterations, enc)[-1]
+    return grover_success_curve(m, cfg.marked, cfg.iterations)[-1]
 
 
 # ---------------------------------------------------------------------------

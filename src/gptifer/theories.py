@@ -222,14 +222,19 @@ def _signed_perm_map(labels, sigma, flips) -> LinearMap:
     return LinearMap(M, name)
 
 
+#: Largest d for gbit<d>: all d! 2^d relabeling maps are built at once, 46,080 at d = 6.
+MAX_GBIT_MEASUREMENTS = 6
+
+
 def gbit_theory(d: int) -> TheoryModel:
     """Hypercube over d binary measurements; no uncertainty constraint.
 
     The branch measurement is the first one (Z); the reversible group is
-    every relabeling of measurements and outcomes.
+    every relabeling of measurements and outcomes.  d above
+    :data:`MAX_GBIT_MEASUREMENTS` raises ValueError before any map is built.
     """
-    if d < 2:
-        raise ValueError("a gbit needs at least two binary measurements")
+    if not 2 <= d <= MAX_GBIT_MEASUREMENTS:
+        raise ValueError(f"gbit<d> takes 2 <= d <= {MAX_GBIT_MEASUREMENTS} (MAX_GBIT_MEASUREMENTS), got d = {d}")
     labels = _gbit_labels(d)
     layout = tuple((lbl, 2) for lbl in labels)
     vertices = []

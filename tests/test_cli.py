@@ -14,6 +14,12 @@ Core claims:
       forms, which the --theory help lists from the same table
     - search passes exactly when it follows the closed form, N = 2 included;
       dj-sweep refuses more than 4 input bits before any protocol run
+    - every finite theory's group run checks one definite answer: classical
+      (N = 2, 3), gbit2..gbit5 and both toy bits pass, and fail once the
+      group, a branch's subgroup or the union loses or gains one element;
+      so do the classical and gbit dj-sweep entries
+    - a gbit past the size bound exits 2 naming it, before any map is built;
+      --format without --out exits 2 before the run starts
 """
 
 import csv
@@ -21,11 +27,17 @@ import inspect
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import gptifer.cli as cli
 import gptifer.interferometer as ifr
+import gptifer.phase as ph
+import gptifer.theories as th
 from gptifer.cli import build_parser, main
+from gptifer.core import LinearMap
 from gptifer.theories import THEORY_NAMES
 from gptifer.experiments import (
     REGISTRY,
@@ -249,6 +261,20 @@ def test_cli_csv_output(tmp_path, capsys):
     assert any(r.startswith("results.octahedron_in_ball,") for r in rows)
 
 
+def test_cli_refuses_format_without_out(monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    for fmt in ("json", "csv"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "containment", "--format", fmt])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format applies only to the report written with --out" in captured.err
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     printed = capsys.readouterr().out.split()
@@ -401,3 +427,77 @@ def test_cli_entry_point_runs_as_module():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["union"] == ["identity"]
+
+
+def test_cli_refuses_a_gbit_past_the_bound_before_building_it(monkeypatch, capsys):
+    def no_map(*args):
+        raise AssertionError("a relabeling map was built")
+
+    monkeypatch.setattr(th, "_signed_perm_map", no_map)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "phase-group", "--theory", "gbit10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gbit<d> takes 2 <= d <= 6 (MAX_GBIT_MEASUREMENTS), got d = 10" in captured.err
+
+
+FINITE_THEORIES = [
+    ("classical", {"N": 2}),
+    ("classical", {"N": 3}),
+    ("gbit2", {}),
+    ("gbit3", {}),
+    ("gbit4", {}),
+    ("gbit5", {}),
+    ("spekkens-ontic", {}),
+    ("spekkens-epistemic", {}),
+]
+
+
+def _drop_one(found):
+    if isinstance(found, frozenset):  # a localizable union
+        return frozenset(sorted(found, key=lambda e: e.name)[1:])
+    return replace(found, elements=found.elements[1:])
+
+
+def _add_one(found):
+    elements = tuple(found) if isinstance(found, frozenset) else found.elements
+    extra = LinearMap(np.zeros((elements[0].dim,) * 2), "extra")
+    if isinstance(found, frozenset):
+        return found | {extra}
+    return replace(found, elements=elements + (extra,))
+
+
+@pytest.mark.parametrize(
+    "experiment,layer",
+    [
+        ("phase-group", "phase_group"),
+        ("branch-local", "branch_local_subgroup"),
+        ("localizable-union", "localizable_union"),
+    ],
+)
+@pytest.mark.parametrize("theory,sizes", FINITE_THEORIES)
+def test_group_runs_check_the_finite_answer(theory, sizes, experiment, layer, monkeypatch):
+    params = {"theory": theory, **sizes}
+    real, found = getattr(ph, layer), []
+
+    def record(*args, **kwargs):
+        found.append(real(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(ph, layer, record)
+    assert run_experiment(experiment, params).passed
+    # replay what the run found with one element dropped or added
+    for change in (_drop_one, _add_one):
+        replay = iter(found)
+        monkeypatch.setattr(ph, layer, lambda *args, **kwargs: change(next(replay)))
+        assert not run_experiment(experiment, params).passed
+
+
+@pytest.mark.parametrize("theory", ["classical", "gbit2", "gbit3"])
+@pytest.mark.parametrize("change", [_drop_one, _add_one])
+def test_finite_dj_sweep_entries_check_the_phase_group(theory, change, monkeypatch):
+    assert run_experiment("dj-sweep", {"theory": theory}).passed
+    real = ph.phase_group
+    monkeypatch.setattr(ph, "phase_group", lambda *args, **kwargs: change(real(*args, **kwargs)))
+    assert not run_experiment("dj-sweep", {"theory": theory}).passed

@@ -3,7 +3,8 @@
 Core claims:
     - classical: simplex, permutation group only, fair coin valid
     - qubit: six-entry layout with ball membership, pole and plus states
-    - gbit: hypercube vertices, hyperoctahedral group order 2^d d!
+    - gbit: hypercube vertices, hyperoctahedral group order 2^d d!; d is
+      bounded by MAX_GBIT_MEASUREMENTS = 6, checked before any map is built
     - dball: center and surface behavior, d=3 matches the qubit exactly
     - toy bit: recorded subset-sign convention fixes all statistics vectors;
       epistemic pure states have one deterministic pair and the rest uniform
@@ -30,10 +31,12 @@ import warnings
 import numpy as np
 import pytest
 
+import gptifer.theories as th
 from gptifer.core import GptState, is_diagonal, preserves_statespace
 from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion, qmul
 from gptifer.interferometer import sign_encoding
 from gptifer.theories import (
+    MAX_GBIT_MEASUREMENTS,
     DensityMatrixTheory,
     MatrixTheory,
     QuaternionicTheory,
@@ -127,6 +130,19 @@ def test_square_bit_has_four_vertices_and_eight_symmetries():
 
 def test_cube_group_order_forty_eight():
     assert len(gbit_theory(3).group.elements) == 48
+
+
+def test_gbit_size_is_bounded_before_any_map_is_built(monkeypatch):
+    # the largest gbit still builds its whole hyperoctahedral group
+    assert len(gbit_theory(MAX_GBIT_MEASUREMENTS).group.elements) == 720 * 2**6
+
+    def no_map(*args):
+        raise AssertionError("a relabeling map was built")
+
+    monkeypatch.setattr(th, "_signed_perm_map", no_map)
+    for d in (1, MAX_GBIT_MEASUREMENTS + 1, 10):
+        with pytest.raises(ValueError, match=rf"^gbit<d> takes 2 <= d <= 6 \(MAX_GBIT_MEASUREMENTS\), got d = {d}$"):
+            theory_by_name(f"gbit{d}")
 
 
 def test_all_deterministic_vertex_valid():
