@@ -166,23 +166,21 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class ParametricFamily:
-    """A continuous family of transformations given by membership + sampler."""
+    """A continuous family of transformations given by description + sampler."""
 
     description: str
-    contains: Callable[[Any], bool]
     sample: Callable[[np.random.Generator], Any]
 
 
 @dataclass(frozen=True)
 class ParametricGroup:
-    """Continuous transformation group with declared phase sub-families.
+    """Continuous transformation group, given by its declared phase families.
 
-    ``branch_family(i)`` describes the transformations claimed to be locally
-    implementable on branch ``i``; the claims are verified by seeded sampling
-    in the phase-analysis layer, never assumed.
+    ``phase_family`` describes the claimed phase operations, ``branch_family(i)``
+    those claimed to be locally implementable on branch ``i``; the claims are
+    verified by seeded sampling in the phase-analysis layer, never assumed.
     """
 
-    group: ParametricFamily
     phase_family: ParametricFamily
     branch_family: Callable[[int], ParametricFamily]
 

@@ -282,7 +282,6 @@ def find_distinguishing_effect(
     enc: BranchEncoding,
     s_in,
     strict: bool = True,
-    candidate=None,
 ):
     """Search for one effect satisfying criterion ii over all promise tables.
 
@@ -290,18 +289,14 @@ def find_distinguishing_effect(
     the effect polytope cut out by the extremal states: strict mode demands
     pairing 1 with every constant output and 0 with every balanced output;
     weak mode demands a majority margin on both sides.  Round and
-    matrix-backed theories verify a supplied analytic candidate instead.
+    matrix-backed theories raise :class:`UnsupportedTheoryError`.
     Returns a witness effect, or None when no effect exists: for the LP,
     only when the solver proves the constraints infeasible.  Any other
     solver failure raises RuntimeError rather than claim a no-go.
     """
     constant_out, balanced_out = _dj_outputs(m, enc, s_in)
-    if candidate is not None:
-        return candidate if _candidate_works(m, candidate, constant_out, balanced_out, strict) else None
     if not isinstance(m, VectorTheory) or m.extremal_states is None:
-        raise UnsupportedTheoryError(
-            "effect search needs a polytope theory; supply an analytic candidate instead"
-        )
+        raise UnsupportedTheoryError("effect search needs a polytope theory")
     dim = m.state_dim
     a_ub = []
     b_ub = []
@@ -342,18 +337,6 @@ def find_distinguishing_effect(
             f"effect search LP ended with status {result.status}: {result.message}"
         )
     return Effect(result.x)
-
-
-def _candidate_works(m, candidate, constant_out, balanced_out, strict) -> bool:
-    p_const = [m.probability(candidate, out) for out in constant_out]
-    p_bal = [m.probability(candidate, out) for out in balanced_out]
-    if strict:
-        return all(abs(p - 1.0) <= VERDICT_ATOL for p in p_const) and all(
-            abs(p) <= VERDICT_ATOL for p in p_bal
-        )
-    return all(p >= 0.5 + WEAK_MARGIN for p in p_const) and all(
-        p <= 0.5 - WEAK_MARGIN for p in p_bal
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteGroup, LinearMap, ParametricGroup, TheoryModel
+from .core import FiniteGroup, LinearMap, ParametricFamily, TheoryModel
 
 
 def is_phase_operation(m: TheoryModel, T) -> bool:
@@ -78,6 +78,14 @@ class PhaseGroupReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _verify_family(m: TheoryModel, family: ParametricFamily, holds, claim: str, rng, samples):
+    # a declared family is evidence only through seeded samples that pass
+    rng = np.random.default_rng(0) if rng is None else rng
+    for _ in range(samples):
+        if not holds(family.sample(rng)):
+            raise RuntimeError(f"declared {claim} family of {m.name!r} failed verification")
+
+
 def phase_group(
     m: TheoryModel,
     rng: np.random.Generator | None = None,
@@ -93,15 +101,9 @@ def phase_group(
     if isinstance(m.group, FiniteGroup):
         elements = tuple(T for T in m.group.elements if is_phase_operation(m, T))
         return PhaseGroupReport(m.name, True, elements, None)
-    group: ParametricGroup = m.group
-    rng = np.random.default_rng(0) if rng is None else rng
-    for _ in range(samples):
-        T = group.phase_family.sample(rng)
-        if not is_phase_operation(m, T):
-            raise RuntimeError(
-                f"declared phase family of {m.name!r} failed verification"
-            )
-    return PhaseGroupReport(m.name, False, None, group.phase_family.description, samples)
+    family = m.group.phase_family
+    _verify_family(m, family, lambda T: is_phase_operation(m, T), "phase", rng, samples)
+    return PhaseGroupReport(m.name, False, None, family.description, samples)
 
 
 def branch_local_subgroup(
@@ -112,20 +114,15 @@ def branch_local_subgroup(
 ) -> PhaseGroupReport:
     """Members of the phase group localizable to ``branch``."""
     if isinstance(m.group, FiniteGroup):
-        report = phase_group(m)
         elements = tuple(
-            T for T in report.elements if is_branch_local(m, T, branch)
+            T for T in m.group.elements
+            if is_phase_operation(m, T) and is_branch_local(m, T, branch)
         )
         return PhaseGroupReport(m.name, True, elements, None, branch=branch)
-    group: ParametricGroup = m.group
-    family = group.branch_family(branch)
-    rng = np.random.default_rng(0) if rng is None else rng
-    for _ in range(samples):
-        T = family.sample(rng)
-        if not is_branch_local(m, T, branch):
-            raise RuntimeError(
-                f"declared branch-{branch} family of {m.name!r} failed verification"
-            )
+    family = m.group.branch_family(branch)
+    _verify_family(
+        m, family, lambda T: is_branch_local(m, T, branch), f"branch-{branch}", rng, samples
+    )
     return PhaseGroupReport(m.name, False, None, family.description, samples, branch)
 
 

@@ -285,28 +285,3 @@ def conjugate_state(S: QuatMatrix, rho: QuatMatrix) -> QuatMatrix:
     """Image S rho S.dagger() of a state under a symplectic transformation."""
     return S @ rho @ S.dagger()
 
-
-# ---------------------------------------------------------------------------
-# Sampling
-# ---------------------------------------------------------------------------
-
-
-def _vec_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # sum_i conj(u_i) v_i over (4, n) component arrays, as a (4, 1) column
-    return _hamilton_matmul(_conj(u)[:, None, :], v[:, :, None])[:, 0]
-
-
-def random_symplectic(n: int, rng: np.random.Generator) -> QuatMatrix:
-    """Random symplectic matrix via quaternionic Gram-Schmidt on Gaussians."""
-    cols = [rng.standard_normal((4, n)) for _ in range(n)]
-    ortho: list[np.ndarray] = []
-    for v in cols:
-        w = v
-        for u in ortho:
-            w = w - _hamilton_entrywise(u, _vec_inner(u, w))
-        norm = np.sqrt(np.sum(w**2))
-        if norm < 1e-12:
-            raise RuntimeError("Gram-Schmidt degenerated; retry with another seed")
-        ortho.append(w / norm)
-    comps = np.stack(ortho, axis=2)
-    return QuatMatrix(comps)

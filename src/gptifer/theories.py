@@ -34,7 +34,6 @@ from .quaternion import (
     QuatMatrix,
     _hamilton_entrywise,
     conjugate_state,
-    random_symplectic,
     real_trace_prob,
 )
 from .uncertainty import dball_bound
@@ -98,55 +97,6 @@ def embed_rotation(R: np.ndarray, name: str = "") -> LinearMap:
     return LinearMap(M, name)
 
 
-def extract_rotation(T: LinearMap) -> np.ndarray | None:
-    """Linear map induced on the centered coordinates by T's action on states.
-
-    Works from the images of the center and the positive poles, so any
-    matrix that acts like a coordinate rotation on the normalized states is
-    recognized, whichever linear extension off that affine hull it carries.
-    Returns None when T does not even preserve the normalized hull or move
-    the center rigidly.
-    """
-    M = T.matrix
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0:
-        return None
-    d = M.shape[0] // 2
-    center = np.full(2 * d, 0.5)
-    img_center = M @ center
-    basis_images = [img_center]
-    R = np.empty((d, d))
-    for j in range(d):
-        pole = center.copy()
-        pole[2 * j] = 1.0
-        pole[2 * j + 1] = 0.0
-        img = M @ pole
-        basis_images.append(img)
-        R[:, j] = 2.0 * (img[0::2] - img_center[0::2])
-    for img in basis_images:
-        blocks = img.reshape(d, 2).sum(axis=1)
-        if not np.allclose(blocks, 1.0, rtol=0.0, atol=1e-9):
-            return None
-    if not np.allclose(img_center, center, rtol=0.0, atol=1e-9):
-        return None
-    return R
-
-
-def _is_embedded_rotation(T: LinearMap, d: int, fixed_last: bool = False) -> bool:
-    R = extract_rotation(T)
-    if R is None or R.shape[0] != d:
-        return False
-    if not np.allclose(R.T @ R, np.eye(d), rtol=0.0, atol=1e-9):
-        return False
-    if abs(np.linalg.det(R) - 1.0) > 1e-9:
-        return False
-    if fixed_last:
-        last = np.zeros(d)
-        last[-1] = 1.0
-        if not (np.allclose(R[-1], last, atol=1e-9) and np.allclose(R[:, -1], last, atol=1e-9)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Classical theory: a simplex with permutation dynamics
 # ---------------------------------------------------------------------------
@@ -165,15 +115,22 @@ def _permutation_map(perm: tuple[int, ...]) -> LinearMap:
     return LinearMap(M, name)
 
 
+#: Largest N for classical: all N! permutation maps are built at once, 40,320 at N = 8.
+MAX_CLASSICAL_OUTCOMES = 8
+
+
 def classical_theory(N: int) -> TheoryModel:
     """N-outcome classical system: the simplex with permutation dynamics.
 
     The full set of normalization-preserving maps would be the stochastic
     matrices; the reversible ones are exactly the permutations, and only
-    those enter the group.
+    those enter the group.  N above :data:`MAX_CLASSICAL_OUTCOMES` raises
+    ValueError before any map is built.
     """
     if N < 2:
         raise ValueError("a classical branch system needs N >= 2 outcomes")
+    if N > MAX_CLASSICAL_OUTCOMES:
+        raise ValueError(f"classical takes N <= {MAX_CLASSICAL_OUTCOMES} (MAX_CLASSICAL_OUTCOMES), got N = {N}")
     layout = (("Z", N),)
     deltas = tuple(GptState(np.eye(N)[i]) for i in range(N))
     elements = tuple(_permutation_map(p) for p in itertools.permutations(range(1, N + 1)))
@@ -292,28 +249,17 @@ def _ball_theory(name: str, labels: tuple[str, ...]) -> TheoryModel:
     layout = tuple((lbl, 2) for lbl in labels)
     spanning = _ball_states(d)
 
-    def sample_rotation(rng):
-        return embed_rotation(random_rotation(d, rng))
-
     def sample_phase(rng):
         R = np.eye(d)
         R[: d - 1, : d - 1] = random_rotation(d - 1, rng)
         return embed_rotation(R)
 
     group = ParametricGroup(
-        group=ParametricFamily(
-            f"SO({d}) rotations of the {d}-ball",
-            lambda T: _is_embedded_rotation(T, d),
-            sample_rotation,
-        ),
         phase_family=ParametricFamily(
-            f"SO({d - 1}) rotations fixing the branch axis",
-            lambda T: _is_embedded_rotation(T, d, fixed_last=True),
-            sample_phase,
+            f"SO({d - 1}) rotations fixing the branch axis", sample_phase
         ),
         branch_family=lambda branch: ParametricFamily(
             f"SO({d - 1}) rotations fixing the branch axis (branch {branch})",
-            lambda T: _is_embedded_rotation(T, d, fixed_last=True),
             sample_phase,
         ),
     )
@@ -510,16 +456,14 @@ class MatrixTheory(TheoryModel):
     #: a common remote entry must be central (a global phase).
     PINNED: tuple[int, ...]
 
-    def __init__(self, name: str, N: int, group_name: str, sample_group):
+    def __init__(self, name: str, N: int):
         self.dim = N
-        group = ParametricFamily(group_name, self._is_group_element, sample_group)
         phases = ParametricFamily(
             self.PHASE_FAMILY,
-            self._is_diagonal_unit,
             lambda rng: self._from_diagonal(self._random_phases(rng, self.dim)),
         )
         super().__init__(
-            name, (("Z", N), ("X", N)), N, ParametricGroup(group, phases, self._branch_family)
+            name, (("Z", N), ("X", N)), N, ParametricGroup(phases, self._branch_family)
         )
         n_qubits = int(round(np.log2(N)))
         if 2**n_qubits == N:
@@ -618,10 +562,6 @@ class MatrixTheory(TheoryModel):
     def identity_map(self):
         return self.diagonal_map(np.ones(self.dim))
 
-    def _is_group_element(self, M) -> bool:
-        # unitary or symplectic: M M^dagger is the identity
-        return self.states_close(M @ self._dagger(M), self.identity_map())
-
     def _is_central_unit(self, d) -> bool:
         # whether the (k, N) entries d all lie within atol of one global
         # phase: a unit complex number, or a real sign for quaternions
@@ -648,16 +588,7 @@ class MatrixTheory(TheoryModel):
             return False
         return self.is_identity_map(self._dagger(b @ a) @ (a @ b))
 
-    def _is_diagonal_unit(self, S) -> bool:
-        d = self._diagonal(S)
-        return d is not None and bool(np.all(np.abs(np.linalg.norm(d, axis=0) - 1.0) <= self.atol))
-
     def _branch_family(self, branch: int) -> ParametricFamily:
-        def contains(S) -> bool:
-            if not self._is_diagonal_unit(S):
-                return False
-            return self._is_central_unit(np.delete(self._diagonal(S), branch, axis=1))
-
         def sample(rng: np.random.Generator):
             # the central part of a random unit (itself if complex, its real
             # sign if quaternionic) as global phase, a random unit on branch
@@ -667,7 +598,7 @@ class MatrixTheory(TheoryModel):
             d[:, branch] = global_phase * self._random_phases(rng, 1)[:, 0]
             return self._from_diagonal(d)
 
-        return ParametricFamily(self.BRANCH_FAMILY.format(branch=branch), contains, sample)
+        return ParametricFamily(self.BRANCH_FAMILY.format(branch=branch), sample)
 
     def gpt_vector(self, state) -> GptState:
         """Branch probabilities plus post-beamsplitter interference
@@ -695,8 +626,7 @@ class DensityMatrixTheory(MatrixTheory):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
         self.n_qubits = n_qubits
-        N = 2**n_qubits
-        super().__init__("quantum", N, f"unitary group U({N})", self._sample_unitary)
+        super().__init__("quantum", 2**n_qubits)
 
     _matrix = staticmethod(lambda entries: entries[0])
     _entries = staticmethod(lambda M: np.asarray(M)[None])
@@ -724,14 +654,6 @@ class DensityMatrixTheory(MatrixTheory):
     is_identity_map = MatrixTheory.is_identity_map
     maps_commute = MatrixTheory.maps_commute
 
-    def _sample_unitary(self, rng: np.random.Generator) -> np.ndarray:
-        Z = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal(
-            (self.dim, self.dim)
-        )
-        Q, R = np.linalg.qr(Z)
-        d = np.diagonal(R)
-        return Q * (d / np.abs(d))[None, :]
-
 
 class QuaternionicTheory(MatrixTheory):
     """N-level quaternionic quantum system with symplectic dynamics.
@@ -748,9 +670,7 @@ class QuaternionicTheory(MatrixTheory):
     def __init__(self, N: int):
         if N < 2:
             raise ValueError("need at least two levels")
-        super().__init__(
-            "quaternionic", N, f"symplectic group Sp({N})", lambda rng: random_symplectic(N, rng)
-        )
+        super().__init__("quaternionic", N)
 
     _matrix = staticmethod(QuatMatrix)
     _entries = staticmethod(lambda M: M.comps)

@@ -7,9 +7,9 @@ this is library code; nothing under ``src/`` calls it.
 
 import numpy as np
 
-from gptifer.core import GptState
-from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion
-from gptifer.theories import QuaternionicTheory
+from gptifer.core import GptState, LinearMap
+from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion, _conj, _hamilton_entrywise, _hamilton_matmul
+from gptifer.theories import QuaternionicTheory, embed_rotation, random_rotation
 from gptifer.uncertainty import PAULI_X, PAULI_Y, PAULI_Z
 
 
@@ -38,6 +38,22 @@ def quantum_branch_local_form_check(U: np.ndarray, branch: int, atol: float = 1e
     d = np.diagonal(U)
     remote = d[[j for j in range(U.shape[0]) if j != branch]]
     return bool(np.allclose(remote, remote[0], rtol=0.0, atol=atol))
+
+
+def random_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random element of U(N) via QR of a complex Gaussian matrix."""
+    Z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))[None, :]
+
+
+# -- ball rotations --------------------------------------------------------------
+
+
+def random_ball_rotation(d: int, rng: np.random.Generator) -> LinearMap:
+    """Random SO(d) rotation of the d-ball, embedded in the probability layout."""
+    return embed_rotation(random_rotation(d, rng))
 
 
 # -- qubit states in the six-entry layout --------------------------------------
@@ -71,6 +87,32 @@ def random_pure_quaternionic_state(N: int, rng: np.random.Generator) -> QuatMatr
     comps = rng.standard_normal((4, N))
     comps /= np.sqrt(np.sum(comps**2))
     return QuatKet(comps).density()
+
+
+def is_symplectic(S: QuatMatrix, atol: float = 1e-9) -> bool:
+    """Whether ``S @ S.dagger()`` is the identity: membership in Sp(N)."""
+    return (S @ S.dagger()).isclose(QuatMatrix.identity(S.shape[0]), atol=atol)
+
+
+def _vec_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # sum_i conj(u_i) v_i over (4, n) component arrays, as a (4, 1) column
+    return _hamilton_matmul(_conj(u)[:, None, :], v[:, :, None])[:, 0]
+
+
+def random_symplectic(n: int, rng: np.random.Generator) -> QuatMatrix:
+    """Random symplectic matrix via quaternionic Gram-Schmidt on Gaussians."""
+    cols = [rng.standard_normal((4, n)) for _ in range(n)]
+    ortho: list[np.ndarray] = []
+    for v in cols:
+        w = v
+        for u in ortho:
+            w = w - _hamilton_entrywise(u, _vec_inner(u, w))
+        norm = np.sqrt(np.sum(w**2))
+        if norm < 1e-12:
+            raise RuntimeError("Gram-Schmidt degenerated; retry with another seed")
+        ortho.append(w / norm)
+    comps = np.stack(ortho, axis=2)
+    return QuatMatrix(comps)
 
 
 def quaternionic_two_level_gpt_state(rho: QuatMatrix) -> GptState:

@@ -60,7 +60,7 @@ from gptifer.uncertainty import (
     schrodinger_bound,
 )
 from gptifer.experiments import run_suite, suite_canonical_bytes
-from reference import quantum_branch_local_form_check, quantum_phase_form_check
+from reference import quantum_branch_local_form_check, quantum_phase_form_check, random_unitary
 
 
 def criterion(number: int, label: str):
@@ -215,7 +215,7 @@ def test_criterion_6_phase_oracle_agreement():
             if is_branch_local(m, D, branch) != quantum_branch_local_form_check(D, branch):
                 counterexamples += 1
     for _ in range(1000):
-        U = m.group.group.sample(rng)
+        U = random_unitary(m.dim, rng)
         if is_phase_operation(m, U) != quantum_phase_form_check(U):
             counterexamples += 1
     # constructed one-branch phases must pass and match the form

@@ -17,8 +17,10 @@ Core claims:
     - every finite theory's group run checks one definite answer: classical
       (N = 2, 3), gbit2..gbit5 and both toy bits pass, and fail once the
       group, a branch's subgroup or the union loses or gains one element;
-      so do the classical and gbit dj-sweep entries
-    - a gbit past the size bound exits 2 naming it, before any map is built;
+      so do the classical and gbit dj-sweep entries; the branch-local and
+      union runs filter the finite group without a phase_group run
+    - a gbit or classical system past its size bound exits 2 naming it,
+      before any map is built;
       --format without --out exits 2 before the run starts
 """
 
@@ -442,6 +444,20 @@ def test_cli_refuses_a_gbit_past_the_bound_before_building_it(monkeypatch, capsy
     assert "gbit<d> takes 2 <= d <= 6 (MAX_GBIT_MEASUREMENTS), got d = 10" in captured.err
 
 
+@pytest.mark.parametrize("N", [9, 12])
+def test_cli_refuses_a_classical_system_past_the_bound_before_building_it(N, monkeypatch, capsys):
+    def no_map(*args):
+        raise AssertionError("a permutation map was built")
+
+    monkeypatch.setattr(th, "_permutation_map", no_map)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "phase-group", "--theory", "classical", "--N", str(N)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"classical takes N <= 8 (MAX_CLASSICAL_OUTCOMES), got N = {N}" in captured.err
+
+
 FINITE_THEORIES = [
     ("classical", {"N": 2}),
     ("classical", {"N": 3}),
@@ -492,6 +508,16 @@ def test_group_runs_check_the_finite_answer(theory, sizes, experiment, layer, mo
         replay = iter(found)
         monkeypatch.setattr(ph, layer, lambda *args, **kwargs: change(next(replay)))
         assert not run_experiment(experiment, params).passed
+
+
+@pytest.mark.parametrize("experiment", ["branch-local", "localizable-union"])
+@pytest.mark.parametrize("theory,sizes", FINITE_THEORIES)
+def test_branch_runs_filter_the_group_without_a_phase_group_run(theory, sizes, experiment, monkeypatch):
+    def no_phase_group(*args, **kwargs):
+        raise AssertionError("phase_group ran")
+
+    monkeypatch.setattr(ph, "phase_group", no_phase_group)
+    assert run_experiment(experiment, {"theory": theory, **sizes}).passed
 
 
 @pytest.mark.parametrize("theory", ["classical", "gbit2", "gbit3"])

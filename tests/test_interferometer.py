@@ -12,8 +12,8 @@ Core claims:
     - toy-bit runs: the documented 13 -> 13 / 13 -> 24 behavior with exact
       1/0 probabilities on the X effect
     - effect search: none for the hidden variable even in weak mode; the
-      X=+1 witness for the restricted toy bit; the plus-projector candidate
-      for the one-bit quantum run
+      X=+1 witness for the restricted toy bit; round and matrix-backed
+      theories are refused
     - unordered search matches sin^2((2k+1) asin(1/sqrt(N))) and the
       quaternionic run reproduces the complex run
     - wire formats for oracle tables and search configs round-trip
@@ -302,18 +302,9 @@ def test_inconclusive_lp_raises_instead_of_reporting_no_effect(monkeypatch):
         find_distinguishing_effect(m, enc, s_in, strict=True)
 
 
-def test_quantum_candidate_is_the_plus_projector():
+def test_effect_search_needs_a_polytope():
     m, enc, s_in, _ = quantum_dj_instruments(1)
-    plus = np.full((2, 2), 0.5, dtype=complex)  # H |0><0| H expanded by hand
-    accepted = find_distinguishing_effect(m, enc, s_in, strict=True, candidate=plus)
-    assert accepted is plus
-    bad = m.branch_state(0)
-    assert find_distinguishing_effect(m, enc, s_in, strict=True, candidate=bad) is None
-
-
-def test_effect_search_needs_polytope_or_candidate():
-    m, enc, s_in, _ = quantum_dj_instruments(1)
-    with pytest.raises(UnsupportedTheoryError):
+    with pytest.raises(UnsupportedTheoryError, match="^effect search needs a polytope theory$"):
         find_distinguishing_effect(m, enc, s_in, strict=True)
 
 

@@ -12,6 +12,7 @@ Core claims:
       form; unit quaternions on one branch pass; a global non-real
       quaternion phase is observable while the real signs are not
     - the reduced branch-locality probes agree with the full face families
+    - a declared family with one sample outside its claim fails verification
     - reports serialize to canonical JSON; one report type serves phase
       groups and branch-local subgroups, with ``branch`` only in the latter
 """
@@ -21,6 +22,7 @@ import json
 import numpy as np
 import pytest
 
+from gptifer.core import ParametricFamily, ParametricGroup
 from gptifer.phase import (
     PhaseGroupReport,
     branch_local_subgroup,
@@ -44,6 +46,7 @@ from reference import (
     quantum_branch_local_form_check,
     quantum_phase_form_check,
     random_unit_quaternion,
+    random_unitary,
 )
 
 RNG = np.random.default_rng(99)
@@ -92,7 +95,7 @@ def test_operational_predicate_matches_diagonal_oracle():
     for _ in range(200):
         D = m.group.phase_family.sample(RNG)
         assert is_phase_operation(m, D) and quantum_phase_form_check(D)
-        U = m.group.group.sample(RNG)
+        U = random_unitary(m.dim, RNG)
         assert is_phase_operation(m, U) == quantum_phase_form_check(U)
 
 
@@ -192,6 +195,16 @@ def test_parametric_phase_groups_verify_by_sampling():
         assert report.verified_samples == 50
 
 
+def test_a_phase_family_with_a_non_phase_sample_fails_verification():
+    m = quantum_theory(2)
+    m.group = ParametricGroup(
+        ParametricFamily("the whole unitary group", lambda rng: random_unitary(m.dim, rng)),
+        m.group.branch_family,
+    )
+    with pytest.raises(RuntimeError, match="^declared phase family of 'quantum' failed verification$"):
+        phase_group(m)
+
+
 # -- branch-local subgroups ---------------------------------------------------------------
 
 
@@ -218,6 +231,16 @@ def test_parametric_branch_families_verify_by_sampling():
     for m in (dball_theory(3), quantum_theory(2), quaternionic_theory(2)):
         report = branch_local_subgroup(m, 0, rng=np.random.default_rng(2), samples=50)
         assert report.verified_samples == 50
+
+
+def test_a_branch_family_with_a_remote_sample_fails_verification():
+    m = quantum_theory(2)
+    branch_family = m.group.branch_family
+    # every branch claims the phases on branch 1
+    m.group = ParametricGroup(m.group.phase_family, lambda branch: branch_family(1))
+    assert branch_local_subgroup(m, 1).verified_samples == 100
+    with pytest.raises(RuntimeError, match="^declared branch-0 family of 'quantum' failed verification$"):
+        branch_local_subgroup(m, 0)
 
 
 # -- localizable union ------------------------------------------------------------------------
