@@ -15,6 +15,7 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -239,6 +240,10 @@ class TheoryModel:
 
     # -- representation-specific primitives --------------------------------
 
+    def branch_probabilities(self, state) -> np.ndarray:
+        """Statistics of the branch measurement on ``state``, one per branch."""
+        raise NotImplementedError
+
     def probability(self, effect, state) -> float:
         raise NotImplementedError
 
@@ -248,9 +253,18 @@ class TheoryModel:
     def contains(self, state) -> bool:
         raise NotImplementedError
 
+    @cached_property
+    def _faces(self) -> tuple:
+        stats = [self.branch_probabilities(s) for s in self.spanning_states]
+        return tuple(
+            tuple(s for s, p in zip(self.spanning_states, stats) if abs(p[b]) <= self.atol)
+            for b in range(self.n_branches)
+        )
+
     def face_states(self, branch: int) -> tuple:
-        """Affine spanning set of the zero-support face of ``branch``."""
-        raise NotImplementedError
+        """Affine spanning set of the zero-support face of ``branch``: the
+        spanning states with no probability on it."""
+        return self._faces[branch]
 
     def branch_local_probes(self, branch: int) -> tuple:
         """States probed by the branch-locality test.
@@ -292,7 +306,6 @@ class VectorTheory(TheoryModel):
         spanning_states: Sequence[GptState],
         group: TransformationGroup,
         contains_fn: Callable[[GptState], bool],
-        face_state_sets: Sequence[Sequence[GptState]],
         atol: float = DEFAULT_ATOL,
         extremal_states: Sequence[GptState] | None = None,
     ):
@@ -300,13 +313,13 @@ class VectorTheory(TheoryModel):
         self._z_effects = tuple(z_effects)
         self._spanning = tuple(spanning_states)
         self._contains = contains_fn
-        self._faces = tuple(tuple(fs) for fs in face_state_sets)
         #: Vertices of the state polytope, or None for round state spaces.
         self.extremal_states = None if extremal_states is None else tuple(extremal_states)
         dims = {e.dim for e in self._z_effects} | {s.dim for s in self._spanning}
         if len(dims) != 1:
             raise ValueError("inconsistent state dimensions in theory definition")
         (self.state_dim,) = dims
+        self._z_weights = _readonly([e.weights for e in self._z_effects])
 
     @property
     def z_effects(self):
@@ -315,6 +328,9 @@ class VectorTheory(TheoryModel):
     @property
     def spanning_states(self):
         return self._spanning
+
+    def branch_probabilities(self, state) -> np.ndarray:
+        return self._z_weights @ state.probs
 
     def probability(self, effect, state) -> float:
         return probability(effect, state)
@@ -328,9 +344,6 @@ class VectorTheory(TheoryModel):
                 f"state dimension {state.dim} does not match theory dimension {self.state_dim}"
             )
         return bool(self._contains(state))
-
-    def face_states(self, branch):
-        return self._faces[branch]
 
     def states_close(self, a, b) -> bool:
         return bool(np.allclose(a.probs, b.probs, rtol=0.0, atol=self.atol))
@@ -394,9 +407,7 @@ def preserves_statespace(m: TheoryModel, T) -> bool:
         out = m.apply(T, s)
         if not m.contains(out):
             return False
-        norm_in = sum(m.probability(z, s) for z in m.z_effects)
-        norm_out = sum(m.probability(z, out) for z in m.z_effects)
-        if abs(norm_in - norm_out) > tol:
+        if not abs(m.branch_probabilities(out).sum() - m.branch_probabilities(s).sum()) <= tol:
             return False
     return True
 
@@ -418,10 +429,10 @@ def is_valid_effect(m: TheoryModel, e: Effect) -> bool:
 
 
 def valid_layout(s: GptState, layout: Sequence[tuple[str, int]], atol: float) -> bool:
-    """Entries within [0, 1] and each measurement block summing to one."""
+    """Finite entries within [0, 1] and each measurement block summing to one."""
     tol = max(atol, 1e-12)
     probs = s.probs
-    if probs.shape[0] != sum(count for _, count in layout):
+    if probs.shape[0] != sum(count for _, count in layout) or not np.isfinite(probs).all():
         return False
     if np.any(probs < -tol) or np.any(probs > 1.0 + tol):
         return False

@@ -385,7 +385,7 @@ def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int):
     B = m.beamsplitter
     step = m.compose(B, m.compose(flip0, m.compose(B, oracle)))
     state = m.apply(B, m.branch_state(0))
-    z_marked = m.z_effects[marked]
+    z_marked = m.branch_state(marked)
     curve = [m.probability(z_marked, state)]
     for _ in range(max_iterations):
         state = m.apply(step, state)

@@ -25,12 +25,9 @@ def is_phase_operation(m: TheoryModel, T) -> bool:
     spanning set, which settles the statement for all states by linearity.
     """
     tol = max(m.atol, 1e-12)
-    for s in m.spanning_states:
-        out = m.apply(T, s)
-        for z in m.z_effects:
-            if abs(m.probability(z, out) - m.probability(z, s)) > tol:
-                return False
-    return True
+    bp = m.branch_probabilities
+    # written as "max <= tol" so that a NaN statistic fails the check
+    return all(np.abs(bp(m.apply(T, s)) - bp(s)).max() <= tol for s in m.spanning_states)
 
 
 def is_branch_local(m: TheoryModel, T, branch: int) -> bool:

@@ -134,9 +134,6 @@ def classical_theory(N: int) -> TheoryModel:
     layout = (("Z", N),)
     deltas = tuple(GptState(np.eye(N)[i]) for i in range(N))
     elements = tuple(_permutation_map(p) for p in itertools.permutations(range(1, N + 1)))
-    faces = tuple(
-        tuple(deltas[j] for j in range(N) if j != i) for i in range(N)
-    )
     return VectorTheory(
         name="classical",
         fiducial_layout=layout,
@@ -144,7 +141,6 @@ def classical_theory(N: int) -> TheoryModel:
         spanning_states=deltas,
         group=FiniteGroup(elements),
         contains_fn=lambda s: valid_layout(s, layout, 0.0),
-        face_state_sets=faces,
         atol=0.0,
         extremal_states=deltas,
     )
@@ -206,10 +202,6 @@ def gbit_theory(d: int) -> TheoryModel:
         for sigma in itertools.permutations(range(d))
         for flips in itertools.product((0, 1), repeat=d)
     )
-    faces = (
-        tuple(v for v in vertices if v.probs[0] == 0.0),
-        tuple(v for v in vertices if v.probs[1] == 0.0),
-    )
     return VectorTheory(
         name=f"gbit{d}",
         fiducial_layout=layout,
@@ -217,7 +209,6 @@ def gbit_theory(d: int) -> TheoryModel:
         spanning_states=vertices,
         group=FiniteGroup(elements),
         contains_fn=lambda s: valid_layout(s, layout, 0.0),
-        face_state_sets=faces,
         atol=0.0,
         extremal_states=vertices,
     )
@@ -263,15 +254,6 @@ def _ball_theory(name: str, labels: tuple[str, ...]) -> TheoryModel:
             sample_phase,
         ),
     )
-    # zero support on a branch pins the opposite pole; all other
-    # measurements are then uniformly random, so each face is one state
-    lower_pole = np.full(2 * d, 0.5)
-    lower_pole[2 * (d - 1)] = 0.0
-    lower_pole[2 * (d - 1) + 1] = 1.0
-    upper_pole = np.full(2 * d, 0.5)
-    upper_pole[2 * (d - 1)] = 1.0
-    upper_pole[2 * (d - 1) + 1] = 0.0
-    faces = ((GptState(lower_pole),), (GptState(upper_pole),))
     return VectorTheory(
         name=name,
         fiducial_layout=layout,
@@ -279,9 +261,12 @@ def _ball_theory(name: str, labels: tuple[str, ...]) -> TheoryModel:
         spanning_states=spanning,
         group=group,
         contains_fn=lambda s: _ball_contains(s, layout, DEFAULT_ATOL),
-        face_state_sets=faces,
         atol=DEFAULT_ATOL,
     )
+
+
+#: Largest d for dball<d>: embedding one rotation loops over its d² entries in Python.
+MAX_BALL_MEASUREMENTS = 64
 
 
 def dball_theory(d: int) -> TheoryModel:
@@ -289,10 +274,11 @@ def dball_theory(d: int) -> TheoryModel:
 
     The branch measurement is the last one; the phase group with respect to
     it is the rotation group of the remaining d-1 coordinates.  d=3 is the
-    qubit state space; d=5 the two-level quaternionic one.
+    qubit state space; d=5 the two-level quaternionic one.  d above
+    :data:`MAX_BALL_MEASUREMENTS` raises ValueError before any state is built.
     """
-    if d < 2:
-        raise ValueError("a ball theory needs at least two measurements")
+    if not 2 <= d <= MAX_BALL_MEASUREMENTS:
+        raise ValueError(f"dball<d> takes 2 <= d <= {MAX_BALL_MEASUREMENTS} (MAX_BALL_MEASUREMENTS), got d = {d}")
     return _ball_theory(f"dball{d}", tuple(f"X{i}" for i in range(1, d + 1)))
 
 
@@ -389,10 +375,6 @@ def spekkens_ontic_theory() -> TheoryModel:
         )
         return all(w >= -1e-12 for w in weights)
 
-    faces = (
-        tuple(vertices[p - 1] for p in (3, 4)),  # no support on Z=+1 = {1,2}
-        tuple(vertices[p - 1] for p in (1, 2)),
-    )
     return VectorTheory(
         name="spekkens-ontic",
         fiducial_layout=_SPEKKENS_LAYOUT,
@@ -400,7 +382,6 @@ def spekkens_ontic_theory() -> TheoryModel:
         spanning_states=vertices,
         group=_spekkens_group(),
         contains_fn=contains,
-        face_state_sets=faces,
         atol=0.0,
         extremal_states=vertices,
     )
@@ -416,10 +397,6 @@ def spekkens_epistemic_theory() -> TheoryModel:
         x, y, z = _spekkens_xyz(s)
         return abs(x) + abs(y) + abs(z) <= 1.0 + 1e-12
 
-    faces = (
-        (spekkens_epistemic_statistics(frozenset({3, 4})),),
-        (spekkens_epistemic_statistics(frozenset({1, 2})),),
-    )
     return VectorTheory(
         name="spekkens-epistemic",
         fiducial_layout=_SPEKKENS_LAYOUT,
@@ -427,7 +404,6 @@ def spekkens_epistemic_theory() -> TheoryModel:
         spanning_states=vertices,
         group=_spekkens_group(),
         contains_fn=contains,
-        face_state_sets=faces,
         atol=0.0,
         extremal_states=vertices,
     )
@@ -468,7 +444,6 @@ class MatrixTheory(TheoryModel):
         n_qubits = int(round(np.log2(N)))
         if 2**n_qubits == N:
             self.beamsplitter = self._matrix(self._lift(hadamard_matrix(n_qubits)))
-        self._z = tuple(self.branch_state(j) for j in range(N))
 
     def _lift(self, real) -> np.ndarray:
         # entries of a real array: component 0, in the algebra's dtype
@@ -504,26 +479,27 @@ class MatrixTheory(TheoryModel):
         ket[:, k] = self.PHASES[phase] / np.sqrt(2.0)
         return self._pure(ket)
 
-    def _pair_states(self, levels):
-        # projectors plus one pair state per pair of levels and phase: an
-        # affine spanning set of the unit-trace Hermitian matrices on levels
-        states = [self.branch_state(j) for j in levels]
-        for j, k in itertools.combinations(levels, 2):
-            states.extend(self._pair_state(j, k, p) for p in range(len(self.PHASES)))
-        return tuple(states)
-
-    @property
+    @cached_property
     def z_effects(self):
-        return self._z
+        return tuple(self.branch_state(j) for j in range(self.dim))
 
     @cached_property
     def spanning_states(self):
-        return self._pair_states(range(self.dim))
+        # projectors plus one pair state per pair of levels and phase: an
+        # affine spanning set of the unit-trace Hermitian matrices
+        states = [self.branch_state(j) for j in range(self.dim)]
+        for j, k in itertools.combinations(range(self.dim), 2):
+            states.extend(self._pair_state(j, k, p) for p in range(len(self.PHASES)))
+        return tuple(states)
 
-    def face_states(self, branch: int):
-        """Pure states affinely spanning all densities with zero row and
-        column at ``branch``."""
-        return self._pair_states([j for j in range(self.dim) if j != branch])
+    def branch_probabilities(self, state) -> np.ndarray:
+        # the real parts of the diagonal; any other component of a diagonal
+        # entry (imaginary, or i/j/k) above atol is numeric inconsistency
+        diag = np.diagonal(self._entries(state), axis1=-2, axis2=-1)
+        residue = np.abs(np.concatenate([diag[0].imag, diag[1:].ravel()])).max()
+        if residue > self.atol:
+            raise NumericConsistencyError(f"diagonal has non-real residue {residue:.3e}")
+        return diag[0].real
 
     def branch_local_probes(self, branch: int):
         """Probe set equivalent to the full face for the group's maps.
@@ -606,9 +582,9 @@ class MatrixTheory(TheoryModel):
         if self.beamsplitter is None:
             raise ValueError("interference statistics need a power-of-two dimension")
         B = self.beamsplitter
-        branch = np.diagonal(self._entries(state)[0]).real
-        interference = np.diagonal(self._entries(B @ state @ B)[0]).real
-        return GptState(np.concatenate([branch, interference]))
+        return GptState(np.concatenate(
+            [self.branch_probabilities(state), self.branch_probabilities(B @ state @ B)]
+        ))
 
 
 class DensityMatrixTheory(MatrixTheory):

@@ -19,17 +19,19 @@ Core claims:
       group, a branch's subgroup or the union loses or gains one element;
       so do the classical and gbit dj-sweep entries; the branch-local and
       union runs filter the finite group without a phase_group run
-    - a gbit or classical system past its size bound exits 2 naming it,
-      before any map is built;
+    - a gbit, classical or ball system past its size bound exits 2 naming
+      it, before any map or state is built;
       --format without --out exits 2 before the run starts
 """
 
 import csv
 import inspect
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,13 +228,21 @@ def test_full_suite_passes_and_is_deterministic():
     assert suite_canonical_bytes(0) == suite_canonical_bytes(0)
 
 
+def _child_env() -> dict:
+    # a child interpreter imports the package from this checkout's src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_suite_bytes_survive_process_boundaries():
     script = (
         "import sys; from gptifer.experiments import suite_canonical_bytes; "
         "sys.stdout.buffer.write(suite_canonical_bytes(0))"
     )
     runs = [
-        subprocess.run([sys.executable, "-c", script], capture_output=True)
+        subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
         for _ in range(2)
     ]
     assert runs[0].returncode == runs[1].returncode == 0
@@ -426,6 +436,7 @@ def test_cli_entry_point_runs_as_module():
          "--theory", "gbit2"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["union"] == ["identity"]
@@ -442,6 +453,20 @@ def test_cli_refuses_a_gbit_past_the_bound_before_building_it(monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gbit<d> takes 2 <= d <= 6 (MAX_GBIT_MEASUREMENTS), got d = 10" in captured.err
+
+
+@pytest.mark.parametrize("d", [65, 100_000])
+def test_cli_refuses_a_ball_past_the_bound_before_building_it(d, monkeypatch, capsys):
+    def no_states(*args):
+        raise AssertionError("a ball state was built")
+
+    monkeypatch.setattr(th, "_ball_states", no_states)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "phase-group", "--theory", f"dball{d}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"dball<d> takes 2 <= d <= 64 (MAX_BALL_MEASUREMENTS), got d = {d}" in captured.err
 
 
 @pytest.mark.parametrize("N", [9, 12])

@@ -4,8 +4,9 @@ Core claims:
     - effect-state pairing reproduces hand-worked probabilities
     - apply is a raw matrix action; membership stays the caller's business
     - per-theory membership accepts the documented states and rejects the
-      uncertainty-violating ones
-    - state-space preservation gates group elements but not group membership
+      uncertainty-violating ones and any state with a NaN entry
+    - state-space preservation gates group elements but not group membership;
+      a map with a NaN entry preserves nothing
     - pairing is affine: spanning-set checks extend to convex mixtures
     - branch effects are mutually exclusive on every spanning state
     - finite groups are closed and contain the identity
@@ -129,6 +130,14 @@ def test_gbit_accepts_every_deterministic_vertex():
     assert m.contains(GptState([1, 0, 1, 0, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize("m", [classical_theory(2), gbit_theory(2)], ids=lambda m: m.name)
+def test_a_state_with_a_nan_entry_is_outside(m):
+    one_nan = m.spanning_states[0].probs.copy()
+    one_nan[-1] = np.nan
+    assert not m.contains(GptState(np.full(m.state_dim, np.nan)))
+    assert not m.contains(GptState(one_nan))
+
+
 # -- state-space preservation ----------------------------------------------------
 
 
@@ -146,6 +155,13 @@ def test_reflection_preserves_ball_but_is_not_a_rotation():
     m = dball_theory(3)
     reflection = embed_rotation(np.diag([1.0, 1.0, -1.0]), "reflect-Z")
     assert preserves_statespace(m, reflection)
+
+
+@pytest.mark.parametrize("m", [classical_theory(2), gbit_theory(2)], ids=lambda m: m.name)
+def test_a_map_with_a_nan_entry_does_not_preserve_the_statespace(m):
+    nan_entry = np.eye(m.state_dim)
+    nan_entry[0, 0] = np.nan
+    assert not preserves_statespace(m, LinearMap(nan_entry))
 
 
 def test_stochastic_non_permutation_is_not_in_classical_group():

@@ -2,7 +2,8 @@
 
 Core claims:
     - the phase predicate accepts exactly the branch-statistics-preserving
-      maps (X-flip yes, Z-flip no, identity always)
+      maps (X-flip yes, Z-flip no, identity always); a map with a NaN entry
+      is never a phase operation
     - for quantum models the operational predicate agrees with the
       diagonal-form oracle on sampled unitaries, both directions
     - branch locality reproduces the documented subgroups: trivial for the
@@ -22,7 +23,7 @@ import json
 import numpy as np
 import pytest
 
-from gptifer.core import ParametricFamily, ParametricGroup
+from gptifer.core import LinearMap, ParametricFamily, ParametricGroup
 from gptifer.phase import (
     PhaseGroupReport,
     branch_local_subgroup,
@@ -69,6 +70,15 @@ def test_square_bit_x_flip_is_phase_z_flip_is_not():
     m = gbit_theory(2)
     assert is_phase_operation(m, m.group.by_name("X-flip"))
     assert not is_phase_operation(m, m.group.by_name("Z-flip"))
+
+
+def test_a_map_with_a_nan_entry_is_not_a_phase_operation():
+    square = np.eye(4)
+    square[0, 0] = np.nan
+    assert not is_phase_operation(gbit_theory(2), LinearMap(square))
+    unitary = np.eye(2, dtype=complex)
+    unitary[0, 1] = np.nan
+    assert not is_phase_operation(quantum_theory(1), unitary)
 
 
 # -- quantum form checks -----------------------------------------------------------

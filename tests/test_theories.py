@@ -6,7 +6,8 @@ Core claims:
     - qubit: six-entry layout with ball membership, pole and plus states
     - gbit: hypercube vertices, hyperoctahedral group order 2^d d!; d is
       bounded by MAX_GBIT_MEASUREMENTS = 6, checked before any map is built
-    - dball: center and surface behavior, d=3 matches the qubit exactly
+    - dball: center and surface behavior, d=3 matches the qubit exactly; d is
+      bounded by MAX_BALL_MEASUREMENTS = 64, checked before any state is built
     - toy bit: recorded subset-sign convention fixes all statistics vectors;
       epistemic pure states have one deterministic pair and the rest uniform
     - quaternionic two-level states project exactly onto the 5-ball
@@ -19,6 +20,11 @@ Core claims:
     - every finite group element preserves its state space
     - theory names resolve through one table of exact names and the
       gbit<d>/dball<d> families; every reader refuses a malformed name
+    - one read of the branch measurement: branch_probabilities equals the
+      per-effect probabilities exactly, and a matrix state whose diagonal
+      carries non-real residue above atol raises; each face is the spanning
+      states with no probability on the branch, of the documented affine
+      dimension; a matrix theory is built without its N dense branch effects
     - the complex and quaternionic theories share one matrix core: the same
       probe counts (2 and 4), byte-identical identity, sign-flip and branch
       maps to the former per-theory constructions, and one verdict on maps
@@ -27,6 +33,7 @@ Core claims:
 
 import itertools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,9 +41,10 @@ import pytest
 
 import gptifer.theories as th
 from gptifer.core import GptState, is_diagonal, preserves_statespace
-from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion, qmul
+from gptifer.quaternion import NumericConsistencyError, QuatKet, QuatMatrix, Quaternion, qmul
 from gptifer.interferometer import sign_encoding
 from gptifer.theories import (
+    MAX_BALL_MEASUREMENTS,
     MAX_CLASSICAL_OUTCOMES,
     MAX_GBIT_MEASUREMENTS,
     DensityMatrixTheory,
@@ -185,6 +193,18 @@ def test_surface_point_forces_uniform_elsewhere():
     bad = good.copy()
     bad[2], bad[3] = 0.75, 0.25
     assert not m.contains(GptState(bad))
+
+
+def test_ball_size_is_bounded_before_any_state_is_built(monkeypatch):
+    assert dball_theory(MAX_BALL_MEASUREMENTS).name == "dball64"
+
+    def no_states(*args):
+        raise AssertionError("a ball state was built")
+
+    monkeypatch.setattr(th, "_ball_states", no_states)
+    for d in (1, MAX_BALL_MEASUREMENTS + 1, 100_000):
+        with pytest.raises(ValueError, match=rf"^dball<d> takes 2 <= d <= 64 \(MAX_BALL_MEASUREMENTS\), got d = {d}$"):
+            theory_by_name(f"dball{d}")
 
 
 def test_rotation_embedding_composes_on_states():
@@ -586,6 +606,68 @@ def test_theory_sizes_fill_defaults():
     assert theory_sizes("classical", N=3) == {"N": 3}
     assert theory_sizes("quaternionic") == {"N": 2}
     assert theory_sizes("gbit3") == {}
+
+
+# -- the branch measurement -----------------------------------------------------------
+
+# each theory with the affine dimension of every branch's zero-support face
+_FACE_DIMENSIONS = (
+    [(classical_theory(N), N - 2) for N in (2, 3, 5, 8)]
+    + [(gbit_theory(d), d - 1) for d in range(2, 7)]
+    + [(qubit_theory(), 0)] + [(dball_theory(d), 0) for d in (2, 4, 5)]
+    + [(spekkens_ontic_theory(), 1), (spekkens_epistemic_theory(), 0)]
+    + [(quantum_theory(n), (2**n - 1) ** 2 - 1) for n in (1, 2, 3)]
+    + [(quaternionic_theory(N), (N - 1) * (2 * N - 3) - 1) for N in (2, 3, 4)]
+)
+_MATRIX_THEORIES = [m for m, _ in _FACE_DIMENSIONS if isinstance(m, MatrixTheory)]
+
+
+def _real_coordinates(m, s) -> np.ndarray:
+    if isinstance(m, MatrixTheory):
+        entries = m._entries(s)
+        return np.concatenate([entries.real.ravel(), entries.imag.ravel()])
+    return s.probs
+
+
+def _label(m):
+    return f"{m.name}-{m.n_branches}"
+
+
+@pytest.mark.parametrize("m,dim", _FACE_DIMENSIONS, ids=[_label(m) for m, _ in _FACE_DIMENSIONS])
+def test_faces_are_the_spanning_states_with_no_branch_probability(m, dim):
+    for b in range(m.n_branches):
+        face = m.face_states(b)
+        assert face and all(m.branch_probabilities(s)[b] == 0.0 and m.contains(s) for s in face)
+        points = np.array([_real_coordinates(m, s) for s in face])
+        assert np.linalg.matrix_rank(points[1:] - points[0], tol=1e-9) == dim
+    assert m.face_states(0) is m.face_states(0)  # derived once per theory
+
+
+@pytest.mark.parametrize("m", [m for m, _ in _FACE_DIMENSIONS], ids=_label)
+def test_branch_probabilities_equal_the_per_effect_probabilities(m):
+    for s in m.spanning_states:
+        per_effect = [m.probability(z, s) for z in m.z_effects]
+        assert np.array_equal(m.branch_probabilities(s), per_effect)
+
+
+@pytest.mark.parametrize("m", _MATRIX_THEORIES, ids=_label)
+def test_branch_probabilities_refuse_a_non_real_diagonal(m):
+    entries = np.array(m._entries(m.branch_state(0)))
+    entries[-1, 1, 1] += 1e-6j if entries.shape[0] == 1 else 1e-6
+    with pytest.raises(NumericConsistencyError, match="non-real residue"):
+        m.branch_probabilities(m._matrix(entries))
+    entries[-1, 1, 1] *= 1e-4  # residue within atol is read as its real part
+    assert np.array_equal(m.branch_probabilities(m._matrix(entries)), np.eye(m.dim)[0])
+
+
+def test_a_matrix_theory_is_built_without_branch_effects():
+    tracemalloc.start()
+    try:
+        quantum_theory(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # -- the shared matrix core -----------------------------------------------------------
