@@ -360,7 +360,8 @@ def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int):
 
     Each round applies the marked-branch phase flip, the beamsplitter, a
     phase flip on branch 0, and the beamsplitter again, starting from the
-    uniform superposition the beamsplitter prepares out of branch 0.
+    uniform superposition the beamsplitter prepares out of branch 0.  The
+    state stays pure, so it is evolved as a ket: O(N^2) per round.
     """
     if not 0 <= marked < m.n_branches:
         raise ValueError(f"marked branch {marked} is outside [0, {m.n_branches})")
@@ -384,7 +385,7 @@ def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int):
     flip0 = build_oracle(m, OracleSpec(n, tuple(1 if x == 0 else 0 for x in range(N))), enc)
     B = m.beamsplitter
     step = m.compose(B, m.compose(flip0, m.compose(B, oracle)))
-    state = m.apply(B, m.branch_state(0))
+    state = m.apply(B, m.branch_ket(0))
     z_marked = m.branch_state(marked)
     curve = [m.probability(z_marked, state)]
     for _ in range(max_iterations):
@@ -409,9 +410,11 @@ def sign_encoding(m: TheoryModel) -> BranchEncoding:
     """Identity / phase-flip pair on every branch of a matrix theory."""
     if not isinstance(m, MatrixTheory):
         raise UnsupportedTheoryError(f"no sign encoding for theory {m.name!r}")
-    # 1 - 2 e_x flips the sign of branch x alone
+    # 1 - 2 e_x flips the sign of branch x alone; every branch shares one
+    # read-only identity
+    identity = m.identity_map()
     flips = (m.diagonal_map(1.0 - 2.0 * np.eye(m.dim)[x]) for x in range(m.dim))
-    return BranchEncoding(tuple((m.identity_map(), flip) for flip in flips))
+    return BranchEncoding(tuple((identity, flip) for flip in flips))
 
 
 def _matrix_dj_instruments(m: MatrixTheory):

@@ -4,7 +4,8 @@ Quaternions are stored component-wise (1, i, j, k); matrices keep a single
 ``(4, rows, cols)`` float array so products reduce to real matrix products.
 The symplectic dagger is transpose plus entrywise conjugation, and a square
 matrix is symplectic when ``S @ S.dagger()`` is the identity.  Probabilities
-are always extracted through :func:`real_trace_prob`, never read off ket
+are always extracted as a trace, tr(E rho) through :func:`real_trace_prob`
+or tr(E psi psi^dagger) through :func:`ket_trace_prob`, never read off ket
 amplitudes, so the unobservability of the {+1, -1} global phase holds by
 construction of the probability rule.
 """
@@ -125,6 +126,15 @@ def _conj(comps: np.ndarray) -> np.ndarray:
     out = comps.copy()
     out[1:] *= -1.0
     return out
+
+
+# (s, pqr) layout of the triple product (unit p)(unit q) conj(unit r): the
+# sign tensor applied twice, with the conjugation of the third factor
+# folded into its signs
+_HAMILTON_KET = (
+    np.einsum("pqu,urs->pqrs", _hamilton_sign_tensor(), _hamilton_sign_tensor())
+    * np.array([1.0, -1.0, -1.0, -1.0])[None, None, :, None]
+).reshape(64, 4).T
 
 
 def _product_trace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -264,6 +274,14 @@ class QuatKet:
 # ---------------------------------------------------------------------------
 
 
+def _ket_trace(E: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Components of tr(E psi psi^dagger) = sum_i (E psi)_i conj(psi_i), in
+    that operand order, in O(rows * cols) and one Hamilton contraction."""
+    e_psi = np.matmul(psi, E.swapaxes(1, 2))  # [p, q, i]: (E^p psi^q)_i
+    triples = e_psi.reshape(16, -1) @ psi.T  # [pq, r]: summed over i
+    return _HAMILTON_KET @ triples.ravel()
+
+
 def real_trace_prob(E: QuatMatrix, rho: QuatMatrix, atol: float = DEFAULT_ATOL) -> float:
     """Probability tr(E rho), asserting the trace is numerically real.
 
@@ -272,7 +290,21 @@ def real_trace_prob(E: QuatMatrix, rho: QuatMatrix, atol: float = DEFAULT_ATOL) 
     package (real-symmetric effects, or effects sharing the state's imaginary
     plane) keep the trace exactly real.
     """
-    t = _product_trace(E.comps, rho.comps)
+    return _real_part(_product_trace(E.comps, rho.comps), atol)
+
+
+def ket_trace_prob(E: QuatMatrix, psi: QuatKet, atol: float = DEFAULT_ATOL) -> float:
+    """Probability tr(E psi psi^dagger) of a ket, checked as :func:`real_trace_prob`
+    checks tr(E rho).
+
+    The trace, not psi^dagger E psi, is the quantity: quaternions do not
+    commute, so the two share their real part but not their i/j/k residue.
+    """
+    return _real_part(_ket_trace(E.comps, psi.comps), atol)
+
+
+def _real_part(t: np.ndarray, atol: float) -> float:
+    # the real component of a trace whose i/j/k residue must be within atol
     residue = max(abs(t[1]), abs(t[2]), abs(t[3]))
     if residue > atol:
         raise NumericConsistencyError(

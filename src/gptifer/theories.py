@@ -3,9 +3,9 @@
 Probability-vector theories (classical bits, gbits, balls, the toy-bit
 models) come with explicit vertex or pole spanning sets and exact or
 float-tolerance arithmetic as appropriate.  The many-level quantum and
-quaternionic theories are backed by density matrices with probabilities
-computed on demand; their branch statistics and interference statistics are
-exposed as a probability vector when needed.
+quaternionic theories are backed by density matrices, or by kets for pure
+states, with probabilities computed on demand; their branch statistics and
+interference statistics are exposed as a probability vector when needed.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ from .core import (
 )
 from .quaternion import (
     NumericConsistencyError,
+    QuatKet,
     QuatMatrix,
     _hamilton_entrywise,
     conjugate_state,
+    ket_trace_prob,
     real_trace_prob,
 )
 from .uncertainty import dball_bound
@@ -423,6 +425,10 @@ class MatrixTheory(TheoryModel):
     algebra components.  A subclass declares its algebra (``PHASES``,
     ``PINNED``, family descriptions, the ``_``-prefixed hooks the methods
     below call) and implements ``probability`` and ``apply`` natively.
+
+    A pure state may also be carried as a ket (:meth:`branch_ket`), which
+    ``apply`` and ``probability`` recognize by its form: a ket evolves as
+    T psi, in O(N^2), and reads as tr(E psi psi^dagger).
     """
 
     #: Unit scalars as component rows, 1 first.  With the branch projectors,
@@ -464,6 +470,10 @@ class MatrixTheory(TheoryModel):
 
     def branch_state(self, j: int):
         return self.diagonal_map(np.eye(self.dim)[j])
+
+    def branch_ket(self, j: int):
+        """The ket of :meth:`branch_state`."""
+        return self._ket(self._lift(np.eye(self.dim)[j]))
 
     def _pure(self, ket):
         # |psi><psi| of the ket with (k, N) entries
@@ -604,7 +614,14 @@ class DensityMatrixTheory(MatrixTheory):
         self.n_qubits = n_qubits
         super().__init__("quantum", 2**n_qubits)
 
-    _matrix = staticmethod(lambda entries: entries[0])
+    @staticmethod
+    def _matrix(entries):
+        # read-only, as a QuatMatrix is, so a built map can be shared
+        M = entries[0]
+        M.setflags(write=False)
+        return M
+
+    _ket = staticmethod(lambda entries: entries[0])
     _entries = staticmethod(lambda M: np.asarray(M)[None])
     _dagger = staticmethod(lambda M: np.asarray(M).conj().T)
     _complex_form = staticmethod(np.asarray)
@@ -616,7 +633,10 @@ class DensityMatrixTheory(MatrixTheory):
 
     # bench/tracer.py times these five through each class's own __dict__
     def probability(self, effect, state) -> float:
-        t = complex(np.einsum("ij,ji->", effect, state))
+        if state.ndim == 1:  # a ket: tr(E psi psi^dagger) = sum_i (E psi)_i conj(psi_i)
+            t = complex(np.vdot(state, effect @ state))
+        else:
+            t = complex(np.einsum("ij,ji->", effect, state))
         if abs(t.imag) > self.atol:
             raise NumericConsistencyError(
                 f"trace has imaginary residue {abs(t.imag):.3e}"
@@ -624,6 +644,8 @@ class DensityMatrixTheory(MatrixTheory):
         return float(t.real)
 
     def apply(self, trans, state):
+        if state.ndim == 1:  # a ket
+            return trans @ state
         return trans @ state @ trans.conj().T
 
     compose = MatrixTheory.compose
@@ -649,6 +671,7 @@ class QuaternionicTheory(MatrixTheory):
         super().__init__("quaternionic", N)
 
     _matrix = staticmethod(QuatMatrix)
+    _ket = staticmethod(QuatKet)
     _entries = staticmethod(lambda M: M.comps)
     _dagger = staticmethod(QuatMatrix.dagger)
     _complex_form = staticmethod(QuatMatrix.complex_adjoint)
@@ -667,9 +690,13 @@ class QuaternionicTheory(MatrixTheory):
 
     # bench/tracer.py times these five through each class's own __dict__
     def probability(self, effect, state) -> float:
+        if isinstance(state, QuatKet):
+            return ket_trace_prob(effect, state, atol=self.atol)
         return real_trace_prob(effect, state, atol=self.atol)
 
     def apply(self, trans, state):
+        if isinstance(state, QuatKet):
+            return trans @ state
         return conjugate_state(trans, state)
 
     compose = MatrixTheory.compose

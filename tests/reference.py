@@ -8,6 +8,7 @@ this is library code; nothing under ``src/`` calls it.
 import numpy as np
 
 from gptifer.core import GptState, LinearMap
+from gptifer.interferometer import OracleSpec, build_oracle, sign_encoding
 from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion, _conj, _hamilton_entrywise, _hamilton_matmul
 from gptifer.theories import QuaternionicTheory, embed_rotation, random_rotation
 from gptifer.uncertainty import PAULI_X, PAULI_Y, PAULI_Z
@@ -133,3 +134,25 @@ def quaternionic_two_level_gpt_state(rho: QuatMatrix) -> GptState:
     p_z = rho.comps[0, 0, 0]
     entries.extend([p_z, 1.0 - p_z])
     return GptState(entries)
+
+
+# -- search ------------------------------------------------------------------------
+
+
+def grover_density_curve(m, marked: int, max_iterations: int) -> list[float]:
+    """``grover_success_curve`` with the state evolved as a density matrix:
+    the same oracles, round and read-out, at O(N^3) per round."""
+    N = m.n_branches
+    n = N.bit_length() - 1
+    enc = sign_encoding(m)
+    oracle = build_oracle(m, OracleSpec(n, tuple(1 if x == marked else 0 for x in range(N))), enc)
+    flip0 = build_oracle(m, OracleSpec(n, tuple(1 if x == 0 else 0 for x in range(N))), enc)
+    B = m.beamsplitter
+    step = m.compose(B, m.compose(flip0, m.compose(B, oracle)))
+    state = m.apply(B, m.branch_state(0))
+    z_marked = m.branch_state(marked)
+    curve = [m.probability(z_marked, state)]
+    for _ in range(max_iterations):
+        state = m.apply(step, state)
+        curve.append(m.probability(z_marked, state))
+    return curve

@@ -16,6 +16,10 @@ Core claims:
       theories are refused
     - unordered search matches sin^2((2k+1) asin(1/sqrt(N))) and the
       quaternionic run reproduces the complex run
+    - search evolves a ket: every point of the curve is within 1e-12 of the
+      density-matrix reference, and only the locality probes reach apply as
+      densities; sign_encoding shares one read-only identity, and each
+      member is still checked on its own
     - wire formats for oracle tables and search configs round-trip
     - invalid search inputs and inconclusive LP solves raise instead of
       returning a curve or a no-go
@@ -24,6 +28,7 @@ Core claims:
 import itertools
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,10 +58,11 @@ from gptifer.interferometer import (
     run_dj,
     run_dj_with_global_oracle,
     run_grover,
+    sign_encoding,
     spekkens_epistemic_dj_instruments,
     spekkens_ontic_dj_instruments,
 )
-from gptifer.quaternion import QuatMatrix, Quaternion
+from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion
 from gptifer.theories import (
     classical_theory,
     dball_theory,
@@ -66,6 +72,7 @@ from gptifer.theories import (
     quaternionic_theory,
     spekkens_epistemic_statistics,
 )
+from reference import grover_density_curve
 
 
 # -- classification ---------------------------------------------------------------
@@ -423,6 +430,82 @@ def test_quaternionic_search_reproduces_complex_search():
     curve_c = grover_success_curve(quantum_theory(4), 5, 2 * budget)
     curve_q = grover_success_curve(quaternionic_theory(16), 5, 2 * budget)
     np.testing.assert_allclose(curve_q, curve_c, atol=1e-9)
+
+
+_SEARCH_CASES = [(quantum_theory(n), marked) for n in (1, 2, 4, 6) for marked in (0, 2**n - 1)] + [
+    (quaternionic_theory(N), marked) for N in (2, 4, 16) for marked in (0, N - 1)
+]
+
+
+@pytest.mark.parametrize("m,marked", _SEARCH_CASES, ids=[f"{m.name}-{m.n_branches}-marked{x}" for m, x in _SEARCH_CASES])
+def test_ket_curve_matches_the_density_reference(m, marked):
+    rounds = 40
+    curve = grover_success_curve(m, marked, rounds)
+    reference = grover_density_curve(m, marked, rounds)
+    assert len(curve) == len(reference) == rounds + 1
+    assert all(isinstance(p, float) for p in curve)
+    assert max(abs(p - r) for p, r in zip(curve, reference)) <= 1e-12
+
+
+def _form(state) -> str:
+    if isinstance(state, QuatKet) or (isinstance(state, np.ndarray) and state.ndim == 1):
+        return "ket"
+    if isinstance(state, QuatMatrix) or (isinstance(state, np.ndarray) and state.ndim == 2):
+        return "density"
+    return type(state).__name__
+
+
+def _recording(m, name, monkeypatch) -> list:
+    # wrap m.<name> to record each call's last argument: the state for
+    # apply and probability, the map for is_identity_map
+    seen = []
+    method = getattr(m, name)
+
+    def wrapper(*args):
+        seen.append(args[-1])
+        return method(*args)
+
+    monkeypatch.setattr(m, name, wrapper)
+    return seen
+
+
+_GUARDED = [quantum_theory(1), quantum_theory(3), quaternionic_theory(2), quaternionic_theory(8)]
+
+
+@pytest.mark.parametrize("m", _GUARDED, ids=lambda m: f"{m.name}-{m.n_branches}")
+def test_search_probes_with_densities_and_evolves_a_ket(m, monkeypatch):
+    # only the locality probes of the two oracle builds are densities; the
+    # preparation, every round and every read-out take the ket
+    applied = _recording(m, "apply", monkeypatch)
+    read = _recording(m, "probability", monkeypatch)
+    k = 9
+    grover_success_curve(m, m.n_branches - 1, k)
+    probes = 2 * len(m.branch_local_probes(0)) * m.n_branches
+    assert [_form(s) for s in applied] == ["density"] * probes + ["ket"] * (1 + k)
+    assert [_form(s) for s in read] == ["ket"] * (1 + k)
+
+
+def test_sign_encoding_shares_one_read_only_identity(monkeypatch):
+    for m in (quantum_theory(3), quaternionic_theory(4)):
+        enc = sign_encoding(m)
+        identity = enc.pairs[0][0]
+        assert all(t0 is identity for t0, _ in enc.pairs) and m.is_identity_map(identity)
+        # each member is still checked on its own
+        checked = _recording(m, "is_identity_map", monkeypatch)
+        build_oracle(m, OracleSpec(m.n_branches.bit_length() - 1, (1,) + (0,) * (m.n_branches - 1)), enc)
+        assert len(checked) == 2 * m.n_branches
+    with pytest.raises(ValueError, match="read-only"):
+        sign_encoding(quantum_theory(2)).pairs[0][0][0, 0] = 2.0
+    # N flips and one identity, not a second dense N x N map per branch
+    m = quantum_theory(7)
+    N = m.n_branches
+    tracemalloc.start()
+    try:
+        enc = sign_encoding(m)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert enc.n_branches == N and held < (N + 2) * N * N * 16
 
 
 def test_search_unsupported_without_beamsplitter():

@@ -29,6 +29,11 @@ Core claims:
       probe counts (2 and 4), byte-identical identity, sign-flip and branch
       maps to the former per-theory constructions, and one verdict on maps
       with non-finite entries (no commutation, no warning)
+    - a pure state may be a ket: a branch ket is the ket of its branch
+      state; apply and probability on a ket agree with the same calls on
+      its density within 1e-12; the quaternionic ket trace keeps the
+      density trace's i/j/k residue, so a residue above atol raises on both
+      paths with one message, even where psi^dagger E psi is real
 """
 
 import itertools
@@ -41,7 +46,15 @@ import pytest
 
 import gptifer.theories as th
 from gptifer.core import GptState, is_diagonal, preserves_statespace
-from gptifer.quaternion import NumericConsistencyError, QuatKet, QuatMatrix, Quaternion, qmul
+from gptifer.quaternion import (
+    NumericConsistencyError,
+    QuatKet,
+    QuatMatrix,
+    Quaternion,
+    _ket_trace,
+    _product_trace,
+    qmul,
+)
 from gptifer.interferometer import sign_encoding
 from gptifer.theories import (
     MAX_BALL_MEASUREMENTS,
@@ -751,3 +764,116 @@ def test_non_finite_maps_commute_with_nothing(m, lift, value):
     assert m.maps_commute(lift(_FLIP), lift(_FLIP))
     hadamard = lift(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
     assert not m.maps_commute(hadamard, lift(np.diag([-1.0, 1.0])))
+
+
+# -- kets ---------------------------------------------------------------------------------
+
+# the matrix theories whose ket form is checked against its density
+_KET_THEORIES = [quantum_theory(n) for n in (1, 2, 3)] + [quaternionic_theory(N) for N in (2, 3, 4)]
+
+
+def _random_ket(m, rng):
+    if isinstance(m, QuaternionicTheory):
+        comps = rng.standard_normal((4, m.dim))
+        return QuatKet(comps / np.sqrt(np.sum(comps**2)))
+    psi = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
+    return psi / np.linalg.norm(psi)
+
+
+def _density(psi):
+    return psi.density() if isinstance(psi, QuatKet) else np.outer(psi, psi.conj())
+
+
+def _random_map(m, rng):
+    if isinstance(m, QuaternionicTheory):
+        return random_symplectic(m.dim, rng)
+    return random_unitary(m.dim, rng)
+
+
+def _random_self_adjoint(m, rng, real=False):
+    if isinstance(m, QuaternionicTheory):
+        comps = rng.standard_normal((4, m.dim, m.dim))
+        if real:
+            comps[1:] = 0.0
+        A = QuatMatrix(comps)
+        return A + A.dagger()
+    A = rng.standard_normal((m.dim, m.dim)) + (0.0 if real else 1j) * rng.standard_normal((m.dim, m.dim))
+    return A + A.conj().T
+
+
+def test_a_branch_ket_is_the_ket_of_the_branch_state():
+    for m in _KET_THEORIES:
+        for j in range(m.dim):
+            psi = m.branch_ket(j)
+            assert isinstance(psi, QuatKet) or (psi.ndim == 1 and psi.dtype == complex)
+            assert m.states_close(_density(psi), m.branch_state(j))
+
+
+@pytest.mark.parametrize("m", _KET_THEORIES, ids=_label)
+def test_a_ket_reads_as_its_density(m):
+    # a real-symmetric effect keeps the quaternionic trace real; the complex
+    # one may be any self-adjoint matrix
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        psi = _random_ket(m, rng)
+        E = _random_self_adjoint(m, rng, real=isinstance(m, QuaternionicTheory))
+        assert abs(m.probability(E, psi) - m.probability(E, _density(psi))) <= 1e-12
+        for j in range(m.dim):
+            assert abs(m.probability(m.branch_state(j), psi) - m.branch_probabilities(_density(psi))[j]) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_a_quaternionic_ket_trace_keeps_its_residue(N):
+    # for any self-adjoint E the ket trace has the density trace's four
+    # components, i/j/k residue included
+    rng = np.random.default_rng(12)
+    m = quaternionic_theory(N)
+    for _ in range(20):
+        psi, E = _random_ket(m, rng), _random_self_adjoint(m, rng)
+        np.testing.assert_allclose(
+            _ket_trace(E.comps, psi.comps), _product_trace(E.comps, psi.density().comps), rtol=0.0, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("m", _KET_THEORIES, ids=_label)
+def test_a_ket_evolves_as_its_density(m):
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        psi, T = _random_ket(m, rng), _random_map(m, rng)
+        image = m.apply(T, psi)
+        assert type(image) is type(psi)
+        assert np.abs(m._entries(_density(image)) - m._entries(m.apply(T, _density(psi)))).max() <= 1e-12
+
+
+def _raised(m, effect, state) -> str:
+    with pytest.raises(NumericConsistencyError) as err:
+        m.probability(effect, state)
+    return str(err.value)
+
+
+def test_a_complex_residue_raises_on_both_paths_alike():
+    m = quantum_theory(2)
+    psi = _random_ket(m, np.random.default_rng(14))
+    E = 1e-6j * np.eye(4) + np.diag([1.0, 0.0, 0.0, 0.0])
+    assert _raised(m, E, psi) == _raised(m, E, _density(psi)) == "trace has imaginary residue 1.000e-06"
+
+
+def test_a_quaternionic_residue_raises_on_both_paths_alike():
+    # psi^dagger E psi is real here, but tr(E psi psi^dagger) is k: the ket
+    # path must read the trace, in the density path's operand order
+    m = quaternionic_theory(2)
+    comps = np.zeros((4, 2, 2))
+    comps[1] = [[0.0, 1.0], [-1.0, 0.0]]  # E = [[0, i], [-i, 0]]
+    E = QuatMatrix(comps)
+    assert E.isclose(E.dagger(), atol=0.0)
+    psi = QuatKet.from_quaternions([Quaternion(1.0 / np.sqrt(2.0)), Quaternion(0.0, 0.0, 1.0 / np.sqrt(2.0))])
+    col = QuatMatrix(psi.comps[:, :, None])
+    quadratic = (col.dagger() @ E @ col).comps[:, 0, 0]
+    assert np.abs(quadratic).max() <= 1e-15
+    np.testing.assert_allclose(_ket_trace(E.comps, psi.comps), [0.0, 0.0, 0.0, 1.0], atol=1e-15)
+    message = _raised(m, E, psi)
+    assert message == _raised(m, E, psi.density())
+    assert message == f"trace has imaginary residue 1.000e+00 above tolerance {m.atol:.1e}"
+    # a residue within atol reads as the real part on both paths
+    small = QuatMatrix(E.comps * 1e-10 + QuatMatrix.identity(2).comps)
+    assert m.probability(small, psi) == pytest.approx(m.probability(small, psi.density()), abs=1e-15)
