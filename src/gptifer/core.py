@@ -296,34 +296,43 @@ class TheoryModel:
 
 
 class VectorTheory(TheoryModel):
-    """Theory whose states are explicit probability vectors."""
+    """Theory whose states are explicit probability vectors.
+
+    ``branch_measurement`` is the index of the layout block that the branch
+    measurement reads (negative indices count from the end); its effects are
+    the coordinate covectors of that block.  A state is contained when its
+    blocks are probability distributions and, if given, ``within`` holds
+    for it: the extra constraint that cuts the state space out of the
+    product of simplices (a ball bound, a tetrahedron's weights, ...).
+    """
 
     def __init__(
         self,
         name: str,
         fiducial_layout: Sequence[tuple[str, int]],
-        z_effects: Sequence[Effect],
+        branch_measurement: int,
         spanning_states: Sequence[GptState],
         group: TransformationGroup,
-        contains_fn: Callable[[GptState], bool],
+        within: Callable[[GptState], bool] | None = None,
         atol: float = DEFAULT_ATOL,
         extremal_states: Sequence[GptState] | None = None,
     ):
-        super().__init__(name, fiducial_layout, len(z_effects), group, atol)
-        self._z_effects = tuple(z_effects)
+        counts = [count for _, count in fiducial_layout]
+        n_branches = counts[branch_measurement]
+        super().__init__(name, fiducial_layout, n_branches, group, atol)
         self._spanning = tuple(spanning_states)
-        self._contains = contains_fn
+        self._within = within
         #: Vertices of the state polytope, or None for round state spaces.
         self.extremal_states = None if extremal_states is None else tuple(extremal_states)
-        dims = {e.dim for e in self._z_effects} | {s.dim for s in self._spanning}
-        if len(dims) != 1:
+        self.state_dim = sum(counts)
+        if any(s.dim != self.state_dim for s in self._spanning):
             raise ValueError("inconsistent state dimensions in theory definition")
-        (self.state_dim,) = dims
-        self._z_weights = _readonly([e.weights for e in self._z_effects])
+        offset = sum(counts[: branch_measurement % len(counts)])
+        self._z_weights = _readonly(np.eye(self.state_dim)[offset : offset + n_branches])
 
-    @property
+    @cached_property
     def z_effects(self):
-        return self._z_effects
+        return tuple(Effect(w) for w in self._z_weights)
 
     @property
     def spanning_states(self):
@@ -343,7 +352,9 @@ class VectorTheory(TheoryModel):
             raise ValueError(
                 f"state dimension {state.dim} does not match theory dimension {self.state_dim}"
             )
-        return bool(self._contains(state))
+        return valid_layout(state, self.fiducial_layout, self.atol) and (
+            self._within is None or bool(self._within(state))
+        )
 
     def states_close(self, a, b) -> bool:
         return bool(np.allclose(a.probs, b.probs, rtol=0.0, atol=self.atol))

@@ -294,9 +294,9 @@ def find_distinguishing_effect(
     only when the solver proves the constraints infeasible.  Any other
     solver failure raises RuntimeError rather than claim a no-go.
     """
-    constant_out, balanced_out = _dj_outputs(m, enc, s_in)
     if not isinstance(m, VectorTheory) or m.extremal_states is None:
         raise UnsupportedTheoryError("effect search needs a polytope theory")
+    constant_out, balanced_out = _dj_outputs(m, enc, s_in)
     dim = m.state_dim
     a_ub = []
     b_ub = []

@@ -1,24 +1,29 @@
 """Constructors for the concrete theories handled by this package.
 
-Probability-vector theories (classical bits, gbits, balls, the toy-bit
-models) come with explicit vertex or pole spanning sets and exact or
-float-tolerance arithmetic as appropriate.  The many-level quantum and
-quaternionic theories are backed by density matrices, or by kets for pure
-states, with probabilities computed on demand; their branch statistics and
-interference statistics are exposed as a probability vector when needed.
+Probability-vector theories name their branch measurement by its layout
+block and read their branch effects off the layout.  The finite ones
+(classical systems, gbits, the two toy bits) are one exact construction:
+a vertex list, which spans the state polytope, plus named relabelings,
+the 0/1 maps that carry every outcome coordinate to another.  The two toy
+bits share their relabelings and differ only in the states they admit.
+Balls come with pole spanning sets and float tolerance.  The many-level
+quantum and quaternionic theories are backed by density matrices, or by
+kets for pure states, with probabilities computed on demand; their branch
+statistics and interference statistics are exposed as a probability
+vector when needed, and the primitives that compare or read densities
+refuse a ket by name.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .core import (
     DEFAULT_ATOL,
-    Effect,
     FiniteGroup,
     GptState,
     LinearMap,
@@ -27,7 +32,6 @@ from .core import (
     TheoryModel,
     VectorTheory,
     finite_diagonal,
-    valid_layout,
 )
 from .quaternion import (
     NumericConsistencyError,
@@ -44,15 +48,6 @@ from .uncertainty import dball_bound
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
-
-
-def _coordinate_effects(dim: int, indices) -> tuple[Effect, ...]:
-    out = []
-    for idx in indices:
-        w = np.zeros(dim)
-        w[idx] = 1.0
-        out.append(Effect(w))
-    return tuple(out)
 
 
 def hadamard_matrix(n_qubits: int) -> np.ndarray:
@@ -100,25 +95,40 @@ def embed_rotation(R: np.ndarray, name: str = "") -> LinearMap:
 
 
 # ---------------------------------------------------------------------------
-# Classical theory: a simplex with permutation dynamics
+# Finite theories: vertices plus named relabelings of the coordinates
 # ---------------------------------------------------------------------------
 
 
-def _permutation_map(perm: tuple[int, ...]) -> LinearMap:
-    # one-line notation on points 1..N; delta_i maps to delta_perm(i)
-    n = len(perm)
-    M = np.zeros((n, n))
-    for src, dst in enumerate(perm):
-        M[dst - 1, src] = 1.0
-    if perm == tuple(range(1, n + 1)):
-        name = "identity"
-    else:
-        name = "".join(str(p) for p in perm) if n <= 9 else ",".join(str(p) for p in perm)
-    return LinearMap(M, name)
+_eye = cache(np.eye)  # read only through take, which copies
+
+
+def _relabeling(name: str, image) -> LinearMap:
+    """The 0/1 map carrying coordinate j to coordinate ``image[j]``."""
+    return LinearMap(_eye(len(image)).take(image, axis=1), name)
+
+
+def _finite_theory(name, layout, branch_measurement, vertices, relabelings, within=None) -> TheoryModel:
+    """Polytope theory with exact arithmetic: its vertices span it, and its
+    group is the relabelings, given as ``(name, image)`` pairs."""
+    vertices = tuple(GptState(v) for v in vertices)
+    group = FiniteGroup(tuple(_relabeling(label, image) for label, image in relabelings))
+    return VectorTheory(
+        name, layout, branch_measurement, vertices, group, within, atol=0.0, extremal_states=vertices
+    )
 
 
 #: Largest N for classical: all N! permutation maps are built at once, 40,320 at N = 8.
 MAX_CLASSICAL_OUTCOMES = 8
+
+
+def _classical_relabelings(N: int):
+    # one-line notation on points 1..N, delta_i maps to delta_perm(i); the
+    # names permute the digits in the same order, identity first
+    perms = itertools.permutations(range(N))
+    names = map("".join, itertools.permutations("123456789"[:N]))
+    next(names)
+    yield "identity", next(perms)
+    yield from zip(names, perms)
 
 
 def classical_theory(N: int) -> TheoryModel:
@@ -133,24 +143,7 @@ def classical_theory(N: int) -> TheoryModel:
         raise ValueError("a classical branch system needs N >= 2 outcomes")
     if N > MAX_CLASSICAL_OUTCOMES:
         raise ValueError(f"classical takes N <= {MAX_CLASSICAL_OUTCOMES} (MAX_CLASSICAL_OUTCOMES), got N = {N}")
-    layout = (("Z", N),)
-    deltas = tuple(GptState(np.eye(N)[i]) for i in range(N))
-    elements = tuple(_permutation_map(p) for p in itertools.permutations(range(1, N + 1)))
-    return VectorTheory(
-        name="classical",
-        fiducial_layout=layout,
-        z_effects=_coordinate_effects(N, range(N)),
-        spanning_states=deltas,
-        group=FiniteGroup(elements),
-        contains_fn=lambda s: valid_layout(s, layout, 0.0),
-        atol=0.0,
-        extremal_states=deltas,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gbits: hypercube state spaces with relabeling dynamics
-# ---------------------------------------------------------------------------
+    return _finite_theory("classical", (("Z", N),), 0, np.eye(N), _classical_relabelings(N))
 
 
 def _gbit_labels(d: int) -> tuple[str, ...]:
@@ -161,20 +154,18 @@ def _gbit_labels(d: int) -> tuple[str, ...]:
     return ("Z",) + tuple(f"X{i}" for i in range(1, d))
 
 
-def _signed_perm_map(labels, sigma, flips) -> LinearMap:
+def _gbit_relabelings(labels):
     # new measurement i reads old measurement sigma[i], outcomes flipped
-    # when flips[i] is set
+    # when flips[i] is set: outcome q of old measurement sigma[i] lands on
+    # outcome q ^ flips[i] of measurement i
     d = len(labels)
-    M = np.zeros((2 * d, 2 * d))
-    for i in range(d):
-        for outcome in (0, 1):
-            M[2 * i + outcome, 2 * sigma[i] + (outcome ^ flips[i])] = 1.0
-    parts = []
-    if sigma != tuple(range(d)):
-        parts.append("perm(" + "".join(labels[sigma[i]] for i in range(d)) + ")")
-    parts.extend(f"{labels[i]}-flip" for i in range(d) if flips[i])
-    name = "+".join(parts) if parts else "identity"
-    return LinearMap(M, name)
+    flip_names = [f"{lbl}-flip" for lbl in labels]
+    for sigma in itertools.permutations(range(d)):
+        inv = sorted(range(d), key=sigma.__getitem__)
+        perm = ["perm(" + "".join(labels[j] for j in sigma) + ")"] if sigma != tuple(range(d)) else []
+        for flips in itertools.product((0, 1), repeat=d):
+            name = "+".join(perm + [f for f, flip in zip(flip_names, flips) if flip])
+            yield name or "identity", [2 * i + (q ^ flips[i]) for i in inv for q in (0, 1)]
 
 
 #: Largest d for gbit<d>: all d! 2^d relabeling maps are built at once, 46,080 at d = 6.
@@ -191,28 +182,12 @@ def gbit_theory(d: int) -> TheoryModel:
     if not 2 <= d <= MAX_GBIT_MEASUREMENTS:
         raise ValueError(f"gbit<d> takes 2 <= d <= {MAX_GBIT_MEASUREMENTS} (MAX_GBIT_MEASUREMENTS), got d = {d}")
     labels = _gbit_labels(d)
-    layout = tuple((lbl, 2) for lbl in labels)
-    vertices = []
-    for outcomes in itertools.product((0, 1), repeat=d):
-        vec = np.zeros(2 * d)
-        for i, o in enumerate(outcomes):
-            vec[2 * i + o] = 1.0
-        vertices.append(GptState(vec))
-    vertices = tuple(vertices)
-    elements = tuple(
-        _signed_perm_map(labels, sigma, flips)
-        for sigma in itertools.permutations(range(d))
-        for flips in itertools.product((0, 1), repeat=d)
-    )
-    return VectorTheory(
-        name=f"gbit{d}",
-        fiducial_layout=layout,
-        z_effects=_coordinate_effects(2 * d, (0, 1)),
-        spanning_states=vertices,
-        group=FiniteGroup(elements),
-        contains_fn=lambda s: valid_layout(s, layout, 0.0),
-        atol=0.0,
-        extremal_states=vertices,
+    vertices = [
+        [float(q == o) for o in outcomes for q in (0, 1)]
+        for outcomes in itertools.product((0, 1), repeat=d)
+    ]
+    return _finite_theory(
+        f"gbit{d}", tuple((lbl, 2) for lbl in labels), 0, vertices, _gbit_relabelings(labels)
     )
 
 
@@ -231,10 +206,6 @@ def _ball_states(d: int) -> tuple[GptState, ...]:
             vec[2 * i + 1] = float(outcome)
             states.append(GptState(vec))
     return tuple(states)
-
-
-def _ball_contains(s: GptState, layout, atol: float) -> bool:
-    return valid_layout(s, layout, atol) and dball_bound(s, len(layout)) <= 0.25 + atol
 
 
 def _ball_theory(name: str, labels: tuple[str, ...]) -> TheoryModel:
@@ -257,13 +228,7 @@ def _ball_theory(name: str, labels: tuple[str, ...]) -> TheoryModel:
         ),
     )
     return VectorTheory(
-        name=name,
-        fiducial_layout=layout,
-        z_effects=_coordinate_effects(2 * d, (2 * (d - 1), 2 * (d - 1) + 1)),
-        spanning_states=spanning,
-        group=group,
-        contains_fn=lambda s: _ball_contains(s, layout, DEFAULT_ATOL),
-        atol=DEFAULT_ATOL,
+        name, layout, -1, spanning, group, lambda s: dball_bound(s, d) <= 0.25 + DEFAULT_ATOL
     )
 
 
@@ -321,22 +286,6 @@ SPEKKENS_SUBSETS: tuple[frozenset, ...] = (
 _SPEKKENS_LAYOUT = (("X", 2), ("Y", 2), ("Z", 2))
 
 
-def spekkens_permutation_map(perm: tuple[int, int, int, int]) -> LinearMap:
-    """Statistics-vector action of a permutation of the four hidden points.
-
-    A permutation of points permutes the six two-element subsets, so the
-    induced map is an exact 0/1 permutation matrix on the six statistics.
-    """
-    inv = [0] * 5
-    for src, dst in enumerate(perm, start=1):
-        inv[dst] = src
-    M = np.zeros((6, 6))
-    for row, subset in enumerate(SPEKKENS_SUBSETS):
-        preimage = frozenset(inv[p] for p in subset)
-        M[row, SPEKKENS_SUBSETS.index(preimage)] = 1.0
-    return LinearMap(M, "".join(str(p) for p in perm))
-
-
 def spekkens_ontic_statistics(point: int) -> GptState:
     """Deterministic six-entry statistics of one hidden point."""
     return GptState([1.0 if point in subset else 0.0 for subset in SPEKKENS_SUBSETS])
@@ -354,60 +303,43 @@ def _spekkens_xyz(s: GptState) -> tuple[float, float, float]:
     return (p[0] - p[1], p[2] - p[3], p[4] - p[5])
 
 
-def _spekkens_group() -> FiniteGroup:
-    return FiniteGroup(
-        tuple(spekkens_permutation_map(p) for p in itertools.permutations((1, 2, 3, 4)))
-    )
+def _toy_relabelings():
+    # a permutation of the four points permutes the six two-element subsets
+    index = {subset: k for k, subset in enumerate(SPEKKENS_SUBSETS)}
+    pairs = [sorted(subset) for subset in SPEKKENS_SUBSETS]
+    for perm in itertools.permutations((1, 2, 3, 4)):
+        image = [index[frozenset((perm[a - 1], perm[b - 1]))] for a, b in pairs]
+        yield "".join(map(str, perm)), image
+
+
+def _in_tetrahedron(s: GptState) -> bool:
+    # weights of the four points recovered from the statistics
+    x, y, z = _spekkens_xyz(s)
+    weights = (1.0 + x + y + z, 1.0 - x - y + z, 1.0 + x - y - z, 1.0 - x + y - z)
+    return all(w / 4.0 >= -1e-12 for w in weights)
+
+
+def _in_octahedron(s: GptState) -> bool:
+    x, y, z = _spekkens_xyz(s)
+    return abs(x) + abs(y) + abs(z) <= 1.0 + 1e-12
 
 
 def spekkens_ontic_theory() -> TheoryModel:
     """Hidden-variable tetrahedron: convex mixtures of the four points."""
-    vertices = tuple(spekkens_ontic_statistics(p) for p in (1, 2, 3, 4))
-
-    def contains(s: GptState) -> bool:
-        if not valid_layout(s, _SPEKKENS_LAYOUT, 0.0):
-            return False
-        x, y, z = _spekkens_xyz(s)
-        # weights of the four points recovered from the statistics
-        weights = (
-            (1.0 + x + y + z) / 4.0,
-            (1.0 - x - y + z) / 4.0,
-            (1.0 + x - y - z) / 4.0,
-            (1.0 - x + y - z) / 4.0,
-        )
-        return all(w >= -1e-12 for w in weights)
-
-    return VectorTheory(
-        name="spekkens-ontic",
-        fiducial_layout=_SPEKKENS_LAYOUT,
-        z_effects=_coordinate_effects(6, (4, 5)),
-        spanning_states=vertices,
-        group=_spekkens_group(),
-        contains_fn=contains,
-        atol=0.0,
-        extremal_states=vertices,
+    vertices = [spekkens_ontic_statistics(p).probs for p in (1, 2, 3, 4)]
+    return _finite_theory(
+        "spekkens-ontic", _SPEKKENS_LAYOUT, -1, vertices, _toy_relabelings(), _in_tetrahedron
     )
 
 
 def spekkens_epistemic_theory() -> TheoryModel:
-    """Knowledge-restricted toy bit: the octahedron of two-point states."""
-    vertices = tuple(spekkens_epistemic_statistics(sub) for sub in SPEKKENS_SUBSETS)
+    """Knowledge-restricted toy bit: the octahedron of two-point states.
 
-    def contains(s: GptState) -> bool:
-        if not valid_layout(s, _SPEKKENS_LAYOUT, 0.0):
-            return False
-        x, y, z = _spekkens_xyz(s)
-        return abs(x) + abs(y) + abs(z) <= 1.0 + 1e-12
-
-    return VectorTheory(
-        name="spekkens-epistemic",
-        fiducial_layout=_SPEKKENS_LAYOUT,
-        z_effects=_coordinate_effects(6, (4, 5)),
-        spanning_states=vertices,
-        group=_spekkens_group(),
-        contains_fn=contains,
-        atol=0.0,
-        extremal_states=vertices,
+    It differs from the ontic tetrahedron only in the states it admits; the
+    two share the group of point permutations."""
+    vertices = [spekkens_epistemic_statistics(sub).probs for sub in SPEKKENS_SUBSETS]
+    return _finite_theory(
+        "spekkens-epistemic", _SPEKKENS_LAYOUT, -1, vertices, _toy_relabelings(), _in_octahedron
     )
 
 
@@ -502,10 +434,22 @@ class MatrixTheory(TheoryModel):
             states.extend(self._pair_state(j, k, p) for p in range(len(self.PHASES)))
         return tuple(states)
 
+    def _density(self, state) -> np.ndarray:
+        # the (k, N, N) entries of a density matrix; a ket or a matrix of
+        # another size is refused by name, never broadcast
+        entries = self._entries(state)
+        shape = entries.shape[1:]
+        if shape != (self.dim, self.dim):
+            got = "a ket" if len(shape) == 1 else "a matrix"
+            raise ValueError(
+                f"{self.name} theory expects a {self.dim}x{self.dim} density matrix, got {got} of shape {shape}"
+            )
+        return entries
+
     def branch_probabilities(self, state) -> np.ndarray:
         # the real parts of the diagonal; any other component of a diagonal
         # entry (imaginary, or i/j/k) above atol is numeric inconsistency
-        diag = np.diagonal(self._entries(state), axis1=-2, axis2=-1)
+        diag = np.diagonal(self._density(state), axis1=-2, axis2=-1)
         residue = np.abs(np.concatenate([diag[0].imag, diag[1:].ravel()])).max()
         if residue > self.atol:
             raise NumericConsistencyError(f"diagonal has non-real residue {residue:.3e}")
@@ -530,9 +474,7 @@ class MatrixTheory(TheoryModel):
         return (self.diagonal_map(weights / weights.sum()), self._pure(uniform)) + pinned
 
     def contains(self, state) -> bool:
-        entries = self._entries(state)
-        if entries.shape[1:] != (self.dim, self.dim):
-            raise ValueError("state has the wrong dimension")
+        entries = self._density(state)
         if not self.states_close(state, self._dagger(state)):
             return False
         if abs(np.trace(entries[0]).real - 1.0) > self.atol:
@@ -540,7 +482,7 @@ class MatrixTheory(TheoryModel):
         return bool(np.linalg.eigvalsh(self._complex_form(state)).min() >= -self.atol)
 
     def states_close(self, a, b) -> bool:
-        return bool(np.allclose(self._entries(a), self._entries(b), rtol=0.0, atol=self.atol))
+        return bool(np.allclose(self._density(a), self._density(b), rtol=0.0, atol=self.atol))
 
     def compose(self, second, first):
         return second @ first

@@ -446,7 +446,7 @@ def test_cli_refuses_a_gbit_past_the_bound_before_building_it(monkeypatch, capsy
     def no_map(*args):
         raise AssertionError("a relabeling map was built")
 
-    monkeypatch.setattr(th, "_signed_perm_map", no_map)
+    monkeypatch.setattr(th, "_relabeling", no_map)
     with pytest.raises(SystemExit) as exc:
         main(["run", "phase-group", "--theory", "gbit10"])
     assert exc.value.code == 2
@@ -474,7 +474,7 @@ def test_cli_refuses_a_classical_system_past_the_bound_before_building_it(N, mon
     def no_map(*args):
         raise AssertionError("a permutation map was built")
 
-    monkeypatch.setattr(th, "_permutation_map", no_map)
+    monkeypatch.setattr(th, "_relabeling", no_map)
     with pytest.raises(SystemExit) as exc:
         main(["run", "phase-group", "--theory", "classical", "--N", str(N)])
     assert exc.value.code == 2

@@ -13,7 +13,7 @@ Core claims:
       1/0 probabilities on the X effect
     - effect search: none for the hidden variable even in weak mode; the
       X=+1 witness for the restricted toy bit; round and matrix-backed
-      theories are refused
+      theories are refused before any oracle is built
     - unordered search matches sin^2((2k+1) asin(1/sqrt(N))) and the
       quaternionic run reproduces the complex run
     - search evolves a ket: every point of the curve is within 1e-12 of the
@@ -70,6 +70,7 @@ from gptifer.theories import (
     gbit_theory,
     quantum_theory,
     quaternionic_theory,
+    qubit_theory,
     spekkens_epistemic_statistics,
 )
 from reference import grover_density_curve
@@ -313,6 +314,23 @@ def test_effect_search_needs_a_polytope():
     m, enc, s_in, _ = quantum_dj_instruments(1)
     with pytest.raises(UnsupportedTheoryError, match="^effect search needs a polytope theory$"):
         find_distinguishing_effect(m, enc, s_in, strict=True)
+
+
+@pytest.mark.parametrize(
+    "instruments",
+    [lambda: quantum_dj_instruments(4), lambda: ball_dj_instruments(qubit_theory())],
+    ids=["quantum4", "qubit"],
+)
+def test_effect_search_is_refused_before_any_oracle_is_built(instruments, monkeypatch):
+    m, enc, s_in, _ = instruments()
+
+    def no_oracle(*args):
+        raise AssertionError("an oracle was built")
+
+    monkeypatch.setattr(ifr, "build_oracle", no_oracle)
+    for strict in (True, False):
+        with pytest.raises(UnsupportedTheoryError, match="^effect search needs a polytope theory$"):
+            find_distinguishing_effect(m, enc, s_in, strict=strict)
 
 
 # -- global protocol (box world) ------------------------------------------------------------------

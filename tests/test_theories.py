@@ -34,8 +34,14 @@ Core claims:
       its density within 1e-12; the quaternionic ket trace keeps the
       density trace's i/j/k residue, so a residue above atol raises on both
       paths with one message, even where psi^dagger E psi is real
+    - states_close, branch_probabilities and contains take N x N densities
+      only: a ket or a matrix of another size raises a ValueError naming it
+    - every finite group (classical N = 2..8, gbit<d> d = 2..6, both toy
+      bits) keeps its element names, matrices, vertices and branch effects
+      byte for byte, pinned by one sha256 each
 """
 
+import hashlib
 import itertools
 import re
 import tracemalloc
@@ -165,7 +171,7 @@ def test_gbit_size_is_bounded_before_any_map_is_built(monkeypatch):
     def no_map(*args):
         raise AssertionError("a relabeling map was built")
 
-    monkeypatch.setattr(th, "_signed_perm_map", no_map)
+    monkeypatch.setattr(th, "_relabeling", no_map)
     for d in (1, MAX_GBIT_MEASUREMENTS + 1, 10):
         with pytest.raises(ValueError, match=rf"^gbit<d> takes 2 <= d <= 6 \(MAX_GBIT_MEASUREMENTS\), got d = {d}$"):
             theory_by_name(f"gbit{d}")
@@ -178,10 +184,45 @@ def test_classical_size_is_bounded_before_any_map_is_built(monkeypatch):
     def no_map(*args):
         raise AssertionError("a permutation map was built")
 
-    monkeypatch.setattr(th, "_permutation_map", no_map)
+    monkeypatch.setattr(th, "_relabeling", no_map)
     for N in (MAX_CLASSICAL_OUTCOMES + 1, 12):
         with pytest.raises(ValueError, match=rf"^classical takes N <= 8 \(MAX_CLASSICAL_OUTCOMES\), got N = {N}$"):
             theory_by_name("classical", N=N)
+
+
+#: sha256 over each finite theory's element names and matrix bytes in
+#: element order, then its vertex bytes, then its branch-effect bytes.
+FINITE_GROUP_DIGESTS = {
+    ("classical", 2): "74535f018a22e2289687a7fdbbddfd0f6416b9046e86865a45ed102d0b5ca814",
+    ("classical", 3): "1d399908b0a52de7139b5ad2199ba7eac8737e3c8f1c5c165da6d9317abc74dc",
+    ("classical", 4): "9e0dedd9d3d3f2016c441ffdde891f5d008a45e03543350bfcea15674803c742",
+    ("classical", 5): "f366e9cd21201a5a9c57f090b3289f62d57dfeac57adda18c386eac1f68c49a3",
+    ("classical", 6): "fd17f35f90a3e3038176e785805045862a80ac529ce7ad68d8b5615280f7ba3a",
+    ("classical", 7): "7ccbfa9d91bcbeb12a63de4b76c7d392a9f5e5eaf0b300566a2b42fc377350aa",
+    ("classical", 8): "3e47b6795b2eedd9902f9ef150abe1717f76e68cea90bf097387190f8f1b0e36",
+    ("gbit2", None): "0f9933eea65fd61f3a4b0d474939b07a55997db304594f742a57a7e3d6f66131",
+    ("gbit3", None): "5a18489485d93a296ddc2c02139da16f5c65187dc449d8df67cec7901551d4a9",
+    ("gbit4", None): "cf884d25ca2995391aaaec116eaa3cbfedc4a1c8f3af4f5ae5bde6d308128a67",
+    ("gbit5", None): "29ce196382d05ba24f4bed75574691c2df8f04149ec15d968daeb93a2ffb93ad",
+    ("gbit6", None): "8e4ec7fbcd9b1e9c3824ec388aba46248cbfdd3f931f20decdf5361ea4acb2be",
+    ("spekkens-ontic", None): "8abedb8297d82d23c19569b654259155793bced3772883467c093f2436401614",
+    ("spekkens-epistemic", None): "ab59a255d8d878bc485c075fe52fc0322e86887d38ec39bdbdb495f27aaf39f3",
+}
+
+
+def test_every_finite_group_is_pinned_byte_for_byte():
+    # covers the sizes the golden suite never builds (classical N > 3, gbit4..6)
+    for (name, N), expected in FINITE_GROUP_DIGESTS.items():
+        m = theory_by_name(name, N=N)
+        h = hashlib.sha256()
+        for e in m.group.elements:
+            h.update(e.name.encode() + b"\0")
+            h.update(e.matrix.tobytes())
+        for v in m.extremal_states:
+            h.update(v.probs.tobytes())
+        for z in m.z_effects:
+            h.update(z.weights.tobytes())
+        assert h.hexdigest() == expected, (name, N)
 
 
 def test_all_deterministic_vertex_valid():
@@ -877,3 +918,33 @@ def test_a_quaternionic_residue_raises_on_both_paths_alike():
     # a residue within atol reads as the real part on both paths
     small = QuatMatrix(E.comps * 1e-10 + QuatMatrix.identity(2).comps)
     assert m.probability(small, psi) == pytest.approx(m.probability(small, psi.density()), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "m,other",
+    [(quantum_theory(1), quantum_theory(2)), (quaternionic_theory(2), quaternionic_theory(4))],
+    ids=["quantum", "quaternionic"],
+)
+def test_a_ket_or_a_wrong_size_matrix_is_refused_by_name(m, other):
+    # each primitive that takes densities only, on a ket and on a 4x4 matrix
+    for state, got in ((m.branch_ket(1), "a ket of shape (2,)"), (other.branch_state(0), "a matrix of shape (4, 4)")):
+        for call in (
+            lambda: m.states_close(state, m.branch_state(0)),
+            lambda: m.states_close(m.branch_state(0), state),
+            lambda: m.branch_probabilities(state),
+            lambda: m.contains(state),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"{m.name} theory expects a 2x2 density matrix, got {got}"
+
+
+def test_a_ket_is_not_broadcast_against_a_density():
+    # these broadcast once: a wrong True, a bare numpy error, a concatenation error
+    with pytest.raises(ValueError, match="got a ket of shape"):
+        quantum_theory(1).states_close(np.array([0.5, 0.5]), np.full((2, 2), 0.5))
+    h = quaternionic_theory(2)
+    with pytest.raises(ValueError, match="got a ket of shape"):
+        h.states_close(h.branch_ket(0), h.branch_state(0))
+    with pytest.raises(ValueError, match="got a ket of shape"):
+        h.branch_probabilities(h.branch_ket(1))
