@@ -17,7 +17,6 @@ from .core import (
 )
 from .quaternion import (
     NumericConsistencyError,
-    QuatKet,
     QuatMatrix,
     Quaternion,
     conjugate_state,

@@ -44,22 +44,10 @@ def _off_diagonal_within(a: np.ndarray, atol: float) -> bool:
     return bool(not off.any() or np.abs(off).max() <= atol)
 
 
-def is_diagonal(a, atol: float) -> bool:
-    """Whether every off-diagonal entry of the trailing square axes is within ``atol``.
-
-    The comparison is absolute (no relative term). An infinite diagonal entry
-    still counts as diagonal; NaN anywhere makes the answer False.
-    """
-    a = np.asarray(a)
-    return _off_diagonal_within(a, atol) and not np.isnan(
-        np.diagonal(a, axis1=-2, axis2=-1)
-    ).any()
-
-
 def finite_diagonal(a, atol: float) -> np.ndarray | None:
     """The diagonal of the trailing square axes, or None unless every
-    off-diagonal entry is within ``atol`` (as in :func:`is_diagonal`) and
-    every diagonal entry is finite."""
+    off-diagonal entry is within ``atol`` (an absolute comparison, no
+    relative term) and every diagonal entry is finite."""
     a = np.asarray(a)
     if not _off_diagonal_within(a, atol):
         return None
@@ -206,18 +194,13 @@ class TheoryModel:
     def __init__(
         self,
         name: str,
-        fiducial_layout: Sequence[tuple[str, int]],
         n_branches: int,
         group: TransformationGroup,
         atol: float = DEFAULT_ATOL,
     ):
         if n_branches < 2:
             raise ValueError("the branch measurement needs at least two outcomes")
-        for label, count in fiducial_layout:
-            if count < 2:
-                raise ValueError(f"measurement {label!r} needs at least two outcomes")
         self.name = name
-        self.fiducial_layout = tuple(fiducial_layout)
         self._n_branches = int(n_branches)
         self.group = group
         self.atol = float(atol)
@@ -317,9 +300,13 @@ class VectorTheory(TheoryModel):
         atol: float = DEFAULT_ATOL,
         extremal_states: Sequence[GptState] | None = None,
     ):
+        for label, count in fiducial_layout:
+            if count < 2:
+                raise ValueError(f"measurement {label!r} needs at least two outcomes")
         counts = [count for _, count in fiducial_layout]
         n_branches = counts[branch_measurement]
-        super().__init__(name, fiducial_layout, n_branches, group, atol)
+        super().__init__(name, n_branches, group, atol)
+        self.fiducial_layout = tuple(fiducial_layout)
         self._spanning = tuple(spanning_states)
         self._within = within
         #: Vertices of the state polytope, or None for round state spaces.
@@ -347,17 +334,23 @@ class VectorTheory(TheoryModel):
     def apply(self, trans, state):
         return apply(trans, state)
 
-    def contains(self, state) -> bool:
+    def _own(self, state: GptState) -> np.ndarray:
+        # the probabilities of a state of this dimension; any other
+        # dimension is refused, never broadcast
         if state.dim != self.state_dim:
             raise ValueError(
                 f"state dimension {state.dim} does not match theory dimension {self.state_dim}"
             )
+        return state.probs
+
+    def contains(self, state) -> bool:
+        self._own(state)
         return valid_layout(state, self.fiducial_layout, self.atol) and (
             self._within is None or bool(self._within(state))
         )
 
     def states_close(self, a, b) -> bool:
-        return bool(np.allclose(a.probs, b.probs, rtol=0.0, atol=self.atol))
+        return bool(np.allclose(self._own(a), self._own(b), rtol=0.0, atol=self.atol))
 
     def compose(self, second, first):
         name = ""

@@ -2,8 +2,7 @@
 
 Each experiment maps to a fixed sequence of library calls, carries its own
 pass predicate, and renders to a canonical JSON report.  Identical inputs
-and seed give byte-identical canonical reports; the wall-clock runtime is
-kept out of the canonical payload for exactly that reason.
+and seed give byte-identical canonical reports.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import inspect
 import io
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -25,7 +23,7 @@ from . import phase as ph
 from . import theories as th
 from . import uncertainty as unc
 from .core import GptState
-from .quaternion import QuatKet, QuatMatrix, Quaternion
+from .quaternion import QuatMatrix, Quaternion
 
 DEFAULT_SEED = 0
 
@@ -39,10 +37,8 @@ class ExperimentReport:
     parameters: dict
     results: dict
     passed: bool
-    runtime_ms: int = 0
 
     def canonical_dict(self) -> dict:
-        # runtime is volatile and excluded so reruns are byte-identical
         return {
             "experiment": self.experiment,
             "theory": self.theory,
@@ -466,14 +462,11 @@ def _exp_spekkens_compare(rng):
 
 def _exp_quaternionic_globalphase(rng):
     m = th.quaternionic_theory(2)
-    j_plus = QuatKet.from_quaternions(
-        [Quaternion(1.0 / math.sqrt(2.0)), Quaternion(0.0, 0.0, 1.0 / math.sqrt(2.0))]
-    )
-    real_plus = QuatKet.from_quaternions(
-        [Quaternion(1.0 / math.sqrt(2.0)), Quaternion(1.0 / math.sqrt(2.0))]
-    )
-    states = [m.branch_state(0), real_plus.density(), j_plus.density()]
-    effects = list(m.z_effects) + [real_plus.density(), j_plus.density()]
+    amplitudes = np.zeros((4, 2, 1))  # the column (1, j) / sqrt(2)
+    amplitudes[0, 0] = amplitudes[2, 1] = 1.0 / math.sqrt(2.0)
+    j_plus = QuatMatrix(amplitudes)
+    states = [m.branch_state(0), m.uniform_superposition(), j_plus @ j_plus.dagger()]
+    effects = list(m.z_effects) + states[1:]
 
     def conjugated(h: Quaternion, rho: QuatMatrix) -> QuatMatrix:
         G = QuatMatrix.diag([h, h])
@@ -542,9 +535,7 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
     for key, value in params.items():
         if key != "theory":
             params[key] = ifr._exact_int(value, key)
-    start = time.perf_counter()
     theory, used_params, results, passed = run(**params)
-    runtime_ms = int((time.perf_counter() - start) * 1000.0)
     used_params["seed"] = seed
     return ExperimentReport(
         experiment=name,
@@ -552,7 +543,6 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
         parameters=_jsonsafe(used_params),
         results=_jsonsafe(results),
         passed=bool(passed),
-        runtime_ms=runtime_ms,
     )
 
 

@@ -1,7 +1,8 @@
-"""Quaternion scalars, vectors and matrices with symplectic operations.
+"""Quaternion scalars and matrices with symplectic operations.
 
 Quaternions are stored component-wise (1, i, j, k); matrices keep a single
 ``(4, rows, cols)`` float array so products reduce to real matrix products.
+A ket is a one-column matrix.
 The symplectic dagger is transpose plus entrywise conjugation, and a square
 matrix is symplectic when ``S @ S.dagger()`` is the identity.  Probabilities
 are always extracted as a trace, tr(E rho) through :func:`real_trace_prob`
@@ -186,16 +187,13 @@ class QuatMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.comps.shape[1], self.comps.shape[2]
+        return self.comps.shape[1:]
 
     # -- algebra -------------------------------------------------------------
 
     def __matmul__(self, other):
         if isinstance(other, QuatMatrix):
             return QuatMatrix(_hamilton_matmul(self.comps, other.comps))
-        if isinstance(other, QuatKet):
-            col = other.comps[:, :, None]
-            return QuatKet(_hamilton_matmul(self.comps, col)[:, :, 0])
         return NotImplemented
 
     def __add__(self, other):
@@ -232,43 +230,6 @@ class QuatMatrix:
         return f"QuatMatrix<{rows}x{cols}>"
 
 
-class QuatKet:
-    """Column vector of quaternions, stored as a (4, n) component array."""
-
-    __slots__ = ("comps",)
-
-    def __init__(self, comps):
-        arr = np.array(comps, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != 4:
-            raise ValueError("component array must have shape (4, n)")
-        arr.setflags(write=False)
-        object.__setattr__(self, "comps", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuatKet is immutable")
-
-    @classmethod
-    def from_quaternions(cls, entries) -> "QuatKet":
-        comps = np.zeros((4, len(entries)))
-        for i, q in enumerate(entries):
-            comps[:, i] = q.components()
-        return cls(comps)
-
-    @property
-    def dim(self) -> int:
-        return self.comps.shape[1]
-
-    def density(self) -> QuatMatrix:
-        """Rank-1 projector |psi><psi| with entries psi_i * conj(psi_k)."""
-        return QuatMatrix(_hamilton_matmul(self.comps[:, :, None], _conj(self.comps[:, None, :])))
-
-    def isclose(self, other: "QuatKet", atol: float = DEFAULT_ATOL) -> bool:
-        return bool(np.allclose(self.comps, other.comps, rtol=0.0, atol=atol))
-
-    def __repr__(self):
-        return f"QuatKet<dim={self.dim}>"
-
-
 # ---------------------------------------------------------------------------
 # Module operations
 # ---------------------------------------------------------------------------
@@ -293,14 +254,14 @@ def real_trace_prob(E: QuatMatrix, rho: QuatMatrix, atol: float = DEFAULT_ATOL) 
     return _real_part(_product_trace(E.comps, rho.comps), atol)
 
 
-def ket_trace_prob(E: QuatMatrix, psi: QuatKet, atol: float = DEFAULT_ATOL) -> float:
-    """Probability tr(E psi psi^dagger) of a ket, checked as :func:`real_trace_prob`
-    checks tr(E rho).
+def ket_trace_prob(E: QuatMatrix, psi: QuatMatrix, atol: float = DEFAULT_ATOL) -> float:
+    """Probability tr(E psi psi^dagger) of a ket, an N x 1 column, checked as
+    :func:`real_trace_prob` checks tr(E rho).
 
     The trace, not psi^dagger E psi, is the quantity: quaternions do not
     commute, so the two share their real part but not their i/j/k residue.
     """
-    return _real_part(_ket_trace(E.comps, psi.comps), atol)
+    return _real_part(_ket_trace(E.comps, psi.comps[:, :, 0]), atol)
 
 
 def _real_part(t: np.ndarray, atol: float) -> float:

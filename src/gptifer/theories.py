@@ -8,10 +8,8 @@ the 0/1 maps that carry every outcome coordinate to another.  The two toy
 bits share their relabelings and differ only in the states they admit.
 Balls come with pole spanning sets and float tolerance.  The many-level
 quantum and quaternionic theories are backed by density matrices, or by
-kets for pure states, with probabilities computed on demand; their branch
-statistics and interference statistics are exposed as a probability
-vector when needed, and the primitives that compare or read densities
-refuse a ket by name.
+kets (one-column matrices) for pure states, with probabilities computed on
+demand; the primitives that compare or read densities refuse a ket by name.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .core import (
 )
 from .quaternion import (
     NumericConsistencyError,
-    QuatKet,
     QuatMatrix,
     _hamilton_entrywise,
     conjugate_state,
@@ -351,16 +348,16 @@ def spekkens_epistemic_theory() -> TheoryModel:
 class MatrixTheory(TheoryModel):
     """N-level system whose states are density matrices over a scalar algebra.
 
-    Probabilities are computed on demand; :meth:`gpt_vector` exposes the
-    branch and post-beamsplitter statistics as a probability vector.  Shared
-    code reads a matrix through its *entries*, a (k, N, N) array of the k
-    algebra components.  A subclass declares its algebra (``PHASES``,
-    ``PINNED``, family descriptions, the ``_``-prefixed hooks the methods
-    below call) and implements ``probability`` and ``apply`` natively.
+    Probabilities are computed on demand.  Shared code reads a matrix through
+    its *entries*, a (k, rows, cols) array of the k algebra components.  A
+    subclass declares its algebra (``PHASES``, ``PINNED``, family
+    descriptions, the ``_``-prefixed hooks the methods below call) and
+    implements ``probability`` and ``apply`` natively.
 
-    A pure state may also be carried as a ket (:meth:`branch_ket`), which
-    ``apply`` and ``probability`` recognize by its form: a ket evolves as
-    T psi, in O(N^2), and reads as tr(E psi psi^dagger).
+    A pure state may also be carried as a ket, an N x 1 matrix of the same
+    type (:meth:`branch_ket`).  :meth:`_is_ket` tells it from a density by
+    its shape: a ket evolves as T psi, in O(N^2), and reads as
+    tr(E psi psi^dagger).
     """
 
     #: Unit scalars as component rows, 1 first.  With the branch projectors,
@@ -376,9 +373,7 @@ class MatrixTheory(TheoryModel):
             self.PHASE_FAMILY,
             lambda rng: self._from_diagonal(self._random_phases(rng, self.dim)),
         )
-        super().__init__(
-            name, (("Z", N), ("X", N)), N, ParametricGroup(phases, self._branch_family)
-        )
+        super().__init__(name, N, ParametricGroup(phases, self._branch_family))
         n_qubits = int(round(np.log2(N)))
         if 2**n_qubits == N:
             self.beamsplitter = self._matrix(self._lift(hadamard_matrix(n_qubits)))
@@ -403,14 +398,22 @@ class MatrixTheory(TheoryModel):
     def branch_state(self, j: int):
         return self.diagonal_map(np.eye(self.dim)[j])
 
+    def _column(self, amplitudes):
+        # the N x 1 ket with the (k, N) entries ``amplitudes``
+        return self._matrix(amplitudes[:, :, None])
+
+    def _is_ket(self, state) -> bool:
+        # the one test telling a ket from a density
+        return state.shape == (self.dim, 1)
+
     def branch_ket(self, j: int):
         """The ket of :meth:`branch_state`."""
-        return self._ket(self._lift(np.eye(self.dim)[j]))
+        return self._column(self._lift(np.eye(self.dim)[j]))
 
-    def _pure(self, ket):
-        # |psi><psi| of the ket with (k, N) entries
-        col = self._matrix(ket[:, :, None])
-        return col @ self._dagger(col)
+    def _pure(self, amplitudes):
+        # |psi><psi| of the ket with the (k, N) entries ``amplitudes``
+        ket = self._column(amplitudes)
+        return ket @ self._dagger(ket)
 
     def uniform_superposition(self):
         return self._pure(self._lift(np.full(self.dim, 1.0 / np.sqrt(self.dim))))
@@ -440,7 +443,7 @@ class MatrixTheory(TheoryModel):
         entries = self._entries(state)
         shape = entries.shape[1:]
         if shape != (self.dim, self.dim):
-            got = "a ket" if len(shape) == 1 else "a matrix"
+            got = "a ket" if self._is_ket(state) else "a matrix"
             raise ValueError(
                 f"{self.name} theory expects a {self.dim}x{self.dim} density matrix, got {got} of shape {shape}"
             )
@@ -528,16 +531,6 @@ class MatrixTheory(TheoryModel):
 
         return ParametricFamily(self.BRANCH_FAMILY.format(branch=branch), sample)
 
-    def gpt_vector(self, state) -> GptState:
-        """Branch probabilities plus post-beamsplitter interference
-        statistics as one probability vector."""
-        if self.beamsplitter is None:
-            raise ValueError("interference statistics need a power-of-two dimension")
-        B = self.beamsplitter
-        return GptState(np.concatenate(
-            [self.branch_probabilities(state), self.branch_probabilities(B @ state @ B)]
-        ))
-
 
 class DensityMatrixTheory(MatrixTheory):
     """N = 2**n level quantum system: complex entries, unitary dynamics.
@@ -563,7 +556,6 @@ class DensityMatrixTheory(MatrixTheory):
         M.setflags(write=False)
         return M
 
-    _ket = staticmethod(lambda entries: entries[0])
     _entries = staticmethod(lambda M: np.asarray(M)[None])
     _dagger = staticmethod(lambda M: np.asarray(M).conj().T)
     _complex_form = staticmethod(np.asarray)
@@ -575,7 +567,7 @@ class DensityMatrixTheory(MatrixTheory):
 
     # bench/tracer.py times these five through each class's own __dict__
     def probability(self, effect, state) -> float:
-        if state.ndim == 1:  # a ket: tr(E psi psi^dagger) = sum_i (E psi)_i conj(psi_i)
+        if self._is_ket(state):  # tr(E psi psi^dagger) = sum_i (E psi)_i conj(psi_i)
             t = complex(np.vdot(state, effect @ state))
         else:
             t = complex(np.einsum("ij,ji->", effect, state))
@@ -586,7 +578,7 @@ class DensityMatrixTheory(MatrixTheory):
         return float(t.real)
 
     def apply(self, trans, state):
-        if state.ndim == 1:  # a ket
+        if self._is_ket(state):
             return trans @ state
         return trans @ state @ trans.conj().T
 
@@ -613,7 +605,6 @@ class QuaternionicTheory(MatrixTheory):
         super().__init__("quaternionic", N)
 
     _matrix = staticmethod(QuatMatrix)
-    _ket = staticmethod(QuatKet)
     _entries = staticmethod(lambda M: M.comps)
     _dagger = staticmethod(QuatMatrix.dagger)
     _complex_form = staticmethod(QuatMatrix.complex_adjoint)
@@ -632,12 +623,12 @@ class QuaternionicTheory(MatrixTheory):
 
     # bench/tracer.py times these five through each class's own __dict__
     def probability(self, effect, state) -> float:
-        if isinstance(state, QuatKet):
+        if self._is_ket(state):
             return ket_trace_prob(effect, state, atol=self.atol)
         return real_trace_prob(effect, state, atol=self.atol)
 
     def apply(self, trans, state):
-        if isinstance(state, QuatKet):
+        if self._is_ket(state):
             return trans @ state
         return conjugate_state(trans, state)
 

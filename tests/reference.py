@@ -9,7 +9,7 @@ import numpy as np
 
 from gptifer.core import GptState, LinearMap
 from gptifer.interferometer import OracleSpec, build_oracle, sign_encoding
-from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion, _conj, _hamilton_entrywise, _hamilton_matmul
+from gptifer.quaternion import QuatMatrix, Quaternion, _conj, _hamilton_entrywise, _hamilton_matmul
 from gptifer.theories import QuaternionicTheory, embed_rotation, random_rotation
 from gptifer.uncertainty import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -84,10 +84,16 @@ def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
     return Quaternion(*(comps / np.linalg.norm(comps)))
 
 
+def quat_pure(*entries: Quaternion) -> QuatMatrix:
+    """|psi><psi| of the quaternionic column psi with these entries."""
+    psi = QuatMatrix(np.transpose([q.components() for q in entries])[:, :, None])
+    return psi @ psi.dagger()
+
+
 def random_pure_quaternionic_state(N: int, rng: np.random.Generator) -> QuatMatrix:
-    comps = rng.standard_normal((4, N))
-    comps /= np.sqrt(np.sum(comps**2))
-    return QuatKet(comps).density()
+    comps = rng.standard_normal((4, N, 1))
+    psi = QuatMatrix(comps / np.sqrt(np.sum(comps**2)))
+    return psi @ psi.dagger()
 
 
 def is_symplectic(S: QuatMatrix, atol: float = 1e-9) -> bool:

@@ -41,7 +41,7 @@ from gptifer.phase import (
     localizable_union,
     phase_group,
 )
-from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion
+from gptifer.quaternion import QuatMatrix, Quaternion
 from gptifer.theories import (
     classical_theory,
     gbit_theory,
@@ -60,7 +60,7 @@ from gptifer.uncertainty import (
     schrodinger_bound,
 )
 from gptifer.experiments import run_suite, suite_canonical_bytes
-from reference import quantum_branch_local_form_check, quantum_phase_form_check, random_unitary
+from reference import quantum_branch_local_form_check, quantum_phase_form_check, quat_pure, random_unitary
 
 
 def criterion(number: int, label: str):
@@ -183,9 +183,7 @@ def test_criterion_5_quaternionic_dj():
     # global-phase split on the two-level system
     m = quaternionic_theory(2)
     inv = 1.0 / math.sqrt(2.0)
-    j_plus = QuatKet.from_quaternions(
-        [Quaternion(inv), Quaternion(0.0, 0.0, inv)]
-    ).density()
+    j_plus = quat_pure(Quaternion(inv), Quaternion(0.0, 0.0, inv))
     states = [m.branch_state(0), j_plus]
     effects = list(m.z_effects) + [j_plus]
 

@@ -190,8 +190,6 @@ def test_json_round_trip_and_content_equality(tmp_path):
     emit_report(report, path)
     parsed = ExperimentReport.from_json(path.read_text())
     assert parsed == report
-    # runtime is metadata, not content
-    assert parsed.runtime_ms == 0
 
 
 def test_emission_is_byte_deterministic(tmp_path):

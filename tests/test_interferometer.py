@@ -18,13 +18,15 @@ Core claims:
       quaternionic run reproduces the complex run
     - search evolves a ket: every point of the curve is within 1e-12 of the
       density-matrix reference, and only the locality probes reach apply as
-      densities; sign_encoding shares one read-only identity, and each
+      densities; 200-round curves (quantum N = 4, 64; quaternionic N = 2,
+      16) are pinned byte for byte by one sha256 each; sign_encoding shares one read-only identity, and each
       member is still checked on its own
     - wire formats for oracle tables and search configs round-trip
     - invalid search inputs and inconclusive LP solves raise instead of
       returning a curve or a no-go
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -62,7 +64,7 @@ from gptifer.interferometer import (
     spekkens_epistemic_dj_instruments,
     spekkens_ontic_dj_instruments,
 )
-from gptifer.quaternion import QuatKet, QuatMatrix, Quaternion
+from gptifer.quaternion import QuatMatrix, Quaternion
 from gptifer.theories import (
     classical_theory,
     dball_theory,
@@ -465,12 +467,26 @@ def test_ket_curve_matches_the_density_reference(m, marked):
     assert max(abs(p - r) for p, r in zip(curve, reference)) <= 1e-12
 
 
+#: sha256 of the float64 bytes of the 200-round curve marking branch N - 1.
+SEARCH_CURVE_DIGESTS = {
+    ("quantum", 2): "14edd30dfec993e082b7571b00abb1d6c164d586a3d1c658a97b316a4743f935",
+    ("quantum", 6): "5032e3b47b24da31eb5137092641a9cbb781162e15dfbb40247d57dc3c89a66c",
+    ("quaternionic", 2): "f569c6f4b73a33283a128791cc598990a03413621620860bc5f211dea07f1cb8",
+    ("quaternionic", 16): "39593aebc24bb07b6cd173f8b554cd14d36b317f19de35f09f0cce3382f07381",
+}
+
+
+@pytest.mark.parametrize("name,size", SEARCH_CURVE_DIGESTS, ids=lambda v: str(v))
+def test_search_curves_are_pinned_byte_for_byte(name, size):
+    m = quantum_theory(size) if name == "quantum" else quaternionic_theory(size)
+    curve = grover_success_curve(m, m.n_branches - 1, 200)
+    assert hashlib.sha256(np.array(curve).tobytes()).hexdigest() == SEARCH_CURVE_DIGESTS[name, size]
+
+
 def _form(state) -> str:
-    if isinstance(state, QuatKet) or (isinstance(state, np.ndarray) and state.ndim == 1):
-        return "ket"
-    if isinstance(state, QuatMatrix) or (isinstance(state, np.ndarray) and state.ndim == 2):
-        return "density"
-    return type(state).__name__
+    # in both matrix theories a ket is an N x 1 matrix and a density N x N
+    rows, cols = state.shape
+    return "ket" if cols == 1 else "density" if cols == rows else f"a {rows}x{cols} matrix"
 
 
 def _recording(m, name, monkeypatch) -> list:

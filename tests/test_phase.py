@@ -46,6 +46,7 @@ from gptifer.theories import (
 from reference import (
     quantum_branch_local_form_check,
     quantum_phase_form_check,
+    quat_pure,
     random_unit_quaternion,
     random_unitary,
 )
@@ -325,11 +326,7 @@ def test_generic_unit_quaternion_fails_remote_branches():
 def test_global_phase_observability_split():
     m = quaternionic_theory(2)
     inv = 1.0 / np.sqrt(2.0)
-    from gptifer.quaternion import QuatKet
-
-    j_plus = QuatKet.from_quaternions(
-        [Quaternion(inv), Quaternion(0.0, 0.0, inv)]
-    ).density()
+    j_plus = quat_pure(Quaternion(inv), Quaternion(0.0, 0.0, inv))
     states = [m.branch_state(0), j_plus]
     effects = list(m.z_effects) + [j_plus]
 

@@ -26,7 +26,6 @@ from gptifer.quaternion import (
     K,
     ONE,
     NumericConsistencyError,
-    QuatKet,
     QuatMatrix,
     Quaternion,
     conjugate_state,
@@ -35,7 +34,7 @@ from gptifer.quaternion import (
 )
 from gptifer.quaternion import _hamilton_entrywise, _hamilton_matmul, _product_trace
 from gptifer.theories import quaternionic_theory
-from reference import _vec_inner, is_symplectic, random_symplectic, random_unit_quaternion
+from reference import _vec_inner, is_symplectic, quat_pure, random_symplectic, random_unit_quaternion
 
 RNG = np.random.default_rng(2024)
 
@@ -128,24 +127,22 @@ def test_uniform_superposition_probability():
 
 
 def test_identity_effect_gives_one():
-    rho = QuatKet.from_quaternions([Quaternion(0.6), Quaternion(0.0, 0.8)]).density()
+    rho = quat_pure(Quaternion(0.6), Quaternion(0.0, 0.8))
     assert real_trace_prob(QuatMatrix.identity(2), rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jk_phased_superposition_probability():
     # direct expansion: rho_00 = j * conj(j) / 2 = 1/2
     inv = 1.0 / np.sqrt(2.0)
-    ket = QuatKet.from_quaternions(
-        [Quaternion(0, 0, inv, 0), Quaternion(0, 0, 0, inv)]
-    )
-    assert real_trace_prob(Z0, ket.density()) == pytest.approx(0.5, abs=1e-12)
+    rho = quat_pure(Quaternion(0, 0, inv, 0), Quaternion(0, 0, 0, inv))
+    assert real_trace_prob(Z0, rho) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_residue_guard_raises_on_cross_plane_pair():
     # hand expansion: tr(e_i rho_j) = 1/2 - k/2, so the residue is exactly 1/2
     inv = 1.0 / np.sqrt(2.0)
-    e_i = QuatKet.from_quaternions([Quaternion(inv), Quaternion(0, inv)]).density()
-    rho_j = QuatKet.from_quaternions([Quaternion(inv), Quaternion(0, 0, inv)]).density()
+    e_i = quat_pure(Quaternion(inv), Quaternion(0, inv))
+    rho_j = quat_pure(Quaternion(inv), Quaternion(0, 0, inv))
     with pytest.raises(
         NumericConsistencyError,
         match=r"^trace has imaginary residue 5\.000e-01 above tolerance 1\.0e-09$",
@@ -172,7 +169,7 @@ def test_conjugate_by_sign_flip_flips_off_diagonals():
 
 def test_global_imaginary_phase_changes_j_valued_state():
     inv = 1.0 / np.sqrt(2.0)
-    rho = QuatKet.from_quaternions([Quaternion(inv), Quaternion(0, 0, inv)]).density()
+    rho = quat_pure(Quaternion(inv), Quaternion(0, 0, inv))
     G = QuatMatrix.diag([I, I])
     out = conjugate_state(G, rho)
     assert not out.isclose(rho, atol=1e-6)
@@ -185,7 +182,7 @@ def test_global_real_signs_never_change_states():
     for _ in range(10):
         comps = RNG.standard_normal((4, 3))
         comps /= np.sqrt(np.sum(comps**2))
-        rho = QuatKet(comps).density()
+        rho = quat_pure(*(Quaternion(*c) for c in comps.T))
         for sign in (1.0, -1.0):
             G = QuatMatrix.diag([Quaternion(sign)] * 3)
             assert conjugate_state(G, rho).isclose(rho, atol=1e-12)
@@ -251,7 +248,7 @@ def test_complex_adjoint_is_multiplicative_and_faithful():
 def test_symplectic_inner_product_kernel():
     # the Gram-Schmidt kernel of random_symplectic: sum_i conj(u_i) v_i
     inv = 1.0 / np.sqrt(2.0)
-    phi = QuatKet.from_quaternions([Quaternion(inv), Quaternion(0, 0, inv)]).comps
+    phi = np.transpose([Quaternion(inv).components(), Quaternion(0, 0, inv).components()])
     i_phi = _hamilton_entrywise(np.array(I.components())[:, None], phi)  # i psi_i
     assert Quaternion(*_vec_inner(phi, i_phi)[:, 0]).norm() == pytest.approx(0.0, abs=1e-12)
     assert Quaternion(*_vec_inner(phi, phi)[:, 0]).isclose(ONE, atol=1e-12)

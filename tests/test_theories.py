@@ -13,8 +13,8 @@ Core claims:
     - quaternionic two-level states project exactly onto the 5-ball
     - the loop-free diagonal and commutation checks agree with their
       allclose and qmul references, NaN and infinite entries included; the
-      complex and quaternionic diagonal checks give the same answer on
-      non-finite entries without a floating-point warning
+      complex and quaternionic diagonal checks refuse a NaN diagonal entry
+      alike, without a floating-point warning
     - containment: octahedron inside tetrahedron and ball; tetrahedron
       vertices break the ball bound but stay inside the cube
     - every finite group element preserves its state space
@@ -29,13 +29,16 @@ Core claims:
       probe counts (2 and 4), byte-identical identity, sign-flip and branch
       maps to the former per-theory constructions, and one verdict on maps
       with non-finite entries (no commutation, no warning)
-    - a pure state may be a ket: a branch ket is the ket of its branch
-      state; apply and probability on a ket agree with the same calls on
-      its density within 1e-12; the quaternionic ket trace keeps the
-      density trace's i/j/k residue, so a residue above atol raises on both
-      paths with one message, even where psi^dagger E psi is real
+    - a pure state may be a ket, an N x 1 matrix of the theory's matrix
+      type: a branch ket is the ket of its branch state; apply and
+      probability on a ket agree with the same calls on its density within
+      1e-12; the quaternionic ket trace keeps the density trace's i/j/k
+      residue, so a residue above atol raises on both paths with one
+      message, even where psi^dagger E psi is real
     - states_close, branch_probabilities and contains take N x N densities
-      only: a ket or a matrix of another size raises a ValueError naming it
+      only: a ket or a matrix of another size raises a ValueError naming it;
+      a vector theory's states_close refuses a state of another dimension
+      with the message contains gives
     - every finite group (classical N = 2..8, gbit<d> d = 2..6, both toy
       bits) keeps its element names, matrices, vertices and branch effects
       byte for byte, pinned by one sha256 each
@@ -51,10 +54,9 @@ import numpy as np
 import pytest
 
 import gptifer.theories as th
-from gptifer.core import GptState, is_diagonal, preserves_statespace
+from gptifer.core import GptState, finite_diagonal, preserves_statespace
 from gptifer.quaternion import (
     NumericConsistencyError,
-    QuatKet,
     QuatMatrix,
     Quaternion,
     _ket_trace,
@@ -87,6 +89,7 @@ from gptifer.theories import (
     theory_sizes,
 )
 from reference import (
+    quat_pure,
     quaternionic_two_level_gpt_state,
     qubit_state_from_density,
     qubit_state_from_ket,
@@ -360,16 +363,6 @@ def test_quantum_model_exposes_branch_projectors():
         assert m.probability(z, rho) == pytest.approx(0.25, abs=1e-12)
 
 
-def test_quantum_gpt_vector_blocks_sum_to_one():
-    m = quantum_theory(2)
-    rng = np.random.default_rng(9)
-    U = random_unitary(m.dim, rng)
-    rho = m.apply(U, m.branch_state(1))
-    vec = m.gpt_vector(rho)
-    assert vec.probs[:4].sum() == pytest.approx(1.0, abs=1e-9)
-    assert vec.probs[4:].sum() == pytest.approx(1.0, abs=1e-9)
-
-
 def test_quantum_contains_rejects_non_states():
     m = quantum_theory(1)
     assert m.contains(m.branch_state(0))
@@ -377,8 +370,9 @@ def test_quantum_contains_rejects_non_states():
     assert not m.contains(np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex))
 
 
-def _allclose_is_diagonal(U, atol):
-    return bool(np.allclose(U, np.diag(np.diagonal(U)), rtol=0.0, atol=atol))
+def _allclose_finite_diagonal(U, atol):
+    d = np.diagonal(U)
+    return bool(np.allclose(U, np.diag(d), rtol=0.0, atol=atol) and np.isfinite(d).all())
 
 
 def test_quantum_diagonal_check_matches_allclose_reference():
@@ -394,29 +388,21 @@ def test_quantum_diagonal_check_matches_allclose_reference():
         U[i, j] = value
         cases.append(U)
     for U in cases:
-        assert is_diagonal(U, m.atol) == _allclose_is_diagonal(U, m.atol)
-    assert not is_diagonal(np.diag([np.nan, 1.0, 1.0, 1.0]).astype(complex), m.atol)
+        assert (finite_diagonal(U, m.atol) is not None) == _allclose_finite_diagonal(U, m.atol)
+    assert finite_diagonal(np.diag([np.nan, 1.0, 1.0, 1.0]).astype(complex), m.atol) is None
 
 
-NON_FINITE_DIAGONALS = [
-    ([np.inf, 1.0], True),
-    ([-np.inf, 1.0], True),
-    ([np.nan, 1.0], False),
-    ([1.0, np.nan], False),
-]
-
-
-@pytest.mark.parametrize("entries,expected", NON_FINITE_DIAGONALS)
-def test_diagonal_predicates_agree_on_non_finite_entries(entries, expected):
+@pytest.mark.parametrize("entries", [[np.nan, 1.0], [1.0, np.nan]])
+def test_diagonal_predicates_agree_on_non_finite_entries(entries):
     m = quantum_theory(1)
     real = np.diag(entries)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert is_diagonal(real.astype(complex), m.atol) is expected
-        assert is_diagonal(QuatMatrix.from_real(real).comps, m.atol) is expected
+        assert finite_diagonal(real.astype(complex), m.atol) is None
+        assert finite_diagonal(QuatMatrix.from_real(real).comps, m.atol) is None
         comps = np.zeros((4, 2, 2))
         comps[2] = real  # the same entries on the j component
-        assert is_diagonal(QuatMatrix(comps).comps, m.atol) is expected
+        assert finite_diagonal(QuatMatrix(comps).comps, m.atol) is None
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -426,8 +412,8 @@ def test_diagonal_predicates_reject_non_finite_off_diagonal_entries(value):
     real[0, 1] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not is_diagonal(real.astype(complex), m.atol)
-        assert not is_diagonal(QuatMatrix.from_real(real).comps, m.atol)
+        assert finite_diagonal(real.astype(complex), m.atol) is None
+        assert finite_diagonal(QuatMatrix.from_real(real).comps, m.atol) is None
 
 
 def test_quaternionic_diagonal_check_keeps_its_tolerance():
@@ -435,7 +421,7 @@ def test_quaternionic_diagonal_check_keeps_its_tolerance():
         comps = np.zeros((4, 3, 3))
         comps[0] = np.eye(3)
         comps[3, 2, 0] = scale
-        assert is_diagonal(QuatMatrix(comps).comps, 1e-9) is expected
+        assert (finite_diagonal(QuatMatrix(comps).comps, 1e-9) is not None) is expected
 
 
 def test_commutation_with_a_nan_overlap_is_false_without_warning():
@@ -511,28 +497,15 @@ def test_two_level_projection_matches_five_ball():
         assert radius == pytest.approx(0.25, abs=1e-9)
 
 
-def test_quaternionic_gpt_vector_blocks_sum_to_one():
-    m = quaternionic_theory(4)
-    rng = np.random.default_rng(21)
-    rho = m.apply(random_symplectic(m.dim, rng), m.branch_state(2))
-    vec = m.gpt_vector(rho)
-    assert vec.probs[:4].sum() == pytest.approx(1.0, abs=1e-9)
-    assert vec.probs[4:].sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(vec.probs >= -1e-9) and np.all(vec.probs <= 1.0 + 1e-9)
-    with pytest.raises(ValueError):
-        quaternionic_theory(3).gpt_vector(quaternionic_theory(3).branch_state(0))
-
-
 def test_sign_flipped_kets_are_operationally_identical():
     m = quaternionic_theory(2)
     rng = np.random.default_rng(7)
     effects = list(m.z_effects) + [m.uniform_superposition()]
     for _ in range(50):
-        comps = rng.standard_normal((4, 2))
-        comps /= np.sqrt(np.sum(comps**2))
-        ket = QuatKet(comps)
-        rho = ket.density()
-        rho_neg = QuatKet(-comps).density()  # the global phase -1 on the ket
+        comps = rng.standard_normal((4, 2, 1))
+        psi = QuatMatrix(comps / np.sqrt(np.sum(comps**2)))
+        # the ket and the ket times the global phase -1
+        rho, rho_neg = (ket @ ket.dagger() for ket in (psi, -psi))
         for e in effects:
             assert m.probability(e, rho) == pytest.approx(
                 m.probability(e, rho_neg), abs=1e-12
@@ -764,7 +737,7 @@ def test_quaternionic_maps_match_the_former_constructions_bytewise():
         entries = [Quaternion(1.0)] * 4
         entries[x] = Quaternion(-1.0)
         assert flip.comps.tobytes() == QuatMatrix.diag(entries).comps.tobytes()
-    expected = QuatKet(np.vstack([np.full(4, 0.5), np.zeros((3, 4))])).density()
+    expected = quat_pure(*[Quaternion(0.5)] * 4)
     assert m.uniform_superposition().comps.tobytes() == expected.comps.tobytes()
 
 
@@ -814,15 +787,16 @@ _KET_THEORIES = [quantum_theory(n) for n in (1, 2, 3)] + [quaternionic_theory(N)
 
 
 def _random_ket(m, rng):
+    # an N x 1 column of the theory's matrix type
     if isinstance(m, QuaternionicTheory):
-        comps = rng.standard_normal((4, m.dim))
-        return QuatKet(comps / np.sqrt(np.sum(comps**2)))
-    psi = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
+        comps = rng.standard_normal((4, m.dim, 1))
+        return QuatMatrix(comps / np.sqrt(np.sum(comps**2)))
+    psi = rng.standard_normal((m.dim, 1)) + 1j * rng.standard_normal((m.dim, 1))
     return psi / np.linalg.norm(psi)
 
 
 def _density(psi):
-    return psi.density() if isinstance(psi, QuatKet) else np.outer(psi, psi.conj())
+    return psi @ psi.dagger() if isinstance(psi, QuatMatrix) else psi @ psi.conj().T
 
 
 def _random_map(m, rng):
@@ -846,7 +820,8 @@ def test_a_branch_ket_is_the_ket_of_the_branch_state():
     for m in _KET_THEORIES:
         for j in range(m.dim):
             psi = m.branch_ket(j)
-            assert isinstance(psi, QuatKet) or (psi.ndim == 1 and psi.dtype == complex)
+            assert psi.shape == (m.dim, 1) and type(psi) is type(m.branch_state(j))
+            assert isinstance(psi, QuatMatrix) or (psi.dtype == complex and not psi.flags.writeable)
             assert m.states_close(_density(psi), m.branch_state(j))
 
 
@@ -872,7 +847,7 @@ def test_a_quaternionic_ket_trace_keeps_its_residue(N):
     for _ in range(20):
         psi, E = _random_ket(m, rng), _random_self_adjoint(m, rng)
         np.testing.assert_allclose(
-            _ket_trace(E.comps, psi.comps), _product_trace(E.comps, psi.density().comps), rtol=0.0, atol=1e-12
+            _ket_trace(E.comps, psi.comps[:, :, 0]), _product_trace(E.comps, _density(psi).comps), rtol=0.0, atol=1e-12
         )
 
 
@@ -882,7 +857,7 @@ def test_a_ket_evolves_as_its_density(m):
     for _ in range(10):
         psi, T = _random_ket(m, rng), _random_map(m, rng)
         image = m.apply(T, psi)
-        assert type(image) is type(psi)
+        assert type(image) is type(psi) and image.shape == (m.dim, 1)
         assert np.abs(m._entries(_density(image)) - m._entries(m.apply(T, _density(psi)))).max() <= 1e-12
 
 
@@ -907,17 +882,16 @@ def test_a_quaternionic_residue_raises_on_both_paths_alike():
     comps[1] = [[0.0, 1.0], [-1.0, 0.0]]  # E = [[0, i], [-i, 0]]
     E = QuatMatrix(comps)
     assert E.isclose(E.dagger(), atol=0.0)
-    psi = QuatKet.from_quaternions([Quaternion(1.0 / np.sqrt(2.0)), Quaternion(0.0, 0.0, 1.0 / np.sqrt(2.0))])
-    col = QuatMatrix(psi.comps[:, :, None])
-    quadratic = (col.dagger() @ E @ col).comps[:, 0, 0]
+    psi = QuatMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])[:, :, None] / np.sqrt(2.0))
+    quadratic = (psi.dagger() @ E @ psi).comps[:, 0, 0]
     assert np.abs(quadratic).max() <= 1e-15
-    np.testing.assert_allclose(_ket_trace(E.comps, psi.comps), [0.0, 0.0, 0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(_ket_trace(E.comps, psi.comps[:, :, 0]), [0.0, 0.0, 0.0, 1.0], atol=1e-15)
     message = _raised(m, E, psi)
-    assert message == _raised(m, E, psi.density())
+    assert message == _raised(m, E, _density(psi))
     assert message == f"trace has imaginary residue 1.000e+00 above tolerance {m.atol:.1e}"
     # a residue within atol reads as the real part on both paths
     small = QuatMatrix(E.comps * 1e-10 + QuatMatrix.identity(2).comps)
-    assert m.probability(small, psi) == pytest.approx(m.probability(small, psi.density()), abs=1e-15)
+    assert m.probability(small, psi) == pytest.approx(m.probability(small, _density(psi)), abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -927,7 +901,7 @@ def test_a_quaternionic_residue_raises_on_both_paths_alike():
 )
 def test_a_ket_or_a_wrong_size_matrix_is_refused_by_name(m, other):
     # each primitive that takes densities only, on a ket and on a 4x4 matrix
-    for state, got in ((m.branch_ket(1), "a ket of shape (2,)"), (other.branch_state(0), "a matrix of shape (4, 4)")):
+    for state, got in ((m.branch_ket(1), "a ket of shape (2, 1)"), (other.branch_state(0), "a matrix of shape (4, 4)")):
         for call in (
             lambda: m.states_close(state, m.branch_state(0)),
             lambda: m.states_close(m.branch_state(0), state),
@@ -942,9 +916,21 @@ def test_a_ket_or_a_wrong_size_matrix_is_refused_by_name(m, other):
 def test_a_ket_is_not_broadcast_against_a_density():
     # these broadcast once: a wrong True, a bare numpy error, a concatenation error
     with pytest.raises(ValueError, match="got a ket of shape"):
-        quantum_theory(1).states_close(np.array([0.5, 0.5]), np.full((2, 2), 0.5))
+        quantum_theory(1).states_close(np.array([[0.5], [0.5]]), np.full((2, 2), 0.5))
     h = quaternionic_theory(2)
     with pytest.raises(ValueError, match="got a ket of shape"):
         h.states_close(h.branch_ket(0), h.branch_state(0))
     with pytest.raises(ValueError, match="got a ket of shape"):
         h.branch_probabilities(h.branch_ket(1))
+
+
+@pytest.mark.parametrize("m", [classical_theory(2), gbit_theory(2)], ids=lambda m: m.name)
+def test_a_vector_state_of_another_dimension_is_not_broadcast(m):
+    # compared entrywise, a one-entry vector would broadcast against any state whose entries all equal it
+    full, short = GptState(np.full(m.state_dim, 0.5)), GptState([0.5])
+    message = f"state dimension 1 does not match theory dimension {m.state_dim}"
+    for a, b in ((full, short), (short, full), (short, short)):
+        with pytest.raises(ValueError) as err:
+            m.states_close(a, b)
+        assert str(err.value) == message
+    assert m.states_close(full, full)
