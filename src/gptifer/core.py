@@ -14,7 +14,7 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
@@ -26,7 +26,8 @@ DEFAULT_ATOL = 1e-9
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    # C order: a transposed view would slow every entrywise product
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -53,6 +54,23 @@ def finite_diagonal(a, atol: float) -> np.ndarray | None:
         return None
     d = np.diagonal(a, axis1=-2, axis2=-1)
     return d if np.isfinite(d).all() else None
+
+
+@dataclass(frozen=True, eq=False)
+class DiagonalMap:
+    """Map diagonal in the branch basis, stored as its (k, N) entries over
+    a k-component scalar algebra.
+
+    ``comps`` is read-only, and ``finite`` records once whether every entry
+    is finite.  ``MatrixTheory.dense`` gives the N x N matrix.
+    """
+
+    comps: np.ndarray
+    finite: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "comps", _readonly(self.comps, None))
+        object.__setattr__(self, "finite", bool(np.isfinite(self.comps).all()))
 
 
 @dataclass(frozen=True, eq=False)

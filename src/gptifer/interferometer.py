@@ -413,7 +413,7 @@ def sign_encoding(m: TheoryModel) -> BranchEncoding:
     # 1 - 2 e_x flips the sign of branch x alone; every branch shares one
     # read-only identity
     identity = m.identity_map()
-    flips = (m.diagonal_map(1.0 - 2.0 * np.eye(m.dim)[x]) for x in range(m.dim))
+    flips = (m.diagonal_map(1.0 - 2.0 * (np.arange(m.dim) == x)) for x in range(m.dim))
     return BranchEncoding(tuple((identity, flip) for flip in flips))
 
 

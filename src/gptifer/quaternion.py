@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ATOL
+from .core import DEFAULT_ATOL, DiagonalMap
 
 
 class NumericConsistencyError(ArithmeticError):
@@ -274,7 +274,11 @@ def _real_part(t: np.ndarray, atol: float) -> float:
     return t[0]
 
 
-def conjugate_state(S: QuatMatrix, rho: QuatMatrix) -> QuatMatrix:
-    """Image S rho S.dagger() of a state under a symplectic transformation."""
+def conjugate_state(S: QuatMatrix | DiagonalMap, rho: QuatMatrix) -> QuatMatrix:
+    """Image S rho S.dagger() of a state under a symplectic transformation;
+    a diagonal S acts entrywise, as d_i rho_ij conj(d_j)."""
+    if isinstance(S, DiagonalMap):
+        d = S.comps
+        return QuatMatrix(_hamilton_entrywise(_hamilton_entrywise(d[:, :, None], rho.comps), _conj(d)[:, None, :]))
     return S @ rho @ S.dagger()
 

@@ -10,6 +10,7 @@ Balls come with pole spanning sets and float tolerance.  The many-level
 quantum and quaternionic theories are backed by density matrices, or by
 kets (one-column matrices) for pure states, with probabilities computed on
 demand; the primitives that compare or read densities refuse a ket by name.
+Maps diagonal in the branch basis are stored as their diagonal.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_ATOL,
+    DiagonalMap,
     FiniteGroup,
     GptState,
     LinearMap,
@@ -358,6 +360,12 @@ class MatrixTheory(TheoryModel):
     type (:meth:`branch_ket`).  :meth:`_is_ket` tells it from a density by
     its shape: a ket evolves as T psi, in O(N^2), and reads as
     tr(E psi psi^dagger).
+
+    A map diagonal in the branch basis (the phase and branch family
+    samples, :meth:`diagonal_map`, :meth:`identity_map`) is a
+    :class:`DiagonalMap`: with another diagonal it composes entrywise, it
+    acts on a state entrywise, and its diagonal is read, not scanned.  With
+    a dense map it is first materialized by :meth:`dense`.
     """
 
     #: Unit scalars as component rows, 1 first.  With the branch projectors,
@@ -371,7 +379,7 @@ class MatrixTheory(TheoryModel):
         self.dim = N
         phases = ParametricFamily(
             self.PHASE_FAMILY,
-            lambda rng: self._from_diagonal(self._random_phases(rng, self.dim)),
+            lambda rng: DiagonalMap(self._random_phases(rng, self.dim)),
         )
         super().__init__(name, N, ParametricGroup(phases, self._branch_family))
         n_qubits = int(round(np.log2(N)))
@@ -386,25 +394,43 @@ class MatrixTheory(TheoryModel):
 
     def _diagonal(self, M) -> np.ndarray | None:
         # (k, N) diagonal entries, or None unless M is diagonal and finite
+        if isinstance(M, DiagonalMap):
+            return M.comps if M.finite else None
         return finite_diagonal(self._entries(M), self.atol)
 
-    def _from_diagonal(self, d):
-        return self._matrix(d[:, :, None] * np.eye(self.dim))
-
-    def diagonal_map(self, values):
+    def diagonal_map(self, values) -> DiagonalMap:
         """Diagonal map with the real entries ``values``."""
-        return self._matrix(self._lift(np.diag(values)))
+        return DiagonalMap(self._lift(values))
+
+    def dense(self, trans):
+        """``trans`` as an N x N matrix: a :class:`DiagonalMap` is
+        materialized, with exact zeros off the diagonal; any other map is
+        returned as it is."""
+        return self._dense(trans.comps) if isinstance(trans, DiagonalMap) else trans
+
+    def _dense(self, d):
+        # the N x N matrix with the (k, N) entries d on its diagonal
+        entries = np.zeros(d.shape + (self.dim,), dtype=self.PHASES.dtype)
+        i = np.arange(self.dim)
+        entries[:, i, i] = d
+        return self._matrix(entries)
 
     def branch_state(self, j: int):
-        return self.diagonal_map(np.eye(self.dim)[j])
+        return self._dense(self._lift(np.eye(self.dim)[j]))
 
     def _column(self, amplitudes):
         # the N x 1 ket with the (k, N) entries ``amplitudes``
         return self._matrix(amplitudes[:, :, None])
 
     def _is_ket(self, state) -> bool:
-        # the one test telling a ket from a density
-        return state.shape == (self.dim, 1)
+        # the one test telling a ket from a density; any other shape is refused
+        shape = state.shape
+        if shape != (self.dim, 1) and shape != (self.dim, self.dim):
+            raise ValueError(
+                f"{self.name} theory expects a {self.dim}x1 ket or a {self.dim}x{self.dim} density matrix, "
+                f"got a matrix of shape {shape}"
+            )
+        return shape[1] == 1
 
     def branch_ket(self, j: int):
         """The ket of :meth:`branch_state`."""
@@ -443,7 +469,7 @@ class MatrixTheory(TheoryModel):
         entries = self._entries(state)
         shape = entries.shape[1:]
         if shape != (self.dim, self.dim):
-            got = "a ket" if self._is_ket(state) else "a matrix"
+            got = "a ket" if shape == (self.dim, 1) else "a matrix"
             raise ValueError(
                 f"{self.name} theory expects a {self.dim}x{self.dim} density matrix, got {got} of shape {shape}"
             )
@@ -474,7 +500,7 @@ class MatrixTheory(TheoryModel):
         uniform = self._lift(np.zeros(self.dim))
         uniform[0, others] = 1.0 / np.sqrt(len(others))
         pinned = tuple(self._pair_state(others[0], others[1], p) for p in self.PINNED)
-        return (self.diagonal_map(weights / weights.sum()), self._pure(uniform)) + pinned
+        return (self._dense(self._lift(weights / weights.sum())), self._pure(uniform)) + pinned
 
     def contains(self, state) -> bool:
         entries = self._density(state)
@@ -488,7 +514,11 @@ class MatrixTheory(TheoryModel):
         return bool(np.allclose(self._density(a), self._density(b), rtol=0.0, atol=self.atol))
 
     def compose(self, second, first):
-        return second @ first
+        # a diagonal meeting a dense map is materialized, so the product is
+        # the dense one bit for bit
+        if isinstance(second, DiagonalMap) and isinstance(first, DiagonalMap):
+            return DiagonalMap(self._entrywise(second.comps, first.comps))
+        return self.dense(second) @ self.dense(first)
 
     def identity_map(self):
         return self.diagonal_map(np.ones(self.dim))
@@ -515,6 +545,7 @@ class MatrixTheory(TheoryModel):
         da, db = self._diagonal(a), self._diagonal(b)
         if da is not None and db is not None:
             return self._diagonals_commute(da, db)
+        a, b = self.dense(a), self.dense(b)
         if not (np.isfinite(self._entries(a)).all() and np.isfinite(self._entries(b)).all()):
             return False
         return self.is_identity_map(self._dagger(b @ a) @ (a @ b))
@@ -527,7 +558,7 @@ class MatrixTheory(TheoryModel):
             global_phase = first / abs(first)
             d = self._lift(np.full(self.dim, global_phase))
             d[:, branch] = global_phase * self._random_phases(rng, 1)[:, 0]
-            return self._from_diagonal(d)
+            return DiagonalMap(d)
 
         return ParametricFamily(self.BRANCH_FAMILY.format(branch=branch), sample)
 
@@ -564,6 +595,7 @@ class DensityMatrixTheory(MatrixTheory):
         return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))[None]
 
     _diagonals_commute = staticmethod(lambda da, db: True)  # complex numbers commute
+    _entrywise = staticmethod(np.multiply)
 
     # bench/tracer.py times these five through each class's own __dict__
     def probability(self, effect, state) -> float:
@@ -578,9 +610,11 @@ class DensityMatrixTheory(MatrixTheory):
         return float(t.real)
 
     def apply(self, trans, state):
-        if self._is_ket(state):
-            return trans @ state
-        return trans @ state @ trans.conj().T
+        ket = self._is_ket(state)
+        if isinstance(trans, DiagonalMap):  # d psi, or d_i rho_ij conj(d_j)
+            d = trans.comps[0][:, None]
+            return d * state if ket else d * state * d.conj().T
+        return trans @ state if ket else trans @ state @ trans.conj().T
 
     compose = MatrixTheory.compose
     is_identity_map = MatrixTheory.is_identity_map
@@ -608,6 +642,7 @@ class QuaternionicTheory(MatrixTheory):
     _entries = staticmethod(lambda M: M.comps)
     _dagger = staticmethod(QuatMatrix.dagger)
     _complex_form = staticmethod(QuatMatrix.complex_adjoint)
+    _entrywise = staticmethod(_hamilton_entrywise)
 
     def _random_phases(self, rng, count):
         q = rng.standard_normal((count, 4))
@@ -615,7 +650,11 @@ class QuaternionicTheory(MatrixTheory):
 
     def _diagonals_commute(self, da, db) -> bool:
         # diag(ab) and diag(ba) induce the same conjugation exactly when
-        # conj((ba)_i) (ab)_i is one common real sign
+        # conj((ba)_i) (ab)_i is one common real sign: (a_i b_i)^2 when
+        # both diagonals are real
+        if not (da[1:].any() or db[1:].any()):
+            ab = da[:1] * db[:1]
+            return self._is_central_unit(ab * ab)
         pair = np.stack([da, db], axis=1)
         left, right = _hamilton_entrywise(pair, pair[:, ::-1]).swapaxes(0, 1)
         right[1:] *= -1.0
@@ -628,9 +667,11 @@ class QuaternionicTheory(MatrixTheory):
         return real_trace_prob(effect, state, atol=self.atol)
 
     def apply(self, trans, state):
-        if self._is_ket(state):
-            return trans @ state
-        return conjugate_state(trans, state)
+        if not self._is_ket(state):
+            return conjugate_state(trans, state)
+        if isinstance(trans, DiagonalMap):  # d psi, entrywise
+            return QuatMatrix(_hamilton_entrywise(trans.comps[:, :, None], state.comps))
+        return trans @ state
 
     compose = MatrixTheory.compose
     is_identity_map = MatrixTheory.is_identity_map

@@ -207,10 +207,10 @@ def test_criterion_6_phase_oracle_agreement():
     counterexamples = 0
     for _ in range(1000):
         D = m.group.phase_family.sample(rng)
-        if not (is_phase_operation(m, D) and quantum_phase_form_check(D)):
+        if not (is_phase_operation(m, D) and quantum_phase_form_check(m.dense(D))):
             counterexamples += 1
         for branch in range(m.dim):
-            if is_branch_local(m, D, branch) != quantum_branch_local_form_check(D, branch):
+            if is_branch_local(m, D, branch) != quantum_branch_local_form_check(m.dense(D), branch):
                 counterexamples += 1
     for _ in range(1000):
         U = random_unitary(m.dim, rng)
@@ -222,7 +222,7 @@ def test_criterion_6_phase_oracle_agreement():
         V = m.group.branch_family(branch).sample(rng)
         if not (
             is_branch_local(m, V, branch)
-            and quantum_branch_local_form_check(V, branch)
+            and quantum_branch_local_form_check(m.dense(V), branch)
         ):
             counterexamples += 1
     assert counterexamples == 0

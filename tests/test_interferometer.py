@@ -20,7 +20,8 @@ Core claims:
       density-matrix reference, and only the locality probes reach apply as
       densities; 200-round curves (quantum N = 4, 64; quaternionic N = 2,
       16) are pinned byte for byte by one sha256 each; sign_encoding shares one read-only identity, and each
-      member is still checked on its own
+      member is still checked on its own; it holds diagonals only, under
+      4 N^2 scalars at N = 128 for both matrix theories
     - wire formats for oracle tables and search configs round-trip
     - invalid search inputs and inconclusive LP solves raise instead of
       returning a curve or a no-go
@@ -161,13 +162,13 @@ def test_promise_tables_are_enumerated_up_to_the_bound(monkeypatch):
 def test_quantum_one_bit_flip_oracle_is_diag_one_minus_one():
     m, enc, _, _ = quantum_dj_instruments(1)
     U = build_oracle(m, OracleSpec(1, (0, 1)), enc)
-    np.testing.assert_allclose(U, np.diag([1.0, -1.0]), atol=1e-12)
+    np.testing.assert_allclose(m.dense(U), np.diag([1.0, -1.0]), atol=1e-12)
 
 
 def test_constant_zero_oracle_is_identity():
     m, enc, _, _ = quantum_dj_instruments(2)
     U = build_oracle(m, OracleSpec(2, (0, 0, 0, 0)), enc)
-    np.testing.assert_allclose(U, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(m.dense(U), np.eye(4), atol=1e-12)
 
 
 def test_box_world_encoding_rejected_with_branch_report():
@@ -529,7 +530,7 @@ def test_sign_encoding_shares_one_read_only_identity(monkeypatch):
         build_oracle(m, OracleSpec(m.n_branches.bit_length() - 1, (1,) + (0,) * (m.n_branches - 1)), enc)
         assert len(checked) == 2 * m.n_branches
     with pytest.raises(ValueError, match="read-only"):
-        sign_encoding(quantum_theory(2)).pairs[0][0][0, 0] = 2.0
+        sign_encoding(quantum_theory(2)).pairs[0][0].comps[0, 0] = 2.0
     # N flips and one identity, not a second dense N x N map per branch
     m = quantum_theory(7)
     N = m.n_branches
@@ -540,6 +541,22 @@ def test_sign_encoding_shares_one_read_only_identity(monkeypatch):
     finally:
         tracemalloc.stop()
     assert enc.n_branches == N and held < (N + 2) * N * N * 16
+
+
+@pytest.mark.parametrize("make, n", [(quantum_theory, 7), (quaternionic_theory, 128)], ids=["quantum", "quaternionic"])
+def test_sign_encoding_holds_its_diagonals_only(make, n):
+    # O(N^2) bytes, not N + 1 dense N x N maps: about 34 MB (quantum) and
+    # 68 MB (quaternionic) at N = 128 when each member was dense
+    m = make(n)
+    N = m.n_branches
+    scalar = m.PHASES.dtype.itemsize * m.PHASES.shape[1]  # bytes of one complex or quaternion entry
+    tracemalloc.start()
+    try:
+        enc = sign_encoding(m)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert N == 128 and enc.n_branches == N and held < 4 * N * N * scalar
 
 
 def test_search_unsupported_without_beamsplitter():

@@ -105,7 +105,7 @@ def test_operational_predicate_matches_diagonal_oracle():
     m = quantum_theory(2)
     for _ in range(200):
         D = m.group.phase_family.sample(RNG)
-        assert is_phase_operation(m, D) and quantum_phase_form_check(D)
+        assert is_phase_operation(m, D) and quantum_phase_form_check(m.dense(D))
         U = random_unitary(m.dim, RNG)
         assert is_phase_operation(m, U) == quantum_phase_form_check(U)
 
@@ -284,12 +284,12 @@ def test_every_local_passer_matches_single_branch_phase_form():
         for branch in range(4):
             if is_branch_local(m, D, branch):
                 hits += 1
-                assert quantum_branch_local_form_check(D, branch)
+                assert quantum_branch_local_form_check(m.dense(D), branch)
     for _ in range(100):
         branch = int(RNG.integers(0, 4))
         U = m.group.branch_family(branch).sample(RNG)
         assert is_branch_local(m, U, branch)
-        assert quantum_branch_local_form_check(U, branch)
+        assert quantum_branch_local_form_check(m.dense(U), branch)
         hits += 1
     assert hits >= 100
 

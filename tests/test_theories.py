@@ -42,6 +42,15 @@ Core claims:
     - every finite group (classical N = 2..8, gbit<d> d = 2..6, both toy
       bits) keeps its element names, matrices, vertices and branch effects
       byte for byte, pinned by one sha256 each
+    - apply and probability refuse a state that is neither N x 1 nor N x N,
+      for dense and diagonal maps alike, naming its shape
+    - a diagonal map stored as its diagonal agrees with its dense
+      materialization within 1e-12 (apply on kets and densities, compose,
+      is_identity_map, maps_commute, is_branch_local, is_phase_operation,
+      build_oracle); a diagonal meeting a dense map composes to the dense
+      product bit for bit; real quaternionic diagonals commute exactly as
+      the full check says; a non-finite stored diagonal commutes with
+      nothing and is not the identity
 """
 
 import hashlib
@@ -54,7 +63,7 @@ import numpy as np
 import pytest
 
 import gptifer.theories as th
-from gptifer.core import GptState, finite_diagonal, preserves_statespace
+from gptifer.core import DiagonalMap, GptState, finite_diagonal, preserves_statespace
 from gptifer.quaternion import (
     NumericConsistencyError,
     QuatMatrix,
@@ -63,7 +72,8 @@ from gptifer.quaternion import (
     _product_trace,
     qmul,
 )
-from gptifer.interferometer import sign_encoding
+from gptifer.interferometer import BranchEncoding, build_oracle, constant_balanced_specs, sign_encoding
+from gptifer.phase import is_branch_local, is_phase_operation
 from gptifer.theories import (
     MAX_BALL_MEASUREMENTS,
     MAX_CLASSICAL_OUTCOMES,
@@ -465,15 +475,19 @@ def test_quaternionic_diagonal_commutation_matches_qmul_reference():
         generic = [QuatMatrix.diag([random_unit_quaternion(rng) for _ in range(4)]) for _ in range(2)]
         planar = [QuatMatrix.diag([complex_phase() for _ in range(4)]) for _ in range(2)]
         local = [QuatMatrix.diag([random_unit_quaternion(rng), one, one, one]) for _ in range(2)]
-        pairs += [generic, planar, local]
+        # real diagonals, stored as their diagonal: a sign pattern commutes,
+        # a non-unit entry does not act as a phase
+        real = [m.diagonal_map(rng.choice([-1.0, 1.0, 1.0, 2.0], 4)) for _ in range(2)]
+        pairs += [generic, planar, local, real]
     outcomes = set()
     for a, b in pairs:
-        expected = _qmul_diagonals_commute(m, a, b)
+        expected = _qmul_diagonals_commute(m, m.dense(a), m.dense(b))
         outcomes.add(expected)
-        assert m.maps_commute(a, b) == expected
+        assert m.maps_commute(a, b) == m.maps_commute(m.dense(a), m.dense(b)) == expected
     assert outcomes == {True, False}
     nan = QuatMatrix.diag([Quaternion(np.nan), one, one, one])
     assert not m.maps_commute(nan, QuatMatrix.identity(4))
+    assert not m.maps_commute(m.diagonal_map([2.0, 1.0, 1.0, 1.0]), m.identity_map())
 
 
 
@@ -720,23 +734,24 @@ def test_branch_local_probe_counts(m, count):
 
 def test_quantum_maps_match_the_former_constructions_bytewise():
     m = quantum_theory(2)
-    assert m.identity_map().tobytes() == np.eye(4, dtype=complex).tobytes()
+    assert m.dense(m.identity_map()).tobytes() == np.eye(4, dtype=complex).tobytes()
     assert m.branch_state(2).dtype == complex
     for x, (identity, flip) in enumerate(sign_encoding(m).pairs):
         d = np.ones(4, dtype=complex)
         d[x] = -1.0
+        flip = m.dense(flip)
         assert flip.dtype == complex and flip.tobytes() == np.diag(d).tobytes()
-        assert identity.tobytes() == np.eye(4, dtype=complex).tobytes()
+        assert m.dense(identity).tobytes() == np.eye(4, dtype=complex).tobytes()
     assert m.beamsplitter.tobytes() == hadamard_matrix(2).astype(complex).tobytes()
 
 
 def test_quaternionic_maps_match_the_former_constructions_bytewise():
     m = quaternionic_theory(4)
-    assert m.identity_map().comps.tobytes() == QuatMatrix.identity(4).comps.tobytes()
+    assert m.dense(m.identity_map()).comps.tobytes() == QuatMatrix.identity(4).comps.tobytes()
     for x, (_, flip) in enumerate(sign_encoding(m).pairs):
         entries = [Quaternion(1.0)] * 4
         entries[x] = Quaternion(-1.0)
-        assert flip.comps.tobytes() == QuatMatrix.diag(entries).comps.tobytes()
+        assert m.dense(flip).comps.tobytes() == QuatMatrix.diag(entries).comps.tobytes()
     expected = quat_pure(*[Quaternion(0.5)] * 4)
     assert m.uniform_superposition().comps.tobytes() == expected.comps.tobytes()
 
@@ -747,7 +762,7 @@ def test_quaternionic_branch_family_samples_a_sign_times_a_local_unit():
     for branch in range(4):
         family = m.group.branch_family(branch)
         for _ in range(20):
-            S = family.sample(rng)
+            S = m.dense(family.sample(rng))
             assert not S.comps[:, ~np.eye(4, dtype=bool)].any()
             assert Quaternion(*S.comps[:, branch, branch]).norm() == pytest.approx(1.0, abs=1e-12)
             remote = [Quaternion(*S.comps[:, i, i]) for i in range(4) if i != branch]
@@ -766,13 +781,14 @@ _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 def test_non_finite_maps_commute_with_nothing(m, lift, value):
     diag = lift(np.diag([value, 1.0]))
     off = lift(np.array([[1.0, value], [0.0, 1.0]]))
+    stored = m.diagonal_map([value, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for bad in (diag, off):
+        for bad in (diag, off, stored):
             for other in (bad, lift(_FLIP), m.identity_map(), lift(np.diag([-1.0, 1.0]))):
                 assert m.maps_commute(bad, other) is False
                 assert m.maps_commute(other, bad) is False
-        assert not m.is_identity_map(diag)
+        assert not m.is_identity_map(diag) and not m.is_identity_map(stored)
     # finite maps keep their answers on both paths
     assert m.maps_commute(lift(np.diag([-1.0, 1.0])), m.identity_map())
     assert m.maps_commute(lift(_FLIP), lift(_FLIP))
@@ -913,6 +929,28 @@ def test_a_ket_or_a_wrong_size_matrix_is_refused_by_name(m, other):
             assert str(err.value) == f"{m.name} theory expects a 2x2 density matrix, got {got}"
 
 
+@pytest.mark.parametrize(
+    "m,shapes",
+    [(quantum_theory(1), [(2,), (1, 2), (2, 3), (3, 3)]), (quaternionic_theory(2), [(1, 2), (2, 3), (3, 3)])],
+    ids=["quantum", "quaternionic"],
+)
+def test_apply_and_probability_refuse_a_state_that_is_neither_ket_nor_density(m, shapes):
+    # a flat vector was once read as a density: apply(B, [1, 0]) gave [1, 0]
+    for shape in shapes:
+        state = np.zeros(shape, dtype=complex) if isinstance(m, DensityMatrixTheory) else QuatMatrix(np.zeros((4,) + shape))
+        state_shape = state.shape
+        for call in (
+            lambda: m.apply(m.beamsplitter, state),
+            lambda: m.apply(m.identity_map(), state),
+            lambda: m.apply(m.group.phase_family.sample(np.random.default_rng(0)), state),
+            lambda: m.probability(m.branch_state(0), state),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"{m.name} theory expects a 2x1 ket or a 2x2 density matrix, got a matrix of shape {state_shape}"
+    assert m.states_close(m.apply(m.beamsplitter, m.branch_state(0)), m.uniform_superposition())
+
+
 def test_a_ket_is_not_broadcast_against_a_density():
     # these broadcast once: a wrong True, a bare numpy error, a concatenation error
     with pytest.raises(ValueError, match="got a ket of shape"):
@@ -934,3 +972,59 @@ def test_a_vector_state_of_another_dimension_is_not_broadcast(m):
             m.states_close(a, b)
         assert str(err.value) == message
     assert m.states_close(full, full)
+
+
+# -- the diagonal form --------------------------------------------------------------------
+
+# at two branches every diagonal is local to both; the samples need more
+_DIAGONAL_THEORIES = [quantum_theory(2), quantum_theory(3), quaternionic_theory(4)]
+
+
+def _close(m, a, b) -> bool:
+    return np.abs(m._entries(a) - m._entries(b)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", _DIAGONAL_THEORIES, ids=_label)
+def test_the_diagonal_form_agrees_with_its_dense_materialization(m):
+    # the dense form is the reference: phase- and branch-family samples and
+    # the sign encoding against their materializations, on kets, densities,
+    # diagonal and dense maps; mixed operands are materialized bit for bit
+    rng = np.random.default_rng(15)
+    diagonals = [m.group.phase_family.sample(rng) for _ in range(4)]
+    diagonals += [m.group.branch_family(b).sample(rng) for b in range(m.dim)]
+    diagonals += [T for pair in sign_encoding(m).pairs for T in pair]
+    others = [m.beamsplitter, _random_map(m, rng)]
+    verdicts = set()
+    for D in diagonals:
+        M = m.dense(D)
+        assert isinstance(D, DiagonalMap) and type(M) is type(m.beamsplitter)
+        for _ in range(3):
+            psi = _random_ket(m, rng)
+            assert _close(m, m.apply(D, psi), m.apply(M, psi))
+            assert _close(m, m.apply(D, _density(psi)), m.apply(M, _density(psi)))
+        assert m.is_identity_map(D) == m.is_identity_map(M)
+        assert is_phase_operation(m, D) == is_phase_operation(m, M)
+        for branch in range(m.dim):
+            verdicts.add(("local", is_branch_local(m, D, branch)))
+            assert is_branch_local(m, D, branch) == is_branch_local(m, M, branch)
+        for E in diagonals:
+            DE = m.compose(D, E)
+            assert isinstance(DE, DiagonalMap) and _close(m, m.dense(DE), M @ m.dense(E))
+            assert np.array_equal(m._entries(m.compose(D, m.dense(E))), m._entries(M @ m.dense(E)))
+            assert np.array_equal(m._entries(m.compose(M, E)), m._entries(M @ m.dense(E)))
+            verdict = m.maps_commute(D, E)
+            verdicts.add(("commute", verdict))
+            assert verdict == m.maps_commute(M, m.dense(E)) == m.maps_commute(D, m.dense(E)) == m.maps_commute(M, E)
+        for X in others:
+            assert np.array_equal(m._entries(m.compose(D, X)), m._entries(M @ X))
+            assert np.array_equal(m._entries(m.compose(X, D)), m._entries(X @ M))
+            verdicts.add(("commute", m.maps_commute(D, X)))
+            assert m.maps_commute(D, X) == m.maps_commute(M, X) and m.maps_commute(X, D) == m.maps_commute(X, M)
+    # both answers occur, so agreement is not vacuous
+    assert verdicts == {(kind, v) for kind in ("local", "commute") for v in (True, False)}
+    local = BranchEncoding(tuple((m.identity_map(), m.group.branch_family(b).sample(rng)) for b in range(m.dim)))
+    for enc in (sign_encoding(m), local):
+        dense_enc = BranchEncoding(tuple(tuple(m.dense(T) for T in pair) for pair in enc.pairs))
+        for spec in constant_balanced_specs(m.dim.bit_length() - 1):
+            oracle = build_oracle(m, spec, enc)
+            assert isinstance(oracle, DiagonalMap) and _close(m, m.dense(oracle), build_oracle(m, spec, dense_enc))
