@@ -24,6 +24,16 @@ import numpy as np
 #: Theories whose matrices are integer-valued use an exact tolerance of 0.
 DEFAULT_ATOL = 1e-9
 
+#: Least tolerance of the checks on probabilities, whose float sums round.
+PROBABILITY_FLOOR = 1e-12
+
+
+def near_zero(x, atol: float) -> bool:
+    """Whether every entry of ``x`` is within ``atol`` of zero: the one closeness
+    test, absolute, and failed by a NaN or infinite entry."""
+    x = np.asarray(x)
+    return bool(not x.any() or np.abs(x).max() <= atol)
+
 
 def _readonly(values, dtype=float) -> np.ndarray:
     # C order: a transposed view would slow every entrywise product
@@ -40,17 +50,12 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(*lead, -1)[..., 1:].reshape(*lead, n - 1, n + 1)[..., :n]
 
 
-def _off_diagonal_within(a: np.ndarray, atol: float) -> bool:
-    off = _off_diagonal(a)
-    return bool(not off.any() or np.abs(off).max() <= atol)
-
-
 def finite_diagonal(a, atol: float) -> np.ndarray | None:
     """The diagonal of the trailing square axes, or None unless every
     off-diagonal entry is within ``atol`` (an absolute comparison, no
     relative term) and every diagonal entry is finite."""
     a = np.asarray(a)
-    if not _off_diagonal_within(a, atol):
+    if not near_zero(_off_diagonal(a), atol):
         return None
     d = np.diagonal(a, axis1=-2, axis2=-1)
     return d if np.isfinite(d).all() else None
@@ -258,7 +263,7 @@ class TheoryModel:
     def _faces(self) -> tuple:
         stats = [self.branch_probabilities(s) for s in self.spanning_states]
         return tuple(
-            tuple(s for s, p in zip(self.spanning_states, stats) if abs(p[b]) <= self.atol)
+            tuple(s for s, p in zip(self.spanning_states, stats) if near_zero(p[b], self.atol))
             for b in range(self.n_branches)
         )
 
@@ -368,7 +373,8 @@ class VectorTheory(TheoryModel):
         )
 
     def states_close(self, a, b) -> bool:
-        return bool(np.allclose(self._own(a), self._own(b), rtol=0.0, atol=self.atol))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+            return near_zero(self._own(a) - self._own(b), self.atol)
 
     def compose(self, second, first):
         name = ""
@@ -380,9 +386,7 @@ class VectorTheory(TheoryModel):
         return LinearMap(np.eye(self.state_dim), "identity")
 
     def is_identity_map(self, trans) -> bool:
-        return bool(
-            np.allclose(trans.matrix, np.eye(self.state_dim), rtol=0.0, atol=self.atol)
-        )
+        return near_zero(trans.matrix - np.eye(self.state_dim), self.atol)
 
     def maps_commute(self, a, b) -> bool:
         # compared as actions on states: linear extensions off the
@@ -424,12 +428,12 @@ def preserves_statespace(m: TheoryModel, T) -> bool:
     Checked on the spanning set: membership of every image, plus
     preservation of the branch-measurement normalization.
     """
-    tol = max(m.atol, 1e-12)
+    tol = max(m.atol, PROBABILITY_FLOOR)
     for s in m.spanning_states:
         out = m.apply(T, s)
         if not m.contains(out):
             return False
-        if not abs(m.branch_probabilities(out).sum() - m.branch_probabilities(s).sum()) <= tol:
+        if not near_zero(m.branch_probabilities(out).sum() - m.branch_probabilities(s).sum(), tol):
             return False
     return True
 
@@ -442,17 +446,13 @@ def is_valid_effect(m: TheoryModel, e: Effect) -> bool:
     """
     if not isinstance(m, VectorTheory) or m.extremal_states is None:
         raise ValueError("effect validity needs a theory with listed extreme points")
-    tol = max(m.atol, 1e-12)
-    for v in m.extremal_states:
-        p = probability(e, v)
-        if p < -tol or p > 1.0 + tol:
-            return False
-    return True
+    tol = max(m.atol, PROBABILITY_FLOOR)
+    return all(-tol <= probability(e, v) <= 1.0 + tol for v in m.extremal_states)
 
 
 def valid_layout(s: GptState, layout: Sequence[tuple[str, int]], atol: float) -> bool:
     """Finite entries within [0, 1] and each measurement block summing to one."""
-    tol = max(atol, 1e-12)
+    tol = max(atol, PROBABILITY_FLOOR)
     probs = s.probs
     if probs.shape[0] != sum(count for _, count in layout) or not np.isfinite(probs).all():
         return False

@@ -167,6 +167,7 @@ def _verdicts_and_probabilities(instruments) -> tuple[bool, dict]:
 
 
 def _dj_quantum(theory, *, n=2):
+    ifr.check_promise_bits(n)
     correct, max_dev = 0, 0.0
     for functions, (spec, out) in enumerate(_dj_runs(ifr.quantum_dj_instruments(n), n), 1):
         closed = abs(sum((-1.0) ** b for b in spec.table)) ** 2 / 4.0**n
@@ -182,13 +183,13 @@ def _dj_quantum(theory, *, n=2):
 
 
 def _dj_quaternionic(theory, *, N=4):
+    n = N.bit_length() - 1  # log2 N; an N that is no power of two is refused by the instruments
+    ifr.check_promise_bits(n)
     m, _, _, e_C = instruments = ifr.quaternionic_dj_instruments(N)
-    n = int(round(math.log2(N)))
-    test_effects = list(m.z_effects) + [e_C]
     correct, probs = 0, {}
     for functions, (spec, out) in enumerate(_dj_runs(instruments, n), 1):
         correct += out.verdict == ifr.classify(spec)
-        probs[spec.table] = [m.probability(e, out.output_state) for e in test_effects]
+        probs[spec.table] = [*m.branch_probabilities(out.output_state), m.probability(e_C, out.output_state)]
     # each table's negation is a promise table too, so it ran in this sweep
     negation_gap = max(
         abs(p - q) for t, ps in probs.items() for p, q in zip(ps, probs[tuple(1 - b for b in t)])

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import Effect, GptState, TheoryModel, VectorTheory
+from .core import Effect, GptState, TheoryModel, VectorTheory, near_zero
 from .phase import is_branch_local, localizable_union
 from .theories import (
     MatrixTheory,
@@ -117,11 +117,17 @@ def classify(spec: OracleSpec) -> str:
 MAX_PROMISE_BITS = 4
 
 
+def check_promise_bits(n: int) -> None:
+    """Raise ValueError if n is above :data:`MAX_PROMISE_BITS`; a sweep calls
+    this before it builds its instruments."""
+    if n > MAX_PROMISE_BITS:
+        raise ValueError(f"promise tables are enumerated for n <= {MAX_PROMISE_BITS}, got n = {n}")
+
+
 def constant_balanced_specs(n: int) -> tuple[OracleSpec, ...]:
     """All constant then all balanced tables, in lexicographic order; n above
     :data:`MAX_PROMISE_BITS` raises ValueError before any table is built."""
-    if n > MAX_PROMISE_BITS:
-        raise ValueError(f"promise tables are enumerated for n <= {MAX_PROMISE_BITS}, got n = {n}")
+    check_promise_bits(n)
     N = 2**n
     specs = [OracleSpec(n, (0,) * N), OracleSpec(n, (1,) * N)]
     for ones in itertools.combinations(range(N), N // 2):
@@ -236,7 +242,7 @@ def _query(m: TheoryModel, spec: OracleSpec, oracle, s_in, e_C) -> DJOutcome:
         raise ValueError("the constant-vs-balanced run requires a promise-abiding table")
     s_out = m.apply(oracle(promise), s_in)
     p = m.probability(e_C, s_out)
-    verdict = "constant" if abs(p - 1.0) <= VERDICT_ATOL else "balanced" if abs(p) <= VERDICT_ATOL else "indeterminate"
+    verdict = "constant" if near_zero(p - 1.0, VERDICT_ATOL) else "balanced" if near_zero(p, VERDICT_ATOL) else "indeterminate"
     return DJOutcome(p, verdict, s_out)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteGroup, LinearMap, ParametricFamily, TheoryModel
+from .core import PROBABILITY_FLOOR, FiniteGroup, LinearMap, ParametricFamily, TheoryModel, near_zero
 
 
 def is_phase_operation(m: TheoryModel, T) -> bool:
@@ -24,10 +24,9 @@ def is_phase_operation(m: TheoryModel, T) -> bool:
     ``T`` must already preserve the state space; the check runs over the
     spanning set, which settles the statement for all states by linearity.
     """
-    tol = max(m.atol, 1e-12)
+    tol = max(m.atol, PROBABILITY_FLOOR)
     bp = m.branch_probabilities
-    # written as "max <= tol" so that a NaN statistic fails the check
-    return all(np.abs(bp(m.apply(T, s)) - bp(s)).max() <= tol for s in m.spanning_states)
+    return all(near_zero(bp(m.apply(T, s)) - bp(s), tol) for s in m.spanning_states)
 
 
 def is_branch_local(m: TheoryModel, T, branch: int) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, DiagonalMap
+from .core import DEFAULT_ATOL, DiagonalMap, near_zero
 
 
 class NumericConsistencyError(ArithmeticError):
@@ -64,12 +64,7 @@ class Quaternion:
         return (self.a, self.b, self.c, self.d)
 
     def isclose(self, other: "Quaternion", atol: float = DEFAULT_ATOL) -> bool:
-        return (
-            abs(self.a - other.a) <= atol
-            and abs(self.b - other.b) <= atol
-            and abs(self.c - other.c) <= atol
-            and abs(self.d - other.d) <= atol
-        )
+        return near_zero([p - q for p, q in zip(self.components(), other.components())], atol)
 
     def __repr__(self):
         return f"Quaternion({self.a:g}, {self.b:g}, {self.c:g}, {self.d:g})"
@@ -209,7 +204,8 @@ class QuatMatrix:
         return QuatMatrix(_conj(np.transpose(self.comps, (0, 2, 1))))
 
     def isclose(self, other: "QuatMatrix", atol: float = DEFAULT_ATOL) -> bool:
-        return bool(np.allclose(self.comps, other.comps, rtol=0.0, atol=atol))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+            return near_zero(self.comps - other.comps, atol)
 
     def complex_adjoint(self) -> np.ndarray:
         """Complex 2N x 2M matrix representing this matrix faithfully.

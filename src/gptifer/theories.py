@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_ATOL,
+    PROBABILITY_FLOOR,
     DiagonalMap,
     FiniteGroup,
     GptState,
@@ -32,6 +33,7 @@ from .core import (
     TheoryModel,
     VectorTheory,
     finite_diagonal,
+    near_zero,
 )
 from .quaternion import (
     NumericConsistencyError,
@@ -315,12 +317,12 @@ def _in_tetrahedron(s: GptState) -> bool:
     # weights of the four points recovered from the statistics
     x, y, z = _spekkens_xyz(s)
     weights = (1.0 + x + y + z, 1.0 - x - y + z, 1.0 + x - y - z, 1.0 - x + y - z)
-    return all(w / 4.0 >= -1e-12 for w in weights)
+    return all(w / 4.0 >= -PROBABILITY_FLOOR for w in weights)
 
 
 def _in_octahedron(s: GptState) -> bool:
     x, y, z = _spekkens_xyz(s)
-    return abs(x) + abs(y) + abs(z) <= 1.0 + 1e-12
+    return abs(x) + abs(y) + abs(z) <= 1.0 + PROBABILITY_FLOOR
 
 
 def spekkens_ontic_theory() -> TheoryModel:
@@ -345,6 +347,11 @@ def spekkens_epistemic_theory() -> TheoryModel:
 # ---------------------------------------------------------------------------
 # Matrix theories: quantum theory over the complex numbers and the quaternions
 # ---------------------------------------------------------------------------
+
+
+#: Largest N whose spanning set is built: N + |PHASES| N(N - 1)/2 dense N x N
+#: states at once, 256 MB for quantum and 1 GB for quaternionic at N = 64.
+MAX_SPANNING_LEVELS = 64
 
 
 class MatrixTheory(TheoryModel):
@@ -458,6 +465,11 @@ class MatrixTheory(TheoryModel):
     def spanning_states(self):
         # projectors plus one pair state per pair of levels and phase: an
         # affine spanning set of the unit-trace Hermitian matrices
+        if self.dim > MAX_SPANNING_LEVELS:
+            raise ValueError(
+                f"{self.name} spanning states are built for N <= {MAX_SPANNING_LEVELS} "
+                f"(MAX_SPANNING_LEVELS), got N = {self.dim}"
+            )
         states = [self.branch_state(j) for j in range(self.dim)]
         for j, k in itertools.combinations(range(self.dim), 2):
             states.extend(self._pair_state(j, k, p) for p in range(len(self.PHASES)))
@@ -506,12 +518,13 @@ class MatrixTheory(TheoryModel):
         entries = self._density(state)
         if not self.states_close(state, self._dagger(state)):
             return False
-        if abs(np.trace(entries[0]).real - 1.0) > self.atol:
+        if not near_zero(np.trace(entries[0]).real - 1.0, self.atol):
             return False
         return bool(np.linalg.eigvalsh(self._complex_form(state)).min() >= -self.atol)
 
     def states_close(self, a, b) -> bool:
-        return bool(np.allclose(self._density(a), self._density(b), rtol=0.0, atol=self.atol))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+            return near_zero(self._density(a) - self._density(b), self.atol)
 
     def compose(self, second, first):
         # a diagonal meeting a dense map is materialized, so the product is
@@ -527,11 +540,11 @@ class MatrixTheory(TheoryModel):
         # whether the (k, N) entries d all lie within atol of one global
         # phase: a unit complex number, or a real sign for quaternions
         first = d[0, 0]
-        if not abs(abs(first) - 1.0) <= self.atol:
+        if not near_zero(abs(first) - 1.0, self.atol):
             return False
         deviation = d.copy()
         deviation[0] -= first
-        return bool(np.abs(deviation).max() <= self.atol)
+        return near_zero(deviation, self.atol)
 
     def is_identity_map(self, trans) -> bool:
         # acts as the identity exactly when it is a global phase times it

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GptState
+from .core import DEFAULT_ATOL, GptState, near_zero
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -31,10 +31,11 @@ class PauliExpectations:
     ez: float | np.ndarray
 
 
-def _require_hermitian(M: np.ndarray, label: str, atol: float = 1e-9) -> np.ndarray:
+def _require_hermitian(M: np.ndarray, label: str) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
-    if M.shape != (2, 2) or not np.allclose(M, M.conj().T, atol=atol):
-        raise ValueError(f"{label} must be a Hermitian 2x2 matrix")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+        if M.shape != (2, 2) or not near_zero(M - M.conj().T, DEFAULT_ATOL):
+            raise ValueError(f"{label} must be a Hermitian 2x2 matrix")
     return M
 
 

@@ -13,7 +13,9 @@ Core claims:
     - theory names are exact: a malformed one exits 2 naming the accepted
       forms, which the --theory help lists from the same table
     - search passes exactly when it follows the closed form, N = 2 included;
-      dj-sweep refuses more than 4 input bits before any protocol run
+      dj-sweep refuses more than 4 input bits before any protocol run, and
+      before its instruments are built; phase-group refuses a matrix theory
+      past MAX_SPANNING_LEVELS; each refusal exits 2 within a second
     - every finite theory's group run checks one definite answer: classical
       (N = 2, 3), gbit2..gbit5 and both toy bits pass, and fail once the
       group, a branch's subgroup or the union loses or gains one element;
@@ -30,6 +32,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -182,6 +185,31 @@ def test_cli_refuses_promise_tables_beyond_the_bound(argv, capsys, monkeypatch):
         main(argv)
     assert exc.value.code == 2
     assert "promise tables are enumerated for n <= 4, got n = 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["run", "dj-sweep", "--theory", "quantum", "--n", "12"], "promise tables are enumerated for n <= 4, got n = 12"),
+        (["run", "dj-sweep", "--theory", "quaternionic", "--N", "1024"], "promise tables are enumerated for n <= 4, got n = 10"),
+        (["run", "phase-group", "--theory", "quantum", "--n", "8"], "N <= 64 (MAX_SPANNING_LEVELS), got N = 256"),
+        (["run", "phase-group", "--theory", "quaternionic", "--N", "128"], "N <= 64 (MAX_SPANNING_LEVELS), got N = 128"),
+    ],
+)
+def test_cli_refuses_an_oversized_run_before_building_it(argv, message, capsys, monkeypatch):
+    def no_instruments(*args):
+        raise AssertionError("dj-sweep instruments were built")
+
+    monkeypatch.setattr(ifr, "quantum_dj_instruments", no_instruments)
+    monkeypatch.setattr(ifr, "quaternionic_dj_instruments", no_instruments)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_json_round_trip_and_content_equality(tmp_path):

@@ -10,6 +10,9 @@ Core claims:
     - pairing is affine: spanning-set checks extend to convex mixtures
     - branch effects are mutually exclusive on every spanning state
     - finite groups are closed and contain the identity
+    - near_zero, the one closeness test, is absolute: a NaN or infinite
+      entry fails it, exactly atol passes and the next float above fails;
+      an effect with a NaN weight is not a valid effect
 """
 
 import itertools
@@ -23,6 +26,7 @@ from gptifer.core import (
     GptState,
     LinearMap,
     apply,
+    near_zero,
     preserves_statespace,
     probability,
 )
@@ -249,5 +253,30 @@ def test_branch_and_fiducial_effects_are_valid_effects():
         for idx in range(m.state_dim):
             assert is_valid_effect(m, Effect(np.eye(m.state_dim)[idx]))
         assert not is_valid_effect(m, Effect(np.full(m.state_dim, 2.0)))
+        assert not is_valid_effect(m, Effect(np.full(m.state_dim, np.nan)))
     with pytest.raises(ValueError):
         is_valid_effect(qubit_theory(), Effect(np.eye(6)[0]))
+
+
+# -- the one closeness test ------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_near_zero_fails_a_non_finite_entry(value):
+    assert not near_zero(np.array([0.0, value]), 1e-9)
+
+
+def test_near_zero_is_absolute_at_its_edge():
+    atol = 1e-9
+    assert near_zero([atol, -atol], atol)
+    assert not near_zero([np.nextafter(atol, 1.0)], atol)
+    assert near_zero(np.zeros((3, 3)), 0.0)
+    assert not near_zero([1e-300], 0.0)
+    # a large entry gets no relative allowance
+    assert not near_zero(1e6 * (1.0 + 1e-12) - 1e6, 1e-9)
+
+
+def test_near_zero_reads_complex_magnitudes_and_passes_an_empty_array():
+    assert near_zero([0.6e-9 + 0.8e-9j], 1e-9)
+    assert not near_zero([0.6e-9 + 0.9e-9j], 1e-9)
+    assert near_zero(np.array([]), 0.0)

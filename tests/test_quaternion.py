@@ -13,6 +13,8 @@ Core claims:
     - the fixed branch projectors are real, diagonal, idempotent and complete
     - the batched product, entrywise product and trace kernels agree with
       entry-by-entry qmul sums
+    - isclose is absolute: a matrix or a scalar holding inf is not close to
+      itself
 """
 
 import itertools
@@ -79,6 +81,12 @@ def test_dagger_conjugates_imaginary_diagonal():
     M = QuatMatrix.diag([I, ONE])
     expected = QuatMatrix.diag([Quaternion(0.0, -1.0), ONE])
     assert M.dagger().isclose(expected)
+
+
+def test_an_infinite_entry_is_not_close_to_itself():
+    M = QuatMatrix.from_real([[np.inf, 0.0], [0.0, 1.0]])
+    assert not M.isclose(QuatMatrix.from_real([[np.inf, 0.0], [0.0, 1.0]]))
+    assert not Quaternion(np.inf).isclose(Quaternion(np.inf))
 
 
 def test_dagger_antihomomorphism_on_random_symplectics():

@@ -38,7 +38,10 @@ Core claims:
     - states_close, branch_probabilities and contains take N x N densities
       only: a ket or a matrix of another size raises a ValueError naming it;
       a vector theory's states_close refuses a state of another dimension
-      with the message contains gives
+      with the message contains gives; a state with an infinite entry is
+      not close to itself
+    - a matrix theory past MAX_SPANNING_LEVELS = 64 levels refuses its
+      spanning set before any state is built
     - every finite group (classical N = 2..8, gbit<d> d = 2..6, both toy
       bits) keeps its element names, matrices, vertices and branch effects
       byte for byte, pinned by one sha256 each
@@ -972,6 +975,32 @@ def test_a_vector_state_of_another_dimension_is_not_broadcast(m):
             m.states_close(a, b)
         assert str(err.value) == message
     assert m.states_close(full, full)
+
+
+@pytest.mark.parametrize(
+    "m,state",
+    [
+        (quantum_theory(1), np.array([[np.inf, 0.0], [0.0, 0.0]], dtype=complex)),
+        (classical_theory(2), GptState([np.inf, 0.0])),
+    ],
+    ids=["quantum", "classical"],
+)
+def test_a_state_with_an_infinite_entry_is_not_close_to_itself(m, state):
+    assert not m.states_close(state, state)
+
+
+@pytest.mark.parametrize("build", [lambda: quantum_theory(7), lambda: quaternionic_theory(128)],
+                         ids=["quantum7", "quaternionic128"])
+def test_an_oversized_spanning_set_is_refused_before_any_state_is_built(build):
+    m = build()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"N <= 64 \(MAX_SPANNING_LEVELS\), got N = {m.dim}"):
+            m.spanning_states
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- the diagonal form --------------------------------------------------------------------

@@ -9,6 +9,8 @@ Core claims:
     - the ball bound generalizes the sphere bound under P = (1 + e)/2
     - the kernels take an (n, 2, 2) stack and agree with their one-state
       results on every slice; one state still gives Python floats
+    - the Hermiticity check is absolute: a 1e-6 asymmetry is refused, with
+      no relative allowance, and so is an infinite entry
 """
 
 import numpy as np
@@ -58,6 +60,17 @@ def test_non_hermitian_inputs_rejected():
         schrodinger_bound(KET_ZERO, raising, PAULI_Y)
     with pytest.raises(ValueError):
         robertson_bound(KET_ZERO, PAULI_X, raising)
+
+
+def test_a_small_asymmetry_is_refused_without_relative_tolerance():
+    almost = np.array([[0.0, 1.0 + 1e-6], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="X must be a Hermitian 2x2 matrix"):
+        schrodinger_bound(KET_ZERO, almost, PAULI_Y)
+    with pytest.raises(ValueError, match="Y must be a Hermitian 2x2 matrix"):
+        robertson_bound(KET_ZERO, PAULI_X, almost)
+    infinite = np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="X must be a Hermitian 2x2 matrix"):
+        schrodinger_bound(KET_ZERO, infinite, PAULI_Y)
 
 
 def test_bounds_hold_on_sampled_pure_states():
