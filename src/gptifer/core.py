@@ -14,7 +14,7 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
@@ -66,16 +66,26 @@ class DiagonalMap:
     """Map diagonal in the branch basis, stored as its (k, N) entries over
     a k-component scalar algebra.
 
-    ``comps`` is read-only, and ``finite`` records once whether every entry
-    is finite.  ``MatrixTheory.dense`` gives the N x N matrix.
+    ``comps`` is read-only.  ``finite`` records, once and when first read,
+    whether every entry is finite, and ``real`` whether every entry is
+    real: no imaginary part and no component past the first.
+    ``MatrixTheory.dense`` gives the N x N matrix.  A matrix theory also
+    reads a diagonal as a state or an effect diagonal in the branch basis.
     """
 
     comps: np.ndarray
-    finite: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "comps", _readonly(self.comps, None))
-        object.__setattr__(self, "finite", bool(np.isfinite(self.comps).all()))
+
+    @cached_property
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.comps).all())
+
+    @cached_property
+    def real(self) -> bool:
+        imaginary = np.iscomplexobj(self.comps) and self.comps.imag.any()
+        return not (imaginary or self.comps[1:].any())
 
 
 @dataclass(frozen=True, eq=False)

@@ -367,7 +367,8 @@ def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int):
     Each round applies the marked-branch phase flip, the beamsplitter, a
     phase flip on branch 0, and the beamsplitter again, starting from the
     uniform superposition the beamsplitter prepares out of branch 0.  The
-    state stays pure, so it is evolved as a ket: O(N^2) per round.
+    state stays pure, so it is evolved as a ket, O(N^2) per round, and read
+    through the marked branch's diagonal effect in O(N).
     """
     if not 0 <= marked < m.n_branches:
         raise ValueError(f"marked branch {marked} is outside [0, {m.n_branches})")
@@ -392,7 +393,7 @@ def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int):
     B = m.beamsplitter
     step = m.compose(B, m.compose(flip0, m.compose(B, oracle)))
     state = m.apply(B, m.branch_ket(0))
-    z_marked = m.branch_state(marked)
+    z_marked = m.diagonal_map(np.arange(N) == marked)
     curve = [m.probability(z_marked, state)]
     for _ in range(max_iterations):
         state = m.apply(step, state)

@@ -5,10 +5,12 @@ Quaternions are stored component-wise (1, i, j, k); matrices keep a single
 A ket is a one-column matrix.
 The symplectic dagger is transpose plus entrywise conjugation, and a square
 matrix is symplectic when ``S @ S.dagger()`` is the identity.  Probabilities
-are always extracted as a trace, tr(E rho) through :func:`real_trace_prob`
-or tr(E psi psi^dagger) through :func:`ket_trace_prob`, never read off ket
-amplitudes, so the unobservability of the {+1, -1} global phase holds by
-construction of the probability rule.
+of a general effect are always extracted as a trace, tr(E rho) through
+:func:`real_trace_prob` or tr(E psi psi^dagger) through
+:func:`ket_trace_prob`, never read off ket amplitudes, so the
+unobservability of the {+1, -1} global phase holds by construction of the
+probability rule.  A real diagonal effect d reads a ket as
+sum_i d_i |psi_i|^2, which no unit on the right changes either.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class Quaternion:
         return (self.a, self.b, self.c, self.d)
 
     def isclose(self, other: "Quaternion", atol: float = DEFAULT_ATOL) -> bool:
-        return near_zero([p - q for p, q in zip(self.components(), other.components())], atol)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+            return near_zero([p - q for p, q in zip(self.components(), other.components())], atol)
 
     def __repr__(self):
         return f"Quaternion({self.a:g}, {self.b:g}, {self.c:g}, {self.d:g})"
@@ -114,7 +117,12 @@ def _hamilton_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _hamilton_entrywise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise Hamilton product of two (4, ...) component arrays."""
-    return _hamilton_contract(a[:, None] * b[None, :])
+    # einsum forms the sixteen component products without the two input
+    # buffers, each the size of the products, that a broadcast
+    # a[:, None] * b[None, :] allocates.  The products are the same but
+    # for the sign of a zero, which the contraction's sums, started from
+    # +0, do not carry: the result is the same to the bit
+    return _hamilton_contract(np.einsum("p...,q...->pq...", a, b))
 
 
 def _conj(comps: np.ndarray) -> np.ndarray:
@@ -149,6 +157,15 @@ class QuatMatrix:
             raise ValueError("component array must have shape (4, rows, cols)")
         arr.setflags(write=False)
         object.__setattr__(self, "comps", arr)
+
+    @classmethod
+    def _of_product(cls, comps: np.ndarray) -> "QuatMatrix":
+        # a freshly computed (4, rows, cols) float array that nothing else
+        # holds, taken read-only as it is instead of copied
+        comps.setflags(write=False)
+        M = object.__new__(cls)
+        object.__setattr__(M, "comps", comps)
+        return M
 
     def __setattr__(self, name, value):
         raise AttributeError("QuatMatrix is immutable")
@@ -188,7 +205,7 @@ class QuatMatrix:
 
     def __matmul__(self, other):
         if isinstance(other, QuatMatrix):
-            return QuatMatrix(_hamilton_matmul(self.comps, other.comps))
+            return QuatMatrix._of_product(_hamilton_matmul(self.comps, other.comps))
         return NotImplemented
 
     def __add__(self, other):

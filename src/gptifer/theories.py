@@ -7,10 +7,11 @@ a vertex list, which spans the state polytope, plus named relabelings,
 the 0/1 maps that carry every outcome coordinate to another.  The two toy
 bits share their relabelings and differ only in the states they admit.
 Balls come with pole spanning sets and float tolerance.  The many-level
-quantum and quaternionic theories are backed by density matrices, or by
-kets (one-column matrices) for pure states, with probabilities computed on
-demand; the primitives that compare or read densities refuse a ket by name.
-Maps diagonal in the branch basis are stored as their diagonal.
+quantum and quaternionic theories are backed by density matrices, by kets
+(one-column matrices) for pure states, or by diagonals for states diagonal
+in the branch basis, with probabilities computed on demand; a matrix of
+another shape is refused by name.  Maps and effects diagonal in the branch
+basis are stored as their diagonal.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from .core import (
 from .quaternion import (
     NumericConsistencyError,
     QuatMatrix,
+    _conj,
     _hamilton_entrywise,
+    _real_part,
     conjugate_state,
     ket_trace_prob,
     real_trace_prob,
@@ -349,8 +352,9 @@ def spekkens_epistemic_theory() -> TheoryModel:
 # ---------------------------------------------------------------------------
 
 
-#: Largest N whose spanning set is built: N + |PHASES| N(N - 1)/2 dense N x N
-#: states at once, 256 MB for quantum and 1 GB for quaternionic at N = 64.
+#: Largest N whose spanning set is built: N + |PHASES| N(N - 1)/2 kets at
+#: once, 4 MB for quantum and 17 MB for quaternionic at N = 64, each read
+#: by every phase check.
 MAX_SPANNING_LEVELS = 64
 
 
@@ -363,16 +367,19 @@ class MatrixTheory(TheoryModel):
     descriptions, the ``_``-prefixed hooks the methods below call) and
     implements ``probability`` and ``apply`` natively.
 
-    A pure state may also be carried as a ket, an N x 1 matrix of the same
-    type (:meth:`branch_ket`).  :meth:`_is_ket` tells it from a density by
-    its shape: a ket evolves as T psi, in O(N^2), and reads as
-    tr(E psi psi^dagger).
+    A state takes one of three forms, told apart in one place,
+    :meth:`_form`: an N x N density, a ket (an N x 1 matrix of the same
+    type, for a pure state: :meth:`branch_ket`, the spanning states, the
+    locality probes), or a :class:`DiagonalMap` (a state diagonal in the
+    branch basis: the weighted remote mixture probe).  A ket evolves as
+    T psi, in O(N^2), and reads as tr(E psi psi^dagger).
 
     A map diagonal in the branch basis (the phase and branch family
     samples, :meth:`diagonal_map`, :meth:`identity_map`) is a
     :class:`DiagonalMap`: with another diagonal it composes entrywise, it
     acts on a state entrywise, and its diagonal is read, not scanned.  With
-    a dense map it is first materialized by :meth:`dense`.
+    a dense map or a dense state it is first materialized by :meth:`dense`.
+    A real diagonal is also an effect, read in O(N) by ``probability``.
     """
 
     #: Unit scalars as component rows, 1 first.  With the branch projectors,
@@ -399,11 +406,12 @@ class MatrixTheory(TheoryModel):
         entries[0] = real
         return entries
 
-    def _diagonal(self, M) -> np.ndarray | None:
-        # (k, N) diagonal entries, or None unless M is diagonal and finite
+    def _diagonal(self, M) -> DiagonalMap | None:
+        # M as a DiagonalMap, or None unless M is diagonal and finite
         if isinstance(M, DiagonalMap):
-            return M.comps if M.finite else None
-        return finite_diagonal(self._entries(M), self.atol)
+            return M if M.finite else None
+        d = finite_diagonal(self._entries(M), self.atol)
+        return None if d is None else DiagonalMap(d)
 
     def diagonal_map(self, values) -> DiagonalMap:
         """Diagonal map with the real entries ``values``."""
@@ -429,33 +437,37 @@ class MatrixTheory(TheoryModel):
         # the N x 1 ket with the (k, N) entries ``amplitudes``
         return self._matrix(amplitudes[:, :, None])
 
-    def _is_ket(self, state) -> bool:
-        # the one test telling a ket from a density; any other shape is refused
+    def _form(self, state) -> str:
+        # the one test telling the state forms apart: "diagonal", "ket" or
+        # "density"; any other shape is refused by name, never broadcast
+        if isinstance(state, DiagonalMap):
+            if state.comps.shape != (self.PHASES.shape[1], self.dim):
+                raise ValueError(
+                    f"{self.name} theory expects a diagonal of {self.dim} entries, got one of shape {state.comps.shape}"
+                )
+            return "diagonal"
         shape = state.shape
         if shape != (self.dim, 1) and shape != (self.dim, self.dim):
             raise ValueError(
                 f"{self.name} theory expects a {self.dim}x1 ket or a {self.dim}x{self.dim} density matrix, "
                 f"got a matrix of shape {shape}"
             )
-        return shape[1] == 1
+        return "ket" if shape[1] == 1 else "density"
 
     def branch_ket(self, j: int):
         """The ket of :meth:`branch_state`."""
         return self._column(self._lift(np.eye(self.dim)[j]))
 
-    def _pure(self, amplitudes):
-        # |psi><psi| of the ket with the (k, N) entries ``amplitudes``
-        ket = self._column(amplitudes)
+    def uniform_superposition(self):
+        ket = self._column(self._lift(np.full(self.dim, 1.0 / np.sqrt(self.dim))))
         return ket @ self._dagger(ket)
 
-    def uniform_superposition(self):
-        return self._pure(self._lift(np.full(self.dim, 1.0 / np.sqrt(self.dim))))
-
-    def _pair_state(self, j: int, k: int, phase: int):
+    def _pair_ket(self, j: int, k: int, phase: int):
+        # (|j> + |k> PHASES[phase]) / sqrt(2)
         ket = self._lift(np.zeros(self.dim))
         ket[0, j] = 1.0 / np.sqrt(2.0)
         ket[:, k] = self.PHASES[phase] / np.sqrt(2.0)
-        return self._pure(ket)
+        return self._column(ket)
 
     @cached_property
     def z_effects(self):
@@ -463,68 +475,104 @@ class MatrixTheory(TheoryModel):
 
     @cached_property
     def spanning_states(self):
-        # projectors plus one pair state per pair of levels and phase: an
-        # affine spanning set of the unit-trace Hermitian matrices
+        # branch kets plus one pair ket per pair of levels and phase: their
+        # densities affinely span the unit-trace Hermitian matrices
         if self.dim > MAX_SPANNING_LEVELS:
             raise ValueError(
                 f"{self.name} spanning states are built for N <= {MAX_SPANNING_LEVELS} "
                 f"(MAX_SPANNING_LEVELS), got N = {self.dim}"
             )
-        states = [self.branch_state(j) for j in range(self.dim)]
+        states = [self.branch_ket(j) for j in range(self.dim)]
         for j, k in itertools.combinations(range(self.dim), 2):
-            states.extend(self._pair_state(j, k, p) for p in range(len(self.PHASES)))
+            states.extend(self._pair_ket(j, k, p) for p in range(len(self.PHASES)))
         return tuple(states)
 
     def _density(self, state) -> np.ndarray:
-        # the (k, N, N) entries of a density matrix; a ket or a matrix of
-        # another size is refused by name, never broadcast
-        entries = self._entries(state)
-        shape = entries.shape[1:]
-        if shape != (self.dim, self.dim):
-            got = "a ket" if shape == (self.dim, 1) else "a matrix"
-            raise ValueError(
-                f"{self.name} theory expects a {self.dim}x{self.dim} density matrix, got {got} of shape {shape}"
-            )
-        return entries
+        # the (k, N, N) entries of ``state`` as a density matrix: a ket as
+        # psi psi^dagger, a diagonal materialized
+        form = self._form(state)
+        if form == "ket":
+            state = state @ self._dagger(state)
+        elif form == "diagonal":
+            state = self.dense(state)
+        return self._entries(state)
 
     def branch_probabilities(self, state) -> np.ndarray:
-        # the real parts of the diagonal; any other component of a diagonal
-        # entry (imaginary, or i/j/k) above atol is numeric inconsistency
-        diag = np.diagonal(self._density(state), axis1=-2, axis2=-1)
+        # a ket reads as its per-arm squared norms; any other form as the
+        # real parts of its diagonal, where any other component of a
+        # diagonal entry (imaginary, or i/j/k) above atol is numeric
+        # inconsistency
+        form = self._form(state)
+        if form == "ket":
+            psi = self._entries(state)[:, :, 0]
+            return np.real(psi * np.conj(psi)).sum(axis=0)
+        diag = state.comps if form == "diagonal" else np.diagonal(self._entries(state), axis1=-2, axis2=-1)
         residue = np.abs(np.concatenate([diag[0].imag, diag[1:].ravel()])).max()
         if residue > self.atol:
             raise NumericConsistencyError(f"diagonal has non-real residue {residue:.3e}")
         return diag[0].real
 
     def branch_local_probes(self, branch: int):
-        """Probe set equivalent to the full face for the group's maps.
+        """Probe set equivalent to the full face for the group's maps, each
+        probe O(N) entries.
 
-        Fixing a zero-support state with distinct spectrum forces the map to
-        be branch-diagonal; fixing the uniform remote superposition forces a
-        common remote entry; the pair states of the ``PINNED`` phases (i and
-        j for quaternions) force that entry to be central.
+        Fixing a zero-support state with distinct spectrum, the weighted
+        remote mixture (a diagonal), forces the map to be branch-diagonal;
+        fixing the uniform remote superposition (a ket) forces a common
+        remote entry; the pair kets of the ``PINNED`` phases (i and j for
+        quaternions) force that entry to be central.  With two branches the
+        mixture is the remote projector, which is the whole face.
         """
-        others = [j for j in range(self.dim) if j != branch]
-        if len(others) == 1:
-            return (self.branch_state(others[0]),)
-        weights = np.zeros(self.dim)
-        weights[others] = np.arange(1.0, len(others) + 1.0)
-        uniform = self._lift(np.zeros(self.dim))
-        uniform[0, others] = 1.0 / np.sqrt(len(others))
-        pinned = tuple(self._pair_state(others[0], others[1], p) for p in self.PINNED)
-        return (self._dense(self._lift(weights / weights.sum())), self._pure(uniform)) + pinned
+        N = self.dim
+        weights = np.arange(float(N))  # 1, ..., N - 1 on the remote branches, in order
+        weights[:branch] += 1.0
+        weights[branch] = 0.0
+        mixture = self.diagonal_map(weights / (N * (N - 1) / 2))
+        if N == 2:
+            return (mixture,)
+        uniform = self._lift(np.full(N, 1.0 / np.sqrt(N - 1.0)))
+        uniform[:, branch] = 0.0
+        j, k = [x for x in range(3) if x != branch][:2]  # the first two remote branches
+        pinned = tuple(self._pair_ket(j, k, p) for p in self.PINNED)
+        return (mixture, self._column(uniform)) + pinned
 
     def contains(self, state) -> bool:
-        entries = self._density(state)
-        if not self.states_close(state, self._dagger(state)):
+        rho = self._matrix(self._density(state))
+        if not self.states_close(rho, self._dagger(rho)):
             return False
-        if not near_zero(np.trace(entries[0]).real - 1.0, self.atol):
+        if not near_zero(np.trace(self._entries(rho)[0]).real - 1.0, self.atol):
             return False
-        return bool(np.linalg.eigvalsh(self._complex_form(state)).min() >= -self.atol)
+        return bool(np.linalg.eigvalsh(self._complex_form(rho)).min() >= -self.atol)
 
     def states_close(self, a, b) -> bool:
+        """Whether ``a`` and ``b`` are one state within atol: two diagonals
+        compare entrywise, two kets after aligning their global phase, and
+        any other pair as densities."""
+        forms = {self._form(a), self._form(b)}
+        if forms == {"ket"}:
+            return self._kets_close(a, b)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+            if forms == {"diagonal"}:
+                return near_zero(a.comps - b.comps, self.atol)
             return near_zero(self._density(a) - self._density(b), self.atol)
+
+    def _kets_close(self, a, b) -> bool:
+        # a = b u, entry by entry, for the unit u read off <b|a> = sum_i
+        # conj(b_i) a_i: a unit complex number, or a unit quaternion on the
+        # right.  The test is linear in the error and sound.  With k
+        # components, S >= 1 bounding the norms of a and b (so every entry's
+        # magnitude), and every component of a - b u within
+        # e = atol / (3 sqrt(k) S), an entry of the error has magnitude at
+        # most sqrt(k) e, so the densities differ by at most
+        # 2 S sqrt(k) e + k e^2 < atol in every entry
+        a, b = self._entries(a)[:, :, 0], self._entries(b)[:, :, 0]
+        with np.errstate(all="ignore"):  # a NaN, infinity or overflow fails below
+            overlap = self._entrywise(self._conj(b), a).sum(axis=1)
+            size = np.sqrt(np.vdot(overlap, overlap).real)
+            unit = overlap / size if size > 0.0 else self.PHASES[0]
+            error = a - self._entrywise(b, unit[:, None])
+            bound = np.sqrt(max(1.0, np.vdot(a, a).real, np.vdot(b, b).real) * len(a))
+            return near_zero(error, self.atol / (3.0 * bound))
 
     def compose(self, second, first):
         # a diagonal meeting a dense map is materialized, so the product is
@@ -540,16 +588,27 @@ class MatrixTheory(TheoryModel):
         # whether the (k, N) entries d all lie within atol of one global
         # phase: a unit complex number, or a real sign for quaternions
         first = d[0, 0]
-        if not near_zero(abs(first) - 1.0, self.atol):
-            return False
         deviation = d.copy()
         deviation[0] -= first
+        deviation[0, 0] = abs(first) - 1.0  # and the first entry is a unit
         return near_zero(deviation, self.atol)
 
     def is_identity_map(self, trans) -> bool:
         # acts as the identity exactly when it is a global phase times it
         d = self._diagonal(trans)
-        return d is not None and self._is_central_unit(d)
+        return d is not None and self._is_central_unit(d.comps)
+
+    def _conjugated_diagonal(self, d: DiagonalMap, w: DiagonalMap) -> DiagonalMap:
+        # image d_i w_i conj(d_i) of a diagonal state under a diagonal map
+        return DiagonalMap(self._entrywise(self._entrywise(d.comps, w.comps), self._conj(d.comps)))
+
+    def _effect_diagonal(self, effect: DiagonalMap) -> np.ndarray:
+        # the N entries of a diagonal effect, which must be real: a non-real
+        # diagonal is not self-adjoint
+        self._form(effect)
+        if not effect.real:
+            raise ValueError(f"{self.name} theory reads a diagonal effect with real entries, got a non-real (non-Hermitian) one")
+        return effect.comps[0]
 
     def maps_commute(self, a, b) -> bool:
         # ab and ba induce one conjugation exactly when (ba)^dagger (ab) acts
@@ -609,10 +668,17 @@ class DensityMatrixTheory(MatrixTheory):
 
     _diagonals_commute = staticmethod(lambda da, db: True)  # complex numbers commute
     _entrywise = staticmethod(np.multiply)
+    _conj = staticmethod(np.conj)
 
     # bench/tracer.py times these five through each class's own __dict__
     def probability(self, effect, state) -> float:
-        if self._is_ket(state):  # tr(E psi psi^dagger) = sum_i (E psi)_i conj(psi_i)
+        form = self._form(state)
+        if form == "diagonal":
+            state, form = self.dense(state), "density"
+        if isinstance(effect, DiagonalMap):  # diag(d) psi, or sum_i d_i rho_ii: O(N)
+            d = self._effect_diagonal(effect)
+            t = complex(np.vdot(state, d[:, None] * state) if form == "ket" else np.diagonal(state) @ d)
+        elif form == "ket":  # tr(E psi psi^dagger) = sum_i (E psi)_i conj(psi_i)
             t = complex(np.vdot(state, effect @ state))
         else:
             t = complex(np.einsum("ij,ji->", effect, state))
@@ -623,11 +689,15 @@ class DensityMatrixTheory(MatrixTheory):
         return float(t.real)
 
     def apply(self, trans, state):
-        ket = self._is_ket(state)
-        if isinstance(trans, DiagonalMap):  # d psi, or d_i rho_ij conj(d_j)
+        form = self._form(state)
+        if isinstance(trans, DiagonalMap):  # d psi, d_i w_i conj(d_i), or d_i rho_ij conj(d_j)
+            if form == "diagonal":
+                return self._conjugated_diagonal(trans, state)
             d = trans.comps[0][:, None]
-            return d * state if ket else d * state * d.conj().T
-        return trans @ state if ket else trans @ state @ trans.conj().T
+            return d * state if form == "ket" else d * state * d.conj().T
+        if form == "diagonal":
+            state, form = self.dense(state), "density"
+        return trans @ state if form == "ket" else trans @ state @ trans.conj().T
 
     compose = MatrixTheory.compose
     is_identity_map = MatrixTheory.is_identity_map
@@ -656,6 +726,7 @@ class QuaternionicTheory(MatrixTheory):
     _dagger = staticmethod(QuatMatrix.dagger)
     _complex_form = staticmethod(QuatMatrix.complex_adjoint)
     _entrywise = staticmethod(_hamilton_entrywise)
+    _conj = staticmethod(_conj)
 
     def _random_phases(self, rng, count):
         q = rng.standard_normal((count, 4))
@@ -665,22 +736,35 @@ class QuaternionicTheory(MatrixTheory):
         # diag(ab) and diag(ba) induce the same conjugation exactly when
         # conj((ba)_i) (ab)_i is one common real sign: (a_i b_i)^2 when
         # both diagonals are real
-        if not (da[1:].any() or db[1:].any()):
-            ab = da[:1] * db[:1]
+        if da.real and db.real:
+            ab = da.comps[:1] * db.comps[:1]
             return self._is_central_unit(ab * ab)
-        pair = np.stack([da, db], axis=1)
+        pair = np.stack([da.comps, db.comps], axis=1)
         left, right = _hamilton_entrywise(pair, pair[:, ::-1]).swapaxes(0, 1)
         right[1:] *= -1.0
         return self._is_central_unit(_hamilton_entrywise(right, left))
 
     # bench/tracer.py times these five through each class's own __dict__
     def probability(self, effect, state) -> float:
-        if self._is_ket(state):
+        form = self._form(state)
+        if form == "diagonal":
+            state, form = self.dense(state), "density"
+        if isinstance(effect, DiagonalMap):  # d . sum_c psi_c^2, or tr of d_i rho_ii: O(N)
+            d = self._effect_diagonal(effect)
+            if form == "ket":
+                return float(d @ (state.comps[:, :, 0] ** 2).sum(axis=0))
+            return _real_part(np.diagonal(state.comps, axis1=1, axis2=2) @ d, self.atol)
+        if form == "ket":
             return ket_trace_prob(effect, state, atol=self.atol)
         return real_trace_prob(effect, state, atol=self.atol)
 
     def apply(self, trans, state):
-        if not self._is_ket(state):
+        form = self._form(state)
+        if form == "diagonal":
+            if isinstance(trans, DiagonalMap):  # d_i w_i conj(d_i), entrywise
+                return self._conjugated_diagonal(trans, state)
+            state, form = self.dense(state), "density"
+        if form == "density":
             return conjugate_state(trans, state)
         if isinstance(trans, DiagonalMap):  # d psi, entrywise
             return QuatMatrix(_hamilton_entrywise(trans.comps[:, :, None], state.comps))

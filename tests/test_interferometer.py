@@ -17,8 +17,9 @@ Core claims:
     - unordered search matches sin^2((2k+1) asin(1/sqrt(N))) and the
       quaternionic run reproduces the complex run
     - search evolves a ket: every point of the curve is within 1e-12 of the
-      density-matrix reference, and only the locality probes reach apply as
-      densities; 200-round curves (quantum N = 4, 64; quaternionic N = 2,
+      density-matrix reference; the locality probes reach apply as a
+      diagonal and kets, every read-out is the marked branch's diagonal
+      effect on the ket, and no density is formed; 200-round curves (quantum N = 4, 64; quaternionic N = 2,
       16) are pinned byte for byte by one sha256 each; sign_encoding shares one read-only identity, and each
       member is still checked on its own; it holds diagonals only, under
       4 N^2 scalars at N = 128 for both matrix theories
@@ -38,7 +39,7 @@ import numpy as np
 import pytest
 
 import gptifer.interferometer as ifr
-from gptifer.core import Effect
+from gptifer.core import DiagonalMap, Effect
 from gptifer.interferometer import (
     BranchEncoding,
     BranchLocalityError,
@@ -485,19 +486,21 @@ def test_search_curves_are_pinned_byte_for_byte(name, size):
 
 
 def _form(state) -> str:
-    # in both matrix theories a ket is an N x 1 matrix and a density N x N
+    # in both matrix theories a diagonal is a DiagonalMap, a ket an N x 1
+    # matrix and a density an N x N one
+    if isinstance(state, DiagonalMap):
+        return "diagonal"
     rows, cols = state.shape
     return "ket" if cols == 1 else "density" if cols == rows else f"a {rows}x{cols} matrix"
 
 
 def _recording(m, name, monkeypatch) -> list:
-    # wrap m.<name> to record each call's last argument: the state for
-    # apply and probability, the map for is_identity_map
+    # wrap m.<name> to record the arguments of each call
     seen = []
     method = getattr(m, name)
 
     def wrapper(*args):
-        seen.append(args[-1])
+        seen.append(args)
         return method(*args)
 
     monkeypatch.setattr(m, name, wrapper)
@@ -509,15 +512,22 @@ _GUARDED = [quantum_theory(1), quantum_theory(3), quaternionic_theory(2), quater
 
 @pytest.mark.parametrize("m", _GUARDED, ids=lambda m: f"{m.name}-{m.n_branches}")
 def test_search_probes_with_densities_and_evolves_a_ket(m, monkeypatch):
-    # only the locality probes of the two oracle builds are densities; the
-    # preparation, every round and every read-out take the ket
+    # the locality probes of the two oracle builds keep their structure: the
+    # weighted remote mixture is a diagonal and the other probes are kets
+    # (at two branches the mixture alone); the preparation and every round
+    # take the ket, and every read-out is the marked branch's diagonal
+    # effect on it.  No state reaches apply or probability as a density
     applied = _recording(m, "apply", monkeypatch)
     read = _recording(m, "probability", monkeypatch)
     k = 9
-    grover_success_curve(m, m.n_branches - 1, k)
-    probes = 2 * len(m.branch_local_probes(0)) * m.n_branches
-    assert [_form(s) for s in applied] == ["density"] * probes + ["ket"] * (1 + k)
-    assert [_form(s) for s in read] == ["ket"] * (1 + k)
+    N = m.n_branches
+    grover_success_curve(m, N - 1, k)
+    probes = [_form(s) for s in m.branch_local_probes(0)]
+    assert probes == (["diagonal"] if N == 2 else ["diagonal"] + ["ket"] * (len(probes) - 1))
+    assert [_form(s) for _, s in applied] == probes * (2 * N) + ["ket"] * (1 + k)
+    assert [(_form(e), _form(s)) for e, s in read] == [("diagonal", "ket")] * (1 + k)
+    marked = m._entries(m.branch_state(N - 1))
+    assert all(np.array_equal(m._entries(m.dense(e)), marked) for e, _ in read)
 
 
 def test_sign_encoding_shares_one_read_only_identity(monkeypatch):

@@ -14,10 +14,13 @@ Core claims:
     - the batched product, entrywise product and trace kernels agree with
       entry-by-entry qmul sums
     - isclose is absolute: a matrix or a scalar holding inf is not close to
-      itself
+      itself, and numpy components raise no warning on inf - inf
+    - the entrywise product equals the broadcast reference to the bit, the
+      sign of every zero included; a matrix product is read-only
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ from gptifer.quaternion import (
     qmul,
     real_trace_prob,
 )
-from gptifer.quaternion import _hamilton_entrywise, _hamilton_matmul, _product_trace
+from gptifer.quaternion import _hamilton_contract, _hamilton_entrywise, _hamilton_matmul, _product_trace
 from gptifer.theories import quaternionic_theory
 from reference import _vec_inner, is_symplectic, quat_pure, random_symplectic, random_unit_quaternion
 
@@ -87,6 +90,15 @@ def test_an_infinite_entry_is_not_close_to_itself():
     M = QuatMatrix.from_real([[np.inf, 0.0], [0.0, 1.0]])
     assert not M.isclose(QuatMatrix.from_real([[np.inf, 0.0], [0.0, 1.0]]))
     assert not Quaternion(np.inf).isclose(Quaternion(np.inf))
+
+
+def test_a_numpy_infinite_component_is_not_close_to_itself_without_a_warning():
+    # numpy float components once warned on inf - inf, an error under -W error
+    q = Quaternion(*np.array([np.inf, 0.0, 0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not q.isclose(q)
+        assert Quaternion(*np.array([1.0, 0.0, 0.0, 0.0])).isclose(ONE)
 
 
 def test_dagger_antihomomorphism_on_random_symplectics():
@@ -315,3 +327,24 @@ def test_entrywise_product_matches_qmul(cols):
         [[qmul(qa[i][j], qb[i][j]).components() for j in range(cols)] for i in range(3)]
     ).transpose(2, 0, 1)
     np.testing.assert_allclose(_hamilton_entrywise(a, b), ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shapes", [((4, 5), (4, 5)), ((4, 5, 1), (4, 5, 1)), ((4, 5), (4, 1)), ((4, 5, 1), (4, 5, 5)), ((4, 5, 5), (4, 1, 5))])
+def test_the_entrywise_product_matches_the_broadcast_reference_to_the_bit(shapes):
+    # the reference forms the sixteen component products by broadcasting;
+    # zeros of both signs and whole zero entries are drawn on purpose
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        a, b = (rng.choice([-0.0, 0.0, 1.0, -1.0, 0.5, -2.5, 1e-300], size=shape) for shape in shapes)
+        got = _hamilton_entrywise(a, b)
+        expected = _hamilton_contract(a[:, None] * b[None, :])
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_a_matrix_product_is_read_only():
+    S, T = random_symplectic(3, RNG), random_symplectic(3, RNG)
+    product = S @ T
+    assert not product.comps.flags.writeable
+    assert product.comps.tobytes() == _hamilton_matmul(S.comps, T.comps).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        product.comps[0, 0, 0] = 1.0

@@ -26,20 +26,28 @@ Core claims:
       states with no probability on the branch, of the documented affine
       dimension; a matrix theory is built without its N dense branch effects
     - the complex and quaternionic theories share one matrix core: the same
-      probe counts (2 and 4), byte-identical identity, sign-flip and branch
-      maps to the former per-theory constructions, and one verdict on maps
-      with non-finite entries (no commutation, no warning)
+      probe counts (2 and 4: a diagonal mixture, then kets), each probe's
+      density in the state space, byte-identical identity, sign-flip and
+      branch maps to the former per-theory constructions, and one verdict
+      on maps with non-finite entries (no commutation, no warning)
     - a pure state may be a ket, an N x 1 matrix of the theory's matrix
       type: a branch ket is the ket of its branch state; apply and
       probability on a ket agree with the same calls on its density within
       1e-12; the quaternionic ket trace keeps the density trace's i/j/k
       residue, so a residue above atol raises on both paths with one
       message, even where psi^dagger E psi is real
-    - states_close, branch_probabilities and contains take N x N densities
-      only: a ket or a matrix of another size raises a ValueError naming it;
-      a vector theory's states_close refuses a state of another dimension
-      with the message contains gives; a state with an infinite entry is
-      not close to itself
+    - states_close, branch_probabilities and contains read a ket as its
+      density; a ket is not broadcast against a density; a matrix or a
+      diagonal of another size raises a ValueError naming it, and a
+      non-real diagonal effect is refused by name; a vector theory's
+      states_close refuses a state of another dimension with the message
+      contains gives; a state with an infinite entry is not close to itself
+    - two kets are compared after aligning their global phase, linearly in
+      the error and soundly: a pair judged close is close as densities at
+      the same atol, and a 1e-6 phase error on one remote entry of a sign
+      flip is refused on structured and on materialized probes alike
+    - a locality check forms no dense probe: under 64 KB at quantum
+      N = 256 and quaternionic N = 128
     - a matrix theory past MAX_SPANNING_LEVELS = 64 levels refuses its
       spanning set before any state is built
     - every finite group (classical N = 2..8, gbit<d> d = 2..6, both toy
@@ -48,9 +56,11 @@ Core claims:
     - apply and probability refuse a state that is neither N x 1 nor N x N,
       for dense and diagonal maps alike, naming its shape
     - a diagonal map stored as its diagonal agrees with its dense
-      materialization within 1e-12 (apply on kets and densities, compose,
-      is_identity_map, maps_commute, is_branch_local, is_phase_operation,
-      build_oracle); a diagonal meeting a dense map composes to the dense
+      materialization within 1e-12 (apply on kets, densities and diagonal
+      states, compose, is_identity_map, maps_commute, is_branch_local on
+      structured and materialized probes, is_phase_operation, probability
+      with a diagonal effect, states_close on ket, diagonal and mixed
+      pairs, build_oracle); a diagonal meeting a dense map composes to the dense
       product bit for bit; real quaternionic diagonals commute exactly as
       the full check says; a non-finite stored diagonal commutes with
       nothing and is not the identity
@@ -667,8 +677,8 @@ _MATRIX_THEORIES = [m for m, _ in _FACE_DIMENSIONS if isinstance(m, MatrixTheory
 
 
 def _real_coordinates(m, s) -> np.ndarray:
-    if isinstance(m, MatrixTheory):
-        entries = m._entries(s)
+    if isinstance(m, MatrixTheory):  # the face's dimension is that of the densities, whatever form s takes
+        entries = m._density(s)
         return np.concatenate([entries.real.ravel(), entries.imag.ravel()])
     return s.probs
 
@@ -724,15 +734,26 @@ def test_both_matrix_theories_share_the_core():
     assert issubclass(QuaternionicTheory, MatrixTheory)
 
 
+def _materialized(m, s):
+    # the N x N density of a state in any of its three forms
+    return m._matrix(m._density(s))
+
+
 @pytest.mark.parametrize("m,count", [(quantum_theory(2), 2), (quaternionic_theory(4), 4)])
 def test_branch_local_probe_counts(m, count):
+    # the weighted remote mixture is a diagonal, the other probes are kets;
+    # each probe's density is a state with no probability on the branch
     for branch in range(m.n_branches):
         probes = m.branch_local_probes(branch)
         assert len(probes) == count
-        assert all(m.contains(s) for s in probes)
+        assert isinstance(probes[0], DiagonalMap) and all(s.shape == (m.dim, 1) for s in probes[1:])
+        assert all(m.contains(_materialized(m, s)) for s in probes)
+        assert all(m.branch_probabilities(_materialized(m, s))[branch] == 0.0 for s in probes)
     # with two branches the remote projector alone is the whole face
     for small in (quantum_theory(1), quaternionic_theory(2)):
-        assert len(small.branch_local_probes(0)) == 1
+        (probe,) = small.branch_local_probes(0)
+        assert isinstance(probe, DiagonalMap)
+        assert np.array_equal(small._entries(_materialized(small, probe)), small._entries(small.branch_state(1)))
 
 
 def test_quantum_maps_match_the_former_constructions_bytewise():
@@ -919,17 +940,47 @@ def test_a_quaternionic_residue_raises_on_both_paths_alike():
     ids=["quantum", "quaternionic"],
 )
 def test_a_ket_or_a_wrong_size_matrix_is_refused_by_name(m, other):
-    # each primitive that takes densities only, on a ket and on a 4x4 matrix
-    for state, got in ((m.branch_ket(1), "a ket of shape (2, 1)"), (other.branch_state(0), "a matrix of shape (4, 4)")):
+    # the primitives that once took densities only read a ket as its
+    # density; a 4x4 matrix or a diagonal of 4 entries is refused by name
+    ket = m.branch_ket(1)
+    assert m.states_close(ket, m.branch_state(1)) and m.states_close(m.branch_state(1), ket)
+    assert not m.states_close(ket, m.branch_state(0)) and not m.states_close(m.diagonal_map([1.0, 0.0]), ket)
+    assert np.array_equal(m.branch_probabilities(ket), [0.0, 1.0]) and m.contains(ket)
+    wide = other.diagonal_map([1.0, 0.0, 0.0, 0.0])
+    k = m.PHASES.shape[1]
+    for state, message in (
+        (other.branch_state(0), "expects a 2x1 ket or a 2x2 density matrix, got a matrix of shape (4, 4)"),
+        (wide, f"expects a diagonal of 2 entries, got one of shape ({k}, 4)"),
+    ):
         for call in (
             lambda: m.states_close(state, m.branch_state(0)),
             lambda: m.states_close(m.branch_state(0), state),
+            lambda: m.states_close(state, m.diagonal_map([1.0, 0.0])),
             lambda: m.branch_probabilities(state),
             lambda: m.contains(state),
+            lambda: m.apply(m.identity_map(), state),
+            lambda: m.probability(m.branch_state(0), state),
         ):
             with pytest.raises(ValueError) as err:
                 call()
-            assert str(err.value) == f"{m.name} theory expects a 2x2 density matrix, got {got}"
+            assert str(err.value) == f"{m.name} theory {message}"
+    with pytest.raises(ValueError) as err:
+        m.probability(wide, ket)
+    assert str(err.value) == f"{m.name} theory expects a diagonal of 2 entries, got one of shape ({k}, 4)"
+
+
+@pytest.mark.parametrize("m", [quantum_theory(1), quaternionic_theory(2)], ids=_label)
+def test_a_non_real_diagonal_effect_is_refused_by_name(m):
+    # a diagonal effect must be self-adjoint: an imaginary part (or an
+    # i/j/k component) is refused on kets and densities alike
+    entries = m._lift(np.array([1.0, 0.0]))
+    entries[-1, 0] += 1e-3j if entries.shape[0] == 1 else 1e-3
+    effect = DiagonalMap(entries)
+    assert not effect.real and m.diagonal_map([1.0, 0.0]).real
+    for state in (m.branch_ket(0), m.branch_state(0)):
+        with pytest.raises(ValueError) as err:
+            m.probability(effect, state)
+        assert str(err.value) == f"{m.name} theory reads a diagonal effect with real entries, got a non-real (non-Hermitian) one"
 
 
 @pytest.mark.parametrize(
@@ -955,14 +1006,16 @@ def test_apply_and_probability_refuse_a_state_that_is_neither_ket_nor_density(m,
 
 
 def test_a_ket_is_not_broadcast_against_a_density():
-    # these broadcast once: a wrong True, a bare numpy error, a concatenation error
-    with pytest.raises(ValueError, match="got a ket of shape"):
-        quantum_theory(1).states_close(np.array([[0.5], [0.5]]), np.full((2, 2), 0.5))
+    # these broadcast once: a wrong True, a bare numpy error, a
+    # concatenation error.  A ket is now read as its density: the
+    # unnormalized ket (1/2, 1/2) has density 1/4 everywhere, not 1/2
+    q = quantum_theory(1)
+    assert not q.states_close(np.array([[0.5], [0.5]]), np.full((2, 2), 0.5))
+    assert q.states_close(np.full((2, 1), np.sqrt(0.5)), np.full((2, 2), 0.5))
     h = quaternionic_theory(2)
-    with pytest.raises(ValueError, match="got a ket of shape"):
-        h.states_close(h.branch_ket(0), h.branch_state(0))
-    with pytest.raises(ValueError, match="got a ket of shape"):
-        h.branch_probabilities(h.branch_ket(1))
+    assert h.states_close(h.branch_ket(0), h.branch_state(0))
+    assert not h.states_close(h.branch_ket(0), h.branch_state(1))
+    assert np.array_equal(h.branch_probabilities(h.branch_ket(1)), [0.0, 1.0])
 
 
 @pytest.mark.parametrize("m", [classical_theory(2), gbit_theory(2)], ids=lambda m: m.name)
@@ -1013,6 +1066,11 @@ def _close(m, a, b) -> bool:
     return np.abs(m._entries(a) - m._entries(b)).max() <= 1e-12
 
 
+def _times_global_phase(m, psi, rng):
+    # psi u for a random unit u of the algebra, on the right: the same state
+    return m._column(m._entrywise(m._entries(psi)[:, :, 0], m._random_phases(rng, 1)))
+
+
 @pytest.mark.parametrize("m", _DIAGONAL_THEORIES, ids=_label)
 def test_the_diagonal_form_agrees_with_its_dense_materialization(m):
     # the dense form is the reference: phase- and branch-family samples and
@@ -1034,8 +1092,18 @@ def test_the_diagonal_form_agrees_with_its_dense_materialization(m):
         assert m.is_identity_map(D) == m.is_identity_map(M)
         assert is_phase_operation(m, D) == is_phase_operation(m, M)
         for branch in range(m.dim):
-            verdicts.add(("local", is_branch_local(m, D, branch)))
-            assert is_branch_local(m, D, branch) == is_branch_local(m, M, branch)
+            # structured probes against their materializations, for either form of the map
+            probes = m.branch_local_probes(branch)
+            dense_probes = [_materialized(m, s) for s in probes]
+            local = is_branch_local(m, D, branch)
+            verdicts.add(("local", local))
+            assert local == is_branch_local(m, M, branch)
+            assert local == all(m.states_close(m.apply(D, P), P) for P in dense_probes)
+            assert local == all(m.states_close(m.apply(M, P), P) for P in dense_probes)
+            # a diagonal state: entrywise under a diagonal, materialized under a dense map
+            image = m.apply(D, probes[0])
+            assert isinstance(image, DiagonalMap) and _close(m, _materialized(m, image), m.apply(M, dense_probes[0]))
+            assert np.array_equal(m._entries(m.apply(M, probes[0])), m._entries(m.apply(M, dense_probes[0])))
         for E in diagonals:
             DE = m.compose(D, E)
             assert isinstance(DE, DiagonalMap) and _close(m, m.dense(DE), M @ m.dense(E))
@@ -1049,11 +1117,87 @@ def test_the_diagonal_form_agrees_with_its_dense_materialization(m):
             assert np.array_equal(m._entries(m.compose(X, D)), m._entries(X @ M))
             verdicts.add(("commute", m.maps_commute(D, X)))
             assert m.maps_commute(D, X) == m.maps_commute(M, X) and m.maps_commute(X, D) == m.maps_commute(X, M)
+    # a diagonal effect reads as its dense projector, on kets and densities
+    effects = [m.diagonal_map(np.arange(m.dim) == j) for j in range(m.dim)] + [m.diagonal_map(rng.uniform(-1.0, 1.0, m.dim))]
+    for E in effects:
+        for _ in range(3):
+            psi = _random_ket(m, rng)
+            for state in (psi, _density(psi)):
+                assert abs(m.probability(E, state) - m.probability(m.dense(E), state)) <= 1e-12
+    # states_close on ket, diagonal and mixed pairs gives the densities' verdict
+    psi = _random_ket(m, rng)
+    states = [psi, _times_global_phase(m, psi, rng), m.apply(diagonals[0], psi), m.branch_ket(1)]
+    states += [_times_global_phase(m, m.branch_ket(1), rng), m.diagonal_map(np.arange(m.dim) == 1)]
+    states += [m.branch_local_probes(0)[0], m.branch_local_probes(1)[0], m.diagonal_map(rng.uniform(0.0, 1.0, m.dim))]
+    states += [_materialized(m, s) for s in states]
+    for a, b in itertools.product(states, repeat=2):
+        verdict = m.states_close(a, b)
+        forms = frozenset((m._form(a), m._form(b)))
+        verdicts.add((forms, verdict))
+        assert verdict == m.states_close(_materialized(m, a), _materialized(m, b))
     # both answers occur, so agreement is not vacuous
-    assert verdicts == {(kind, v) for kind in ("local", "commute") for v in (True, False)}
+    kinds = ["local", "commute"] + [frozenset(pair) for pair in itertools.combinations_with_replacement(("ket", "diagonal", "density"), 2)]
+    assert verdicts == {(kind, v) for kind in kinds for v in (True, False)}
     local = BranchEncoding(tuple((m.identity_map(), m.group.branch_family(b).sample(rng)) for b in range(m.dim)))
     for enc in (sign_encoding(m), local):
         dense_enc = BranchEncoding(tuple(tuple(m.dense(T) for T in pair) for pair in enc.pairs))
         for spec in constant_balanced_specs(m.dim.bit_length() - 1):
             oracle = build_oracle(m, spec, enc)
             assert isinstance(oracle, DiagonalMap) and _close(m, m.dense(oracle), build_oracle(m, spec, dense_enc))
+
+
+@pytest.mark.parametrize("m", _DIAGONAL_THEORIES, ids=_label)
+def test_a_ket_pair_judged_close_is_close_as_densities(m):
+    # a seeded sweep of errors from atol / 30 to 30 atol, spread over a
+    # random ket or put on the largest entry of a branch ket, after a random
+    # global phase: every pair judged close is close as densities at the
+    # same atol, and both verdicts occur
+    rng = np.random.default_rng(16)
+    verdicts = set()
+    for size in np.geomspace(m.atol / 30.0, 30.0 * m.atol, 61):
+        for psi, spread in ((_random_ket(m, rng), True), (m.branch_ket(0), False)):
+            shape = m._entries(psi).shape
+            error = rng.standard_normal(shape) if spread else np.eye(1, shape[0] * shape[1]).reshape(shape)
+            if isinstance(m, DensityMatrixTheory):
+                error = error * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape))
+            error *= size / np.abs(error).max()
+            a = m._matrix(m._entries(_times_global_phase(m, psi, rng)) + error)
+            close = m.states_close(a, psi)
+            verdicts.add(close)
+            assert not close or m.states_close(_density(a), _density(psi))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("m", _DIAGONAL_THEORIES, ids=_label)
+def test_a_small_remote_phase_error_is_refused_in_both_forms(m):
+    # a sign flip on branch 0 whose remote entry 1 carries a 1e-6 phase is
+    # not local to branch 0: the uniform remote probe moves by about 1e-6
+    # per entry, though 1 - |<T psi|psi>| stays under atol, so a test
+    # quadratic in the error would accept it
+    eps = 1e-6
+    d = m._lift(1.0 - 2.0 * (np.arange(m.dim) == 0))
+    d[:, 1] = np.cos(eps) * m.PHASES[0] + np.sin(eps) * m.PHASES[1]
+    T = DiagonalMap(d)
+    probes = m.branch_local_probes(0)
+    assert not is_branch_local(m, T, 0) and not is_branch_local(m, m.dense(T), 0)
+    assert not all(m.states_close(m.apply(T, P), P) for P in (_materialized(m, s) for s in probes))
+    uniform = m._entries(probes[1])[:, :, 0]
+    moved = m._entries(m.apply(T, probes[1]))[:, :, 0]
+    assert 1.0 - np.linalg.norm(m._entrywise(m._conj(uniform), moved).sum(axis=1)) <= m.atol
+    # the same map with an exact 1 there is local to branch 0
+    d[:, 1] = m.PHASES[0]
+    assert is_branch_local(m, DiagonalMap(d), 0)
+
+
+@pytest.mark.parametrize("m", [quantum_theory(8), quaternionic_theory(128)], ids=_label)
+def test_a_locality_check_forms_no_dense_probe(m):
+    # one dense N x N probe density takes 1 MB at quantum N = 256 and 2 MB
+    # at quaternionic N = 128
+    flip = sign_encoding(m).pairs[1][1]
+    tracemalloc.start()
+    try:
+        verdicts = [is_branch_local(m, flip, b) for b in (0, 1)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [False, True] and peak < 64 * 2**10
