@@ -6,11 +6,11 @@ A ket is a one-column matrix.
 The symplectic dagger is transpose plus entrywise conjugation, and a square
 matrix is symplectic when ``S @ S.dagger()`` is the identity.  Probabilities
 of a general effect are always extracted as a trace, tr(E rho) through
-:func:`real_trace_prob` or tr(E psi psi^dagger) through
-:func:`ket_trace_prob`, never read off ket amplitudes, so the
-unobservability of the {+1, -1} global phase holds by construction of the
-probability rule.  A real diagonal effect d reads a ket as
-sum_i d_i |psi_i|^2, which no unit on the right changes either.
+:func:`real_trace_prob`, or tr(E psi psi^dagger) = sum_i (E psi)_i
+conj(psi_i) through ``MatrixTheory._ket_trace``, never read off ket
+amplitudes, so the unobservability of the {+1, -1} global phase holds by
+construction of the probability rule.  A real diagonal effect d reads a ket
+as sum_i d_i |psi_i|^2, which no unit on the right changes either.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, DiagonalMap, near_zero
+from .core import DEFAULT_ATOL, near_zero
 
 
 class NumericConsistencyError(ArithmeticError):
@@ -132,15 +132,6 @@ def _conj(comps: np.ndarray) -> np.ndarray:
     return out
 
 
-# (s, pqr) layout of the triple product (unit p)(unit q) conj(unit r): the
-# sign tensor applied twice, with the conjugation of the third factor
-# folded into its signs
-_HAMILTON_KET = (
-    np.einsum("pqu,urs->pqrs", _hamilton_sign_tensor(), _hamilton_sign_tensor())
-    * np.array([1.0, -1.0, -1.0, -1.0])[None, None, :, None]
-).reshape(64, 4).T
-
-
 def _product_trace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Components of tr(a @ b) in O(rows * cols), without forming a @ b."""
     return _hamilton_contract(np.einsum("pij,qji->pq", a, b))
@@ -248,14 +239,6 @@ class QuatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _ket_trace(E: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Components of tr(E psi psi^dagger) = sum_i (E psi)_i conj(psi_i), in
-    that operand order, in O(rows * cols) and one Hamilton contraction."""
-    e_psi = np.matmul(psi, E.swapaxes(1, 2))  # [p, q, i]: (E^p psi^q)_i
-    triples = e_psi.reshape(16, -1) @ psi.T  # [pq, r]: summed over i
-    return _HAMILTON_KET @ triples.ravel()
-
-
 def real_trace_prob(E: QuatMatrix, rho: QuatMatrix, atol: float = DEFAULT_ATOL) -> float:
     """Probability tr(E rho), asserting the trace is numerically real.
 
@@ -265,16 +248,6 @@ def real_trace_prob(E: QuatMatrix, rho: QuatMatrix, atol: float = DEFAULT_ATOL) 
     plane) keep the trace exactly real.
     """
     return _real_part(_product_trace(E.comps, rho.comps), atol)
-
-
-def ket_trace_prob(E: QuatMatrix, psi: QuatMatrix, atol: float = DEFAULT_ATOL) -> float:
-    """Probability tr(E psi psi^dagger) of a ket, an N x 1 column, checked as
-    :func:`real_trace_prob` checks tr(E rho).
-
-    The trace, not psi^dagger E psi, is the quantity: quaternions do not
-    commute, so the two share their real part but not their i/j/k residue.
-    """
-    return _real_part(_ket_trace(E.comps, psi.comps[:, :, 0]), atol)
 
 
 def _real_part(t: np.ndarray, atol: float) -> float:
@@ -287,11 +260,6 @@ def _real_part(t: np.ndarray, atol: float) -> float:
     return t[0]
 
 
-def conjugate_state(S: QuatMatrix | DiagonalMap, rho: QuatMatrix) -> QuatMatrix:
-    """Image S rho S.dagger() of a state under a symplectic transformation;
-    a diagonal S acts entrywise, as d_i rho_ij conj(d_j)."""
-    if isinstance(S, DiagonalMap):
-        d = S.comps
-        return QuatMatrix(_hamilton_entrywise(_hamilton_entrywise(d[:, :, None], rho.comps), _conj(d)[:, None, :]))
+def conjugate_state(S: QuatMatrix, rho: QuatMatrix) -> QuatMatrix:
+    """Image S rho S.dagger() of a state under a symplectic transformation."""
     return S @ rho @ S.dagger()
-

@@ -43,7 +43,6 @@ from .quaternion import (
     _hamilton_entrywise,
     _real_part,
     conjugate_state,
-    ket_trace_prob,
     real_trace_prob,
 )
 from .uncertainty import dball_bound
@@ -361,11 +360,12 @@ MAX_SPANNING_LEVELS = 64
 class MatrixTheory(TheoryModel):
     """N-level system whose states are density matrices over a scalar algebra.
 
-    Probabilities are computed on demand.  Shared code reads a matrix through
-    its *entries*, a (k, rows, cols) array of the k algebra components.  A
+    Shared code, ``apply`` and ``probability`` too, reads a matrix through its
+    *entries*, a (k, rows, cols) array of the k algebra components.  A
     subclass declares its algebra (``PHASES``, ``PINNED``, family
-    descriptions, the ``_``-prefixed hooks the methods below call) and
-    implements ``probability`` and ``apply`` natively.
+    descriptions, ``_``-prefixed hooks) and four kernels: ``_diagonal_read``
+    (a ket read by a real diagonal), ``_conjugate`` (T rho T^dagger),
+    ``_trace_prob`` (tr(E rho)) and ``_real`` (a trace's checked real part).
 
     A state takes one of three forms, told apart in one place,
     :meth:`_form`: an N x N density, a ket (an N x 1 matrix of the same
@@ -396,6 +396,8 @@ class MatrixTheory(TheoryModel):
             lambda rng: DiagonalMap(self._random_phases(rng, self.dim)),
         )
         super().__init__(name, N, ParametricGroup(phases, self._branch_family))
+        k = self.PHASES.shape[1]  # a one-component algebra keeps native N x N arrays
+        self._diagonal_shape, self._map_shape = (k, N), (N, N) if k == 1 else (k, N, N)
         n_qubits = int(round(np.log2(N)))
         if 2**n_qubits == N:
             self.beamsplitter = self._matrix(self._lift(hadamard_matrix(n_qubits)))
@@ -408,7 +410,7 @@ class MatrixTheory(TheoryModel):
 
     def _diagonal(self, M) -> DiagonalMap | None:
         # M as a DiagonalMap, or None unless M is diagonal and finite
-        if isinstance(M, DiagonalMap):
+        if self._is_diagonal(M):
             return M if M.finite else None
         d = finite_diagonal(self._entries(M), self.atol)
         return None if d is None else DiagonalMap(d)
@@ -421,7 +423,7 @@ class MatrixTheory(TheoryModel):
         """``trans`` as an N x N matrix: a :class:`DiagonalMap` is
         materialized, with exact zeros off the diagonal; any other map is
         returned as it is."""
-        return self._dense(trans.comps) if isinstance(trans, DiagonalMap) else trans
+        return self._dense(trans.comps) if self._is_diagonal(trans) else trans
 
     def _dense(self, d):
         # the N x N matrix with the (k, N) entries d on its diagonal
@@ -437,14 +439,23 @@ class MatrixTheory(TheoryModel):
         # the N x 1 ket with the (k, N) entries ``amplitudes``
         return self._matrix(amplitudes[:, :, None])
 
+    def _is_diagonal(self, M) -> bool:
+        # the one map and effect check: True for a DiagonalMap of (k, N) entries, False for an N x N
+        # matrix, any other shape refused by name; an array's or QuatMatrix components' shape is cheapest
+        if isinstance(M, DiagonalMap):
+            if M.comps.shape != self._diagonal_shape:
+                raise ValueError(f"{self.name} theory expects a diagonal of {self.dim} entries, got one of shape {M.comps.shape}")
+            return True
+        if getattr(getattr(M, "comps", M), "shape", None) != self._map_shape:
+            shape = self._entries(M).shape[1:]  # any array-like, a nested list too
+            if shape != (self.dim, self.dim):
+                raise ValueError(f"{self.name} theory expects a {self.dim}x{self.dim} map or effect, got a matrix of shape {shape}")
+        return False
+
     def _form(self, state) -> str:
         # the one test telling the state forms apart: "diagonal", "ket" or
         # "density"; any other shape is refused by name, never broadcast
-        if isinstance(state, DiagonalMap):
-            if state.comps.shape != (self.PHASES.shape[1], self.dim):
-                raise ValueError(
-                    f"{self.name} theory expects a diagonal of {self.dim} entries, got one of shape {state.comps.shape}"
-                )
+        if isinstance(state, DiagonalMap) and self._is_diagonal(state):  # or raises
             return "diagonal"
         shape = state.shape
         if shape != (self.dim, 1) and shape != (self.dim, self.dim):
@@ -577,7 +588,7 @@ class MatrixTheory(TheoryModel):
     def compose(self, second, first):
         # a diagonal meeting a dense map is materialized, so the product is
         # the dense one bit for bit
-        if isinstance(second, DiagonalMap) and isinstance(first, DiagonalMap):
+        if self._is_diagonal(second) and self._is_diagonal(first):
             return DiagonalMap(self._entrywise(second.comps, first.comps))
         return self.dense(second) @ self.dense(first)
 
@@ -598,17 +609,38 @@ class MatrixTheory(TheoryModel):
         d = self._diagonal(trans)
         return d is not None and self._is_central_unit(d.comps)
 
-    def _conjugated_diagonal(self, d: DiagonalMap, w: DiagonalMap) -> DiagonalMap:
-        # image d_i w_i conj(d_i) of a diagonal state under a diagonal map
-        return DiagonalMap(self._entrywise(self._entrywise(d.comps, w.comps), self._conj(d.comps)))
-
-    def _effect_diagonal(self, effect: DiagonalMap) -> np.ndarray:
-        # the N entries of a diagonal effect, which must be real: a non-real
-        # diagonal is not self-adjoint
-        self._form(effect)
-        if not effect.real:
+    def probability(self, effect, state) -> float:
+        form = self._form(state)
+        if not self._is_diagonal(effect):
+            if form == "ket":
+                return self._real(self._ket_trace(effect, state), self.atol)
+            return self._trace_prob(effect, self.dense(state), self.atol)
+        if not effect.real:  # a non-real diagonal is not self-adjoint
             raise ValueError(f"{self.name} theory reads a diagonal effect with real entries, got a non-real (non-Hermitian) one")
-        return effect.comps[0]
+        d = effect.comps[0]  # read in O(N)
+        if form == "ket":
+            return self._diagonal_read(d, state)
+        return float(d.real @ self.branch_probabilities(state))
+
+    def _ket_trace(self, effect, ket) -> np.ndarray:
+        # the k components of tr(E psi psi^dagger) = sum_i (E psi)_i conj(psi_i), in that order:
+        # psi^dagger E psi shares its real part but, for quaternions, not its i/j/k residue
+        psi = self._entries(ket)[:, :, 0]
+        return self._entrywise(self._entries(effect @ ket)[:, :, 0], self._conj(psi)).sum(axis=1)
+
+    def apply(self, trans, state):
+        form = self._form(state)
+        if self._is_diagonal(trans):  # d psi, d_i w_i conj(d_i), or d_i rho_ij conj(d_j): entrywise
+            d = trans.comps
+            if form == "diagonal":
+                return DiagonalMap(self._entrywise(self._entrywise(d, state.comps), self._conj(d)))
+            image = self._entrywise(d[:, :, None], self._entries(state))
+            if form == "density":
+                image = self._entrywise(image, self._conj(d)[:, None, :])
+            return self._matrix(image)
+        if form == "ket":
+            return trans @ state
+        return self._conjugate(trans, self.dense(state))
 
     def maps_commute(self, a, b) -> bool:
         # ab and ba induce one conjugation exactly when (ba)^dagger (ab) acts
@@ -670,35 +702,21 @@ class DensityMatrixTheory(MatrixTheory):
     _entrywise = staticmethod(np.multiply)
     _conj = staticmethod(np.conj)
 
+    _diagonal_read = staticmethod(lambda d, ket: float(np.vdot(ket, d[:, None] * ket).real))
+    _conjugate = staticmethod(lambda T, rho: T @ rho @ T.conj().T)
+
+    _trace_prob = staticmethod(lambda E, rho, atol: DensityMatrixTheory._real(np.einsum("ij,ji->", E, rho), atol))
+
+    @staticmethod
+    def _real(t, atol) -> float:
+        t = t.item()
+        if abs(t.imag) > atol:
+            raise NumericConsistencyError(f"trace has imaginary residue {abs(t.imag):.3e}")
+        return t.real
+
     # bench/tracer.py times these five through each class's own __dict__
-    def probability(self, effect, state) -> float:
-        form = self._form(state)
-        if form == "diagonal":
-            state, form = self.dense(state), "density"
-        if isinstance(effect, DiagonalMap):  # diag(d) psi, or sum_i d_i rho_ii: O(N)
-            d = self._effect_diagonal(effect)
-            t = complex(np.vdot(state, d[:, None] * state) if form == "ket" else np.diagonal(state) @ d)
-        elif form == "ket":  # tr(E psi psi^dagger) = sum_i (E psi)_i conj(psi_i)
-            t = complex(np.vdot(state, effect @ state))
-        else:
-            t = complex(np.einsum("ij,ji->", effect, state))
-        if abs(t.imag) > self.atol:
-            raise NumericConsistencyError(
-                f"trace has imaginary residue {abs(t.imag):.3e}"
-            )
-        return float(t.real)
-
-    def apply(self, trans, state):
-        form = self._form(state)
-        if isinstance(trans, DiagonalMap):  # d psi, d_i w_i conj(d_i), or d_i rho_ij conj(d_j)
-            if form == "diagonal":
-                return self._conjugated_diagonal(trans, state)
-            d = trans.comps[0][:, None]
-            return d * state if form == "ket" else d * state * d.conj().T
-        if form == "diagonal":
-            state, form = self.dense(state), "density"
-        return trans @ state if form == "ket" else trans @ state @ trans.conj().T
-
+    apply = MatrixTheory.apply
+    probability = MatrixTheory.probability
     compose = MatrixTheory.compose
     is_identity_map = MatrixTheory.is_identity_map
     maps_commute = MatrixTheory.maps_commute
@@ -744,32 +762,16 @@ class QuaternionicTheory(MatrixTheory):
         right[1:] *= -1.0
         return self._is_central_unit(_hamilton_entrywise(right, left))
 
+    # d . sum_c psi_c^2, which no unit on the right changes
+    _diagonal_read = staticmethod(lambda d, ket: float(d @ (ket.comps[:, :, 0] ** 2).sum(axis=0)))
+    # conjugate_state and real_trace_prob are looked up at call time, so a wrapper sees each call
+    _conjugate = staticmethod(lambda S, rho: conjugate_state(S, rho))
+    _trace_prob = staticmethod(lambda E, rho, atol: real_trace_prob(E, rho, atol))
+    _real = staticmethod(_real_part)
+
     # bench/tracer.py times these five through each class's own __dict__
-    def probability(self, effect, state) -> float:
-        form = self._form(state)
-        if form == "diagonal":
-            state, form = self.dense(state), "density"
-        if isinstance(effect, DiagonalMap):  # d . sum_c psi_c^2, or tr of d_i rho_ii: O(N)
-            d = self._effect_diagonal(effect)
-            if form == "ket":
-                return float(d @ (state.comps[:, :, 0] ** 2).sum(axis=0))
-            return _real_part(np.diagonal(state.comps, axis1=1, axis2=2) @ d, self.atol)
-        if form == "ket":
-            return ket_trace_prob(effect, state, atol=self.atol)
-        return real_trace_prob(effect, state, atol=self.atol)
-
-    def apply(self, trans, state):
-        form = self._form(state)
-        if form == "diagonal":
-            if isinstance(trans, DiagonalMap):  # d_i w_i conj(d_i), entrywise
-                return self._conjugated_diagonal(trans, state)
-            state, form = self.dense(state), "density"
-        if form == "density":
-            return conjugate_state(trans, state)
-        if isinstance(trans, DiagonalMap):  # d psi, entrywise
-            return QuatMatrix(_hamilton_entrywise(trans.comps[:, :, None], state.comps))
-        return trans @ state
-
+    apply = MatrixTheory.apply
+    probability = MatrixTheory.probability
     compose = MatrixTheory.compose
     is_identity_map = MatrixTheory.is_identity_map
     maps_commute = MatrixTheory.maps_commute

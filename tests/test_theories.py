@@ -25,7 +25,9 @@ Core claims:
       carries non-real residue above atol raises; each face is the spanning
       states with no probability on the branch, of the documented affine
       dimension; a matrix theory is built without its N dense branch effects
-    - the complex and quaternionic theories share one matrix core: the same
+    - the complex and quaternionic theories share one matrix core: apply,
+      probability, compose, maps_commute and is_identity_map are
+      MatrixTheory's own objects in both classes' __dict__; the same
       probe counts (2 and 4: a diagonal mixture, then kets), each probe's
       density in the state space, byte-identical identity, sign-flip and
       branch maps to the former per-theory constructions, and one verdict
@@ -38,10 +40,12 @@ Core claims:
       message, even where psi^dagger E psi is real
     - states_close, branch_probabilities and contains read a ket as its
       density; a ket is not broadcast against a density; a matrix or a
-      diagonal of another size raises a ValueError naming it, and a
-      non-real diagonal effect is refused by name; a vector theory's
-      states_close refuses a state of another dimension with the message
-      contains gives; a state with an infinite entry is not close to itself
+      diagonal of another size raises a ValueError naming it, and so does
+      a map or an effect of another size, dense or diagonal, wherever it
+      is read; a non-real diagonal effect is refused by name; a vector
+      theory's states_close refuses a state of another dimension with the
+      message contains gives; a state with an infinite entry is not close
+      to itself
     - two kets are compared after aligning their global phase, linearly in
       the error and soundly: a pair judged close is close as densities at
       the same atol, and a 1e-6 phase error on one remote entry of a sign
@@ -59,7 +63,8 @@ Core claims:
       materialization within 1e-12 (apply on kets, densities and diagonal
       states, compose, is_identity_map, maps_commute, is_branch_local on
       structured and materialized probes, is_phase_operation, probability
-      with a diagonal effect, states_close on ket, diagonal and mixed
+      with a diagonal effect on kets, densities and diagonal states,
+      states_close on ket, diagonal and mixed
       pairs, build_oracle); a diagonal meeting a dense map composes to the dense
       product bit for bit; real quaternionic diagonals commute exactly as
       the full check says; a non-finite stored diagonal commutes with
@@ -81,7 +86,6 @@ from gptifer.quaternion import (
     NumericConsistencyError,
     QuatMatrix,
     Quaternion,
-    _ket_trace,
     _product_trace,
     qmul,
 )
@@ -887,7 +891,7 @@ def test_a_quaternionic_ket_trace_keeps_its_residue(N):
     for _ in range(20):
         psi, E = _random_ket(m, rng), _random_self_adjoint(m, rng)
         np.testing.assert_allclose(
-            _ket_trace(E.comps, psi.comps[:, :, 0]), _product_trace(E.comps, _density(psi).comps), rtol=0.0, atol=1e-12
+            m._ket_trace(E, psi), _product_trace(E.comps, _density(psi).comps), rtol=0.0, atol=1e-12
         )
 
 
@@ -925,7 +929,7 @@ def test_a_quaternionic_residue_raises_on_both_paths_alike():
     psi = QuatMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])[:, :, None] / np.sqrt(2.0))
     quadratic = (psi.dagger() @ E @ psi).comps[:, 0, 0]
     assert np.abs(quadratic).max() <= 1e-15
-    np.testing.assert_allclose(_ket_trace(E.comps, psi.comps[:, :, 0]), [0.0, 0.0, 0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(m._ket_trace(E, psi), [0.0, 0.0, 0.0, 1.0], atol=1e-15)
     message = _raised(m, E, psi)
     assert message == _raised(m, E, _density(psi))
     assert message == f"trace has imaginary residue 1.000e+00 above tolerance {m.atol:.1e}"
@@ -967,6 +971,45 @@ def test_a_ket_or_a_wrong_size_matrix_is_refused_by_name(m, other):
     with pytest.raises(ValueError) as err:
         m.probability(wide, ket)
     assert str(err.value) == f"{m.name} theory expects a diagonal of 2 entries, got one of shape ({k}, 4)"
+
+
+@pytest.mark.parametrize(
+    "m,other",
+    [(quantum_theory(1), quantum_theory(2)), (quaternionic_theory(2), quaternionic_theory(4))],
+    ids=["quantum", "quaternionic"],
+)
+def test_a_wrong_size_map_is_refused_by_name(m, other):
+    # a one-entry diagonal once acted as -I on two branches, and a 4x4
+    # identity passed is_identity_map and maps_commute: the map check, next
+    # to _form, refuses both wherever a map or an effect is read
+    k = m.PHASES.shape[1]
+    bad = [
+        (DiagonalMap(m._lift(np.array([-1.0]))), f"expects a diagonal of 2 entries, got one of shape ({k}, 1)"),
+        (other.identity_map(), f"expects a diagonal of 2 entries, got one of shape ({k}, 4)"),
+        (other.dense(other.identity_map()), "expects a 2x2 map or effect, got a matrix of shape (4, 4)"),
+        (m._matrix(m._lift(np.ones((4, 2)))), "expects a 2x2 map or effect, got a matrix of shape (4, 2)"),
+    ]
+    if isinstance(m, DensityMatrixTheory):
+        bad.append((np.eye(2, dtype=complex)[None], "expects a 2x2 map or effect, got a matrix of shape (1, 2, 2)"))
+    good = [m.identity_map(), m.beamsplitter]
+    states = [m.branch_ket(0), m.branch_state(0), m.branch_local_probes(0)[0]]
+    for M, message in bad:
+        calls = [lambda s=s: m.apply(M, s) for s in states] + [lambda s=s: m.probability(M, s) for s in states]
+        calls += [lambda G=G: m.compose(M, G) for G in good] + [lambda G=G: m.compose(G, M) for G in good]
+        calls += [lambda G=G: m.maps_commute(M, G) for G in good] + [lambda G=G: m.maps_commute(G, M) for G in good]
+        calls += [lambda: m.dense(M), lambda: m.is_identity_map(M), lambda: is_branch_local(m, M, 0)]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"{m.name} theory {message}"
+
+
+def test_both_algebras_share_one_matrix_core():
+    # apply, probability and the map predicates are MatrixTheory's own, not
+    # per-algebra copies; each class still holds them in its own __dict__,
+    # where the benchmark tracer looks them up
+    for name in ("apply", "probability", "compose", "maps_commute", "is_identity_map"):
+        assert DensityMatrixTheory.__dict__[name] is QuaternionicTheory.__dict__[name] is MatrixTheory.__dict__[name]
 
 
 @pytest.mark.parametrize("m", [quantum_theory(1), quaternionic_theory(2)], ids=_label)
@@ -1117,12 +1160,12 @@ def test_the_diagonal_form_agrees_with_its_dense_materialization(m):
             assert np.array_equal(m._entries(m.compose(X, D)), m._entries(X @ M))
             verdicts.add(("commute", m.maps_commute(D, X)))
             assert m.maps_commute(D, X) == m.maps_commute(M, X) and m.maps_commute(X, D) == m.maps_commute(X, M)
-    # a diagonal effect reads as its dense projector, on kets and densities
+    # a diagonal effect reads as its dense projector, on kets, densities and diagonal states
     effects = [m.diagonal_map(np.arange(m.dim) == j) for j in range(m.dim)] + [m.diagonal_map(rng.uniform(-1.0, 1.0, m.dim))]
     for E in effects:
         for _ in range(3):
             psi = _random_ket(m, rng)
-            for state in (psi, _density(psi)):
+            for state in (psi, _density(psi), m.branch_local_probes(0)[0]):
                 assert abs(m.probability(E, state) - m.probability(m.dense(E), state)) <= 1e-12
     # states_close on ket, diagonal and mixed pairs gives the densities' verdict
     psi = _random_ket(m, rng)
