@@ -203,15 +203,12 @@ class GroverConfig:
 VERDICT_ATOL = 1e-9
 
 
-def build_oracle(m: TheoryModel, spec: OracleSpec, enc: BranchEncoding):
-    """Compose the per-branch choices selected by the truth table.
-
-    Every encoding member must be localizable to its own branch; members
-    must pairwise commute so that the ascending-index composition order is
-    physically irrelevant.  Identity members are exempt from both checks
-    (the identity fixes every state and commutes with everything).
-    """
-    if enc.n_branches != m.n_branches or len(spec.table) != m.n_branches:
+def validate_encoding(m: TheoryModel, enc: BranchEncoding) -> None:
+    """Check an encoding once, for every table it serves: each member must be
+    localizable to its own branch, and members must pairwise commute so that
+    the ascending-index composition order is physically irrelevant.  Identity
+    members are exempt (the identity fixes every state and commutes with all)."""
+    if enc.n_branches != m.n_branches:
         raise ValueError("encoding and truth table must cover every branch")
     nontrivial = []
     failures = []
@@ -228,10 +225,29 @@ def build_oracle(m: TheoryModel, spec: OracleSpec, enc: BranchEncoding):
             raise NonCommutingEncodingError(
                 f"choices on branches {b1} and {b2} do not commute"
             )
+
+
+def _compose(m: TheoryModel, table, enc: BranchEncoding):
+    # the choices a table selects, composed in ascending branch order
     oracle = m.identity_map()
-    for branch in range(m.n_branches):
-        oracle = m.compose(enc.choice(branch, spec.table[branch]), oracle)
+    for branch, bit in enumerate(table):
+        oracle = m.compose(enc.choice(branch, bit), oracle)
     return oracle
+
+
+def build_oracle(m: TheoryModel, spec: OracleSpec, enc: BranchEncoding):
+    """Validate the encoding, then compose the choices the truth table selects."""
+    if len(spec.table) != m.n_branches:
+        raise ValueError("encoding and truth table must cover every branch")
+    validate_encoding(m, enc)
+    return _compose(m, spec.table, enc)
+
+
+def dj_outcome(m: TheoryModel, s_out, e_C) -> DJOutcome:
+    """Read an output state with the closing effect: p and the verdict."""
+    p = m.probability(e_C, s_out)
+    verdict = "constant" if near_zero(p - 1.0, VERDICT_ATOL) else "balanced" if near_zero(p, VERDICT_ATOL) else "indeterminate"
+    return DJOutcome(p, verdict, s_out)
 
 
 def _query(m: TheoryModel, spec: OracleSpec, oracle, s_in, e_C) -> DJOutcome:
@@ -240,10 +256,7 @@ def _query(m: TheoryModel, spec: OracleSpec, oracle, s_in, e_C) -> DJOutcome:
     promise = classify(spec)
     if promise == "neither":
         raise ValueError("the constant-vs-balanced run requires a promise-abiding table")
-    s_out = m.apply(oracle(promise), s_in)
-    p = m.probability(e_C, s_out)
-    verdict = "constant" if near_zero(p - 1.0, VERDICT_ATOL) else "balanced" if near_zero(p, VERDICT_ATOL) else "indeterminate"
-    return DJOutcome(p, verdict, s_out)
+    return dj_outcome(m, m.apply(oracle(promise), s_in), e_C)
 
 
 def run_dj(m: TheoryModel, spec: OracleSpec, enc: BranchEncoding, s_in, e_C) -> DJOutcome:
@@ -253,6 +266,17 @@ def run_dj(m: TheoryModel, spec: OracleSpec, enc: BranchEncoding, s_in, e_C) -> 
     consulted, keeping the instruments independent of the oracle's content.
     """
     return _query(m, spec, lambda _: build_oracle(m, spec, enc), s_in, e_C)
+
+
+def promise_sweep(m: TheoryModel, enc: BranchEncoding, s_in):
+    """(spec, output state) per promise table on log2 N bits, in the order of
+    :func:`constant_balanced_specs`, each state bit for bit as :func:`run_dj`
+    forms it.  The encoding is validated once, before any table is composed."""
+    specs = constant_balanced_specs(int(round(math.log2(m.n_branches))))
+    if len(specs[0].table) != m.n_branches:
+        raise ValueError("encoding and truth table must cover every branch")
+    validate_encoding(m, enc)
+    return ((spec, m.apply(_compose(m, spec.table, enc), s_in)) for spec in specs)
 
 
 def run_dj_with_global_oracle(m: TheoryModel, spec: OracleSpec, balanced_op, s_in, e_C) -> DJOutcome:
@@ -270,17 +294,6 @@ def run_dj_with_global_oracle(m: TheoryModel, spec: OracleSpec, balanced_op, s_i
 # ---------------------------------------------------------------------------
 
 WEAK_MARGIN = 1e-6
-
-
-def _dj_outputs(m: TheoryModel, enc: BranchEncoding, s_in):
-    n = int(round(math.log2(m.n_branches)))
-    constant_out = []
-    balanced_out = []
-    for spec in constant_balanced_specs(n):
-        oracle = build_oracle(m, spec, enc)
-        out = m.apply(oracle, s_in)
-        (constant_out if classify(spec) == "constant" else balanced_out).append(out)
-    return constant_out, balanced_out
 
 
 def find_distinguishing_effect(
@@ -302,7 +315,6 @@ def find_distinguishing_effect(
     """
     if not isinstance(m, VectorTheory) or m.extremal_states is None:
         raise UnsupportedTheoryError("effect search needs a polytope theory")
-    constant_out, balanced_out = _dj_outputs(m, enc, s_in)
     dim = m.state_dim
     a_ub = []
     b_ub = []
@@ -313,20 +325,15 @@ def find_distinguishing_effect(
         b_ub.append(0.0)
     a_eq = []
     b_eq = []
-    if strict:
-        for out in constant_out:
+    for spec, out in promise_sweep(m, enc, s_in):
+        constant = classify(spec) == "constant"
+        if strict:
             a_eq.append(out.probs)
-            b_eq.append(1.0)
-        for out in balanced_out:
-            a_eq.append(out.probs)
-            b_eq.append(0.0)
-    else:
-        for out in constant_out:
-            a_ub.append(-out.probs)
-            b_ub.append(-(0.5 + WEAK_MARGIN))
-        for out in balanced_out:
-            a_ub.append(out.probs)
-            b_ub.append(0.5 - WEAK_MARGIN)
+            b_eq.append(1.0 if constant else 0.0)
+        else:
+            sign = -1.0 if constant else 1.0
+            a_ub.append(sign * out.probs)
+            b_ub.append(sign * 0.5 - WEAK_MARGIN)
     result = linprog(
         c=np.zeros(dim),
         A_ub=np.array(a_ub),

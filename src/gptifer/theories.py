@@ -441,13 +441,17 @@ class MatrixTheory(TheoryModel):
 
     def _is_diagonal(self, M) -> bool:
         # the one map and effect check: True for a DiagonalMap of (k, N) entries, False for an N x N
-        # matrix, any other shape refused by name; an array's or QuatMatrix components' shape is cheapest
+        # matrix of the algebra's own type, any other type or shape refused by name; an array's or
+        # QuatMatrix components' shape is cheapest
         if isinstance(M, DiagonalMap):
             if M.comps.shape != self._diagonal_shape:
                 raise ValueError(f"{self.name} theory expects a diagonal of {self.dim} entries, got one of shape {M.comps.shape}")
             return True
-        if getattr(getattr(M, "comps", M), "shape", None) != self._map_shape:
-            shape = self._entries(M).shape[1:]  # any array-like, a nested list too
+        if not isinstance(M, self._matrix_type):
+            kind = self._matrix_type.__name__
+            raise ValueError(f"{self.name} theory expects a map or effect of type {kind} or DiagonalMap, got {type(M).__name__}")
+        if getattr(M, "comps", M).shape != self._map_shape:
+            shape = self._entries(M).shape[1:]
             if shape != (self.dim, self.dim):
                 raise ValueError(f"{self.name} theory expects a {self.dim}x{self.dim} map or effect, got a matrix of shape {shape}")
         return False
@@ -590,7 +594,7 @@ class MatrixTheory(TheoryModel):
         # the dense one bit for bit
         if self._is_diagonal(second) and self._is_diagonal(first):
             return DiagonalMap(self._entrywise(second.comps, first.comps))
-        return self.dense(second) @ self.dense(first)
+        return self._read_only(self.dense(second) @ self.dense(first))
 
     def identity_map(self):
         return self.diagonal_map(np.ones(self.dim))
@@ -639,8 +643,8 @@ class MatrixTheory(TheoryModel):
                 image = self._entrywise(image, self._conj(d)[:, None, :])
             return self._matrix(image)
         if form == "ket":
-            return trans @ state
-        return self._conjugate(trans, self.dense(state))
+            return self._read_only(trans @ state)
+        return self._read_only(self._conjugate(trans, self.dense(state)))
 
     def maps_commute(self, a, b) -> bool:
         # ab and ba induce one conjugation exactly when (ba)^dagger (ab) acts
@@ -684,12 +688,15 @@ class DensityMatrixTheory(MatrixTheory):
         self.n_qubits = n_qubits
         super().__init__("quantum", 2**n_qubits)
 
+    _matrix_type = np.ndarray
+
     @staticmethod
-    def _matrix(entries):
-        # read-only, as a QuatMatrix is, so a built map can be shared
-        M = entries[0]
+    def _read_only(M):
+        # read-only, as a QuatMatrix is, so a built map or an image can be shared
         M.setflags(write=False)
         return M
+
+    _matrix = staticmethod(lambda entries: DensityMatrixTheory._read_only(entries[0]))
 
     _entries = staticmethod(lambda M: np.asarray(M)[None])
     _dagger = staticmethod(lambda M: np.asarray(M).conj().T)
@@ -739,7 +746,9 @@ class QuaternionicTheory(MatrixTheory):
             raise ValueError("need at least two levels")
         super().__init__("quaternionic", N)
 
+    _matrix_type = QuatMatrix
     _matrix = staticmethod(QuatMatrix)
+    _read_only = staticmethod(lambda M: M)  # a QuatMatrix is read-only already
     _entries = staticmethod(lambda M: M.comps)
     _dagger = staticmethod(QuatMatrix.dagger)
     _complex_form = staticmethod(QuatMatrix.complex_adjoint)

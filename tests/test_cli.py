@@ -180,7 +180,9 @@ def test_cli_refuses_promise_tables_beyond_the_bound(argv, capsys, monkeypatch):
     def no_run(*args):
         raise AssertionError("a protocol run started")
 
-    monkeypatch.setattr(ifr, "run_dj", no_run)
+    # every dj-sweep entry runs through the one sweep, and every oracle is validated first
+    monkeypatch.setattr(ifr, "promise_sweep", no_run)
+    monkeypatch.setattr(ifr, "validate_encoding", no_run)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -7,6 +7,12 @@ Core claims:
     - oracle assembly reproduces diag(1,-1) for the one-bit flip table,
       rejects box-world encodings with the offending branch named, and
       rejects non-commuting encodings
+    - the promise sweep validates its encoding once: a quaternionic N = 8
+      dj-sweep makes 8 locality and 28 commutation checks in all; for
+      every table with n <= 3, in both matrix algebras, its outcomes equal
+      run_dj's bit for bit; it and the effect search refuse a non-local or
+      a non-commuting encoding as build_oracle does, before any table is
+      composed
     - quantum runs: p = 1 constant / p = 0 balanced, exhaustively, matching
       the independent closed form |sum +-1|^2 / 4^n
     - toy-bit runs: the documented 13 -> 13 / 13 -> 24 behavior with exact
@@ -33,13 +39,15 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gptifer.interferometer as ifr
-from gptifer.core import DiagonalMap, Effect
+from gptifer.core import DiagonalMap, Effect, GptState
+from gptifer.experiments import run_experiment
 from gptifer.interferometer import (
     BranchEncoding,
     BranchLocalityError,
@@ -52,11 +60,13 @@ from gptifer.interferometer import (
     build_oracle,
     classify,
     constant_balanced_specs,
+    dj_outcome,
     find_distinguishing_effect,
     gbit_global_instruments,
     grover_closed_form,
     grover_iteration_budget,
     grover_success_curve,
+    promise_sweep,
     quantum_dj_instruments,
     quaternionic_dj_instruments,
     run_dj,
@@ -68,6 +78,7 @@ from gptifer.interferometer import (
 )
 from gptifer.quaternion import QuatMatrix, Quaternion
 from gptifer.theories import (
+    QuaternionicTheory,
     classical_theory,
     dball_theory,
     embed_rotation,
@@ -277,6 +288,105 @@ def test_quaternionic_i_and_j_phases_on_one_branch_do_not_commute():
     with pytest.raises(NonCommutingEncodingError) as err:
         build_oracle(m, OracleSpec(1, (0, 1)), enc)
     assert str(err.value) == "choices on branches 0 and 0 do not commute"
+
+
+# -- the promise sweep ------------------------------------------------------------------------
+
+
+def test_a_dj_sweep_validates_its_encoding_once(monkeypatch):
+    # all 72 tables of N = 8 share one validation: 8 locality checks and
+    # 8 * 7 / 2 = 28 commutation checks, not that many per table
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ifr, "is_branch_local", counted("local", ifr.is_branch_local))
+    monkeypatch.setattr(QuaternionicTheory, "maps_commute", counted("commute", QuaternionicTheory.maps_commute))
+    report = run_experiment("dj-sweep", {"theory": "quaternionic", "N": 8})
+    assert report.passed and report.results["functions"] == 72
+    assert calls == {"local": 8, "commute": 28}
+
+
+@pytest.mark.parametrize(
+    "instruments",
+    [lambda n=n: quantum_dj_instruments(n) for n in (1, 2, 3)] + [lambda n=n: quaternionic_dj_instruments(2**n) for n in (1, 2, 3)],
+    ids=["quantum-2", "quantum-4", "quantum-8", "quaternionic-2", "quaternionic-4", "quaternionic-8"],
+)
+def test_the_sweep_gives_run_djs_outcomes_bit_for_bit(instruments):
+    m, enc, s_in, e_C = instruments()
+    swept = list(promise_sweep(m, enc, s_in))
+    assert [spec for spec, _ in swept] == list(constant_balanced_specs(m.n_branches.bit_length() - 1))
+    for spec, out in swept:
+        mine, reference = dj_outcome(m, out, e_C), run_dj(m, spec, enc, s_in, e_C)
+        assert mine.verdict == reference.verdict == classify(spec)
+        assert mine.p_constant_effect == reference.p_constant_effect
+        assert np.array_equal(m._entries(out), m._entries(reference.output_state))
+
+
+def _raised(call) -> tuple:
+    with pytest.raises(ValueError) as err:
+        call()
+    return type(err.value), str(err.value), getattr(err.value, "failures", None)
+
+
+def _gbit_x_flip_on_branch_0(monkeypatch):
+    m = gbit_theory(2)
+    flip = (m.identity_map(), m.group.by_name("X-flip"))
+    return m, BranchEncoding((flip, (m.identity_map(), m.identity_map()))), GptState([0.5, 0.5, 1.0, 0.0])
+
+
+def _toy_swaps_that_do_not_commute(monkeypatch):
+    # the epistemic toy bit's local swaps, in a model told they do not commute
+    m, enc, s_in, _ = spekkens_epistemic_dj_instruments()
+    monkeypatch.setattr(m, "maps_commute", lambda a, b: False)
+    return m, enc, s_in
+
+
+def _quaternionic_i_then_j(monkeypatch):
+    # i and j on branch 0: each is local, but ij = -ji
+    m = quaternionic_theory(2)
+    one = Quaternion(1.0)
+    i_phase = QuatMatrix.diag([Quaternion(0.0, 1.0), one])
+    j_phase = QuatMatrix.diag([Quaternion(0.0, 0.0, 1.0), one])
+    identity = m.identity_map()
+    return m, BranchEncoding(((i_phase, j_phase), (identity, identity))), m.uniform_superposition()
+
+
+def _quantum_beamsplitter_on_branch_1(monkeypatch):
+    m, enc, s_in, _ = quantum_dj_instruments(2)
+    pairs = list(enc.pairs)
+    pairs[1] = (m.identity_map(), m.beamsplitter)
+    return m, BranchEncoding(tuple(pairs)), s_in
+
+
+@pytest.mark.parametrize(
+    "rejected, searchable, expected",
+    [
+        (_gbit_x_flip_on_branch_0, True, (BranchLocalityError, ((0, 1),))),
+        (_quantum_beamsplitter_on_branch_1, False, (BranchLocalityError, ((1, 1),))),
+        (_toy_swaps_that_do_not_commute, True, (NonCommutingEncodingError, None)),
+        (_quaternionic_i_then_j, False, (NonCommutingEncodingError, None)),
+    ],
+    ids=["gbit-local", "quantum-local", "toy-commute", "quaternionic-commute"],
+)
+def test_the_sweep_refuses_an_encoding_as_build_oracle_does(rejected, searchable, expected, monkeypatch):
+    m, enc, s_in = rejected(monkeypatch)
+    spec = constant_balanced_specs(m.n_branches.bit_length() - 1)[-1]
+    reference = _raised(lambda: build_oracle(m, spec, enc))
+    assert (reference[0], reference[2]) == expected
+
+    def no_table(*args):
+        raise AssertionError("a table was composed")
+
+    monkeypatch.setattr(m, "compose", no_table)  # validation composes no map here
+    assert _raised(lambda: promise_sweep(m, enc, s_in)) == reference
+    if searchable:
+        assert _raised(lambda: find_distinguishing_effect(m, enc, s_in, strict=True)) == reference
 
 
 # -- effect search -----------------------------------------------------------------------------

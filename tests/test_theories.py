@@ -42,7 +42,8 @@ Core claims:
       density; a ket is not broadcast against a density; a matrix or a
       diagonal of another size raises a ValueError naming it, and so does
       a map or an effect of another size, dense or diagonal, wherever it
-      is read; a non-real diagonal effect is refused by name; a vector
+      is read, or of another type than the algebra's own matrix (a nested
+      list for quantum, a plain array for quaternionic); a non-real diagonal effect is refused by name; a vector
       theory's states_close refuses a state of another dimension with the
       message contains gives; a state with an infinite entry is not close
       to itself
@@ -66,7 +67,7 @@ Core claims:
       with a diagonal effect on kets, densities and diagonal states,
       states_close on ket, diagonal and mixed
       pairs, build_oracle); a diagonal meeting a dense map composes to the dense
-      product bit for bit; real quaternionic diagonals commute exactly as
+      product bit for bit; every image of apply and compose is read-only; real quaternionic diagonals commute exactly as
       the full check says; a non-finite stored diagonal commutes with
       nothing and is not the identity
 """
@@ -981,7 +982,8 @@ def test_a_ket_or_a_wrong_size_matrix_is_refused_by_name(m, other):
 def test_a_wrong_size_map_is_refused_by_name(m, other):
     # a one-entry diagonal once acted as -I on two branches, and a 4x4
     # identity passed is_identity_map and maps_commute: the map check, next
-    # to _form, refuses both wherever a map or an effect is read
+    # to _form, refuses both wherever a map or an effect is read, and so an
+    # operand not of the algebra's own matrix type, which failed inside numpy
     k = m.PHASES.shape[1]
     bad = [
         (DiagonalMap(m._lift(np.array([-1.0]))), f"expects a diagonal of 2 entries, got one of shape ({k}, 1)"),
@@ -991,6 +993,9 @@ def test_a_wrong_size_map_is_refused_by_name(m, other):
     ]
     if isinstance(m, DensityMatrixTheory):
         bad.append((np.eye(2, dtype=complex)[None], "expects a 2x2 map or effect, got a matrix of shape (1, 2, 2)"))
+        bad.append(([[1, 0], [0, 1]], "expects a map or effect of type ndarray or DiagonalMap, got list"))
+    else:  # a QuatMatrix's own component shape, as a plain array
+        bad.append((m._lift(np.eye(2)), "expects a map or effect of type QuatMatrix or DiagonalMap, got ndarray"))
     good = [m.identity_map(), m.beamsplitter]
     states = [m.branch_ket(0), m.branch_state(0), m.branch_local_probes(0)[0]]
     for M, message in bad:
@@ -1109,6 +1114,10 @@ def _close(m, a, b) -> bool:
     return np.abs(m._entries(a) - m._entries(b)).max() <= 1e-12
 
 
+def _writeable(m, X) -> bool:
+    return (X.comps if isinstance(X, DiagonalMap) else m._entries(X)).flags.writeable
+
+
 def _times_global_phase(m, psi, rng):
     # psi u for a random unit u of the algebra, on the right: the same state
     return m._column(m._entrywise(m._entries(psi)[:, :, 0], m._random_phases(rng, 1)))
@@ -1132,6 +1141,8 @@ def test_the_diagonal_form_agrees_with_its_dense_materialization(m):
             psi = _random_ket(m, rng)
             assert _close(m, m.apply(D, psi), m.apply(M, psi))
             assert _close(m, m.apply(D, _density(psi)), m.apply(M, _density(psi)))
+            # every image is read-only, from the diagonal and the dense path alike
+            assert not any(_writeable(m, m.apply(T, s)) for T in (D, M) for s in (psi, _density(psi)))
         assert m.is_identity_map(D) == m.is_identity_map(M)
         assert is_phase_operation(m, D) == is_phase_operation(m, M)
         for branch in range(m.dim):
@@ -1149,6 +1160,7 @@ def test_the_diagonal_form_agrees_with_its_dense_materialization(m):
             assert np.array_equal(m._entries(m.apply(M, probes[0])), m._entries(m.apply(M, dense_probes[0])))
         for E in diagonals:
             DE = m.compose(D, E)
+            assert not any(_writeable(m, X) for X in (DE, m.compose(D, m.dense(E)), m.compose(M, E), m.compose(M, m.dense(E))))
             assert isinstance(DE, DiagonalMap) and _close(m, m.dense(DE), M @ m.dense(E))
             assert np.array_equal(m._entries(m.compose(D, m.dense(E))), m._entries(M @ m.dense(E)))
             assert np.array_equal(m._entries(m.compose(M, E)), m._entries(M @ m.dense(E)))
