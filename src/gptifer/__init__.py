@@ -15,14 +15,7 @@ from .core import (
     preserves_statespace,
     probability,
 )
-from .quaternion import (
-    NumericConsistencyError,
-    QuatMatrix,
-    Quaternion,
-    conjugate_state,
-    qmul,
-    real_trace_prob,
-)
+from .quaternion import NumericConsistencyError, QuatMatrix
 from .theories import (
     DensityMatrixTheory,
     MatrixTheory,

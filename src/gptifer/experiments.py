@@ -22,8 +22,7 @@ from . import interferometer as ifr
 from . import phase as ph
 from . import theories as th
 from . import uncertainty as unc
-from .core import GptState
-from .quaternion import QuatMatrix, Quaternion
+from .core import DiagonalMap, GptState
 
 DEFAULT_SEED = 0
 
@@ -456,26 +455,23 @@ def _exp_spekkens_compare(rng):
 
 def _exp_quaternionic_globalphase(rng):
     m = th.quaternionic_theory(2)
-    amplitudes = np.zeros((4, 2, 1))  # the column (1, j) / sqrt(2)
-    amplitudes[0, 0] = amplitudes[2, 1] = 1.0 / math.sqrt(2.0)
-    j_plus = QuatMatrix(amplitudes)
-    states = [m.branch_state(0), m.uniform_superposition(), j_plus @ j_plus.dagger()]
-    effects = list(m.z_effects) + states[1:]
+    units = np.eye(4)  # 1, i, j, k as component columns
+    uniform = m.apply(m.beamsplitter, m.branch_ket(0))
+    j_plus = m.apply(DiagonalMap(units[:, [0, 2]]), uniform)  # (1, j) / sqrt(2)
+    states = [m.branch_ket(0), uniform, j_plus]
+    effects = list(m.z_effects) + [psi @ psi.dagger() for psi in states[1:]]
 
-    def conjugated(h: Quaternion, rho: QuatMatrix) -> QuatMatrix:
-        G = QuatMatrix.diag([h, h])
-        return m.apply(G, rho)
-
-    def max_shift(h: Quaternion) -> float:
+    def max_shift(h: np.ndarray) -> float:
+        G = DiagonalMap(np.column_stack([h, h]))  # the unit h times the identity
         return max(
-            abs(m.probability(E, conjugated(h, rho)) - m.probability(E, rho))
-            for rho in states
+            abs(m.probability(E, m.apply(G, psi)) - m.probability(E, psi))
+            for psi in states
             for E in effects
         )
 
-    shift_i = max_shift(Quaternion(0.0, 1.0))
-    shift_plus = max_shift(Quaternion(1.0))
-    shift_minus = max_shift(Quaternion(-1.0))
+    shift_i = max_shift(units[1])
+    shift_plus = max_shift(units[0])
+    shift_minus = max_shift(-units[0])
     results = {
         "max_shift_h_eq_i": _round(shift_i),
         "max_shift_h_eq_plus1": _round(shift_plus),

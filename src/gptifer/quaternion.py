@@ -2,7 +2,9 @@
 
 Quaternions are stored component-wise (1, i, j, k); matrices keep a single
 ``(4, rows, cols)`` float array so products reduce to real matrix products.
-A ket is a one-column matrix.
+A ket is a one-column matrix.  :class:`QuatMatrix` keeps what the matrix
+core reads (components, ``shape``, ``@``, ``dagger``, ``complex_adjoint``);
+``QuaternionicTheory`` builds identity and diagonal matrices.
 The symplectic dagger is transpose plus entrywise conjugation, and a square
 matrix is symplectic when ``S @ S.dagger()`` is the identity.  Probabilities
 of a general effect are always extracted as a trace, tr(E rho) through
@@ -161,31 +163,6 @@ class QuatMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("QuatMatrix is immutable")
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_real(cls, matrix) -> "QuatMatrix":
-        real = np.asarray(matrix, dtype=float)
-        comps = np.zeros((4,) + real.shape)
-        comps[0] = real
-        return cls(comps)
-
-    @classmethod
-    def identity(cls, n: int) -> "QuatMatrix":
-        return cls.from_real(np.eye(n))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QuatMatrix":
-        return cls(np.zeros((4, rows, cols)))
-
-    @classmethod
-    def diag(cls, entries) -> "QuatMatrix":
-        n = len(entries)
-        comps = np.zeros((4, n, n))
-        for idx, q in enumerate(entries):
-            comps[:, idx, idx] = q.components()
-        return cls(comps)
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -199,21 +176,8 @@ class QuatMatrix:
             return QuatMatrix._of_product(_hamilton_matmul(self.comps, other.comps))
         return NotImplemented
 
-    def __add__(self, other):
-        return QuatMatrix(self.comps + other.comps)
-
-    def __sub__(self, other):
-        return QuatMatrix(self.comps - other.comps)
-
-    def __neg__(self):
-        return QuatMatrix(-self.comps)
-
     def dagger(self) -> "QuatMatrix":
         return QuatMatrix(_conj(np.transpose(self.comps, (0, 2, 1))))
-
-    def isclose(self, other: "QuatMatrix", atol: float = DEFAULT_ATOL) -> bool:
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
-            return near_zero(self.comps - other.comps, atol)
 
     def complex_adjoint(self) -> np.ndarray:
         """Complex 2N x 2M matrix representing this matrix faithfully.

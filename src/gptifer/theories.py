@@ -685,7 +685,6 @@ class DensityMatrixTheory(MatrixTheory):
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
-        self.n_qubits = n_qubits
         super().__init__("quantum", 2**n_qubits)
 
     _matrix_type = np.ndarray

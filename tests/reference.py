@@ -7,7 +7,7 @@ this is library code; nothing under ``src/`` calls it.
 
 import numpy as np
 
-from gptifer.core import GptState, LinearMap
+from gptifer.core import DiagonalMap, GptState, LinearMap, near_zero
 from gptifer.interferometer import OracleSpec, build_oracle, sign_encoding
 from gptifer.quaternion import QuatMatrix, Quaternion, _conj, _hamilton_entrywise, _hamilton_matmul
 from gptifer.theories import QuaternionicTheory, embed_rotation, random_rotation
@@ -84,6 +84,11 @@ def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
     return Quaternion(*(comps / np.linalg.norm(comps)))
 
 
+def quat_diagonal(*entries: Quaternion) -> DiagonalMap:
+    """The diagonal map with these quaternion entries."""
+    return DiagonalMap(np.transpose([q.components() for q in entries]))
+
+
 def quat_pure(*entries: Quaternion) -> QuatMatrix:
     """|psi><psi| of the quaternionic column psi with these entries."""
     psi = QuatMatrix(np.transpose([q.components() for q in entries])[:, :, None])
@@ -98,7 +103,8 @@ def random_pure_quaternionic_state(N: int, rng: np.random.Generator) -> QuatMatr
 
 def is_symplectic(S: QuatMatrix, atol: float = 1e-9) -> bool:
     """Whether ``S @ S.dagger()`` is the identity: membership in Sp(N)."""
-    return (S @ S.dagger()).isclose(QuatMatrix.identity(S.shape[0]), atol=atol)
+    m = QuaternionicTheory(S.shape[0])
+    return near_zero((S @ S.dagger()).comps - m.dense(m.identity_map()).comps, atol)
 
 
 def _vec_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from gptifer.phase import (
     localizable_union,
     phase_group,
 )
-from gptifer.quaternion import QuatMatrix, Quaternion
+from gptifer.quaternion import Quaternion
 from gptifer.theories import (
     classical_theory,
     gbit_theory,
@@ -60,7 +60,7 @@ from gptifer.uncertainty import (
     schrodinger_bound,
 )
 from gptifer.experiments import run_suite, suite_canonical_bytes
-from reference import quantum_branch_local_form_check, quantum_phase_form_check, quat_pure, random_unitary
+from reference import quantum_branch_local_form_check, quantum_phase_form_check, quat_diagonal, quat_pure, random_unitary
 
 
 def criterion(number: int, label: str):
@@ -188,7 +188,7 @@ def test_criterion_5_quaternionic_dj():
     effects = list(m.z_effects) + [j_plus]
 
     def max_shift(h):
-        G = QuatMatrix.diag([h, h])
+        G = m.dense(quat_diagonal(h, h))
         return max(
             abs(m.probability(E, m.apply(G, rho)) - m.probability(E, rho))
             for rho in states

@@ -76,7 +76,7 @@ from gptifer.interferometer import (
     spekkens_epistemic_dj_instruments,
     spekkens_ontic_dj_instruments,
 )
-from gptifer.quaternion import QuatMatrix, Quaternion
+from gptifer.quaternion import Quaternion
 from gptifer.theories import (
     QuaternionicTheory,
     classical_theory,
@@ -88,7 +88,7 @@ from gptifer.theories import (
     qubit_theory,
     spekkens_epistemic_statistics,
 )
-from reference import grover_density_curve
+from reference import grover_density_curve, quat_diagonal
 
 
 # -- classification ---------------------------------------------------------------
@@ -281,9 +281,9 @@ def test_hidden_variable_runs_land_in_overlapping_classes():
 def test_quaternionic_i_and_j_phases_on_one_branch_do_not_commute():
     m = quaternionic_theory(2)
     one = Quaternion(1.0)
-    i_phase = QuatMatrix.diag([Quaternion(0.0, 1.0), one])
-    j_phase = QuatMatrix.diag([Quaternion(0.0, 0.0, 1.0), one])
-    identity = QuatMatrix.identity(2)
+    i_phase = m.dense(quat_diagonal(Quaternion(0.0, 1.0), one))
+    j_phase = m.dense(quat_diagonal(Quaternion(0.0, 0.0, 1.0), one))
+    identity = m.dense(m.identity_map())
     enc = BranchEncoding(((i_phase, j_phase), (identity, identity)))
     with pytest.raises(NonCommutingEncodingError) as err:
         build_oracle(m, OracleSpec(1, (0, 1)), enc)
@@ -351,8 +351,8 @@ def _quaternionic_i_then_j(monkeypatch):
     # i and j on branch 0: each is local, but ij = -ji
     m = quaternionic_theory(2)
     one = Quaternion(1.0)
-    i_phase = QuatMatrix.diag([Quaternion(0.0, 1.0), one])
-    j_phase = QuatMatrix.diag([Quaternion(0.0, 0.0, 1.0), one])
+    i_phase = m.dense(quat_diagonal(Quaternion(0.0, 1.0), one))
+    j_phase = m.dense(quat_diagonal(Quaternion(0.0, 0.0, 1.0), one))
     identity = m.identity_map()
     return m, BranchEncoding(((i_phase, j_phase), (identity, identity))), m.uniform_superposition()
 

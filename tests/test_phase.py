@@ -32,7 +32,7 @@ from gptifer.phase import (
     localizable_union,
     phase_group,
 )
-from gptifer.quaternion import QuatMatrix, Quaternion
+from gptifer.quaternion import Quaternion
 from gptifer.theories import (
     classical_theory,
     dball_theory,
@@ -46,6 +46,7 @@ from gptifer.theories import (
 from reference import (
     quantum_branch_local_form_check,
     quantum_phase_form_check,
+    quat_diagonal,
     quat_pure,
     random_unit_quaternion,
     random_unitary,
@@ -311,14 +312,14 @@ def test_unit_quaternion_on_branch_zero_is_local_there():
     one = Quaternion(1.0)
     for _ in range(100):
         u = random_unit_quaternion(RNG)
-        S = QuatMatrix.diag([u, one, one])
+        S = m.dense(quat_diagonal(u, one, one))
         assert is_branch_local(m, S, 0)
 
 
 def test_generic_unit_quaternion_fails_remote_branches():
     m = quaternionic_theory(3)
     one = Quaternion(1.0)
-    S = QuatMatrix.diag([Quaternion(0.0, 1.0), one, one])
+    S = m.dense(quat_diagonal(Quaternion(0.0, 1.0), one, one))
     assert not is_branch_local(m, S, 1)
     assert not is_branch_local(m, S, 2)
 
@@ -331,7 +332,7 @@ def test_global_phase_observability_split():
     effects = list(m.z_effects) + [j_plus]
 
     def shift(h):
-        G = QuatMatrix.diag([h, h])
+        G = m.dense(quat_diagonal(h, h))
         return max(
             abs(m.probability(E, m.apply(G, rho)) - m.probability(E, rho))
             for rho in states

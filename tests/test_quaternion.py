@@ -13,8 +13,8 @@ Core claims:
     - the fixed branch projectors are real, diagonal, idempotent and complete
     - the batched product, entrywise product and trace kernels agree with
       entry-by-entry qmul sums
-    - isclose is absolute: a matrix or a scalar holding inf is not close to
-      itself, and numpy components raise no warning on inf - inf
+    - closeness is absolute: a matrix or a scalar holding inf is not close
+      to itself, and numpy components raise no warning on inf - inf
     - the entrywise product equals the broadcast reference to the bit, the
       sign of every zero included; a matrix product is read-only
 """
@@ -37,11 +37,13 @@ from gptifer.quaternion import (
     qmul,
     real_trace_prob,
 )
+from gptifer.core import near_zero
 from gptifer.quaternion import _hamilton_contract, _hamilton_entrywise, _hamilton_matmul, _product_trace
 from gptifer.theories import quaternionic_theory
-from reference import _vec_inner, is_symplectic, quat_pure, random_symplectic, random_unit_quaternion
+from reference import _vec_inner, is_symplectic, quat_diagonal, quat_pure, random_symplectic, random_unit_quaternion
 
 RNG = np.random.default_rng(2024)
+M2, M3 = quaternionic_theory(2), quaternionic_theory(3)
 
 
 # -- scalar algebra ------------------------------------------------------------
@@ -76,19 +78,19 @@ def test_noncommutativity_witness_and_real_center():
 
 
 def test_dagger_fixes_real_symmetric():
-    M = QuatMatrix.from_real([[1.0, 2.0], [2.0, 5.0]])
-    assert M.dagger().isclose(M)
+    M = QuatMatrix([[[1.0, 2.0], [2.0, 5.0]], *np.zeros((3, 2, 2))])
+    assert near_zero(M.dagger().comps - M.comps, 1e-9)
 
 
 def test_dagger_conjugates_imaginary_diagonal():
-    M = QuatMatrix.diag([I, ONE])
-    expected = QuatMatrix.diag([Quaternion(0.0, -1.0), ONE])
-    assert M.dagger().isclose(expected)
+    M = M2.dense(quat_diagonal(I, ONE))
+    expected = M2.dense(quat_diagonal(Quaternion(0.0, -1.0), ONE))
+    assert near_zero(M.dagger().comps - expected.comps, 1e-9)
 
 
 def test_an_infinite_entry_is_not_close_to_itself():
-    M = QuatMatrix.from_real([[np.inf, 0.0], [0.0, 1.0]])
-    assert not M.isclose(QuatMatrix.from_real([[np.inf, 0.0], [0.0, 1.0]]))
+    M = QuatMatrix([[[np.inf, 0.0], [0.0, 1.0]], *np.zeros((3, 2, 2))])
+    assert not M2.states_close(M, M)
     assert not Quaternion(np.inf).isclose(Quaternion(np.inf))
 
 
@@ -105,37 +107,38 @@ def test_dagger_antihomomorphism_on_random_symplectics():
     for _ in range(5):
         S = random_symplectic(3, RNG)
         T = random_symplectic(3, RNG)
-        assert (S @ T).dagger().isclose(T.dagger() @ S.dagger(), atol=1e-9)
+        assert near_zero((S @ T).dagger().comps - (T.dagger() @ S.dagger()).comps, 1e-9)
 
 
 # -- symplectic membership ----------------------------------------------------------
 
 
 def test_identity_is_symplectic():
-    assert is_symplectic(QuatMatrix.identity(3))
+    assert is_symplectic(M3.dense(M3.identity_map()))
 
 
 def test_unit_diagonal_is_symplectic():
     for _ in range(20):
         u = random_unit_quaternion(RNG)
-        assert is_symplectic(QuatMatrix.diag([u, ONE]))
+        assert is_symplectic(M2.dense(quat_diagonal(u, ONE)))
 
 
 def test_nonunit_scaling_is_not_symplectic():
-    assert not is_symplectic(QuatMatrix.diag([Quaternion(2.0), ONE]))
+    assert not is_symplectic(M2.dense(quat_diagonal(Quaternion(2.0), ONE)))
 
 
 def test_random_symplectic_really_is():
     for n in (2, 4):
         S = random_symplectic(n, RNG)
         assert is_symplectic(S)
-        assert (S.dagger() @ S).isclose(QuatMatrix.identity(n), atol=1e-9)
+        m = quaternionic_theory(n)
+        assert near_zero((S.dagger() @ S).comps - m.dense(m.identity_map()).comps, 1e-9)
 
 
 # -- probabilities -----------------------------------------------------------------
 
 
-Z0 = QuatMatrix.from_real(np.diag([1.0, 0.0]))
+Z0 = M2.branch_state(0)
 
 
 def uniform_rho():
@@ -148,7 +151,7 @@ def test_uniform_superposition_probability():
 
 def test_identity_effect_gives_one():
     rho = quat_pure(Quaternion(0.6), Quaternion(0.0, 0.8))
-    assert real_trace_prob(QuatMatrix.identity(2), rho) == pytest.approx(1.0, abs=1e-12)
+    assert real_trace_prob(M2.dense(M2.identity_map()), rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jk_phased_superposition_probability():
@@ -176,25 +179,25 @@ def test_residue_guard_raises_on_cross_plane_pair():
 
 def test_conjugate_by_identity_fixes_state():
     rho = uniform_rho()
-    assert conjugate_state(QuatMatrix.identity(2), rho).isclose(rho)
+    assert near_zero(conjugate_state(M2.dense(M2.identity_map()), rho).comps - rho.comps, 1e-9)
 
 
 def test_conjugate_by_sign_flip_flips_off_diagonals():
     # hand expansion: diag(-1, 1) rho diag(-1, 1) negates the off-diagonal
-    S = QuatMatrix.diag([Quaternion(-1.0), ONE])
+    S = M2.dense(M2.diagonal_map([-1.0, 1.0]))
     out = conjugate_state(S, uniform_rho())
-    expected = QuatMatrix.from_real([[0.5, -0.5], [-0.5, 0.5]])
-    assert out.isclose(expected, atol=1e-12)
+    expected = [[0.5, -0.5], [-0.5, 0.5]]
+    assert near_zero(out.comps - [expected, *np.zeros((3, 2, 2))], 1e-12)
 
 
 def test_global_imaginary_phase_changes_j_valued_state():
     inv = 1.0 / np.sqrt(2.0)
     rho = quat_pure(Quaternion(inv), Quaternion(0, 0, inv))
-    G = QuatMatrix.diag([I, I])
+    G = M2.dense(quat_diagonal(I, I))
     out = conjugate_state(G, rho)
-    assert not out.isclose(rho, atol=1e-6)
+    assert not near_zero(out.comps - rho.comps, 1e-6)
     # Hermiticity and trace survive
-    assert out.isclose(out.dagger())
+    assert near_zero(out.comps - out.dagger().comps, 1e-9)
     assert np.trace(out.comps[0]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -204,8 +207,8 @@ def test_global_real_signs_never_change_states():
         comps /= np.sqrt(np.sum(comps**2))
         rho = quat_pure(*(Quaternion(*c) for c in comps.T))
         for sign in (1.0, -1.0):
-            G = QuatMatrix.diag([Quaternion(sign)] * 3)
-            assert conjugate_state(G, rho).isclose(rho, atol=1e-12)
+            G = M3.dense(M3.diagonal_map([sign] * 3))
+            assert near_zero(conjugate_state(G, rho).comps - rho.comps, 1e-12)
 
 
 # -- trace properties ------------------------------------------------------------------
@@ -219,8 +222,8 @@ def test_trace_cyclicity_on_residue_free_family():
         A = RNG.standard_normal((3, 3))
         rho_real = A @ A.T
         rho_real /= np.trace(rho_real)
-        rho = QuatMatrix.from_real(rho_real)
-        E = QuatMatrix.from_real(np.diag([1.0, 0.0, 0.0]))
+        rho = QuatMatrix([rho_real, *np.zeros((3, 3, 3))])
+        E = M3.branch_state(0)
         lhs = real_trace_prob(E, conjugate_state(S, rho))
         rhs = real_trace_prob(S.dagger() @ E @ S, rho)
         assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -236,17 +239,16 @@ def test_real_trace_cyclicity_fully_generic():
 
 
 def test_fixed_branch_projectors_are_real_diagonal_complete():
-    n = 4
-    projectors = [QuatMatrix.from_real(np.diag(np.eye(n)[j])) for j in range(n)]
-    total = QuatMatrix.zeros(n, n)
+    m = quaternionic_theory(4)
+    projectors = m.z_effects
     for idx, P in enumerate(projectors):
         assert np.all(P.comps[1:] == 0.0)
-        assert (P @ P).isclose(P)
+        assert near_zero((P @ P).comps - P.comps, 1e-9)
         for jdx, Q in enumerate(projectors):
             if idx != jdx:
-                assert (P @ Q).isclose(QuatMatrix.zeros(n, n))
-        total = total + P
-    assert total.isclose(QuatMatrix.identity(n))
+                assert near_zero((P @ Q).comps, 1e-9)
+    total = sum(P.comps for P in projectors)
+    assert near_zero(total - m.dense(m.identity_map()).comps, 1e-9)
 
 
 # -- representation helpers ----------------------------------------------------------

@@ -82,7 +82,7 @@ import numpy as np
 import pytest
 
 import gptifer.theories as th
-from gptifer.core import DiagonalMap, GptState, finite_diagonal, preserves_statespace
+from gptifer.core import DiagonalMap, GptState, finite_diagonal, near_zero, preserves_statespace
 from gptifer.quaternion import (
     NumericConsistencyError,
     QuatMatrix,
@@ -117,6 +117,7 @@ from gptifer.theories import (
     theory_sizes,
 )
 from reference import (
+    quat_diagonal,
     quat_pure,
     quaternionic_two_level_gpt_state,
     qubit_state_from_density,
@@ -427,10 +428,10 @@ def test_diagonal_predicates_agree_on_non_finite_entries(entries):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert finite_diagonal(real.astype(complex), m.atol) is None
-        assert finite_diagonal(QuatMatrix.from_real(real).comps, m.atol) is None
-        comps = np.zeros((4, 2, 2))
-        comps[2] = real  # the same entries on the j component
-        assert finite_diagonal(QuatMatrix(comps).comps, m.atol) is None
+        for component in (0, 2):  # the same entries on the real and the j component
+            comps = np.zeros((4, 2, 2))
+            comps[component] = real
+            assert finite_diagonal(QuatMatrix(comps).comps, m.atol) is None
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -441,7 +442,7 @@ def test_diagonal_predicates_reject_non_finite_off_diagonal_entries(value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert finite_diagonal(real.astype(complex), m.atol) is None
-        assert finite_diagonal(QuatMatrix.from_real(real).comps, m.atol) is None
+        assert finite_diagonal(QuatMatrix([real, *np.zeros((3, 2, 2))]).comps, m.atol) is None
 
 
 def test_quaternionic_diagonal_check_keeps_its_tolerance():
@@ -490,9 +491,9 @@ def test_quaternionic_diagonal_commutation_matches_qmul_reference():
 
     pairs = []
     for _ in range(20):
-        generic = [QuatMatrix.diag([random_unit_quaternion(rng) for _ in range(4)]) for _ in range(2)]
-        planar = [QuatMatrix.diag([complex_phase() for _ in range(4)]) for _ in range(2)]
-        local = [QuatMatrix.diag([random_unit_quaternion(rng), one, one, one]) for _ in range(2)]
+        generic = [m.dense(quat_diagonal(*(random_unit_quaternion(rng) for _ in range(4)))) for _ in range(2)]
+        planar = [m.dense(quat_diagonal(*(complex_phase() for _ in range(4)))) for _ in range(2)]
+        local = [m.dense(quat_diagonal(random_unit_quaternion(rng), one, one, one)) for _ in range(2)]
         # real diagonals, stored as their diagonal: a sign pattern commutes,
         # a non-unit entry does not act as a phase
         real = [m.diagonal_map(rng.choice([-1.0, 1.0, 1.0, 2.0], 4)) for _ in range(2)]
@@ -503,8 +504,8 @@ def test_quaternionic_diagonal_commutation_matches_qmul_reference():
         outcomes.add(expected)
         assert m.maps_commute(a, b) == m.maps_commute(m.dense(a), m.dense(b)) == expected
     assert outcomes == {True, False}
-    nan = QuatMatrix.diag([Quaternion(np.nan), one, one, one])
-    assert not m.maps_commute(nan, QuatMatrix.identity(4))
+    nan = m.dense(quat_diagonal(Quaternion(np.nan), one, one, one))
+    assert not m.maps_commute(nan, m.dense(m.identity_map()))
     assert not m.maps_commute(m.diagonal_map([2.0, 1.0, 1.0, 1.0]), m.identity_map())
 
 
@@ -537,7 +538,7 @@ def test_sign_flipped_kets_are_operationally_identical():
         comps = rng.standard_normal((4, 2, 1))
         psi = QuatMatrix(comps / np.sqrt(np.sum(comps**2)))
         # the ket and the ket times the global phase -1
-        rho, rho_neg = (ket @ ket.dagger() for ket in (psi, -psi))
+        rho, rho_neg = (ket @ ket.dagger() for ket in (psi, QuatMatrix(-psi.comps)))
         for e in effects:
             assert m.probability(e, rho) == pytest.approx(
                 m.probability(e, rho_neg), abs=1e-12
@@ -776,11 +777,13 @@ def test_quantum_maps_match_the_former_constructions_bytewise():
 
 def test_quaternionic_maps_match_the_former_constructions_bytewise():
     m = quaternionic_theory(4)
-    assert m.dense(m.identity_map()).comps.tobytes() == QuatMatrix.identity(4).comps.tobytes()
+    comps = np.zeros((4, 4, 4))
+    comps[0] = np.eye(4)
+    assert m.dense(m.identity_map()).comps.tobytes() == comps.tobytes()
     for x, (_, flip) in enumerate(sign_encoding(m).pairs):
-        entries = [Quaternion(1.0)] * 4
-        entries[x] = Quaternion(-1.0)
-        assert m.dense(flip).comps.tobytes() == QuatMatrix.diag(entries).comps.tobytes()
+        comps[0, x, x] = -1.0
+        assert m.dense(flip).comps.tobytes() == comps.tobytes()
+        comps[0, x, x] = 1.0
     expected = quat_pure(*[Quaternion(0.5)] * 4)
     assert m.uniform_superposition().comps.tobytes() == expected.comps.tobytes()
 
@@ -803,7 +806,7 @@ _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 @pytest.mark.parametrize(
     "m,lift",
-    [(quantum_theory(1), lambda a: np.asarray(a, dtype=complex)), (quaternionic_theory(2), QuatMatrix.from_real)],
+    [(quantum_theory(1), lambda a: np.asarray(a, dtype=complex)), (quaternionic_theory(2), lambda a: QuatMatrix([a, *np.zeros((3, 2, 2))]))],
     ids=["quantum", "quaternionic"],
 )
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -855,8 +858,7 @@ def _random_self_adjoint(m, rng, real=False):
         comps = rng.standard_normal((4, m.dim, m.dim))
         if real:
             comps[1:] = 0.0
-        A = QuatMatrix(comps)
-        return A + A.dagger()
+        return QuatMatrix(comps + QuatMatrix(comps).dagger().comps)
     A = rng.standard_normal((m.dim, m.dim)) + (0.0 if real else 1j) * rng.standard_normal((m.dim, m.dim))
     return A + A.conj().T
 
@@ -926,7 +928,7 @@ def test_a_quaternionic_residue_raises_on_both_paths_alike():
     comps = np.zeros((4, 2, 2))
     comps[1] = [[0.0, 1.0], [-1.0, 0.0]]  # E = [[0, i], [-i, 0]]
     E = QuatMatrix(comps)
-    assert E.isclose(E.dagger(), atol=0.0)
+    assert near_zero(E.comps - E.dagger().comps, 0.0)
     psi = QuatMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])[:, :, None] / np.sqrt(2.0))
     quadratic = (psi.dagger() @ E @ psi).comps[:, 0, 0]
     assert np.abs(quadratic).max() <= 1e-15
@@ -935,7 +937,7 @@ def test_a_quaternionic_residue_raises_on_both_paths_alike():
     assert message == _raised(m, E, _density(psi))
     assert message == f"trace has imaginary residue 1.000e+00 above tolerance {m.atol:.1e}"
     # a residue within atol reads as the real part on both paths
-    small = QuatMatrix(E.comps * 1e-10 + QuatMatrix.identity(2).comps)
+    small = QuatMatrix(E.comps * 1e-10 + m.dense(m.identity_map()).comps)
     assert m.probability(small, psi) == pytest.approx(m.probability(small, _density(psi)), abs=1e-15)
 
 
