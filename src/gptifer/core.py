@@ -14,6 +14,7 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Sequence
@@ -33,6 +34,14 @@ def near_zero(x, atol: float) -> bool:
     test, absolute, and failed by a NaN or infinite entry."""
     x = np.asarray(x)
     return bool(not x.any() or np.abs(x).max() <= atol)
+
+
+def _exact_int(value, label: str) -> int:
+    # bool, str and float are refused rather than coerced; numpy integers
+    # become the equal Python int so that specs compare and serialize alike
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -349,6 +358,8 @@ class VectorTheory(TheoryModel):
             raise ValueError("inconsistent state dimensions in theory definition")
         offset = sum(counts[: branch_measurement % len(counts)])
         self._z_weights = _readonly(np.eye(self.state_dim)[offset : offset + n_branches])
+        #: 0/1 rows summing each measurement block of a state
+        self._blocks = _readonly(np.repeat(np.eye(len(counts)), counts, axis=1))
 
     @cached_property
     def z_effects(self):
@@ -367,36 +378,41 @@ class VectorTheory(TheoryModel):
     def apply(self, trans, state):
         return apply(trans, state)
 
-    def _own(self, state: GptState) -> np.ndarray:
-        # the probabilities of a state of this dimension; any other
-        # dimension is refused, never broadcast
-        if state.dim != self.state_dim:
+    def _own(self, operand, kind: str = "state"):
+        # a state, map or effect of this dimension, as it is; any other
+        # dimension is refused, naming its kind, never broadcast
+        if operand.dim != self.state_dim:
             raise ValueError(
-                f"state dimension {state.dim} does not match theory dimension {self.state_dim}"
+                f"{kind} dimension {operand.dim} does not match theory dimension {self.state_dim}"
             )
-        return state.probs
+        return operand
 
     def contains(self, state) -> bool:
-        self._own(state)
-        return valid_layout(state, self.fiducial_layout, self.atol) and (
-            self._within is None or bool(self._within(state))
-        )
+        """Finite entries within [0, 1], each measurement block summing to
+        one, and ``within`` if given."""
+        probs = self._own(state).probs
+        tol = max(self.atol, PROBABILITY_FLOOR)
+        if not np.isfinite(probs).all() or probs.min() < -tol or probs.max() > 1.0 + tol:
+            return False
+        if np.abs(self._blocks @ probs - 1.0).max() > tol:
+            return False
+        return self._within is None or bool(self._within(state))
 
     def states_close(self, a, b) -> bool:
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
-            return near_zero(self._own(a) - self._own(b), self.atol)
+            return near_zero(self._own(a).probs - self._own(b).probs, self.atol)
 
     def compose(self, second, first):
         name = ""
         if second.name and first.name:
             name = f"{second.name}*{first.name}"
-        return LinearMap(second.matrix @ first.matrix, name)
+        return LinearMap(self._own(second, "map").matrix @ self._own(first, "map").matrix, name)
 
     def identity_map(self):
         return LinearMap(np.eye(self.state_dim), "identity")
 
     def is_identity_map(self, trans) -> bool:
-        return near_zero(trans.matrix - np.eye(self.state_dim), self.atol)
+        return near_zero(self._own(trans, "map").matrix - np.eye(self.state_dim), self.atol)
 
     def maps_commute(self, a, b) -> bool:
         # compared as actions on states: linear extensions off the
@@ -459,18 +475,3 @@ def is_valid_effect(m: TheoryModel, e: Effect) -> bool:
     tol = max(m.atol, PROBABILITY_FLOOR)
     return all(-tol <= probability(e, v) <= 1.0 + tol for v in m.extremal_states)
 
-
-def valid_layout(s: GptState, layout: Sequence[tuple[str, int]], atol: float) -> bool:
-    """Finite entries within [0, 1] and each measurement block summing to one."""
-    tol = max(atol, PROBABILITY_FLOOR)
-    probs = s.probs
-    if probs.shape[0] != sum(count for _, count in layout) or not np.isfinite(probs).all():
-        return False
-    if np.any(probs < -tol) or np.any(probs > 1.0 + tol):
-        return False
-    offset = 0
-    for _, count in layout:
-        if abs(probs[offset : offset + count].sum() - 1.0) > tol:
-            return False
-        offset += count
-    return True

@@ -22,7 +22,7 @@ from . import interferometer as ifr
 from . import phase as ph
 from . import theories as th
 from . import uncertainty as unc
-from .core import DiagonalMap, GptState
+from .core import DiagonalMap, GptState, _exact_int
 
 DEFAULT_SEED = 0
 
@@ -506,7 +506,7 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
         known = ", ".join(sorted(REGISTRY))
         raise ValueError(f"unknown experiment {name!r}; registered: {known}")
     params = dict(params or {})
-    seed = ifr._exact_int(params.pop("seed", DEFAULT_SEED), "seed")
+    seed = _exact_int(params.pop("seed", DEFAULT_SEED), "seed")
     rng = np.random.default_rng(seed)
     run, theory = REGISTRY[name], params.get("theory")
     if isinstance(run, dict):
@@ -524,7 +524,7 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
         raise ValueError(f"{name}{on} does not read parameter(s): {', '.join(unread)}")
     for key, value in params.items():
         if key != "theory":
-            params[key] = ifr._exact_int(value, key)
+            params[key] = _exact_int(value, key)
     theory, used_params, results, passed = run(**params)
     used_params["seed"] = seed
     return ExperimentReport(

@@ -14,14 +14,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import Effect, GptState, TheoryModel, VectorTheory, near_zero
+from .core import Effect, GptState, TheoryModel, VectorTheory, _exact_int, near_zero
 from .phase import is_branch_local, localizable_union
 from .theories import (
     MatrixTheory,
@@ -61,12 +60,14 @@ class UnsupportedTheoryError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _exact_int(value, label: str) -> int:
-    # bool, str and float are refused rather than coerced; numpy integers
-    # become the equal Python int so that specs compare and serialize alike
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{label} must be an integer, got {value!r}")
-    return operator.index(value)
+def _json_fields(cls, text: str, keys: tuple[str, ...]) -> list:
+    # the values of exactly these keys of a JSON object, in this order; a
+    # missing or an extra key, or another JSON value, is refused by name
+    data = json.loads(text)
+    if not isinstance(data, dict) or set(data) != set(keys):
+        got = sorted(data) if isinstance(data, dict) else type(data).__name__
+        raise ValueError(f"{cls.__name__} JSON must be an object with exactly the keys {sorted(keys)}, got {got}")
+    return [data[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,8 @@ class OracleSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "OracleSpec":
-        data = json.loads(text)
-        return cls(n=data["n"], table=tuple(data["table"]))
+        n, table = _json_fields(cls, text, ("n", "table"))
+        return cls(n=n, table=tuple(table))
 
     @classmethod
     def from_file(cls, path) -> "OracleSpec":
@@ -192,8 +193,7 @@ class GroverConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "GroverConfig":
-        data = json.loads(text)
-        return cls(data["N"], data["marked"], data["iterations"])
+        return cls(*_json_fields(cls, text, ("N", "marked", "iterations")))
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +377,7 @@ def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int):
     state stays pure, so it is evolved as a ket, O(N^2) per round, and read
     through the marked branch's diagonal effect in O(N).
     """
+    marked, max_iterations = _exact_int(marked, "marked"), _exact_int(max_iterations, "max_iterations")
     if not 0 <= marked < m.n_branches:
         raise ValueError(f"marked branch {marked} is outside [0, {m.n_branches})")
     if max_iterations < 0:
@@ -436,7 +437,7 @@ def _matrix_dj_instruments(m: MatrixTheory):
     if m.beamsplitter is None:
         raise ValueError("branch count must be a power of two")
     B = m.beamsplitter
-    return m, sign_encoding(m), m.uniform_superposition(), B @ m.branch_state(0) @ B
+    return m, sign_encoding(m), m.uniform_superposition(), m.compose(m.compose(B, m.branch_state(0)), B)
 
 
 def quantum_dj_instruments(n: int):

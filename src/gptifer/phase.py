@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROBABILITY_FLOOR, FiniteGroup, LinearMap, ParametricFamily, TheoryModel, near_zero
+from .core import PROBABILITY_FLOOR, FiniteGroup, LinearMap, ParametricFamily, TheoryModel, _exact_int, near_zero
 
 
 def is_phase_operation(m: TheoryModel, T) -> bool:
@@ -74,6 +74,14 @@ class PhaseGroupReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _sample_count(samples) -> int:
+    # an integer count of at least one, checked before any group is read
+    samples = _exact_int(samples, "samples")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    return samples
+
+
 def _verify_family(m: TheoryModel, family: ParametricFamily, holds, claim: str, rng, samples):
     # a declared family is evidence only through seeded samples that pass
     rng = np.random.default_rng(0) if rng is None else rng
@@ -92,8 +100,9 @@ def phase_group(
     Finite groups are filtered element by element.  Parametric theories
     return their declared phase family after a seeded sample of members has
     passed :func:`is_phase_operation`; a failing sample is a construction
-    bug and raises.
+    bug and raises.  ``samples`` must be an integer of at least 1.
     """
+    samples = _sample_count(samples)
     if isinstance(m.group, FiniteGroup):
         elements = tuple(T for T in m.group.elements if is_phase_operation(m, T))
         return PhaseGroupReport(m.name, True, elements, None)
@@ -109,6 +118,7 @@ def branch_local_subgroup(
     samples: int = 100,
 ) -> PhaseGroupReport:
     """Members of the phase group localizable to ``branch``."""
+    samples = _sample_count(samples)
     if isinstance(m.group, FiniteGroup):
         elements = tuple(
             T for T in m.group.elements

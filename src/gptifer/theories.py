@@ -397,7 +397,8 @@ class MatrixTheory(TheoryModel):
         )
         super().__init__(name, N, ParametricGroup(phases, self._branch_family))
         k = self.PHASES.shape[1]  # a one-component algebra keeps native N x N arrays
-        self._diagonal_shape, self._map_shape = (k, N), (N, N) if k == 1 else (k, N, N)
+        lead = () if k == 1 else (k,)
+        self._diagonal_shape, self._ket_shape, self._map_shape = (k, N), (*lead, N, 1), (*lead, N, N)
         n_qubits = int(round(np.log2(N)))
         if 2**n_qubits == N:
             self.beamsplitter = self._matrix(self._lift(hadamard_matrix(n_qubits)))
@@ -458,16 +459,22 @@ class MatrixTheory(TheoryModel):
 
     def _form(self, state) -> str:
         # the one test telling the state forms apart: "diagonal", "ket" or
-        # "density"; any other shape is refused by name, never broadcast
+        # "density"; any other type or shape is refused by name, never
+        # broadcast.  Shapes are read as _is_diagonal reads them
         if isinstance(state, DiagonalMap) and self._is_diagonal(state):  # or raises
             return "diagonal"
-        shape = state.shape
-        if shape != (self.dim, 1) and shape != (self.dim, self.dim):
-            raise ValueError(
-                f"{self.name} theory expects a {self.dim}x1 ket or a {self.dim}x{self.dim} density matrix, "
-                f"got a matrix of shape {shape}"
-            )
-        return "ket" if shape[1] == 1 else "density"
+        if not isinstance(state, self._matrix_type):
+            kind = self._matrix_type.__name__
+            raise ValueError(f"{self.name} theory expects a state of type {kind} or DiagonalMap, got {type(state).__name__}")
+        shape = getattr(state, "comps", state).shape
+        if shape == self._ket_shape:
+            return "ket"
+        if shape == self._map_shape:
+            return "density"
+        raise ValueError(
+            f"{self.name} theory expects a {self.dim}x1 ket or a {self.dim}x{self.dim} density matrix, "
+            f"got a matrix of shape {self._entries(state).shape[1:]}"
+        )
 
     def branch_ket(self, j: int):
         """The ket of :meth:`branch_state`."""
@@ -475,7 +482,7 @@ class MatrixTheory(TheoryModel):
 
     def uniform_superposition(self):
         ket = self._column(self._lift(np.full(self.dim, 1.0 / np.sqrt(self.dim))))
-        return ket @ self._dagger(ket)
+        return self._read_only(ket @ self._dagger(ket))
 
     def _pair_ket(self, j: int, k: int, phase: int):
         # (|j> + |k> PHASES[phase]) / sqrt(2)

@@ -28,10 +28,14 @@ Core claims:
       effect on the ket, and no density is formed; 200-round curves (quantum N = 4, 64; quaternionic N = 2,
       16) are pinned byte for byte by one sha256 each; sign_encoding shares one read-only identity, and each
       member is still checked on its own; it holds diagonals only, under
-      4 N^2 scalars at N = 128 for both matrix theories
-    - wire formats for oracle tables and search configs round-trip
-    - invalid search inputs and inconclusive LP solves raise instead of
-      returning a curve or a no-go
+      4 N^2 scalars at N = 128 for both matrix theories; the quantum DJ
+      input state and closing effect are read-only too
+    - quaternionic DJ probabilities equal the quantum ones for n = 1, 2, 3
+    - wire formats for oracle tables and search configs round-trip; a JSON
+      value that is not an object with exactly the fields is refused
+    - invalid search inputs (a marked branch or a round count that is out
+      of range or not an integer) and inconclusive LP solves raise instead
+      of returning a curve or a no-go
 """
 
 import hashlib
@@ -135,6 +139,9 @@ def test_spec_rejects_non_integer_entries(n, table):
         '{"n": 1, "table": [true, false]}',
         '{"n": 1, "table": ["0", "1"]}',
         '{"n": 1, "table": "01"}',
+        '{"n": 1, "table": [0, 1], "junk": 3}',
+        '{"n": 1}',
+        '[1, [0, 1]]',
     ],
 )
 def test_spec_from_json_rejects_non_integers(text):
@@ -489,12 +496,13 @@ def test_quaternionic_runs_exact(N):
 
 
 def test_quaternionic_dj_probabilities_match_quantum_entrywise():
-    m_q, enc_q, s_q, e_q = quaternionic_dj_instruments(4)
-    m_c, enc_c, s_c, e_c = quantum_dj_instruments(2)
-    for spec in constant_balanced_specs(2):
-        p_q = run_dj(m_q, spec, enc_q, s_q, e_q).p_constant_effect
-        p_c = run_dj(m_c, spec, enc_c, s_c, e_c).p_constant_effect
-        assert p_q == pytest.approx(p_c, abs=1e-9)
+    for n in (1, 2, 3):
+        m_q, enc_q, s_q, e_q = quaternionic_dj_instruments(2**n)
+        m_c, enc_c, s_c, e_c = quantum_dj_instruments(n)
+        for spec in constant_balanced_specs(n):
+            p_q = run_dj(m_q, spec, enc_q, s_q, e_q).p_constant_effect
+            p_c = run_dj(m_c, spec, enc_c, s_c, e_c).p_constant_effect
+            assert p_q == pytest.approx(p_c, abs=1e-9)
 
 
 def test_negation_symmetry_for_signed_encodings():
@@ -651,6 +659,10 @@ def test_sign_encoding_shares_one_read_only_identity(monkeypatch):
         assert len(checked) == 2 * m.n_branches
     with pytest.raises(ValueError, match="read-only"):
         sign_encoding(quantum_theory(2)).pairs[0][0].comps[0, 0] = 2.0
+    # so are the quantum input state and closing effect, the latter B P B bit for bit
+    m, _, s_in, e_C = quantum_dj_instruments(2)
+    assert not s_in.flags.writeable and not e_C.flags.writeable
+    assert e_C.tobytes() == (m.beamsplitter @ m.branch_state(0) @ m.beamsplitter).tobytes()
     # N flips and one identity, not a second dense N x N map per branch
     m = quantum_theory(7)
     N = m.n_branches
@@ -708,6 +720,9 @@ def test_success_curve_rejects_out_of_range_inputs():
             grover_success_curve(m, marked, 1)
     with pytest.raises(ValueError, match="non-negative"):
         grover_success_curve(m, 0, -1)
+    for marked, iterations, label in ((True, 1, "marked"), (1.0, 1, "marked"), (0, 1.5, "max_iterations")):
+        with pytest.raises(ValueError, match=f"^{label} must be an integer"):
+            grover_success_curve(m, marked, iterations)
 
 
 # -- wire formats ---------------------------------------------------------------------------------------------
@@ -735,9 +750,13 @@ def test_grover_config_json_round_trip():
         ('{"N": 16, "marked": true, "iterations": 3}', "marked"),
         ('{"N": 16, "marked": 1, "iterations": "3"}', "iterations"),
         ('{"N": 16.0, "marked": 1, "iterations": 3}', "N"),
+        ('{"N": 16, "marked": 1, "iterations": 3, "junk": 3}', "JSON"),
+        ('{"N": 16, "marked": 1}', "JSON"),
+        ('[16, 1, 3]', "JSON"),
     ],
 )
 def test_grover_config_accepts_only_integers(text, label):
-    with pytest.raises(ValueError, match=f"{label} must be an integer"):
+    # a key too many or too few, or another JSON value, is refused by name
+    with pytest.raises(ValueError, match=f"{label} must be an (integer|object)"):
         GroverConfig.from_json(text)
     assert GroverConfig(np.int64(16), 1, 3) == GroverConfig(16, 1, 3)

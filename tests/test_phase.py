@@ -13,7 +13,8 @@ Core claims:
       form; unit quaternions on one branch pass; a global non-real
       quaternion phase is observable while the real signs are not
     - the reduced branch-locality probes agree with the full face families
-    - a declared family with one sample outside its claim fails verification
+    - a declared family with one sample outside its claim fails verification;
+      a sample count that is not an integer of at least one is refused
     - reports serialize to canonical JSON; one report type serves phase
       groups and branch-local subgroups, with ``branch`` only in the latter
 """
@@ -205,6 +206,14 @@ def test_parametric_phase_groups_verify_by_sampling():
         report = phase_group(m, rng=np.random.default_rng(1), samples=50)
         assert not report.is_finite
         assert report.verified_samples == 50
+    # the count is an integer of at least one, for either report and any group
+    for samples, message in ((-1, "samples must be at least 1, got -1"), (0, "samples must be at least 1, got 0"),
+                             (2.5, "samples must be an integer, got 2.5"), (True, "samples must be an integer, got True")):
+        for run in (lambda m: phase_group(m, samples=samples), lambda m: branch_local_subgroup(m, 0, samples=samples)):
+            for m in (quantum_theory(1), gbit_theory(2)):
+                with pytest.raises(ValueError) as err:
+                    run(m)
+                assert str(err.value) == message
 
 
 def test_a_phase_family_with_a_non_phase_sample_fails_verification():

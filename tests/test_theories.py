@@ -43,10 +43,16 @@ Core claims:
       diagonal of another size raises a ValueError naming it, and so does
       a map or an effect of another size, dense or diagonal, wherever it
       is read, or of another type than the algebra's own matrix (a nested
-      list for quantum, a plain array for quaternionic); a non-real diagonal effect is refused by name; a vector
+      list for quantum, a plain array for quaternionic), and so is a state
+      of another type; a non-real diagonal effect is refused by name; a vector
       theory's states_close refuses a state of another dimension with the
-      message contains gives; a state with an infinite entry is not close
-      to itself
+      message contains gives, and compose, is_identity_map and
+      maps_commute a map of another dimension; a state with an infinite
+      entry is not close to itself
+    - quantum(n) embeds in quaternionic(2^n) through C in H, n = 1, 2, 3:
+      phase and branch-family samples and the beamsplitter applied to
+      every spanning state give the lifted image, branch statistics and
+      branch and closing read-outs within 1e-12
     - two kets are compared after aligning their global phase, linearly in
       the error and soundly: a pair judged close is close as densities at
       the same atol, and a 1e-6 phase error on one remote entry of a sign
@@ -82,7 +88,7 @@ import numpy as np
 import pytest
 
 import gptifer.theories as th
-from gptifer.core import DiagonalMap, GptState, finite_diagonal, near_zero, preserves_statespace
+from gptifer.core import DiagonalMap, GptState, LinearMap, finite_diagonal, near_zero, preserves_statespace
 from gptifer.quaternion import (
     NumericConsistencyError,
     QuatMatrix,
@@ -90,7 +96,7 @@ from gptifer.quaternion import (
     _product_trace,
     qmul,
 )
-from gptifer.interferometer import BranchEncoding, build_oracle, constant_balanced_specs, sign_encoding
+from gptifer.interferometer import BranchEncoding, build_oracle, constant_balanced_specs, quantum_dj_instruments, sign_encoding
 from gptifer.phase import is_branch_local, is_phase_operation
 from gptifer.theories import (
     MAX_BALL_MEASUREMENTS,
@@ -801,6 +807,32 @@ def test_quaternionic_branch_family_samples_a_sign_times_a_local_unit():
             assert remote[0].a in (-1.0, 1.0) and all(q == remote[0] for q in remote)
 
 
+def _in_quaternions(X):
+    # a quantum operand through C in H: components (Re, Im, 0, 0)
+    z = X.comps[0] if isinstance(X, DiagonalMap) else np.asarray(X)
+    comps = np.stack([z.real, z.imag, np.zeros(z.shape), np.zeros(z.shape)])
+    return DiagonalMap(comps) if isinstance(X, DiagonalMap) else QuatMatrix(comps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_complex_theory_embeds_in_the_quaternionic_one(n):
+    # non-real phases act alike in both algebras: every image, branch
+    # statistic and branch or closing read-out of a lifted operand is the
+    # lift of the quantum one
+    q, h = quantum_theory(n), quaternionic_theory(2**n)
+    rng = np.random.default_rng(30 + n)
+    maps = [q.beamsplitter] + [q.group.phase_family.sample(rng) for _ in range(3)]
+    maps += [q.group.branch_family(b).sample(rng) for b in range(q.dim)]
+    effects = list(q.z_effects) + [quantum_dj_instruments(n)[3]]
+    for T in maps:
+        for psi in q.spanning_states:
+            out_q, out_h = q.apply(T, psi), h.apply(_in_quaternions(T), _in_quaternions(psi))
+            assert near_zero(_in_quaternions(out_q).comps - out_h.comps, 1e-12)
+            assert near_zero(q.branch_probabilities(out_q) - h.branch_probabilities(out_h), 1e-12)
+            for E in effects:
+                assert abs(q.probability(E, out_q) - h.probability(_in_quaternions(E), out_h)) <= 1e-12
+
+
 _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -948,16 +980,21 @@ def test_a_quaternionic_residue_raises_on_both_paths_alike():
 )
 def test_a_ket_or_a_wrong_size_matrix_is_refused_by_name(m, other):
     # the primitives that once took densities only read a ket as its
-    # density; a 4x4 matrix or a diagonal of 4 entries is refused by name
+    # density; a 4x4 matrix, a diagonal of 4 entries, or a state of
+    # another type than the algebra's own matrix is refused by name
     ket = m.branch_ket(1)
     assert m.states_close(ket, m.branch_state(1)) and m.states_close(m.branch_state(1), ket)
     assert not m.states_close(ket, m.branch_state(0)) and not m.states_close(m.diagonal_map([1.0, 0.0]), ket)
     assert np.array_equal(m.branch_probabilities(ket), [0.0, 1.0]) and m.contains(ket)
     wide = other.diagonal_map([1.0, 0.0, 0.0, 0.0])
     k = m.PHASES.shape[1]
+    kind = f"expects a state of type {m._matrix_type.__name__} or DiagonalMap, got"
+    alien = np.ones((2, 1)) if k == 4 else quaternionic_theory(2).branch_ket(0)
     for state, message in (
         (other.branch_state(0), "expects a 2x1 ket or a 2x2 density matrix, got a matrix of shape (4, 4)"),
         (wide, f"expects a diagonal of 2 entries, got one of shape ({k}, 4)"),
+        ([[1.0], [0.0]], f"{kind} list"),
+        (alien, f"{kind} {type(alien).__name__}"),
     ):
         for call in (
             lambda: m.states_close(state, m.branch_state(0)),
@@ -1078,6 +1115,20 @@ def test_a_vector_state_of_another_dimension_is_not_broadcast(m):
             m.states_close(a, b)
         assert str(err.value) == message
     assert m.states_close(full, full)
+    # so is a map: compose, is_identity_map and maps_commute read its dimension
+    own = m.identity_map()
+    for d in (1, m.state_dim + 2):
+        other = LinearMap(np.eye(d))
+        for call in (
+            lambda: m.is_identity_map(other),
+            lambda: m.compose(other, other),
+            lambda: m.compose(own, other),
+            lambda: m.maps_commute(other, own),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"map dimension {d} does not match theory dimension {m.state_dim}"
+    assert m.is_identity_map(m.compose(own, own))
 
 
 @pytest.mark.parametrize(
