@@ -440,18 +440,22 @@ class MatrixTheory(TheoryModel):
         # the N x 1 ket with the (k, N) entries ``amplitudes``
         return self._matrix(amplitudes[:, :, None])
 
+    def _own_shape(self, x, role: str) -> tuple:
+        # the one type rule for a non-diagonal operand: a matrix of the algebra's own type, any other
+        # type refused by name; an array's or QuatMatrix components' shape is cheapest
+        if not isinstance(x, self._matrix_type):
+            kind = self._matrix_type.__name__
+            raise ValueError(f"{self.name} theory expects {role} of type {kind} or DiagonalMap, got {type(x).__name__}")
+        return getattr(x, "comps", x).shape
+
     def _is_diagonal(self, M) -> bool:
         # the one map and effect check: True for a DiagonalMap of (k, N) entries, False for an N x N
-        # matrix of the algebra's own type, any other type or shape refused by name; an array's or
-        # QuatMatrix components' shape is cheapest
+        # matrix of the algebra's own type, any other type or shape refused by name
         if isinstance(M, DiagonalMap):
             if M.comps.shape != self._diagonal_shape:
                 raise ValueError(f"{self.name} theory expects a diagonal of {self.dim} entries, got one of shape {M.comps.shape}")
             return True
-        if not isinstance(M, self._matrix_type):
-            kind = self._matrix_type.__name__
-            raise ValueError(f"{self.name} theory expects a map or effect of type {kind} or DiagonalMap, got {type(M).__name__}")
-        if getattr(M, "comps", M).shape != self._map_shape:
+        if self._own_shape(M, "a map or effect") != self._map_shape:
             shape = self._entries(M).shape[1:]
             if shape != (self.dim, self.dim):
                 raise ValueError(f"{self.name} theory expects a {self.dim}x{self.dim} map or effect, got a matrix of shape {shape}")
@@ -463,10 +467,7 @@ class MatrixTheory(TheoryModel):
         # broadcast.  Shapes are read as _is_diagonal reads them
         if isinstance(state, DiagonalMap) and self._is_diagonal(state):  # or raises
             return "diagonal"
-        if not isinstance(state, self._matrix_type):
-            kind = self._matrix_type.__name__
-            raise ValueError(f"{self.name} theory expects a state of type {kind} or DiagonalMap, got {type(state).__name__}")
-        shape = getattr(state, "comps", state).shape
+        shape = self._own_shape(state, "a state")
         if shape == self._ket_shape:
             return "ket"
         if shape == self._map_shape:
