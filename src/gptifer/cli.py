@@ -10,6 +10,7 @@ variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -52,8 +53,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # the parser main reads, built on its first call: parsing keeps no state
+    # between calls, so one parser serves every call in a process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command == "list":

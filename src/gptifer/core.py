@@ -373,10 +373,10 @@ class VectorTheory(TheoryModel):
         return self._z_weights @ state.probs
 
     def probability(self, effect, state) -> float:
-        return probability(effect, state)
+        return probability(self._own(effect, "effect"), self._own(state))
 
     def apply(self, trans, state):
-        return apply(trans, state)
+        return apply(self._own(trans, "map"), self._own(state))
 
     def _own(self, operand, kind: str = "state"):
         # a state, map or effect of this dimension, as it is; any other

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +80,8 @@ class OracleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _exact_int(self.n, "n"))
+        if isinstance(self.table, (str, bytes)) or not isinstance(self.table, (Sequence, np.ndarray)):
+            raise ValueError(f"table must be a sequence of bits, got {self.table!r}")
         object.__setattr__(self, "table", tuple(_exact_int(b, "table entry") for b in self.table))
         if self.n < 1:
             raise ValueError("need at least one input bit")
@@ -92,8 +95,7 @@ class OracleSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "OracleSpec":
-        n, table = _json_fields(cls, text, ("n", "table"))
-        return cls(n=n, table=tuple(table))
+        return cls(*_json_fields(cls, text, ("n", "table")))
 
     @classmethod
     def from_file(cls, path) -> "OracleSpec":

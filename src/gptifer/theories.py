@@ -33,6 +33,7 @@ from .core import (
     ParametricGroup,
     TheoryModel,
     VectorTheory,
+    _exact_int,
     finite_diagonal,
     near_zero,
 )
@@ -351,6 +352,10 @@ def spekkens_epistemic_theory() -> TheoryModel:
 # ---------------------------------------------------------------------------
 
 
+#: Largest N of a matrix theory: its beamsplitter alone is a dense N x N
+#: matrix, 16 MB for quantum and 32 MB for quaternionic at N = 1024.
+MAX_MATRIX_LEVELS = 1024
+
 #: Largest N whose spanning set is built: N + |PHASES| N(N - 1)/2 kets at
 #: once, 4 MB for quantum and 17 MB for quaternionic at N = 64, each read
 #: by every phase check.
@@ -547,17 +552,30 @@ class MatrixTheory(TheoryModel):
         mixture is the remote projector, which is the whole face.
         """
         N = self.dim
-        weights = np.arange(float(N))  # 1, ..., N - 1 on the remote branches, in order
-        weights[:branch] += 1.0
-        weights[branch] = 0.0
-        mixture = self.diagonal_map(weights / (N * (N - 1) / 2))
+        ramp, uniform, pinned = self._probe_bases
+        # weights 1, ..., N - 1 (scaled) on the remote branches in order, 0 on the branch
+        mixture = self.diagonal_map(np.concatenate((ramp[1 : branch + 1], [0.0], ramp[branch + 1 : N])))
         if N == 2:
             return (mixture,)
-        uniform = self._lift(np.full(N, 1.0 / np.sqrt(N - 1.0)))
-        uniform[:, branch] = 0.0
-        j, k = [x for x in range(3) if x != branch][:2]  # the first two remote branches
-        pinned = tuple(self._pair_ket(j, k, p) for p in self.PINNED)
-        return (mixture, self._column(uniform)) + pinned
+        amplitudes = self._lift(uniform)
+        amplitudes[:, branch] = 0.0
+        pair = tuple(x for x in range(3) if x != branch)[:2]  # the first two remote branches
+        if pair not in pinned:
+            pinned[pair] = tuple(self._pair_ket(*pair, p) for p in self.PINNED)
+        return (mixture, self._column(amplitudes)) + pinned[pair]
+
+    @cached_property
+    def _probe_bases(self):
+        # what no branch changes in the locality probes, O(N) in all: the
+        # read-only ramp 0, 1, ..., N scaled to the mixture's weights and
+        # uniform amplitudes, and a dict of the pinned pair kets for each of
+        # the three pairs of first two remote branches, filled when first read
+        N = self.dim
+        ramp = np.arange(float(N + 1)) / (N * (N - 1) / 2)
+        uniform = np.full(N, 1.0 / np.sqrt(N - 1.0))
+        ramp.setflags(write=False)
+        uniform.setflags(write=False)
+        return ramp, uniform, {}
 
     def contains(self, state) -> bool:
         rho = self._matrix(self._density(state))
@@ -568,10 +586,15 @@ class MatrixTheory(TheoryModel):
         return bool(np.linalg.eigvalsh(self._complex_form(rho)).min() >= -self.atol)
 
     def states_close(self, a, b) -> bool:
-        """Whether ``a`` and ``b`` are one state within atol: two diagonals
+        """Whether ``a`` and ``b`` are one state within atol: two of one form
+        with equal, finite entries are at once; otherwise two diagonals
         compare entrywise, two kets after aligning their global phase, and
         any other pair as densities."""
         forms = {self._form(a), self._form(b)}
+        if len(forms) == 1:  # equal bits, a zero's sign aside: how a sign flip leaves each probe it fixes
+            entries = getattr(a, "comps", a)
+            if np.array_equal(entries, getattr(b, "comps", b)) and np.isfinite(entries).all():
+                return True
         if forms == {"ket"}:
             return self._kets_close(a, b)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
@@ -657,7 +680,11 @@ class MatrixTheory(TheoryModel):
     def maps_commute(self, a, b) -> bool:
         # ab and ba induce one conjugation exactly when (ba)^dagger (ab) acts
         # as the identity.  A non-finite entry gives False: the diagonal path
-        # takes finite diagonals only, the other path checks every entry
+        # takes finite diagonals only, the other path checks every entry.
+        # Two DiagonalMaps of the theory's shape skip the scan below
+        if (isinstance(a, DiagonalMap) and isinstance(b, DiagonalMap)
+                and a.comps.shape == b.comps.shape == self._diagonal_shape):
+            return a.finite and b.finite and self._diagonals_commute(a, b)
         da, db = self._diagonal(a), self._diagonal(b)
         if da is not None and db is not None:
             return self._diagonals_commute(da, db)
@@ -691,8 +718,11 @@ class DensityMatrixTheory(MatrixTheory):
     BRANCH_FAMILY = "phase on branch {branch} up to a global phase"
 
     def __init__(self, n_qubits: int):
+        n_qubits = _exact_int(n_qubits, "n")
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
+        if n_qubits > MAX_MATRIX_LEVELS.bit_length() - 1:  # compared without building 2**n
+            raise ValueError(f"quantum takes 2**n <= {MAX_MATRIX_LEVELS} (MAX_MATRIX_LEVELS), got n = {n_qubits}")
         super().__init__("quantum", 2**n_qubits)
 
     _matrix_type = np.ndarray
@@ -749,8 +779,11 @@ class QuaternionicTheory(MatrixTheory):
     BRANCH_FAMILY = "unit quaternion on branch {branch}, common sign elsewhere"
 
     def __init__(self, N: int):
+        N = _exact_int(N, "N")
         if N < 2:
             raise ValueError("need at least two levels")
+        if N > MAX_MATRIX_LEVELS:
+            raise ValueError(f"quaternionic takes N <= {MAX_MATRIX_LEVELS} (MAX_MATRIX_LEVELS), got N = {N}")
         super().__init__("quaternionic", N)
 
     _matrix_type = QuatMatrix

@@ -9,6 +9,8 @@ Core claims:
     - a parameter the run does not read for its theory is an error (exit 2),
       never silently dropped; so is a count that is not an integer, and
       both are refused before the run does any work
+    - main builds its parser once per process, and no option, refusal or
+      seed of one call reaches the next
     - every parameter a run reads is a command-line option
     - theory names are exact: a malformed one exits 2 naming the accepted
       forms, which the --theory help lists from the same table
@@ -313,6 +315,38 @@ def test_cli_refuses_format_without_out(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--format applies only to the report written with --out" in captured.err
+
+
+def test_cli_builds_one_parser_per_process_and_keeps_no_state_between_calls(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    def seed_of_run(argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["parameters"]["seed"]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        # a refused --format leaves nothing behind for the next run
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "containment", "--format", "csv"])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+        assert seed_of_run(["run", "containment"]) == 0
+        # the seed's environment variable is read on every call
+        for seed in ("3", "5"):
+            monkeypatch.setenv("GPT_IFER_SEED", seed)
+            assert seed_of_run(["run", "containment"]) == int(seed)
+        monkeypatch.delenv("GPT_IFER_SEED")
+        assert main(["list"]) == 0 and "containment" in capsys.readouterr().out.split()
+        assert seed_of_run(["run", "containment"]) == 0
+        assert seed_of_run(["run", "containment", "--seed", "9"]) == 9
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_cli_list(capsys):

@@ -32,7 +32,8 @@ Core claims:
       input state and closing effect are read-only too
     - quaternionic DJ probabilities equal the quantum ones for n = 1, 2, 3
     - wire formats for oracle tables and search configs round-trip; a JSON
-      value that is not an object with exactly the fields is refused
+      value that is not an object with exactly the fields is refused, and
+      so is a table that is not a sequence, by name, from JSON or not
     - invalid search inputs (a marked branch or a round count that is out
       of range or not an integer) and inconclusive LP solves raise instead
       of returning a curve or a no-go
@@ -130,6 +131,8 @@ def test_spec_rejects_non_integer_entries(n, table):
 
 
 SPEC_KEY_REFUSALS = ('{"n": 1, "table": [0, 1], "junk": 3}', '{"n": 1}', "[1, [0, 1]]")
+#: A table that is not a sequence, and its refusal: once a bare TypeError from tuple()
+SPEC_NOT_A_TABLE = '{"n": 1, "table": 3}'
 
 
 @pytest.mark.parametrize(
@@ -142,14 +145,20 @@ SPEC_KEY_REFUSALS = ('{"n": 1, "table": [0, 1], "junk": 3}', '{"n": 1}', "[1, [0
         '{"n": 1, "table": [true, false]}',
         '{"n": 1, "table": ["0", "1"]}',
         '{"n": 1, "table": "01"}',
+        SPEC_NOT_A_TABLE,
         *SPEC_KEY_REFUSALS,
     ],
 )
 def test_spec_from_json_rejects_non_integers(text):
     # a key too many or too few, or another JSON value, is refused by naming the keys
     keys = r"^OracleSpec JSON must be an object with exactly the keys \['n', 'table'\]"
-    with pytest.raises(ValueError, match=keys if text in SPEC_KEY_REFUSALS else None):
+    not_a_table = r"^table must be a sequence of bits, got 3$"
+    match = keys if text in SPEC_KEY_REFUSALS else not_a_table if text == SPEC_NOT_A_TABLE else None
+    with pytest.raises(ValueError, match=match):
         OracleSpec.from_json(text)
+    if text == SPEC_NOT_A_TABLE:  # the constructor refuses it alike
+        with pytest.raises(ValueError, match=not_a_table):
+            OracleSpec(1, 3)
 
 
 def test_spec_accepts_numpy_integers_as_plain_ints():

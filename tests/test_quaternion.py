@@ -14,7 +14,9 @@ Core claims:
     - the batched product, entrywise product and trace kernels agree with
       entry-by-entry qmul sums
     - closeness is absolute: a matrix or a scalar holding inf is not close
-      to itself, and numpy components raise no warning on inf - inf
+      to itself, and numpy components raise no warning on inf - inf; an
+      operand equal to itself bit for bit is close only when finite, in
+      each state form (diagonal, ket, density) of both matrix algebras
     - the entrywise product equals the broadcast reference to the bit, the
       sign of every zero included; a matrix product is read-only
 """
@@ -37,9 +39,9 @@ from gptifer.quaternion import (
     qmul,
     real_trace_prob,
 )
-from gptifer.core import near_zero
+from gptifer.core import DiagonalMap, near_zero
 from gptifer.quaternion import _hamilton_contract, _hamilton_entrywise, _hamilton_matmul, _product_trace
-from gptifer.theories import quaternionic_theory
+from gptifer.theories import quantum_theory, quaternionic_theory
 from reference import _vec_inner, is_symplectic, quat_diagonal, quat_pure, random_symplectic, random_unit_quaternion
 
 RNG = np.random.default_rng(2024)
@@ -92,6 +94,16 @@ def test_an_infinite_entry_is_not_close_to_itself():
     M = QuatMatrix([[[np.inf, 0.0], [0.0, 1.0]], *np.zeros((3, 2, 2))])
     assert not M2.states_close(M, M)
     assert not Quaternion(np.inf).isclose(Quaternion(np.inf))
+    # an operand bitwise equal to itself is close only if finite: a NaN or an
+    # infinity fails in each form and in both algebras
+    for m in (quantum_theory(1), M2):
+        for bad in (np.nan, np.inf, -np.inf):
+            entries = m._lift(np.array([bad, 0.5]))
+            density = m._lift(np.diag([bad, 0.5]))
+            for state in (DiagonalMap(entries), m._column(entries), m._matrix(density)):
+                assert not m.states_close(state, state)
+            finite = m._lift(np.array([1.0, 0.0]))
+            assert m.states_close(m._column(finite), m._column(finite))
 
 
 def test_a_numpy_infinite_component_is_not_close_to_itself_without_a_warning():

@@ -47,7 +47,8 @@ Core claims:
       of another type; a non-real diagonal effect is refused by name; a vector
       theory's states_close refuses a state of another dimension with the
       message contains gives, and compose, is_identity_map and
-      maps_commute a map of another dimension; a state with an infinite
+      maps_commute a map of another dimension, and apply and probability
+      a map, effect or state of another dimension; a state with an infinite
       entry is not close to itself
     - quantum(n) embeds in quaternionic(2^n) through C in H, n = 1, 2, 3:
       phase and branch-family samples and the beamsplitter applied to
@@ -58,7 +59,12 @@ Core claims:
       the same atol, and a 1e-6 phase error on one remote entry of a sign
       flip is refused on structured and on materialized probes alike
     - a locality check forms no dense probe: under 64 KB at quantum
-      N = 256 and quaternionic N = 128
+      N = 256 and quaternionic N = 128; each branch's probes, built from
+      shared read-only bases, equal a fresh build bit for bit and are
+      read-only, and a check at every branch keeps O(N) bytes, no probe
+      set per branch
+    - quantum n and quaternionic N are exact integers, bounded by
+      MAX_MATRIX_LEVELS = 1024 levels, and refused by name otherwise
     - a matrix theory past MAX_SPANNING_LEVELS = 64 levels refuses its
       spanning set before any state is built
     - every finite group (classical N = 2..8, gbit<d> d = 2..6, both toy
@@ -75,7 +81,8 @@ Core claims:
       pairs, build_oracle); a diagonal meeting a dense map composes to the dense
       product bit for bit; every image of apply and compose is read-only; real quaternionic diagonals commute exactly as
       the full check says; a non-finite stored diagonal commutes with
-      nothing and is not the identity
+      nothing and is not the identity; two diagonal maps commute or not
+      without a second map check
 """
 
 import hashlib
@@ -88,7 +95,7 @@ import numpy as np
 import pytest
 
 import gptifer.theories as th
-from gptifer.core import DiagonalMap, GptState, LinearMap, finite_diagonal, near_zero, preserves_statespace
+from gptifer.core import DiagonalMap, Effect, GptState, LinearMap, finite_diagonal, near_zero, preserves_statespace
 from gptifer.quaternion import (
     NumericConsistencyError,
     QuatMatrix,
@@ -102,6 +109,7 @@ from gptifer.theories import (
     MAX_BALL_MEASUREMENTS,
     MAX_CLASSICAL_OUTCOMES,
     MAX_GBIT_MEASUREMENTS,
+    MAX_MATRIX_LEVELS,
     DensityMatrixTheory,
     MatrixTheory,
     QuaternionicTheory,
@@ -659,6 +667,30 @@ def test_theory_by_name_passes_small_N_to_the_constructor(name, N, message):
 
 
 @pytest.mark.parametrize(
+    "build,size,message",
+    [
+        (quantum_theory, 1.0, r"^n must be an integer, got 1\.0$"),
+        (quantum_theory, True, r"^n must be an integer, got True$"),
+        (quantum_theory, 11, r"^quantum takes 2\*\*n <= 1024 \(MAX_MATRIX_LEVELS\), got n = 11$"),
+        (quantum_theory, 64, r"^quantum takes 2\*\*n <= 1024 \(MAX_MATRIX_LEVELS\), got n = 64$"),
+        (quantum_theory, 10**9, r"^quantum takes 2\*\*n <= 1024 \(MAX_MATRIX_LEVELS\), got n = 1000000000$"),
+        (quaternionic_theory, 2.0, r"^N must be an integer, got 2\.0$"),
+        (quaternionic_theory, "4", r"^N must be an integer, got '4'$"),
+        (quaternionic_theory, 1025, r"^quaternionic takes N <= 1024 \(MAX_MATRIX_LEVELS\), got N = 1025$"),
+    ],
+)
+def test_a_matrix_theory_size_is_an_integer_within_the_bound(build, size, message):
+    # a float once built a theory, and quantum n = 64 failed inside numpy's log2
+    with pytest.raises(ValueError, match=message):
+        build(size)
+
+
+def test_the_matrix_bound_admits_the_scaling_runs():
+    assert MAX_MATRIX_LEVELS == 1024
+    assert quantum_theory(np.int64(10)).dim == quaternionic_theory(1024).dim == 1024
+
+
+@pytest.mark.parametrize(
     "name,sizes,unread",
     [("gbit2", {"N": 3}, "N"), ("qubit", {"n": 5}, "n"), ("quaternionic", {"n": 7}, "n")],
 )
@@ -858,6 +890,26 @@ def test_non_finite_maps_commute_with_nothing(m, lift, value):
     assert m.maps_commute(lift(_FLIP), lift(_FLIP))
     hadamard = lift(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
     assert not m.maps_commute(hadamard, lift(np.diag([-1.0, 1.0])))
+
+
+def test_two_diagonal_maps_commute_without_a_second_map_check(monkeypatch):
+    # two DiagonalMaps of the theory's shape go to the diagonal rule, unscanned;
+    # a diagonal of another shape is still refused by name
+    def no_check(*args):
+        raise AssertionError("a map was checked again")
+
+    for m in (quantum_theory(2), quaternionic_theory(4)):
+        a, b = (m._lift(np.ones(m.dim)) for _ in range(2))
+        a[:, 0], b[:, 0] = m.PHASES[1], m.PHASES[-1]  # i and i, or i and k
+        a, b = DiagonalMap(a), DiagonalMap(b)
+        dense = m.maps_commute(m.dense(a), m.dense(b))
+        with monkeypatch.context() as patch:
+            patch.setattr(m, "_diagonal", no_check)
+            patch.setattr(m, "_is_diagonal", no_check)
+            assert m.maps_commute(a, b) is dense is (m.name == "quantum")
+            assert m.maps_commute(a, a) is True
+        with pytest.raises(ValueError, match=f"^{m.name} theory expects a diagonal of 4 entries, got one of shape"):
+            m.maps_commute(a, DiagonalMap(b.comps[:, :2]))
 
 
 # -- kets ---------------------------------------------------------------------------------
@@ -1106,6 +1158,24 @@ def test_a_ket_is_not_broadcast_against_a_density():
 
 
 @pytest.mark.parametrize("m", [classical_theory(2), gbit_theory(2)], ids=lambda m: m.name)
+def test_a_vector_map_or_effect_of_another_dimension_is_refused(m):
+    # apply and probability once checked the map or effect against the state only
+    short, full = GptState([1.0]), GptState(np.full(m.state_dim, 0.5))
+    for call, kind in (
+        (lambda: m.apply(LinearMap(np.eye(1)), short), "map"),
+        (lambda: m.apply(LinearMap(np.eye(1)), full), "map"),
+        (lambda: m.apply(m.identity_map(), short), "state"),
+        (lambda: m.probability(Effect([1.0]), short), "effect"),
+        (lambda: m.probability(Effect([1.0]), full), "effect"),
+        (lambda: m.probability(m.z_effects[0], short), "state"),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{kind} dimension 1 does not match theory dimension {m.state_dim}"
+    assert m.probability(m.z_effects[0], m.apply(m.identity_map(), full)) == 0.5
+
+
+@pytest.mark.parametrize("m", [classical_theory(2), gbit_theory(2)], ids=lambda m: m.name)
 def test_a_vector_state_of_another_dimension_is_not_broadcast(m):
     # compared entrywise, a one-entry vector would broadcast against any state whose entries all equal it
     full, short = GptState(np.full(m.state_dim, 0.5)), GptState([0.5])
@@ -1309,3 +1379,50 @@ def test_a_locality_check_forms_no_dense_probe(m):
     finally:
         tracemalloc.stop()
     assert verdicts == [False, True] and peak < 64 * 2**10
+
+
+def _fresh_probes(m, branch):
+    # the probes built from nothing, as branch_local_probes once built them on every call
+    N = m.dim
+    weights = np.arange(float(N))
+    weights[:branch] += 1.0
+    weights[branch] = 0.0
+    mixture = m.diagonal_map(weights / (N * (N - 1) / 2))
+    if N == 2:
+        return (mixture,)
+    uniform = m._lift(np.full(N, 1.0 / np.sqrt(N - 1.0)))
+    uniform[:, branch] = 0.0
+    j, k = [x for x in range(3) if x != branch][:2]
+    return (mixture, m._column(uniform)) + tuple(m._pair_ket(j, k, p) for p in m.PINNED)
+
+
+@pytest.mark.parametrize("m", [quantum_theory(1), quantum_theory(3), quaternionic_theory(2), quaternionic_theory(8)], ids=_label)
+def test_locality_probes_from_shared_bases_match_a_fresh_build(m):
+    # each branch's probes are built from read-only bases no branch changes;
+    # a first and a later call give the fresh probes bit for bit
+    for _ in range(2):
+        for branch in range(m.dim):
+            probes, fresh = m.branch_local_probes(branch), _fresh_probes(m, branch)
+            assert len(probes) == len(fresh)
+            for probe, expected in zip(probes, fresh):
+                assert m._form(probe) == m._form(expected)
+                entries, expected = getattr(probe, "comps", probe), getattr(expected, "comps", expected)
+                assert not entries.flags.writeable
+                assert entries.dtype == expected.dtype and entries.tobytes() == expected.tobytes()
+    ramp, uniform, pinned = m._probe_bases
+    assert not ramp.flags.writeable and not uniform.flags.writeable
+    assert len(pinned) == (0 if m.dim == 2 else 3)
+
+
+def test_locality_checks_keep_no_per_branch_probe_store():
+    # a probe set per branch would hold N x 4 probes of 32 N bytes each, 8 MB
+    # at N = 256; the shared bases hold O(N)
+    m = quaternionic_theory(256)
+    flip = sign_encoding(m).pairs[1][1]
+    tracemalloc.start()
+    try:
+        verdicts = [is_branch_local(m, flip, b) for b in range(m.dim)]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [b == 1 for b in range(m.dim)] and held < 16 * 32 * m.dim
