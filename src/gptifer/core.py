@@ -51,25 +51,6 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _off_diagonal(a: np.ndarray) -> np.ndarray:
-    # the off-diagonal entries of an n x n matrix, read row by row, are the
-    # first n columns of its flat tail reshaped to (n - 1, n + 1); leading
-    # axes (such as quaternion components) are carried along
-    lead, n = a.shape[:-2], a.shape[-1]
-    return a.reshape(*lead, -1)[..., 1:].reshape(*lead, n - 1, n + 1)[..., :n]
-
-
-def finite_diagonal(a, atol: float) -> np.ndarray | None:
-    """The diagonal of the trailing square axes, or None unless every
-    off-diagonal entry is within ``atol`` (an absolute comparison, no
-    relative term) and every diagonal entry is finite."""
-    a = np.asarray(a)
-    if not near_zero(_off_diagonal(a), atol):
-        return None
-    d = np.diagonal(a, axis1=-2, axis2=-1)
-    return d if np.isfinite(d).all() else None
-
-
 @dataclass(frozen=True, eq=False)
 class DiagonalMap:
     """Map diagonal in the branch basis, stored as its (k, N) entries over

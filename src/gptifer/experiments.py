@@ -291,8 +291,10 @@ DJ_SWEEP = {
 
 
 def _exp_grover(rng, *, theory="quantum", N=16, marked=None, iterations=None):
-    # N is checked before the budget, the default for iterations, is taken from it
+    # N is checked, and its bound refused under its own name, before the budget (the default for iterations) is taken from it
     cfg = ifr.GroverConfig(N, N // 3 if marked is None else marked, iterations or 0)
+    if N > th.MAX_MATRIX_LEVELS:
+        raise ValueError(f"grover takes N <= {th.MAX_MATRIX_LEVELS} (MAX_MATRIX_LEVELS), got N = {N}")
     budget = ifr.grover_iteration_budget(N)
     if iterations is None:
         cfg = replace(cfg, iterations=budget)

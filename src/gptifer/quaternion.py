@@ -216,10 +216,9 @@ def real_trace_prob(E: QuatMatrix, rho: QuatMatrix, atol: float = DEFAULT_ATOL) 
 
 def _real_part(t: np.ndarray, atol: float) -> float:
     # the real component of a trace whose i/j/k residue must be within atol
-    residue = max(abs(t[1]), abs(t[2]), abs(t[3]))
-    if residue > atol:
+    if not near_zero(t[1:], atol):
         raise NumericConsistencyError(
-            f"trace has imaginary residue {residue:.3e} above tolerance {atol:.1e}"
+            f"trace has imaginary residue {np.abs(t[1:]).max():.3e} above tolerance {atol:.1e}"
         )
     return t[0]
 

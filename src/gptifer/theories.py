@@ -34,7 +34,6 @@ from .core import (
     TheoryModel,
     VectorTheory,
     _exact_int,
-    finite_diagonal,
     near_zero,
 )
 from .quaternion import (
@@ -361,6 +360,8 @@ MAX_MATRIX_LEVELS = 1024
 #: by every phase check.
 MAX_SPANNING_LEVELS = 64
 
+_STATE, _MAP = "a state", "a map or effect"  # the roles MatrixTheory._form reads an operand in
+
 
 class MatrixTheory(TheoryModel):
     """N-level system whose states are density matrices over a scalar algebra.
@@ -372,19 +373,20 @@ class MatrixTheory(TheoryModel):
     (a ket read by a real diagonal), ``_conjugate`` (T rho T^dagger),
     ``_trace_prob`` (tr(E rho)) and ``_real`` (a trace's checked real part).
 
-    A state takes one of three forms, told apart in one place,
-    :meth:`_form`: an N x N density, a ket (an N x 1 matrix of the same
-    type, for a pure state: :meth:`branch_ket`, the spanning states, the
-    locality probes), or a :class:`DiagonalMap` (a state diagonal in the
-    branch basis: the weighted remote mixture probe).  A ket evolves as
-    T psi, in O(N^2), and reads as tr(E psi psi^dagger).
+    Every operand, state, map or effect, is classified once per public call
+    by :meth:`_form`.  A state takes one of three forms: an N x N density, a
+    ket (an N x 1 matrix of the same type, for a pure state:
+    :meth:`branch_ket`, the spanning states, the locality probes), or a
+    :class:`DiagonalMap` (a state diagonal in the branch basis: the weighted
+    remote mixture probe).  A ket evolves as T psi, in O(N^2), and reads as
+    tr(E psi psi^dagger).
 
-    A map diagonal in the branch basis (the phase and branch family
-    samples, :meth:`diagonal_map`, :meth:`identity_map`) is a
-    :class:`DiagonalMap`: with another diagonal it composes entrywise, it
-    acts on a state entrywise, and its diagonal is read, not scanned.  With
-    a dense map or a dense state it is first materialized by :meth:`dense`.
-    A real diagonal is also an effect, read in O(N) by ``probability``.
+    A diagonal map is a :class:`DiagonalMap` (the phase and branch family
+    samples, :meth:`diagonal_map`, :meth:`identity_map`): with another
+    diagonal it composes and commutes entrywise, and it acts on a state
+    entrywise.  With a dense map or a dense state it is first materialized.
+    A dense map always takes the dense rule, whatever its entries.  A real
+    diagonal is also an effect, read in O(N) by ``probability``.
     """
 
     #: Unit scalars as component rows, 1 first.  With the branch projectors,
@@ -414,13 +416,6 @@ class MatrixTheory(TheoryModel):
         entries[0] = real
         return entries
 
-    def _diagonal(self, M) -> DiagonalMap | None:
-        # M as a DiagonalMap, or None unless M is diagonal and finite
-        if self._is_diagonal(M):
-            return M if M.finite else None
-        d = finite_diagonal(self._entries(M), self.atol)
-        return None if d is None else DiagonalMap(d)
-
     def diagonal_map(self, values) -> DiagonalMap:
         """Diagonal map with the real entries ``values``."""
         return DiagonalMap(self._lift(values))
@@ -429,7 +424,11 @@ class MatrixTheory(TheoryModel):
         """``trans`` as an N x N matrix: a :class:`DiagonalMap` is
         materialized, with exact zeros off the diagonal; any other map is
         returned as it is."""
-        return self._dense(trans.comps) if self._is_diagonal(trans) else trans
+        return self._as_dense(trans, self._form(trans, _MAP))
+
+    def _as_dense(self, x, form: str):
+        # x, a diagonal or an N x N matrix as _form found it, as an N x N matrix
+        return self._dense(x.comps) if form == "diagonal" else x
 
     def _dense(self, d):
         # the N x N matrix with the (k, N) entries d on its diagonal
@@ -445,42 +444,27 @@ class MatrixTheory(TheoryModel):
         # the N x 1 ket with the (k, N) entries ``amplitudes``
         return self._matrix(amplitudes[:, :, None])
 
-    def _own_shape(self, x, role: str) -> tuple:
-        # the one type rule for a non-diagonal operand: a matrix of the algebra's own type, any other
-        # type refused by name; an array's or QuatMatrix components' shape is cheapest
+    def _form(self, x, role: str) -> str:
+        # the one operand rule, read once per operand of every public call: "diagonal" for a
+        # DiagonalMap of (k, N) entries, "density" for an N x N matrix of the algebra's own type,
+        # "ket" for an N x 1 one read as a state; any other type or shape is refused by name
+        if isinstance(x, DiagonalMap):
+            if x.comps.shape != self._diagonal_shape:
+                raise ValueError(f"{self.name} theory expects a diagonal of {self.dim} entries, got one of shape {x.comps.shape}")
+            return "diagonal"
         if not isinstance(x, self._matrix_type):
             kind = self._matrix_type.__name__
             raise ValueError(f"{self.name} theory expects {role} of type {kind} or DiagonalMap, got {type(x).__name__}")
-        return getattr(x, "comps", x).shape
-
-    def _is_diagonal(self, M) -> bool:
-        # the one map and effect check: True for a DiagonalMap of (k, N) entries, False for an N x N
-        # matrix of the algebra's own type, any other type or shape refused by name
-        if isinstance(M, DiagonalMap):
-            if M.comps.shape != self._diagonal_shape:
-                raise ValueError(f"{self.name} theory expects a diagonal of {self.dim} entries, got one of shape {M.comps.shape}")
-            return True
-        if self._own_shape(M, "a map or effect") != self._map_shape:
-            shape = self._entries(M).shape[1:]
-            if shape != (self.dim, self.dim):
-                raise ValueError(f"{self.name} theory expects a {self.dim}x{self.dim} map or effect, got a matrix of shape {shape}")
-        return False
-
-    def _form(self, state) -> str:
-        # the one test telling the state forms apart: "diagonal", "ket" or
-        # "density"; any other type or shape is refused by name, never
-        # broadcast.  Shapes are read as _is_diagonal reads them
-        if isinstance(state, DiagonalMap) and self._is_diagonal(state):  # or raises
-            return "diagonal"
-        shape = self._own_shape(state, "a state")
-        if shape == self._ket_shape:
-            return "ket"
+        shape = getattr(x, "comps", x).shape
         if shape == self._map_shape:
             return "density"
-        raise ValueError(
-            f"{self.name} theory expects a {self.dim}x1 ket or a {self.dim}x{self.dim} density matrix, "
-            f"got a matrix of shape {self._entries(state).shape[1:]}"
-        )
+        if role == _STATE:
+            if shape == self._ket_shape:
+                return "ket"
+            expected = f"a {self.dim}x1 ket or a {self.dim}x{self.dim} density matrix"
+        else:
+            expected = f"a {self.dim}x{self.dim} map or effect"
+        raise ValueError(f"{self.name} theory expects {expected}, got a matrix of shape {self._entries(x).shape[1:]}")
 
     def branch_ket(self, j: int):
         """The ket of :meth:`branch_state`."""
@@ -515,29 +499,28 @@ class MatrixTheory(TheoryModel):
             states.extend(self._pair_ket(j, k, p) for p in range(len(self.PHASES)))
         return tuple(states)
 
-    def _density(self, state) -> np.ndarray:
-        # the (k, N, N) entries of ``state`` as a density matrix: a ket as
-        # psi psi^dagger, a diagonal materialized
-        form = self._form(state)
+    def _density(self, state, form: str) -> np.ndarray:
+        # the (k, N, N) entries of ``state``, of the given form, as a density
+        # matrix: a ket as psi psi^dagger, a diagonal materialized
         if form == "ket":
-            state = state @ self._dagger(state)
-        elif form == "diagonal":
-            state = self.dense(state)
-        return self._entries(state)
+            return self._entries(state @ self._dagger(state))
+        return self._entries(self._as_dense(state, form))
 
     def branch_probabilities(self, state) -> np.ndarray:
+        return self._branch_probabilities(state, self._form(state, _STATE))
+
+    def _branch_probabilities(self, state, form: str) -> np.ndarray:
         # a ket reads as its per-arm squared norms; any other form as the
         # real parts of its diagonal, where any other component of a
-        # diagonal entry (imaginary, or i/j/k) above atol is numeric
-        # inconsistency
-        form = self._form(state)
+        # diagonal entry (imaginary, or i/j/k) above atol, or a NaN one,
+        # is numeric inconsistency
         if form == "ket":
             psi = self._entries(state)[:, :, 0]
             return np.real(psi * np.conj(psi)).sum(axis=0)
         diag = state.comps if form == "diagonal" else np.diagonal(self._entries(state), axis1=-2, axis2=-1)
-        residue = np.abs(np.concatenate([diag[0].imag, diag[1:].ravel()])).max()
-        if residue > self.atol:
-            raise NumericConsistencyError(f"diagonal has non-real residue {residue:.3e}")
+        residue = np.concatenate([diag[0].imag, diag[1:].ravel()])
+        if not near_zero(residue, self.atol):
+            raise NumericConsistencyError(f"diagonal has non-real residue {np.abs(residue).max():.3e}")
         return diag[0].real
 
     def branch_local_probes(self, branch: int):
@@ -578,9 +561,10 @@ class MatrixTheory(TheoryModel):
         return ramp, uniform, {}
 
     def contains(self, state) -> bool:
-        rho = self._matrix(self._density(state))
-        if not self.states_close(rho, self._dagger(rho)):
-            return False
+        rho = self._matrix(self._density(state, self._form(state, _STATE)))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+            if not near_zero(self._entries(rho) - self._entries(self._dagger(rho)), self.atol):
+                return False
         if not near_zero(np.trace(self._entries(rho)[0]).real - 1.0, self.atol):
             return False
         return bool(np.linalg.eigvalsh(self._complex_form(rho)).min() >= -self.atol)
@@ -590,17 +574,17 @@ class MatrixTheory(TheoryModel):
         with equal, finite entries are at once; otherwise two diagonals
         compare entrywise, two kets after aligning their global phase, and
         any other pair as densities."""
-        forms = {self._form(a), self._form(b)}
-        if len(forms) == 1:  # equal bits, a zero's sign aside: how a sign flip leaves each probe it fixes
+        fa, fb = self._form(a, _STATE), self._form(b, _STATE)
+        if fa == fb:  # equal bits, a zero's sign aside: how a sign flip leaves each probe it fixes
             entries = getattr(a, "comps", a)
             if np.array_equal(entries, getattr(b, "comps", b)) and np.isfinite(entries).all():
                 return True
-        if forms == {"ket"}:
-            return self._kets_close(a, b)
+            if fa == "ket":
+                return self._kets_close(a, b)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
-            if forms == {"diagonal"}:
+            if fa == fb == "diagonal":
                 return near_zero(a.comps - b.comps, self.atol)
-            return near_zero(self._density(a) - self._density(b), self.atol)
+            return near_zero(self._density(a, fa) - self._density(b, fb), self.atol)
 
     def _kets_close(self, a, b) -> bool:
         # a = b u, entry by entry, for the unit u read off <b|a> = sum_i
@@ -623,9 +607,10 @@ class MatrixTheory(TheoryModel):
     def compose(self, second, first):
         # a diagonal meeting a dense map is materialized, so the product is
         # the dense one bit for bit
-        if self._is_diagonal(second) and self._is_diagonal(first):
+        fs, ff = self._form(second, _MAP), self._form(first, _MAP)
+        if fs == ff == "diagonal":
             return DiagonalMap(self._entrywise(second.comps, first.comps))
-        return self._read_only(self.dense(second) @ self.dense(first))
+        return self._read_only(self._as_dense(second, fs) @ self._as_dense(first, ff))
 
     def identity_map(self):
         return self.diagonal_map(np.ones(self.dim))
@@ -640,22 +625,32 @@ class MatrixTheory(TheoryModel):
         return near_zero(deviation, self.atol)
 
     def is_identity_map(self, trans) -> bool:
-        # acts as the identity exactly when it is a global phase times it
-        d = self._diagonal(trans)
-        return d is not None and self._is_central_unit(d.comps)
+        return self._is_identity(trans, self._form(trans, _MAP))
+
+    def _is_identity(self, M, form: str) -> bool:
+        # M acts as the identity exactly when it is a global phase times it:
+        # every entry finite, those off the diagonal within atol of zero, and
+        # the diagonal a central unit
+        if form == "diagonal":
+            return M.finite and self._is_central_unit(M.comps)
+        entries = self._entries(M)
+        d = np.diagonal(entries, axis1=-2, axis2=-1)
+        if not np.isfinite(d).all():
+            return False
+        return near_zero(entries - self._entries(self._dense(d)), self.atol) and self._is_central_unit(d)
 
     def probability(self, effect, state) -> float:
-        form = self._form(state)
-        if not self._is_diagonal(effect):
+        form = self._form(state, _STATE)
+        if self._form(effect, _MAP) == "density":
             if form == "ket":
                 return self._real(self._ket_trace(effect, state), self.atol)
-            return self._trace_prob(effect, self.dense(state), self.atol)
+            return self._trace_prob(effect, self._as_dense(state, form), self.atol)
         if not effect.real:  # a non-real diagonal is not self-adjoint
             raise ValueError(f"{self.name} theory reads a diagonal effect with real entries, got a non-real (non-Hermitian) one")
         d = effect.comps[0]  # read in O(N)
         if form == "ket":
             return self._diagonal_read(d, state)
-        return float(d.real @ self.branch_probabilities(state))
+        return float(d.real @ self._branch_probabilities(state, form))
 
     def _ket_trace(self, effect, ket) -> np.ndarray:
         # the k components of tr(E psi psi^dagger) = sum_i (E psi)_i conj(psi_i), in that order:
@@ -664,8 +659,8 @@ class MatrixTheory(TheoryModel):
         return self._entrywise(self._entries(effect @ ket)[:, :, 0], self._conj(psi)).sum(axis=1)
 
     def apply(self, trans, state):
-        form = self._form(state)
-        if self._is_diagonal(trans):  # d psi, d_i w_i conj(d_i), or d_i rho_ij conj(d_j): entrywise
+        form = self._form(state, _STATE)
+        if self._form(trans, _MAP) == "diagonal":  # d psi, d_i w_i conj(d_i), or d_i rho_ij conj(d_j): entrywise
             d = trans.comps
             if form == "diagonal":
                 return DiagonalMap(self._entrywise(self._entrywise(d, state.comps), self._conj(d)))
@@ -675,23 +670,19 @@ class MatrixTheory(TheoryModel):
             return self._matrix(image)
         if form == "ket":
             return self._read_only(trans @ state)
-        return self._read_only(self._conjugate(trans, self.dense(state)))
+        return self._read_only(self._conjugate(trans, self._as_dense(state, form)))
 
     def maps_commute(self, a, b) -> bool:
         # ab and ba induce one conjugation exactly when (ba)^dagger (ab) acts
-        # as the identity.  A non-finite entry gives False: the diagonal path
-        # takes finite diagonals only, the other path checks every entry.
-        # Two DiagonalMaps of the theory's shape skip the scan below
-        if (isinstance(a, DiagonalMap) and isinstance(b, DiagonalMap)
-                and a.comps.shape == b.comps.shape == self._diagonal_shape):
+        # as the identity: entrywise for two diagonals, densely for any other
+        # pair.  A non-finite entry gives False, checked before any product
+        fa, fb = self._form(a, _MAP), self._form(b, _MAP)
+        if fa == fb == "diagonal":
             return a.finite and b.finite and self._diagonals_commute(a, b)
-        da, db = self._diagonal(a), self._diagonal(b)
-        if da is not None and db is not None:
-            return self._diagonals_commute(da, db)
-        a, b = self.dense(a), self.dense(b)
+        a, b = self._as_dense(a, fa), self._as_dense(b, fb)
         if not (np.isfinite(self._entries(a)).all() and np.isfinite(self._entries(b)).all()):
             return False
-        return self.is_identity_map(self._dagger(b @ a) @ (a @ b))
+        return self._is_identity(self._dagger(b @ a) @ (a @ b), "density")
 
     def _branch_family(self, branch: int) -> ParametricFamily:
         def sample(rng: np.random.Generator):
@@ -754,7 +745,7 @@ class DensityMatrixTheory(MatrixTheory):
     @staticmethod
     def _real(t, atol) -> float:
         t = t.item()
-        if abs(t.imag) > atol:
+        if not near_zero(t.imag, atol):
             raise NumericConsistencyError(f"trace has imaginary residue {abs(t.imag):.3e}")
         return t.real
 

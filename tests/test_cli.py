@@ -17,7 +17,8 @@ Core claims:
     - search passes exactly when it follows the closed form, N = 2 included;
       dj-sweep refuses more than 4 input bits before any protocol run, and
       before its instruments are built; phase-group refuses a matrix theory
-      past MAX_SPANNING_LEVELS; each refusal exits 2 within a second
+      past MAX_SPANNING_LEVELS; search past MAX_MATRIX_LEVELS is refused by
+      its own N before a theory is built; each refusal exits 2 within a second
     - every finite theory's group run checks one definite answer: classical
       (N = 2, 3), gbit2..gbit5 and both toy bits pass, and fail once the
       group, a branch's subgroup or the union loses or gains one element;
@@ -32,6 +33,7 @@ import csv
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -214,6 +216,22 @@ def test_cli_refuses_an_oversized_run_before_building_it(argv, message, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("theory", ["quantum", "quaternionic"])
+def test_cli_refuses_a_search_past_the_matrix_bound_by_its_own_size(theory, capsys, monkeypatch):
+    # the run reads N; the quantum theory's n, derived from it, is never named
+    def no_theory(*args):
+        raise AssertionError("a theory was built")
+
+    monkeypatch.setattr(th, "quantum_theory", no_theory)
+    monkeypatch.setattr(th, "quaternionic_theory", no_theory)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "grover", "--theory", theory, "--N", "2048"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"^gptifer: error: grover takes N <= 1024 \(MAX_MATRIX_LEVELS\), got N = 2048$", captured.err, re.M)
 
 
 def test_json_round_trip_and_content_equality(tmp_path):

@@ -11,10 +11,15 @@ Core claims:
     - toy bit: recorded subset-sign convention fixes all statistics vectors;
       epistemic pure states have one deterministic pair and the rest uniform
     - quaternionic two-level states project exactly onto the 5-ball
-    - the loop-free diagonal and commutation checks agree with their
-      allclose and qmul references, NaN and infinite entries included; the
-      complex and quaternionic diagonal checks refuse a NaN diagonal entry
-      alike, without a floating-point warning
+    - a dense map takes the dense rule whatever its entries: is_identity_map
+      and maps_commute on dense maps agree with their allclose and qmul
+      references, NaN and infinite entries on and off the diagonal
+      included, in both algebras alike, without a floating-point warning,
+      and keep the quaternionic tolerance boundary
+    - one operand rule: every public matrix call classifies each operand
+      once through _form, over both algebras and every form; a NaN
+      residue on a density or a diagonal state raises
+      NumericConsistencyError on the branch read and on both effect paths
     - containment: octahedron inside tetrahedron and ball; tetrahedron
       vertices break the ball bound but stay inside the cube
     - every finite group element preserves its state space
@@ -95,7 +100,7 @@ import numpy as np
 import pytest
 
 import gptifer.theories as th
-from gptifer.core import DiagonalMap, Effect, GptState, LinearMap, finite_diagonal, near_zero, preserves_statespace
+from gptifer.core import DiagonalMap, Effect, GptState, LinearMap, near_zero, preserves_statespace
 from gptifer.quaternion import (
     NumericConsistencyError,
     QuatMatrix,
@@ -413,58 +418,95 @@ def test_quantum_contains_rejects_non_states():
     assert not m.contains(np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex))
 
 
-def _allclose_finite_diagonal(U, atol):
-    d = np.diagonal(U)
-    return bool(np.allclose(U, np.diag(d), rtol=0.0, atol=atol) and np.isfinite(d).all())
+def _allclose_identity(U, atol):
+    # reference: every entry finite and U within atol of u I, u = U[0, 0] a unit
+    u = U[0, 0]
+    finite = np.isfinite(U).all()
+    return bool(finite and abs(abs(u) - 1.0) <= atol and np.allclose(U, u * np.eye(len(U)), rtol=0.0, atol=atol))
+
+
+def _allclose_commute(a, b, atol):
+    # reference: (ba)^dagger (ab) acts as the identity, for finite a and b
+    finite = np.isfinite(a).all() and np.isfinite(b).all()
+    return bool(finite and _allclose_identity((b @ a).conj().T @ (a @ b), atol))
 
 
 def test_quantum_diagonal_check_matches_allclose_reference():
+    # a dense map is judged by the dense rule, whatever its entries: the
+    # identity check and the commutation check agree with allclose
     m = quantum_theory(2)
     rng = np.random.default_rng(5)
-    base = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 4)))
-    cases = [base, random_unitary(m.dim, rng), np.zeros((4, 4), dtype=complex)]
+    base = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * np.eye(4)
+    phases = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 4)))
+    cases = [base, phases, random_unitary(m.dim, rng), np.zeros((4, 4), dtype=complex), np.diag([2.0, 1.0, 1.0, 1.0]) + 0j]
     for (i, j), value in itertools.product(
         [(0, 0), (2, 2), (0, 3), (3, 1)],
         [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), 1e-9, 1.01e-9, 0.6e-9 + 0.8e-9j],
     ):
         U = base.copy()
-        U[i, j] = value
+        U[i, j] += value
         cases.append(U)
+    others = [np.eye(4, dtype=complex), phases, np.eye(4)[::-1] + 0j]
+    verdicts = set()
     for U in cases:
-        assert (finite_diagonal(U, m.atol) is not None) == _allclose_finite_diagonal(U, m.atol)
-    assert finite_diagonal(np.diag([np.nan, 1.0, 1.0, 1.0]).astype(complex), m.atol) is None
+        expected = _allclose_identity(U, m.atol)
+        verdicts.add(expected)
+        assert m.is_identity_map(U) is expected
+        for V in others:
+            assert m.maps_commute(U, V) is m.maps_commute(V, U) is _allclose_commute(U, V, m.atol)
+    assert verdicts == {True, False}
+    assert not m.is_identity_map(np.diag([np.nan, 1.0, 1.0, 1.0]).astype(complex))
 
 
 @pytest.mark.parametrize("entries", [[np.nan, 1.0], [1.0, np.nan]])
 def test_diagonal_predicates_agree_on_non_finite_entries(entries):
-    m = quantum_theory(1)
     real = np.diag(entries)
+    quantum, quaternionic = quantum_theory(1), quaternionic_theory(2)
+    dense = [(quantum, real.astype(complex))]
+    for component in (0, 2):  # the same entries on the real and the j component
+        comps = np.zeros((4, 2, 2))
+        comps[component] = real
+        comps[0] += np.eye(2) * (component != 0)
+        dense.append((quaternionic, QuatMatrix(comps)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert finite_diagonal(real.astype(complex), m.atol) is None
-        for component in (0, 2):  # the same entries on the real and the j component
-            comps = np.zeros((4, 2, 2))
-            comps[component] = real
-            assert finite_diagonal(QuatMatrix(comps).comps, m.atol) is None
+        for m, M in dense:
+            assert not m.is_identity_map(M)
+            for other in (m.identity_map(), m.dense(m.identity_map()), M):
+                assert not m.maps_commute(M, other) and not m.maps_commute(other, M)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_diagonal_predicates_reject_non_finite_off_diagonal_entries(value):
-    m = quantum_theory(1)
     real = np.eye(2)
     real[0, 1] = value
+    dense = [(quantum_theory(1), real.astype(complex))]
+    dense.append((quaternionic_theory(2), QuatMatrix([real, *np.zeros((3, 2, 2))])))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert finite_diagonal(real.astype(complex), m.atol) is None
-        assert finite_diagonal(QuatMatrix([real, *np.zeros((3, 2, 2))]).comps, m.atol) is None
+        for m, M in dense:
+            assert not m.is_identity_map(M)
+            for other in (m.identity_map(), m.dense(m.identity_map()), M):
+                assert not m.maps_commute(M, other) and not m.maps_commute(other, M)
 
 
 def test_quaternionic_diagonal_check_keeps_its_tolerance():
-    for scale, expected in ((1e-9, True), (1.01e-9, False)):
+    # a k component off the diagonal, or an i component on it, is within
+    # atol of the identity up to 1e-9 and not at 1.01e-9; the off-diagonal
+    # one leaves M^dagger M as far from it, so it commutes with the identity
+    # exactly as far
+    m = quaternionic_theory(3)
+    assert m.atol == 1e-9
+    identity = m.dense(m.identity_map())
+    for (c, i, j), scale in itertools.product([(3, 2, 0), (1, 1, 1)], [1e-9, 1.01e-9]):
         comps = np.zeros((4, 3, 3))
         comps[0] = np.eye(3)
-        comps[3, 2, 0] = scale
-        assert (finite_diagonal(QuatMatrix(comps).comps, 1e-9) is not None) is expected
+        comps[c, i, j] = scale
+        M = QuatMatrix(comps)
+        expected = scale == 1e-9
+        assert m.is_identity_map(M) is expected
+        if i != j:
+            assert m.maps_commute(M, identity) is m.maps_commute(identity, M) is expected
 
 
 def test_commutation_with_a_nan_overlap_is_false_without_warning():
@@ -720,9 +762,14 @@ _FACE_DIMENSIONS = (
 _MATRIX_THEORIES = [m for m, _ in _FACE_DIMENSIONS if isinstance(m, MatrixTheory)]
 
 
+def _state_form(m, s) -> str:
+    # the form MatrixTheory._form gives s read as a state
+    return m._form(s, th._STATE)
+
+
 def _real_coordinates(m, s) -> np.ndarray:
     if isinstance(m, MatrixTheory):  # the face's dimension is that of the densities, whatever form s takes
-        entries = m._density(s)
+        entries = m._density(s, _state_form(m, s))
         return np.concatenate([entries.real.ravel(), entries.imag.ravel()])
     return s.probs
 
@@ -758,6 +805,26 @@ def test_branch_probabilities_refuse_a_non_real_diagonal(m):
     assert np.array_equal(m.branch_probabilities(m._matrix(entries)), np.eye(m.dim)[0])
 
 
+@pytest.mark.parametrize("m", [quantum_theory(1), quaternionic_theory(2)], ids=_label)
+def test_a_nan_residue_is_numeric_inconsistency(m):
+    # a NaN passes ``residue > atol``: rho_00 = 1 + NaN i (a NaN j component
+    # for quaternions) was read as [1, 0], as 1.0 by a diagonal effect and as
+    # NaN by a dense one.  Densities and diagonal states, on both effect paths
+    diag = m._lift(np.array([1.0, 0.0]))
+    if isinstance(m, DensityMatrixTheory):
+        diag[0, 0] = complex(1.0, np.nan)
+    else:
+        diag[2, 0] = np.nan
+    for state in (m._dense(diag), DiagonalMap(diag)):
+        for call in (
+            lambda: m.branch_probabilities(state),
+            lambda: m.probability(m.diagonal_map([1.0, 0.0]), state),
+            lambda: m.probability(m.branch_state(0), state),
+        ):
+            with pytest.raises(NumericConsistencyError, match="residue nan"):
+                call()
+
+
 def test_a_matrix_theory_is_built_without_branch_effects():
     tracemalloc.start()
     try:
@@ -780,7 +847,7 @@ def test_both_matrix_theories_share_the_core():
 
 def _materialized(m, s):
     # the N x N density of a state in any of its three forms
-    return m._matrix(m._density(s))
+    return m._matrix(m._density(s, _state_form(m, s)))
 
 
 @pytest.mark.parametrize("m,count", [(quantum_theory(2), 2), (quaternionic_theory(4), 4)])
@@ -893,10 +960,10 @@ def test_non_finite_maps_commute_with_nothing(m, lift, value):
 
 
 def test_two_diagonal_maps_commute_without_a_second_map_check(monkeypatch):
-    # two DiagonalMaps of the theory's shape go to the diagonal rule, unscanned;
-    # a diagonal of another shape is still refused by name
+    # two DiagonalMaps of the theory's shape go to the diagonal rule, never
+    # materialized; a diagonal of another shape is still refused by name
     def no_check(*args):
-        raise AssertionError("a map was checked again")
+        raise AssertionError("a diagonal was materialized")
 
     for m in (quantum_theory(2), quaternionic_theory(4)):
         a, b = (m._lift(np.ones(m.dim)) for _ in range(2))
@@ -904,8 +971,8 @@ def test_two_diagonal_maps_commute_without_a_second_map_check(monkeypatch):
         a, b = DiagonalMap(a), DiagonalMap(b)
         dense = m.maps_commute(m.dense(a), m.dense(b))
         with monkeypatch.context() as patch:
-            patch.setattr(m, "_diagonal", no_check)
-            patch.setattr(m, "_is_diagonal", no_check)
+            patch.setattr(m, "dense", no_check)
+            patch.setattr(m, "_dense", no_check)
             assert m.maps_commute(a, b) is dense is (m.name == "quantum")
             assert m.maps_commute(a, a) is True
         with pytest.raises(ValueError, match=f"^{m.name} theory expects a diagonal of 4 entries, got one of shape"):
@@ -1106,6 +1173,29 @@ def test_both_algebras_share_one_matrix_core():
     # where the benchmark tracer looks them up
     for name in ("apply", "probability", "compose", "maps_commute", "is_identity_map"):
         assert DensityMatrixTheory.__dict__[name] is QuaternionicTheory.__dict__[name] is MatrixTheory.__dict__[name]
+
+
+@pytest.mark.parametrize("m", [quantum_theory(2), quaternionic_theory(4)], ids=_label)
+def test_each_operand_is_classified_once_per_call(m, monkeypatch):
+    # _form is the one operand rule: every public call reads each operand
+    # through it once, over the three state forms and the two map forms, and
+    # its inner paths take the form it gave
+    states = [m.diagonal_map(np.eye(m.dim)[1]), m.apply(m.beamsplitter, m.branch_ket(0)), m.uniform_superposition()]
+    maps = [m.group.phase_family.sample(np.random.default_rng(3)), m.beamsplitter]
+    effects = [m.diagonal_map(np.eye(m.dim)[0]), m.branch_state(0)]
+    calls = [(m.apply, (T, s)) for T in maps for s in states]
+    calls += [(m.probability, (E, s)) for E in effects for s in states]
+    calls += [(m.states_close, pair) for pair in itertools.product(states, repeat=2)]
+    calls += [(f, pair) for f in (m.compose, m.maps_commute) for pair in itertools.product(maps, repeat=2)]
+    calls += [(f, (s,)) for f in (m.contains, m.branch_probabilities) for s in states]
+    calls += [(f, (T,)) for f in (m.is_identity_map, m.dense) for T in maps]
+    form, seen = m._form, []
+    monkeypatch.setattr(m, "_form", lambda x, role: seen.append(x) or form(x, role))
+    for call, operands in calls:
+        seen.clear()
+        call(*operands)
+        assert len(seen) == len(operands), call.__name__
+        assert {id(x) for x in seen} == {id(x) for x in operands}, call.__name__
 
 
 @pytest.mark.parametrize("m", [quantum_theory(1), quaternionic_theory(2)], ids=_label)
@@ -1310,7 +1400,7 @@ def test_the_diagonal_form_agrees_with_its_dense_materialization(m):
     states += [_materialized(m, s) for s in states]
     for a, b in itertools.product(states, repeat=2):
         verdict = m.states_close(a, b)
-        forms = frozenset((m._form(a), m._form(b)))
+        forms = frozenset((_state_form(m, a), _state_form(m, b)))
         verdicts.add((forms, verdict))
         assert verdict == m.states_close(_materialized(m, a), _materialized(m, b))
     # both answers occur, so agreement is not vacuous
@@ -1405,7 +1495,7 @@ def test_locality_probes_from_shared_bases_match_a_fresh_build(m):
             probes, fresh = m.branch_local_probes(branch), _fresh_probes(m, branch)
             assert len(probes) == len(fresh)
             for probe, expected in zip(probes, fresh):
-                assert m._form(probe) == m._form(expected)
+                assert _state_form(m, probe) == _state_form(m, expected)
                 entries, expected = getattr(probe, "comps", probe), getattr(expected, "comps", expected)
                 assert not entries.flags.writeable
                 assert entries.dtype == expected.dtype and entries.tobytes() == expected.tobytes()

@@ -2,9 +2,11 @@
 
 A source check, in well under a second: no module of ``src/gptifer`` calls
 numpy's ``allclose`` or ``isclose`` (whose relative term and equal
-infinities ``near_zero`` does not have), and the probability floor is
-written once, as ``core.PROBABILITY_FLOOR``, across ``core``, ``theories``
-and ``phase``.  The experiments' pass predicates keep their own bounds.
+infinities ``near_zero`` does not have), no module compares a value with
+``>`` against ``atol`` or ``self.atol`` (a NaN passes that comparison, and
+fails ``near_zero``), and the probability floor is written once, as
+``core.PROBABILITY_FLOOR``, across ``core``, ``theories`` and ``phase``.
+The experiments' pass predicates keep their own bounds.
 """
 
 import ast
@@ -27,6 +29,25 @@ def test_no_numpy_closeness_call(path):
             found += [f"line {node.lineno}: from numpy import {a.name}" for a in node.names
                       if a.name in ("allclose", "isclose")]
     assert not found, f"{path.name} compares through numpy: {found}"
+
+
+def _is_atol(node) -> bool:
+    # ``atol`` or ``self.atol``
+    if isinstance(node, ast.Attribute):
+        return node.attr == "atol" and isinstance(node.value, ast.Name) and node.value.id == "self"
+    return isinstance(node, ast.Name) and node.id == "atol"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_comparison_a_nan_passes(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for left, op, right in zip(operands, node.ops, operands[1:]):
+                if (isinstance(op, ast.Gt) and _is_atol(right)) or (isinstance(op, ast.Lt) and _is_atol(left)):
+                    found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert not found, f"{path.name} compares against atol with '>', which a NaN passes: {found}"
 
 
 def test_the_probability_floor_is_written_once():
