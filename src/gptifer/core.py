@@ -57,8 +57,9 @@ class DiagonalMap:
     a k-component scalar algebra.
 
     ``comps`` is read-only.  ``finite`` records, once and when first read,
-    whether every entry is finite, and ``real`` whether every entry is
-    real: no imaginary part and no component past the first.
+    whether every entry is finite, ``real`` whether every entry is real: no
+    imaginary part and no component past the first, and ``unit`` whether
+    every entry's squared components sum to exactly 1.0.
     ``MatrixTheory.dense`` gives the N x N matrix.  A matrix theory also
     reads a diagonal as a state or an effect diagonal in the branch basis.
     """
@@ -76,6 +77,11 @@ class DiagonalMap:
     def real(self) -> bool:
         imaginary = np.iscomplexobj(self.comps) and self.comps.imag.any()
         return not (imaginary or self.comps[1:].any())
+
+    @cached_property
+    def unit(self) -> bool:
+        with np.errstate(over="ignore"):  # an overflowing square is not 1.0
+            return bool(((np.abs(self.comps) ** 2).sum(axis=0) == 1.0).all())
 
 
 @dataclass(frozen=True, eq=False)

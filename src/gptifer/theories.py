@@ -382,9 +382,9 @@ class MatrixTheory(TheoryModel):
     tr(E psi psi^dagger).
 
     A diagonal map is a :class:`DiagonalMap` (the phase and branch family
-    samples, :meth:`diagonal_map`, :meth:`identity_map`): with another
-    diagonal it composes and commutes entrywise, and it acts on a state
-    entrywise.  With a dense map or a dense state it is first materialized.
+    samples, :meth:`diagonal_map`, :meth:`identity_map`): it composes and acts
+    entrywise, and two commute when conj(b_i a_i) a_i b_i is one central unit,
+    in O(1) for exact units, one side real.  A dense operand materializes it.
     A dense map always takes the dense rule, whatever its entries.  A real
     diagonal is also an effect, read in O(N) by ``probability``.
     """
@@ -673,16 +673,25 @@ class MatrixTheory(TheoryModel):
         return self._read_only(self._conjugate(trans, self._as_dense(state, form)))
 
     def maps_commute(self, a, b) -> bool:
-        # ab and ba induce one conjugation exactly when (ba)^dagger (ab) acts
-        # as the identity: entrywise for two diagonals, densely for any other
-        # pair.  A non-finite entry gives False, checked before any product
+        # ab and ba induce one conjugation exactly when (ba)^dagger (ab) acts as the identity, entrywise
+        # for two diagonals; a non-finite entry (checked before any product) or an overflow gives False
         fa, fb = self._form(a, _MAP), self._form(b, _MAP)
         if fa == fb == "diagonal":
             return a.finite and b.finite and self._diagonals_commute(a, b)
         a, b = self._as_dense(a, fa), self._as_dense(b, fb)
         if not (np.isfinite(self._entries(a)).all() and np.isfinite(self._entries(b)).all()):
             return False
-        return self._is_identity(self._dagger(b @ a) @ (a @ b), "density")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._is_identity(self._dagger(b @ a) @ (a @ b), "density")
+
+    def _diagonals_commute(self, a, b) -> bool:
+        # the one rule for two finite diagonals, in both algebras: conj(b_i a_i) a_i b_i is one
+        # central unit, at once when exact unit entries meet a real side, whose units are central
+        if a.unit and b.unit and (a.real or b.real):
+            return True
+        with np.errstate(over="ignore", invalid="ignore"):
+            ab, ba = self._entrywise(a.comps, b.comps), self._entrywise(b.comps, a.comps)
+            return self._is_central_unit(self._entrywise(self._conj(ba), ab))
 
     def _branch_family(self, branch: int) -> ParametricFamily:
         def sample(rng: np.random.Generator):
@@ -733,7 +742,6 @@ class DensityMatrixTheory(MatrixTheory):
     def _random_phases(self, rng, count):
         return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))[None]
 
-    _diagonals_commute = staticmethod(lambda da, db: True)  # complex numbers commute
     _entrywise = staticmethod(np.multiply)
     _conj = staticmethod(np.conj)
 
@@ -789,18 +797,6 @@ class QuaternionicTheory(MatrixTheory):
     def _random_phases(self, rng, count):
         q = rng.standard_normal((count, 4))
         return (q / np.linalg.norm(q, axis=1, keepdims=True)).T
-
-    def _diagonals_commute(self, da, db) -> bool:
-        # diag(ab) and diag(ba) induce the same conjugation exactly when
-        # conj((ba)_i) (ab)_i is one common real sign: (a_i b_i)^2 when
-        # both diagonals are real
-        if da.real and db.real:
-            ab = da.comps[:1] * db.comps[:1]
-            return self._is_central_unit(ab * ab)
-        pair = np.stack([da.comps, db.comps], axis=1)
-        left, right = _hamilton_entrywise(pair, pair[:, ::-1]).swapaxes(0, 1)
-        right[1:] *= -1.0
-        return self._is_central_unit(_hamilton_entrywise(right, left))
 
     # d . sum_c psi_c^2, which no unit on the right changes
     _diagonal_read = staticmethod(lambda d, ket: float(d @ (ket.comps[:, :, 0] ** 2).sum(axis=0)))

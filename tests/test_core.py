@@ -13,6 +13,9 @@ Core claims:
     - near_zero, the one closeness test, is absolute: a NaN or infinite
       entry fails it, exactly atol passes and the next float above fails;
       an effect with a NaN weight is not a valid effect
+    - DiagonalMap.unit holds exactly when every entry's squared components
+      sum to 1.0: signs, unit complex numbers and (1/2, 1/2, 1/2, 1/2) pass;
+      1 + 2**-52, 2, 1e200 (without an overflow warning), NaN and +-inf fail
 """
 
 import itertools
@@ -21,6 +24,7 @@ import numpy as np
 import pytest
 
 from gptifer.core import (
+    DiagonalMap,
     Effect,
     FiniteGroup,
     GptState,
@@ -280,3 +284,36 @@ def test_near_zero_reads_complex_magnitudes_and_passes_an_empty_array():
     assert near_zero([0.6e-9 + 0.8e-9j], 1e-9)
     assert not near_zero([0.6e-9 + 0.9e-9j], 1e-9)
     assert near_zero(np.array([]), 0.0)
+
+
+# -- the unit flag of a diagonal ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entry,unit",
+    [
+        ([1.0, 0.0, 0.0, 0.0], True),
+        ([-1.0, 0.0, 0.0, 0.0], True),
+        ([0.0, 0.0, -1.0, 0.0], True),
+        ([0.5, 0.5, 0.5, 0.5], True),
+        ([1.0 + 2.0**-52, 0.0, 0.0, 0.0], False),
+        ([2.0, 0.0, 0.0, 0.0], False),
+        ([1e200, 0.0, 0.0, 0.0], False),
+        ([np.nan, 0.0, 0.0, 0.0], False),
+        ([np.inf, 0.0, 0.0, 0.0], False),
+        ([-np.inf, 0.0, 0.0, 0.0], False),
+        ([1.0 + 0.0j], True),
+        ([-1.0j], True),
+        ([2.0 + 0.0j], False),
+        ([complex(1.0, np.nan)], False),
+    ],
+    ids=["+1", "-1", "-j", "half", "1+2**-52", "2", "1e200", "nan", "+inf", "-inf", "complex-1", "complex--i", "complex-2", "complex-nan"],
+)
+def test_a_diagonal_is_unit_exactly_when_each_entry_has_modulus_one(entry, unit):
+    # one entry alone, then beside a sign flip's entries: one failing entry fails the whole diagonal
+    column = np.array(entry)[:, None]
+    signs = np.zeros((len(entry), 2), dtype=column.dtype)
+    signs[0] = [1.0, -1.0]
+    assert DiagonalMap(column).unit is unit
+    assert DiagonalMap(np.hstack([signs, column])).unit is unit
+    assert DiagonalMap(signs).unit is True

@@ -36,7 +36,8 @@ Core claims:
       probe counts (2 and 4: a diagonal mixture, then kets), each probe's
       density in the state space, byte-identical identity, sign-flip and
       branch maps to the former per-theory constructions, and one verdict
-      on maps with non-finite entries (no commutation, no warning)
+      on maps with non-finite entries or entries whose products overflow
+      (no commutation, no warning)
     - a pure state may be a ket, an N x 1 matrix of the theory's matrix
       type: a branch ket is the ket of its branch state; apply and
       probability on a ket agree with the same calls on its density within
@@ -88,6 +89,11 @@ Core claims:
       the full check says; a non-finite stored diagonal commutes with
       nothing and is not the identity; two diagonal maps commute or not
       without a second map check
+    - two diagonals commute by one rule in both algebras: sign flips (exact
+      unit entries, one side real) commute with no entrywise product, at
+      quantum N = 64 and quaternionic N = 1024; exact non-real units take
+      the full rule (i against j does not commute, (i, j) against (j, i)
+      does)
 """
 
 import hashlib
@@ -940,7 +946,7 @@ _FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
     [(quantum_theory(1), lambda a: np.asarray(a, dtype=complex)), (quaternionic_theory(2), lambda a: QuatMatrix([a, *np.zeros((3, 2, 2))]))],
     ids=["quantum", "quaternionic"],
 )
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e200])  # 1e200 is finite, but its products overflow
 def test_non_finite_maps_commute_with_nothing(m, lift, value):
     diag = lift(np.diag([value, 1.0]))
     off = lift(np.array([[1.0, value], [0.0, 1.0]]))
@@ -977,6 +983,34 @@ def test_two_diagonal_maps_commute_without_a_second_map_check(monkeypatch):
             assert m.maps_commute(a, a) is True
         with pytest.raises(ValueError, match=f"^{m.name} theory expects a diagonal of 4 entries, got one of shape"):
             m.maps_commute(a, DiagonalMap(b.comps[:, :2]))
+
+
+@pytest.mark.parametrize("m", [quantum_theory(6), quaternionic_theory(1024)], ids=_label)
+def test_sign_flips_commute_without_an_entrywise_product(m, monkeypatch):
+    # exact unit entries on a real side commute in O(1): no product, no central-unit check
+    def no_product(*args):
+        raise AssertionError("a pair of sign flips took the entrywise rule")
+
+    flips = [T for _, T in sign_encoding(m).pairs]
+    sample = flips[:: max(1, m.dim // 64)]
+    monkeypatch.setattr(m, "_entrywise", no_product)
+    monkeypatch.setattr(m, "_is_central_unit", no_product)
+    for a, b in itertools.combinations(sample, 2):
+        assert m.maps_commute(a, b) is True
+    for flip in flips:
+        assert m.maps_commute(flip, flips[0]) is m.maps_commute(flips[-1], flip) is m.maps_commute(flip, m.identity_map()) is True
+
+
+def test_non_real_unit_diagonals_take_the_full_rule():
+    # exact units, neither side real: i against j does not commute; (i, j)
+    # against (j, i) does, since conj(b_i a_i) a_i b_i is -1 at both entries
+    m = quaternionic_theory(2)
+    one, i, j = m.PHASES[0], m.PHASES[1], m.PHASES[2]
+    pairs = [(False, (i, one), (j, one)), (True, (i, j), (j, i)), (True, (i, j), (i, one)), (False, (j, i), (i, one))]
+    for expected, a, b in pairs:
+        a, b = DiagonalMap(np.stack(a, axis=1)), DiagonalMap(np.stack(b, axis=1))
+        assert a.unit and b.unit and not (a.real or b.real)
+        assert m.maps_commute(a, b) is m.maps_commute(m.dense(a), m.dense(b)) is m.maps_commute(b, a) is expected
 
 
 # -- kets ---------------------------------------------------------------------------------
