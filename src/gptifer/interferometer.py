@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import Effect, GptState, TheoryModel, VectorTheory, _exact_int, near_zero
 from .phase import is_branch_local, localizable_union
@@ -296,6 +295,17 @@ def run_dj_with_global_oracle(m: TheoryModel, spec: OracleSpec, balanced_op, s_i
 # ---------------------------------------------------------------------------
 
 WEAK_MARGIN = 1e-6
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on the first solve.
+
+    Importing ``scipy.optimize`` takes most of a cold ``import gptifer``, and
+    only the polytope effect search solves an LP, so every other run skips it.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def find_distinguishing_effect(

@@ -386,7 +386,9 @@ class MatrixTheory(TheoryModel):
     entrywise, and two commute when conj(b_i a_i) a_i b_i is one central unit,
     in O(1) for exact units, one side real.  A dense operand materializes it.
     A dense map always takes the dense rule, whatever its entries.  A real
-    diagonal is also an effect, read in O(N) by ``probability``.
+    finite diagonal acts by scaling with its real entries, no algebra
+    product.  A real diagonal is also an effect, read in O(N) by
+    ``probability``.
     """
 
     #: Unit scalars as component rows, 1 first.  With the branch projectors,
@@ -661,12 +663,14 @@ class MatrixTheory(TheoryModel):
     def apply(self, trans, state):
         form = self._form(state, _STATE)
         if self._form(trans, _MAP) == "diagonal":  # d psi, d_i w_i conj(d_i), or d_i rho_ij conj(d_j): entrywise
-            d = trans.comps
+            mul, conj, d = self._entrywise, self._conj, trans.comps
+            if trans.real and trans.finite:  # a real d scales by its component 0: no algebra product
+                mul, conj, d = np.multiply, np.conj, d[:1]
             if form == "diagonal":
-                return DiagonalMap(self._entrywise(self._entrywise(d, state.comps), self._conj(d)))
-            image = self._entrywise(d[:, :, None], self._entries(state))
+                return DiagonalMap(mul(mul(d, state.comps), conj(d)))
+            image = mul(d[:, :, None], self._entries(state))
             if form == "density":
-                image = self._entrywise(image, self._conj(d)[:, None, :])
+                image = mul(image, conj(d)[:, None, :])
             return self._matrix(image)
         if form == "ket":
             return self._read_only(trans @ state)

@@ -27,6 +27,8 @@ Core claims:
     - a gbit, classical or ball system past its size bound exits 2 naming
       it, before any map or state is built;
       --format without --out exits 2 before the run starts
+    - a run that solves no LP never imports scipy.optimize; the first
+      effect-search solve imports it and answers as before
 """
 
 import csv
@@ -520,6 +522,28 @@ def test_cli_entry_point_runs_as_module():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["union"] == ["identity"]
+
+
+def test_a_run_without_an_lp_never_imports_the_lp_solver():
+    # a cold process imports scipy.optimize on its first effect-search solve, not before
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import gptifer\n"
+        "from gptifer import cli\n"
+        "from gptifer.interferometer import find_distinguishing_effect, spekkens_ontic_dj_instruments\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['run', 'grover', '--theory', 'quaternionic', '--N', '16'])\n"
+        "before = 'scipy.optimize' in sys.modules\n"
+        "m, enc, s_in, _ = spekkens_ontic_dj_instruments()\n"
+        "found = [repr(find_distinguishing_effect(m, enc, s_in, strict)) for strict in (True, False)]\n"
+        "print(json.dumps([code, before, 'scipy.optimize' in sys.modules, found]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    m, enc, s_in, _ = ifr.spekkens_ontic_dj_instruments()
+    expected = [repr(ifr.find_distinguishing_effect(m, enc, s_in, strict)) for strict in (True, False)]
+    assert json.loads(proc.stdout) == [0, False, True, expected]
+    assert expected == ["None", "None"]  # the ontic toy bit admits no effect, strict or weak
 
 
 def test_cli_refuses_a_gbit_past_the_bound_before_building_it(monkeypatch, capsys):

@@ -74,8 +74,6 @@ def _close(m, x, y) -> bool:
 
 
 @pytest.mark.parametrize("m", _THEORIES, ids=_label)
-# a failing example is reported through libcst, whose import warns; that warning is not the test's
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(data=st.data())
 def test_a_diagonal_gets_one_verdict_in_every_form(m, data):

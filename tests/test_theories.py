@@ -37,7 +37,9 @@ Core claims:
       density in the state space, byte-identical identity, sign-flip and
       branch maps to the former per-theory constructions, and one verdict
       on maps with non-finite entries or entries whose products overflow
-      (no commutation, no warning)
+      (no commutation, no warning); a real finite diagonal acts on a ket, a
+      diagonal state and a density by scaling, with no algebra product,
+      equal to the entrywise rule bit for bit (a zero's sign aside)
     - a pure state may be a ket, an N x 1 matrix of the theory's matrix
       type: a branch ket is the ket of its branch state; apply and
       probability on a ket agree with the same calls on its density within
@@ -1011,6 +1013,43 @@ def test_non_real_unit_diagonals_take_the_full_rule():
         a, b = DiagonalMap(np.stack(a, axis=1)), DiagonalMap(np.stack(b, axis=1))
         assert a.unit and b.unit and not (a.real or b.real)
         assert m.maps_commute(a, b) is m.maps_commute(m.dense(a), m.dense(b)) is m.maps_commute(b, a) is expected
+
+
+@pytest.mark.parametrize("m", [quantum_theory(3), quaternionic_theory(8)], ids=_label)
+def test_a_real_diagonal_acts_by_scaling_as_the_entrywise_rule_does(m, monkeypatch):
+    # d psi, (d w) conj(d) and d_i rho_ij conj(d_j) with a real finite d: equal to the entrywise
+    # products bit for bit (a zero's sign aside), computed without any algebra product
+    rng = np.random.default_rng(7)
+    k, N = m.PHASES.shape[1], m.dim
+
+    def entries(*shape):
+        x = rng.standard_normal((k, *shape))
+        return x + 1j * rng.standard_normal(x.shape) if np.iscomplexobj(m.PHASES) else x
+
+    signs = rng.choice([-1.0, 1.0], size=(4, N))
+    reals = rng.standard_normal((4, N)) * 10.0 ** rng.integers(-3, 4, size=(4, N))
+    reals[0, 0] = 0.0
+    cases = []
+    for values in (*signs, *reals):
+        d = m.diagonal_map(values).comps
+        psi, w, rho = entries(N, 1), entries(N), entries(N, N)
+        expected = (
+            m._entrywise(d[:, :, None], psi),
+            m._entrywise(m._entrywise(d, w), m._conj(d)),
+            m._entrywise(m._entrywise(d[:, :, None], rho), m._conj(d)[:, None, :]),
+        )
+        cases.append((DiagonalMap(d), (m._matrix(psi), DiagonalMap(w), m._matrix(rho)), expected))
+
+    def no_product(*args):
+        raise AssertionError("a real diagonal took an algebra product")
+
+    monkeypatch.setattr(m, "_entrywise", no_product)
+    for T, states, expected in cases:
+        assert T.real and T.finite
+        ket, diagonal, density = (m.apply(T, s) for s in states)
+        assert np.array_equal(m._entries(ket), expected[0])
+        assert np.array_equal(diagonal.comps, expected[1])
+        assert np.array_equal(m._entries(density), expected[2])
 
 
 # -- kets ---------------------------------------------------------------------------------
