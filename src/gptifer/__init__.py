@@ -8,6 +8,7 @@ from .core import (
     LinearMap,
     ParametricFamily,
     ParametricGroup,
+    Relabeling,
     TheoryModel,
     VectorTheory,
     apply,

@@ -128,7 +128,9 @@ class LinearMap:
 
     ``name`` is a human-readable label used in reports ("identity",
     "X-flip", one-line permutation strings, ...).  Equality and hashing go
-    through the matrix bytes so finite groups can be used as sets.
+    through the image of a permutation matrix, as a :class:`Relabeling`
+    stores it, and through the matrix values of any other map, so finite
+    groups can be used as sets and a relabeling equals its dense matrix.
     """
 
     matrix: np.ndarray
@@ -143,19 +145,69 @@ class LinearMap:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def _image(self):
+        # the image of a permutation matrix, as a Relabeling holds it; None for any other matrix
+        image = self.matrix.argmax(axis=0) if self.dim else np.arange(0)
+        if _is_permutation(image) and np.array_equal(self.matrix, np.eye(self.dim)[:, image]):
+            return image
+        return None
+
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
-        return self.matrix.shape == other.matrix.shape and np.array_equal(
-            self.matrix, other.matrix
-        )
+        if self._image is None and other._image is None:
+            return self.matrix.shape == other.matrix.shape and np.array_equal(self.matrix, other.matrix)
+        return self._image is not None and other._image is not None and np.array_equal(self._image, other._image)
 
     def __hash__(self):
-        return hash((self.matrix.shape, self.matrix.tobytes()))
+        if self._image is not None:
+            return hash(self._image.tobytes())
+        return hash((self.matrix.shape, (self.matrix + 0.0).tobytes()))  # + 0.0 makes -0.0 hash as 0.0
 
     def __repr__(self):
         label = self.name or "unnamed"
         return f"LinearMap<{label}, dim={self.dim}>"
+
+
+def _is_permutation(image: np.ndarray) -> bool:
+    # in Python, which is faster than numpy calls at the sizes of a theory's coordinates
+    return image.ndim == 1 and sorted(image.tolist()) == list(range(image.shape[0]))
+
+
+class Relabeling(LinearMap):
+    """The 0/1 map carrying coordinate j to coordinate ``image[j]``, stored
+    as its image, a read-only permutation of 0..D-1.
+
+    It acts by moving each entry of a state to its image, with no
+    arithmetic, so a NaN or infinite entry moves and nothing else changes.
+    Two relabelings compose by composing their images.  ``matrix`` is built
+    only when something reads it.
+    """
+
+    def __init__(self, image, name: str = ""):
+        image = np.asarray(image)
+        if image.dtype.kind not in "iu":
+            raise ValueError("a relabeling's image must hold integers")
+        if not _is_permutation(image):
+            raise ValueError(f"a relabeling's image must be a permutation of 0..D-1, got {image.tolist()}")
+        object.__setattr__(self, "image", _readonly(image, np.intp))
+        object.__setattr__(self, "name", name)
+
+    @property
+    def dim(self) -> int:
+        return self.image.shape[0]
+
+    @property
+    def _image(self):
+        return self.image
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        matrix = np.zeros((self.dim, self.dim))
+        matrix[self.image, np.arange(self.dim)] = 1.0
+        matrix.setflags(write=False)
+        return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +215,40 @@ class LinearMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Explicit list of reversible transformations, closed under composition."""
+    """Finite group of relabelings, closed under composition.
 
-    elements: tuple[LinearMap, ...]
+    ``images`` is one read-only (order, D) integer array: row i is the image
+    of element i, a permutation of 0..D-1.  ``element(image)`` builds the
+    element of one row, with its name.  :attr:`elements` builds them all,
+    in row order, when first read, so a built group holds no per-element
+    object: 46,080 elements over D = 12 take 553 KB as int8 rows.
+    """
+
+    images: np.ndarray
+    element: Callable[[np.ndarray], Relabeling]
+
+    def __post_init__(self):
+        object.__setattr__(self, "images", _readonly(self.images, None))
+        if self.images.ndim != 2 or not (np.sort(self.images, axis=1) == np.arange(self.images.shape[1])).all():
+            raise ValueError("a finite group's images must be rows of permutations of 0..D-1")
 
     def __len__(self):
-        return len(self.elements)
+        return self.images.shape[0]
 
     def __iter__(self):
         return iter(self.elements)
 
-    def by_name(self, name: str) -> LinearMap:
+    @cached_property
+    def elements(self) -> tuple[Relabeling, ...]:
+        return self.take(range(len(self)))
+
+    def take(self, rows) -> tuple[Relabeling, ...]:
+        """The elements of ``rows``, in their order."""
+        return tuple(self.element(self.images[i]) for i in rows)
+
+    def by_name(self, name: str) -> Relabeling:
         for e in self.elements:
             if e.name == name:
                 return e
@@ -347,6 +420,8 @@ class VectorTheory(TheoryModel):
         self._z_weights = _readonly(np.eye(self.state_dim)[offset : offset + n_branches])
         #: 0/1 rows summing each measurement block of a state
         self._blocks = _readonly(np.repeat(np.eye(len(counts)), counts, axis=1))
+        self._coords = _readonly(np.arange(self.state_dim), np.intp)
+        self._phase_rows = None  # (group, its phase rows), filled by phase_rows
 
     @cached_property
     def z_effects(self):
@@ -393,15 +468,27 @@ class VectorTheory(TheoryModel):
         name = ""
         if second.name and first.name:
             name = f"{second.name}*{first.name}"
-        return LinearMap(self._own(second, "map").matrix @ self._own(first, "map").matrix, name)
+        second, first = self._own(second, "map"), self._own(first, "map")
+        if isinstance(second, Relabeling) and isinstance(first, Relabeling):
+            return Relabeling(second.image[first.image], name)
+        return LinearMap(second.matrix @ first.matrix, name)
 
     def identity_map(self):
-        return LinearMap(np.eye(self.state_dim), "identity")
+        return Relabeling(self._coords, "identity")
 
     def is_identity_map(self, trans) -> bool:
-        return near_zero(self._own(trans, "map").matrix - np.eye(self.state_dim), self.atol)
+        trans = self._own(trans, "map")
+        if isinstance(trans, Relabeling):
+            return bool((trans.image == self._coords).all())
+        return near_zero(trans.matrix - np.eye(self.state_dim), self.atol)
 
     def maps_commute(self, a, b) -> bool:
+        if isinstance(a, Relabeling) and isinstance(b, Relabeling):
+            a, b = self._own(a, "map"), self._own(b, "map")
+            # ab and ba agree on every state when ba^-1 ab fixes the spanning states
+            ab, undo_ba = a.image[b.image], np.empty_like(self._coords)
+            undo_ba[b.image[a.image]] = self._coords
+            return bool(self._keeps(undo_ba[ab], self._commute_table))
         # compared as actions on states: linear extensions off the
         # normalized hull (e.g. embedded rotations) may differ as raw
         # matrices while commuting operationally
@@ -410,6 +497,64 @@ class VectorTheory(TheoryModel):
         return all(
             self.states_close(apply(ab, s), apply(ba, s)) for s in self.spanning_states
         )
+
+    # -- relabelings, decided on the coordinates they exchange --------------
+    #
+    # A relabeling moves entry j of a state to entry image[j].  So it keeps
+    # what a check reads of a set of states exactly when every move keeps
+    # it: when columns j and image[j] of the states agree, or the check does
+    # not read entry image[j].  Each check's D x D table of such moves is
+    # built once per theory; a verdict is one lookup in it, for one image
+    # or for a stack of them.  A table compares within the tolerance of the
+    # per-state check it replaces, so the verdicts are the same.
+
+    def _table(self, states, tol, read=None) -> np.ndarray:
+        # [j, k]: entry j of every state in ``states`` is within tol of entry k, or k is not read
+        columns = np.array([s.probs for s in states]).reshape(-1, self.state_dim).T
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails
+            table = (np.abs(columns[:, None] - columns[None, :]) <= tol).all(axis=2)
+        if read is not None:
+            table[:, ~read] = True
+        return _readonly(table, bool)
+
+    @cached_property
+    def _phase_table(self) -> np.ndarray:
+        tol = max(self.atol, PROBABILITY_FLOOR)
+        return self._table(self.spanning_states, tol, self._z_weights.any(axis=0))
+
+    @cached_property
+    def _commute_table(self) -> np.ndarray:
+        return self._table(self.spanning_states, self.atol)
+
+    @cached_property
+    def _local_tables(self) -> tuple:
+        return tuple(self._table(self.branch_local_probes(b), self.atol) for b in range(self.n_branches))
+
+    def _keeps(self, images, table) -> np.ndarray:
+        if np.shape(images)[-1] != self.state_dim:
+            raise ValueError(
+                f"map dimension {np.shape(images)[-1]} does not match theory dimension {self.state_dim}"
+            )
+        return table[self._coords, images].all(axis=-1)
+
+    def phase_mask(self, images) -> np.ndarray:
+        """Which relabelings leave every branch statistic unchanged, as
+        ``is_phase_operation`` decides on the spanning states: ``images`` is
+        one relabeling's image, or a stack of images, one per row."""
+        return self._keeps(images, self._phase_table)
+
+    def phase_rows(self) -> np.ndarray:
+        """Rows of ``group.images`` that are phase operations, in order:
+        filtered once per theory object, and again only for a new group."""
+        if self._phase_rows is None or self._phase_rows[0] is not self.group:
+            self._phase_rows = (self.group, np.flatnonzero(self.phase_mask(self.group.images)))
+        return self._phase_rows[1]
+
+    def branch_local_mask(self, images, branch: int) -> np.ndarray:
+        """Which relabelings fix every locality probe of ``branch``, as
+        ``is_branch_local`` decides state by state; ``images`` as for
+        :meth:`phase_mask`."""
+        return self._keeps(images, self._local_tables[branch])
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +577,10 @@ def apply(T: LinearMap, s: GptState) -> GptState:
     """Image of state ``s`` under ``T``.  Membership is not re-validated."""
     if T.dim != s.dim:
         raise ValueError(f"map dimension {T.dim} does not match state dimension {s.dim}")
+    if isinstance(T, Relabeling):  # entry j moves to entry image[j]
+        moved = np.empty_like(s.probs)
+        moved[T.image] = s.probs
+        return GptState(moved)
     return GptState(T.matrix @ s.probs)
 
 

@@ -4,7 +4,9 @@ A transformation is a phase operation for the branch measurement when it
 never alters branch statistics; it is localizable to a branch when it fixes
 every state with no support on that branch.  Both predicates are decided on
 finite spanning sets (exactly for the integer-matrix theories, within
-tolerance otherwise).  Finite groups are filtered exhaustively; continuous
+tolerance otherwise).  A relabeling of a vector theory is decided on its
+image, by one lookup in a table of the theory's spanning or probe states.
+Finite groups are filtered exhaustively, all images at once; continuous
 groups carry declared sub-families that are verified by seeded sampling.
 """
 
@@ -15,7 +17,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROBABILITY_FLOOR, FiniteGroup, LinearMap, ParametricFamily, TheoryModel, _exact_int, near_zero
+from .core import (
+    PROBABILITY_FLOOR,
+    FiniteGroup,
+    LinearMap,
+    ParametricFamily,
+    Relabeling,
+    TheoryModel,
+    VectorTheory,
+    _exact_int,
+    near_zero,
+)
+
+
+def _on_image(m: TheoryModel, T) -> bool:
+    # the one selection point: a relabeling of a vector theory is decided on its image
+    return isinstance(T, Relabeling) and isinstance(m, VectorTheory)
+
+
+def _check_branch(m: TheoryModel, branch: int) -> None:
+    if not 0 <= branch < m.n_branches:
+        raise ValueError(f"branch {branch} out of range for {m.n_branches} branches")
 
 
 def is_phase_operation(m: TheoryModel, T) -> bool:
@@ -24,6 +46,8 @@ def is_phase_operation(m: TheoryModel, T) -> bool:
     ``T`` must already preserve the state space; the check runs over the
     spanning set, which settles the statement for all states by linearity.
     """
+    if _on_image(m, T):
+        return bool(m.phase_mask(T.image))
     tol = max(m.atol, PROBABILITY_FLOOR)
     bp = m.branch_probabilities
     return all(near_zero(bp(m.apply(T, s)) - bp(s), tol) for s in m.spanning_states)
@@ -32,8 +56,9 @@ def is_phase_operation(m: TheoryModel, T) -> bool:
 def is_branch_local(m: TheoryModel, T, branch: int) -> bool:
     """Whether ``T`` can be localized to ``branch``: it must fix every state
     that has no probability of being found there."""
-    if not 0 <= branch < m.n_branches:
-        raise ValueError(f"branch {branch} out of range for {m.n_branches} branches")
+    _check_branch(m, branch)
+    if _on_image(m, T):
+        return bool(m.branch_local_mask(T.image, branch))
     return all(
         m.states_close(m.apply(T, s), s) for s in m.branch_local_probes(branch)
     )
@@ -97,15 +122,14 @@ def phase_group(
 ) -> PhaseGroupReport:
     """Phase group of ``m`` for its branch measurement.
 
-    Finite groups are filtered element by element.  Parametric theories
+    Finite groups are filtered on their images.  Parametric theories
     return their declared phase family after a seeded sample of members has
     passed :func:`is_phase_operation`; a failing sample is a construction
     bug and raises.  ``samples`` must be an integer of at least 1.
     """
     samples = _sample_count(samples)
     if isinstance(m.group, FiniteGroup):
-        elements = tuple(T for T in m.group.elements if is_phase_operation(m, T))
-        return PhaseGroupReport(m.name, True, elements, None)
+        return PhaseGroupReport(m.name, True, m.group.take(m.phase_rows()), None)
     family = m.group.phase_family
     _verify_family(m, family, lambda T: is_phase_operation(m, T), "phase", rng, samples)
     return PhaseGroupReport(m.name, False, None, family.description, samples)
@@ -120,11 +144,10 @@ def branch_local_subgroup(
     """Members of the phase group localizable to ``branch``."""
     samples = _sample_count(samples)
     if isinstance(m.group, FiniteGroup):
-        elements = tuple(
-            T for T in m.group.elements
-            if is_phase_operation(m, T) and is_branch_local(m, T, branch)
-        )
-        return PhaseGroupReport(m.name, True, elements, None, branch=branch)
+        _check_branch(m, branch)
+        rows = m.phase_rows()
+        rows = rows[m.branch_local_mask(m.group.images[rows], branch)]
+        return PhaseGroupReport(m.name, True, m.group.take(rows), None, branch=branch)
     family = m.group.branch_family(branch)
     _verify_family(
         m, family, lambda T: is_branch_local(m, T, branch), f"branch-{branch}", rng, samples

@@ -4,8 +4,10 @@ Probability-vector theories name their branch measurement by its layout
 block and read their branch effects off the layout.  The finite ones
 (classical systems, gbits, the two toy bits) are one exact construction:
 a vertex list, which spans the state polytope, plus named relabelings,
-the 0/1 maps that carry every outcome coordinate to another.  The two toy
-bits share their relabelings and differ only in the states they admit.
+the maps that carry every outcome coordinate to another.  A group of them
+is built as one array of images, and each relabeling as its image, its
+0/1 matrix only when read.  The two toy bits share their relabelings and
+differ only in the states they admit.
 Balls come with pole spanning sets and float tolerance.  The many-level
 quantum and quaternionic theories are backed by density matrices, by kets
 (one-column matrices) for pure states, or by diagonals for states diagonal
@@ -17,6 +19,7 @@ basis are stored as their diagonal.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import cache, cached_property
 
@@ -31,6 +34,7 @@ from .core import (
     LinearMap,
     ParametricFamily,
     ParametricGroup,
+    Relabeling,
     TheoryModel,
     VectorTheory,
     _exact_int,
@@ -102,36 +106,36 @@ def embed_rotation(R: np.ndarray, name: str = "") -> LinearMap:
 # ---------------------------------------------------------------------------
 
 
-_eye = cache(np.eye)  # read only through take, which copies
+def _relabeling(name: str, image) -> Relabeling:
+    """The relabeling carrying coordinate j to coordinate ``image[j]``,
+    stored as its image; the one constructor of a finite theory's elements."""
+    return Relabeling(image, name)
 
 
-def _relabeling(name: str, image) -> LinearMap:
-    """The 0/1 map carrying coordinate j to coordinate ``image[j]``."""
-    return LinearMap(_eye(len(image)).take(image, axis=1), name)
-
-
-def _finite_theory(name, layout, branch_measurement, vertices, relabelings, within=None) -> TheoryModel:
+def _finite_theory(name, layout, branch_measurement, vertices, images, name_of, within=None) -> TheoryModel:
     """Polytope theory with exact arithmetic: its vertices span it, and its
-    group is the relabelings, given as ``(name, image)`` pairs."""
+    group is the relabelings whose images are the int8 rows of ``images``,
+    each named by ``name_of(image)`` when it is built."""
     vertices = tuple(GptState(v) for v in vertices)
-    group = FiniteGroup(tuple(_relabeling(label, image) for label, image in relabelings))
+    group = FiniteGroup(images, lambda image: _relabeling(name_of(image), image))
     return VectorTheory(
         name, layout, branch_measurement, vertices, group, within, atol=0.0, extremal_states=vertices
     )
 
 
-#: Largest N for classical: all N! permutation maps are built at once, 40,320 at N = 8.
+#: Largest N for classical: its group holds all N! permutations, 40,320 at N = 8.
 MAX_CLASSICAL_OUTCOMES = 8
 
 
-def _classical_relabelings(N: int):
-    # one-line notation on points 1..N, delta_i maps to delta_perm(i); the
-    # names permute the digits in the same order, identity first
-    perms = itertools.permutations(range(N))
-    names = map("".join, itertools.permutations("123456789"[:N]))
-    next(names)
-    yield "identity", next(perms)
-    yield from zip(names, perms)
+def _classical_images(N: int) -> np.ndarray:
+    # one-line notation on points 1..N, delta_i maps to delta_perm(i), identity first
+    perms = itertools.chain.from_iterable(itertools.permutations(range(N)))
+    return np.fromiter(perms, np.int8, N * math.factorial(N)).reshape(-1, N)
+
+
+def _classical_name(image) -> str:
+    points = image.tolist()
+    return "identity" if points == list(range(len(points))) else "".join(str(p + 1) for p in points)
 
 
 def classical_theory(N: int) -> TheoryModel:
@@ -146,7 +150,7 @@ def classical_theory(N: int) -> TheoryModel:
         raise ValueError("a classical branch system needs N >= 2 outcomes")
     if N > MAX_CLASSICAL_OUTCOMES:
         raise ValueError(f"classical takes N <= {MAX_CLASSICAL_OUTCOMES} (MAX_CLASSICAL_OUTCOMES), got N = {N}")
-    return _finite_theory("classical", (("Z", N),), 0, np.eye(N), _classical_relabelings(N))
+    return _finite_theory("classical", (("Z", N),), 0, np.eye(N), _classical_images(N), _classical_name)
 
 
 def _gbit_labels(d: int) -> tuple[str, ...]:
@@ -157,21 +161,29 @@ def _gbit_labels(d: int) -> tuple[str, ...]:
     return ("Z",) + tuple(f"X{i}" for i in range(1, d))
 
 
-def _gbit_relabelings(labels):
+def _gbit_images(d: int) -> np.ndarray:
     # new measurement i reads old measurement sigma[i], outcomes flipped
     # when flips[i] is set: outcome q of old measurement sigma[i] lands on
-    # outcome q ^ flips[i] of measurement i
-    d = len(labels)
-    flip_names = [f"{lbl}-flip" for lbl in labels]
-    for sigma in itertools.permutations(range(d)):
-        inv = sorted(range(d), key=sigma.__getitem__)
-        perm = ["perm(" + "".join(labels[j] for j in sigma) + ")"] if sigma != tuple(range(d)) else []
-        for flips in itertools.product((0, 1), repeat=d):
-            name = "+".join(perm + [f for f, flip in zip(flip_names, flips) if flip])
-            yield name or "identity", [2 * i + (q ^ flips[i]) for i in inv for q in (0, 1)]
+    # outcome q ^ flips[i] of measurement i.  Rows run over every sigma,
+    # then every flips, both in itertools order.
+    sigmas = np.array(list(itertools.permutations(range(d))), np.int8)
+    inv = np.argsort(sigmas, axis=1).astype(np.int8)  # inv[k]: the i with sigma[i] = k
+    flips = np.array(list(itertools.product((0, 1), repeat=d)), np.int8)
+    flip = flips.T[inv].transpose(0, 2, 1)  # [sigma, flips, k]: flips[inv[k]]
+    q = np.array([0, 1], np.int8)
+    return (2 * inv[:, None, :, None] + (q ^ flip[..., None])).reshape(-1, 2 * d)
 
 
-#: Largest d for gbit<d>: all d! 2^d relabeling maps are built at once, 46,080 at d = 6.
+def _gbit_name(labels, image) -> str:
+    # "perm(...)" when the measurements move, then each flipped measurement:
+    # outcome 0 of old measurement k lands on outcome flips[i] of i = inv[k]
+    inv, flips = zip(*(divmod(v, 2) for v in image[0::2].tolist()))
+    sigma = sorted(range(len(inv)), key=inv.__getitem__)
+    moved = ["perm(" + "".join(labels[j] for j in sigma) + ")"] if inv != tuple(sorted(inv)) else []
+    return "+".join(moved + [f"{labels[i]}-flip" for i, flip in sorted(zip(inv, flips)) if flip]) or "identity"
+
+
+#: Largest d for gbit<d>: its group holds all d! 2^d relabelings, 46,080 at d = 6.
 MAX_GBIT_MEASUREMENTS = 6
 
 
@@ -190,7 +202,8 @@ def gbit_theory(d: int) -> TheoryModel:
         for outcomes in itertools.product((0, 1), repeat=d)
     ]
     return _finite_theory(
-        f"gbit{d}", tuple((lbl, 2) for lbl in labels), 0, vertices, _gbit_relabelings(labels)
+        f"gbit{d}", tuple((lbl, 2) for lbl in labels), 0, vertices, _gbit_images(d),
+        lambda image: _gbit_name(labels, image),
     )
 
 
@@ -306,13 +319,22 @@ def _spekkens_xyz(s: GptState) -> tuple[float, float, float]:
     return (p[0] - p[1], p[2] - p[3], p[4] - p[5])
 
 
-def _toy_relabelings():
-    # a permutation of the four points permutes the six two-element subsets
+@cache
+def _toy_names() -> dict:
+    # a permutation of the four points permutes the six two-element subsets;
+    # each image, as a tuple, to the point permutation that names it
     index = {subset: k for k, subset in enumerate(SPEKKENS_SUBSETS)}
     pairs = [sorted(subset) for subset in SPEKKENS_SUBSETS]
-    for perm in itertools.permutations((1, 2, 3, 4)):
-        image = [index[frozenset((perm[a - 1], perm[b - 1]))] for a, b in pairs]
-        yield "".join(map(str, perm)), image
+    return {
+        tuple(index[frozenset((perm[a - 1], perm[b - 1]))] for a, b in pairs): "".join(map(str, perm))
+        for perm in itertools.permutations((1, 2, 3, 4))
+    }
+
+
+def _toy_theory(name, vertices, within) -> TheoryModel:
+    names = _toy_names()
+    images = np.array(list(names), np.int8)
+    return _finite_theory(name, _SPEKKENS_LAYOUT, -1, vertices, images, lambda image: names[tuple(image.tolist())], within)
 
 
 def _in_tetrahedron(s: GptState) -> bool:
@@ -330,9 +352,7 @@ def _in_octahedron(s: GptState) -> bool:
 def spekkens_ontic_theory() -> TheoryModel:
     """Hidden-variable tetrahedron: convex mixtures of the four points."""
     vertices = [spekkens_ontic_statistics(p).probs for p in (1, 2, 3, 4)]
-    return _finite_theory(
-        "spekkens-ontic", _SPEKKENS_LAYOUT, -1, vertices, _toy_relabelings(), _in_tetrahedron
-    )
+    return _toy_theory("spekkens-ontic", vertices, _in_tetrahedron)
 
 
 def spekkens_epistemic_theory() -> TheoryModel:
@@ -341,9 +361,7 @@ def spekkens_epistemic_theory() -> TheoryModel:
     It differs from the ontic tetrahedron only in the states it admits; the
     two share the group of point permutations."""
     vertices = [spekkens_epistemic_statistics(sub).probs for sub in SPEKKENS_SUBSETS]
-    return _finite_theory(
-        "spekkens-epistemic", _SPEKKENS_LAYOUT, -1, vertices, _toy_relabelings(), _in_octahedron
-    )
+    return _toy_theory("spekkens-epistemic", vertices, _in_octahedron)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ this is library code; nothing under ``src/`` calls it.
 
 import numpy as np
 
-from gptifer.core import DiagonalMap, GptState, LinearMap, near_zero
+from gptifer.core import PROBABILITY_FLOOR, DiagonalMap, GptState, LinearMap, apply, near_zero
 from gptifer.interferometer import OracleSpec, build_oracle, sign_encoding
 from gptifer.quaternion import QuatMatrix, Quaternion, _conj, _hamilton_entrywise, _hamilton_matmul
 from gptifer.theories import QuaternionicTheory, embed_rotation, random_rotation
@@ -47,6 +47,37 @@ def random_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R)
     return Q * (d / np.abs(d))[None, :]
+
+
+# -- per-state predicates on dense maps ----------------------------------------------
+#
+# The operational definitions that the exact relabeling predicates are
+# compared against: the map as a dense matrix, applied to one state at a time.
+
+
+def dense(T) -> LinearMap:
+    """``T`` as a dense map of the same matrix, acting by matrix product."""
+    return LinearMap(T.matrix, T.name)
+
+
+def reference_is_phase_operation(m, T) -> bool:
+    tol = max(m.atol, PROBABILITY_FLOOR)
+    bp = m.branch_probabilities
+    return all(near_zero(bp(m.apply(dense(T), s)) - bp(s), tol) for s in m.spanning_states)
+
+
+def reference_is_branch_local(m, T, branch: int) -> bool:
+    return all(m.states_close(m.apply(dense(T), s), s) for s in m.branch_local_probes(branch))
+
+
+def reference_is_identity_map(m, T) -> bool:
+    return near_zero(T.matrix - np.eye(m.state_dim), m.atol)
+
+
+def reference_maps_commute(m, a, b) -> bool:
+    ab = LinearMap(a.matrix @ b.matrix)
+    ba = LinearMap(b.matrix @ a.matrix)
+    return all(m.states_close(apply(ab, s), apply(ba, s)) for s in m.spanning_states)
 
 
 # -- ball rotations --------------------------------------------------------------
