@@ -220,14 +220,17 @@ class FiniteGroup:
     """Finite group of relabelings, closed under composition.
 
     ``images`` is one read-only (order, D) integer array: row i is the image
-    of element i, a permutation of 0..D-1.  ``element(image)`` builds the
-    element of one row, with its name.  :attr:`elements` builds them all,
-    in row order, when first read, so a built group holds no per-element
-    object: 46,080 elements over D = 12 take 553 KB as int8 rows.
+    of element i, a permutation of 0..D-1.  ``name_of(image)`` names the
+    element of one row, and ``build(image, name)`` builds it.
+    :attr:`elements` builds them all, in row order, when first read, so a
+    built group holds no per-element object: 46,080 elements over D = 12
+    take 553 KB as int8 rows.  :meth:`by_name` names rows until one matches
+    and builds that element alone.
     """
 
     images: np.ndarray
-    element: Callable[[np.ndarray], Relabeling]
+    name_of: Callable[[np.ndarray], str]
+    build: Callable[[np.ndarray, str], Relabeling] = Relabeling
 
     def __post_init__(self):
         object.__setattr__(self, "images", _readonly(self.images, None))
@@ -244,14 +247,18 @@ class FiniteGroup:
     def elements(self) -> tuple[Relabeling, ...]:
         return self.take(range(len(self)))
 
+    def element(self, image) -> Relabeling:
+        """The element whose image is ``image``, with its name."""
+        return self.build(image, self.name_of(image))
+
     def take(self, rows) -> tuple[Relabeling, ...]:
         """The elements of ``rows``, in their order."""
         return tuple(self.element(self.images[i]) for i in rows)
 
     def by_name(self, name: str) -> Relabeling:
-        for e in self.elements:
-            if e.name == name:
-                return e
+        for image in self.images:
+            if self.name_of(image) == name:
+                return self.build(image, name)
         raise KeyError(name)
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Effect, GptState, TheoryModel, VectorTheory, _exact_int, near_zero
+from .lp import linprog
 from .phase import is_branch_local, localizable_union
 from .theories import (
     MatrixTheory,
@@ -297,17 +298,6 @@ def run_dj_with_global_oracle(m: TheoryModel, spec: OracleSpec, balanced_op, s_i
 WEAK_MARGIN = 1e-6
 
 
-def linprog(*args, **kwargs):
-    """scipy's ``linprog``, imported on the first solve.
-
-    Importing ``scipy.optimize`` takes most of a cold ``import gptifer``, and
-    only the polytope effect search solves an LP, so every other run skips it.
-    """
-    from scipy.optimize import linprog as solve
-
-    return solve(*args, **kwargs)
-
-
 def find_distinguishing_effect(
     m: TheoryModel,
     enc: BranchEncoding,
@@ -321,13 +311,14 @@ def find_distinguishing_effect(
     pairing 1 with every constant output and 0 with every balanced output;
     weak mode demands a majority margin on both sides.  Round and
     matrix-backed theories raise :class:`UnsupportedTheoryError`.
-    Returns a witness effect, or None when no effect exists: for the LP,
-    only when the solver proves the constraints infeasible.  Any other
-    solver failure raises RuntimeError rather than claim a no-go.
+    Returns a witness effect, checked exactly against every constraint, or
+    None only with a checked Farkas certificate: multipliers that prove the
+    constraints infeasible in exact arithmetic (see :mod:`gptifer.lp`).  A
+    failed exact check raises :class:`NumericConsistencyError`, and any
+    other solver outcome RuntimeError, rather than claim a no-go.
     """
     if not isinstance(m, VectorTheory) or m.extremal_states is None:
         raise UnsupportedTheoryError("effect search needs a polytope theory")
-    dim = m.state_dim
     a_ub = []
     b_ub = []
     for v in m.extremal_states:
@@ -347,13 +338,10 @@ def find_distinguishing_effect(
             a_ub.append(sign * out.probs)
             b_ub.append(sign * 0.5 - WEAK_MARGIN)
     result = linprog(
-        c=np.zeros(dim),
         A_ub=np.array(a_ub),
         b_ub=np.array(b_ub),
         A_eq=np.array(a_eq) if a_eq else None,
         b_eq=np.array(b_eq) if b_eq else None,
-        bounds=[(None, None)] * dim,
-        method="highs",
     )
     if result.status == 2:
         return None

@@ -25,7 +25,8 @@ from .core import DEFAULT_ATOL, near_zero
 
 
 class NumericConsistencyError(ArithmeticError):
-    """A quantity that must be numerically real carries imaginary residue."""
+    """A numeric result fails a check it must pass: a quantity that must be
+    real carries imaginary residue, or an LP verdict fails its exact check."""
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,7 @@ def embed_rotation(R: np.ndarray, name: str = "") -> LinearMap:
 # ---------------------------------------------------------------------------
 
 
-def _relabeling(name: str, image) -> Relabeling:
+def _relabeling(image, name: str) -> Relabeling:
     """The relabeling carrying coordinate j to coordinate ``image[j]``,
     stored as its image; the one constructor of a finite theory's elements."""
     return Relabeling(image, name)
@@ -117,7 +117,7 @@ def _finite_theory(name, layout, branch_measurement, vertices, images, name_of, 
     group is the relabelings whose images are the int8 rows of ``images``,
     each named by ``name_of(image)`` when it is built."""
     vertices = tuple(GptState(v) for v in vertices)
-    group = FiniteGroup(images, lambda image: _relabeling(name_of(image), image))
+    group = FiniteGroup(images, name_of, _relabeling)
     return VectorTheory(
         name, layout, branch_measurement, vertices, group, within, atol=0.0, extremal_states=vertices
     )

@@ -27,8 +27,9 @@ Core claims:
     - a gbit, classical or ball system past its size bound exits 2 naming
       it, before any map or state is built;
       --format without --out exits 2 before the run starts
-    - a run that solves no LP never imports scipy.optimize; the first
-      effect-search solve imports it and answers as before
+    - no run imports scipy: a cold process that runs the effect search and
+      every SUITE entry ends with no scipy module loaded, and the search
+      answers as in this process
 """
 
 import csv
@@ -54,6 +55,7 @@ from gptifer.core import LinearMap
 from gptifer.theories import THEORY_NAMES
 from gptifer.experiments import (
     REGISTRY,
+    SUITE,
     ExperimentReport,
     emit_report,
     run_experiment,
@@ -525,24 +527,33 @@ def test_cli_entry_point_runs_as_module():
 
 
 def test_a_run_without_an_lp_never_imports_the_lp_solver():
-    # a cold process imports scipy.optimize on its first effect-search solve, not before
+    # the effect search solves its LP in the package: scipy is never imported, with or without an LP
     script = (
         "import contextlib, io, json, sys\n"
         "import gptifer\n"
         "from gptifer import cli\n"
+        "from gptifer.experiments import SUITE\n"
         "from gptifer.interferometer import find_distinguishing_effect, spekkens_ontic_dj_instruments\n"
+        "def scipy_loaded():\n"
+        "    return sorted(name for name in sys.modules if name == 'scipy' or name.startswith('scipy.'))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['run', 'grover', '--theory', 'quaternionic', '--N', '16'])\n"
-        "before = 'scipy.optimize' in sys.modules\n"
+        "before = scipy_loaded()\n"
         "m, enc, s_in, _ = spekkens_ontic_dj_instruments()\n"
         "found = [repr(find_distinguishing_effect(m, enc, s_in, strict)) for strict in (True, False)]\n"
-        "print(json.dumps([code, before, 'scipy.optimize' in sys.modules, found]))\n"
+        "after = scipy_loaded()\n"
+        "codes = []\n"
+        "for name, params in SUITE:\n"
+        "    argv = ['run', name] + [f'--{k}={v}' for k, v in params.items()]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "print(json.dumps([code, before, after, found, codes, scipy_loaded()]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     m, enc, s_in, _ = ifr.spekkens_ontic_dj_instruments()
     expected = [repr(ifr.find_distinguishing_effect(m, enc, s_in, strict)) for strict in (True, False)]
-    assert json.loads(proc.stdout) == [0, False, True, expected]
+    assert json.loads(proc.stdout) == [0, [], [], expected, [0] * len(SUITE), []]
     assert expected == ["None", "None"]  # the ontic toy bit admits no effect, strict or weak
 
 

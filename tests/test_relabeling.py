@@ -16,6 +16,9 @@ Core claims:
       relabeling of the wrong dimension are refused by name
     - the phase group is filtered once per theory object, for every branch
     - gbit6, 46,080 relabelings, builds under a 5 MB tracemalloc peak
+    - a name lookup builds the one element it returns, on gbit6 too; on both
+      toy bits and gbit2 every name finds the first element of that name in
+      group order, as a scan of the built elements does
 """
 
 import itertools
@@ -24,6 +27,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gptifer.theories as th
 from gptifer.core import FiniteGroup, GptState, LinearMap, Relabeling, apply
 from gptifer.phase import (
     branch_local_subgroup,
@@ -195,3 +199,25 @@ def test_gbit6_builds_under_five_megabytes():
         tracemalloc.stop()
     assert len(m.group) == 46_080
     assert peak < 5_000_000
+
+
+def test_a_name_lookup_builds_only_the_element_it_returns(monkeypatch):
+    built = []
+    real = th._relabeling
+    monkeypatch.setattr(th, "_relabeling", lambda image, name: built.append(name) or real(image, name))
+    m = gbit_theory(6)
+    found = m.group.by_name("X1-flip")
+    assert built == ["X1-flip"]
+    assert found == next(T for T in m.group.elements if T.name == "X1-flip")
+    with pytest.raises(KeyError, match="no-such-element"):
+        gbit_theory(2).group.by_name("no-such-element")
+
+
+@pytest.mark.parametrize("m", [spekkens_ontic_theory(), spekkens_epistemic_theory(), gbit_theory(2)], ids=lambda m: m.name)
+def test_every_name_finds_the_element_a_scan_finds(m):
+    first = {}
+    for T in m.group.elements:
+        first.setdefault(T.name, T)
+    for name, T in first.items():
+        found = m.group.by_name(name)
+        assert found.name == name and np.array_equal(found.image, T.image)
