@@ -12,8 +12,6 @@ from .core import (
     TheoryModel,
     VectorTheory,
     apply,
-    is_valid_effect,
-    preserves_statespace,
     probability,
 )
 from .quaternion import NumericConsistencyError, QuatMatrix

@@ -128,9 +128,8 @@ class LinearMap:
 
     ``name`` is a human-readable label used in reports ("identity",
     "X-flip", one-line permutation strings, ...).  Equality and hashing go
-    through the image of a permutation matrix, as a :class:`Relabeling`
-    stores it, and through the matrix values of any other map, so finite
-    groups can be used as sets and a relabeling equals its dense matrix.
+    through the matrix values, so finite groups can be used as sets and a
+    relabeling equals its dense matrix.
     """
 
     matrix: np.ndarray
@@ -145,24 +144,12 @@ class LinearMap:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def _image(self):
-        # the image of a permutation matrix, as a Relabeling holds it; None for any other matrix
-        image = self.matrix.argmax(axis=0) if self.dim else np.arange(0)
-        if _is_permutation(image) and np.array_equal(self.matrix, np.eye(self.dim)[:, image]):
-            return image
-        return None
-
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
-        if self._image is None and other._image is None:
-            return self.matrix.shape == other.matrix.shape and np.array_equal(self.matrix, other.matrix)
-        return self._image is not None and other._image is not None and np.array_equal(self._image, other._image)
+        return self.matrix.shape == other.matrix.shape and np.array_equal(self.matrix, other.matrix)
 
     def __hash__(self):
-        if self._image is not None:
-            return hash(self._image.tobytes())
         return hash((self.matrix.shape, (self.matrix + 0.0).tobytes()))  # + 0.0 makes -0.0 hash as 0.0
 
     def __repr__(self):
@@ -182,7 +169,7 @@ class Relabeling(LinearMap):
     It acts by moving each entry of a state to its image, with no
     arithmetic, so a NaN or infinite entry moves and nothing else changes.
     Two relabelings compose by composing their images.  ``matrix`` is built
-    only when something reads it.
+    only when something reads it, as comparing or hashing does.
     """
 
     def __init__(self, image, name: str = ""):
@@ -197,10 +184,6 @@ class Relabeling(LinearMap):
     @property
     def dim(self) -> int:
         return self.image.shape[0]
-
-    @property
-    def _image(self):
-        return self.image
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -221,7 +204,7 @@ class FiniteGroup:
 
     ``images`` is one read-only (order, D) integer array: row i is the image
     of element i, a permutation of 0..D-1.  ``name_of(image)`` names the
-    element of one row, and ``build(image, name)`` builds it.
+    element of one row.
     :attr:`elements` builds them all, in row order, when first read, so a
     built group holds no per-element object: 46,080 elements over D = 12
     take 553 KB as int8 rows.  :meth:`by_name` names rows until one matches
@@ -230,7 +213,6 @@ class FiniteGroup:
 
     images: np.ndarray
     name_of: Callable[[np.ndarray], str]
-    build: Callable[[np.ndarray, str], Relabeling] = Relabeling
 
     def __post_init__(self):
         object.__setattr__(self, "images", _readonly(self.images, None))
@@ -249,7 +231,7 @@ class FiniteGroup:
 
     def element(self, image) -> Relabeling:
         """The element whose image is ``image``, with its name."""
-        return self.build(image, self.name_of(image))
+        return Relabeling(image, self.name_of(image))
 
     def take(self, rows) -> tuple[Relabeling, ...]:
         """The elements of ``rows``, in their order."""
@@ -258,7 +240,7 @@ class FiniteGroup:
     def by_name(self, name: str) -> Relabeling:
         for image in self.images:
             if self.name_of(image) == name:
-                return self.build(image, name)
+                return Relabeling(image, name)
         raise KeyError(name)
 
 
@@ -589,32 +571,3 @@ def apply(T: LinearMap, s: GptState) -> GptState:
         moved[T.image] = s.probs
         return GptState(moved)
     return GptState(T.matrix @ s.probs)
-
-
-def preserves_statespace(m: TheoryModel, T) -> bool:
-    """Whether ``T`` maps the state space of ``m`` into itself.
-
-    Checked on the spanning set: membership of every image, plus
-    preservation of the branch-measurement normalization.
-    """
-    tol = max(m.atol, PROBABILITY_FLOOR)
-    for s in m.spanning_states:
-        out = m.apply(T, s)
-        if not m.contains(out):
-            return False
-        if not near_zero(m.branch_probabilities(out).sum() - m.branch_probabilities(s).sum(), tol):
-            return False
-    return True
-
-
-def is_valid_effect(m: TheoryModel, e: Effect) -> bool:
-    """Whether ``e`` assigns probabilities within [0, 1] on all of ``m``.
-
-    Decided on the extreme points, so this needs a polytope theory; round
-    state spaces check their designated effects analytically in tests.
-    """
-    if not isinstance(m, VectorTheory) or m.extremal_states is None:
-        raise ValueError("effect validity needs a theory with listed extreme points")
-    tol = max(m.atol, PROBABILITY_FLOOR)
-    return all(-tol <= probability(e, v) <= 1.0 + tol for v in m.extremal_states)
-

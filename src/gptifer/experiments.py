@@ -49,22 +49,6 @@ class ExperimentReport:
     def to_canonical_json(self) -> str:
         return json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        data = json.loads(text)
-        return cls(
-            experiment=data["experiment"],
-            theory=data["theory"],
-            parameters=data["parameters"],
-            results=data["results"],
-            passed=data["pass"],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ExperimentReport):
-            return NotImplemented
-        return self.canonical_dict() == other.canonical_dict()
-
     def flatten(self) -> list[tuple[str, object]]:
         rows: list[tuple[str, object]] = []
 
@@ -363,9 +347,17 @@ def _exp_localizable_union(rng, *, theory="gbit2", n=None, N=None):
     return theory, params, {"union": list(union)}, union == _finite_answers(m)[2]
 
 
+#: Largest sample count for uncertainty: its arrays peak at 170-260 bytes per drawn state.
+MAX_UNCERTAINTY_SAMPLES = 10**6
+
+
 def _exp_uncertainty(rng, *, samples=10000):
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if samples > MAX_UNCERTAINTY_SAMPLES:
+        raise ValueError(
+            f"uncertainty takes samples <= {MAX_UNCERTAINTY_SAMPLES} (MAX_UNCERTAINTY_SAMPLES), got samples = {samples}"
+        )
     states = unc.random_pure_qubit_states(samples, rng)
     lhs_s, rhs = unc.schrodinger_bound(states, unc.PAULI_X, unc.PAULI_Y)
     lhs_r, _ = unc.robertson_bound(states, unc.PAULI_X, unc.PAULI_Y)

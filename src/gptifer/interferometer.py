@@ -85,7 +85,8 @@ class OracleSpec:
         object.__setattr__(self, "table", tuple(_exact_int(b, "table entry") for b in self.table))
         if self.n < 1:
             raise ValueError("need at least one input bit")
-        if len(self.table) != 2**self.n:
+        size = len(self.table)
+        if size & (size - 1) or size.bit_length() != self.n + 1:  # 2**n, never formed
             raise ValueError(f"table must have 2**{self.n} entries")
         if any(b not in (0, 1) for b in self.table):
             raise ValueError("table entries must be bits")

@@ -12,7 +12,6 @@ groups carry declared sub-families that are verified by seeded sampling.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,18 +84,6 @@ class PhaseGroupReport:
         if self.elements is None:
             return ()
         return tuple(sorted(e.name for e in self.elements))
-
-    def to_canonical_json(self) -> str:
-        payload = {
-            "theory": self.theory,
-            "is_finite": self.is_finite,
-            "elements": list(self.element_names()) if self.is_finite else None,
-            "family": self.family,
-            "verified_samples": self.verified_samples,
-        }
-        if self.branch is not None:
-            payload["branch"] = self.branch
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _sample_count(samples) -> int:

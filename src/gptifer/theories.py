@@ -34,7 +34,6 @@ from .core import (
     LinearMap,
     ParametricFamily,
     ParametricGroup,
-    Relabeling,
     TheoryModel,
     VectorTheory,
     _exact_int,
@@ -90,14 +89,14 @@ def embed_rotation(R: np.ndarray, name: str = "") -> LinearMap:
     d = R.shape[0]
     M = np.zeros((2 * d, 2 * d))
     offsets = 0.5 * (1.0 - R.sum(axis=1))
-    for i in range(d):
-        for j in range(d):
-            M[2 * i, 2 * j] += R[i, j]
-        M[2 * i, 2 * i] += offsets[i]
-        M[2 * i, 2 * i + 1] += offsets[i]
-        M[2 * i + 1] = -M[2 * i]
-        M[2 * i + 1, 2 * i] += 1.0
-        M[2 * i + 1, 2 * i + 1] += 1.0
+    plus = 2 * np.arange(d)
+    minus = plus + 1
+    M[0::2, 0::2] += R  # added onto zeros, so a -0.0 entry lands as 0.0
+    M[plus, plus] += offsets
+    M[plus, minus] += offsets
+    M[1::2] = -M[0::2]
+    M[minus, plus] += 1.0
+    M[minus, minus] += 1.0
     return LinearMap(M, name)
 
 
@@ -106,18 +105,12 @@ def embed_rotation(R: np.ndarray, name: str = "") -> LinearMap:
 # ---------------------------------------------------------------------------
 
 
-def _relabeling(image, name: str) -> Relabeling:
-    """The relabeling carrying coordinate j to coordinate ``image[j]``,
-    stored as its image; the one constructor of a finite theory's elements."""
-    return Relabeling(image, name)
-
-
 def _finite_theory(name, layout, branch_measurement, vertices, images, name_of, within=None) -> TheoryModel:
     """Polytope theory with exact arithmetic: its vertices span it, and its
     group is the relabelings whose images are the int8 rows of ``images``,
     each named by ``name_of(image)`` when it is built."""
     vertices = tuple(GptState(v) for v in vertices)
-    group = FiniteGroup(images, name_of, _relabeling)
+    group = FiniteGroup(images, name_of)
     return VectorTheory(
         name, layout, branch_measurement, vertices, group, within, atol=0.0, extremal_states=vertices
     )
@@ -248,7 +241,7 @@ def _ball_theory(name: str, labels: tuple[str, ...]) -> TheoryModel:
     )
 
 
-#: Largest d for dball<d>: embedding one rotation loops over its d² entries in Python.
+#: Largest d for dball<d>: its phase check applies sampled 2d x 2d rotations to 2d + 1 spanning states.
 MAX_BALL_MEASUREMENTS = 64
 
 

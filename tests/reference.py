@@ -7,7 +7,7 @@ this is library code; nothing under ``src/`` calls it.
 
 import numpy as np
 
-from gptifer.core import PROBABILITY_FLOOR, DiagonalMap, GptState, LinearMap, apply, near_zero
+from gptifer.core import PROBABILITY_FLOOR, DiagonalMap, Effect, GptState, LinearMap, VectorTheory, apply, near_zero, probability
 from gptifer.interferometer import OracleSpec, build_oracle, sign_encoding
 from gptifer.quaternion import QuatMatrix, Quaternion, _conj, _hamilton_entrywise, _hamilton_matmul
 from gptifer.theories import QuaternionicTheory, embed_rotation, random_rotation
@@ -80,12 +80,61 @@ def reference_maps_commute(m, a, b) -> bool:
     return all(m.states_close(apply(ab, s), apply(ba, s)) for s in m.spanning_states)
 
 
+# -- validity of maps and effects -------------------------------------------------
+
+
+def preserves_statespace(m, T) -> bool:
+    """Whether ``T`` maps the state space of ``m`` into itself.
+
+    Checked on the spanning set: membership of every image, plus
+    preservation of the branch-measurement normalization.
+    """
+    tol = max(m.atol, PROBABILITY_FLOOR)
+    for s in m.spanning_states:
+        out = m.apply(T, s)
+        if not m.contains(out):
+            return False
+        if not near_zero(m.branch_probabilities(out).sum() - m.branch_probabilities(s).sum(), tol):
+            return False
+    return True
+
+
+def is_valid_effect(m, e: Effect) -> bool:
+    """Whether ``e`` assigns probabilities within [0, 1] on all of ``m``.
+
+    Decided on the extreme points, so this needs a polytope theory; round
+    state spaces check their designated effects analytically in tests.
+    """
+    if not isinstance(m, VectorTheory) or m.extremal_states is None:
+        raise ValueError("effect validity needs a theory with listed extreme points")
+    tol = max(m.atol, PROBABILITY_FLOOR)
+    return all(-tol <= probability(e, v) <= 1.0 + tol for v in m.extremal_states)
+
+
 # -- ball rotations --------------------------------------------------------------
 
 
 def random_ball_rotation(d: int, rng: np.random.Generator) -> LinearMap:
     """Random SO(d) rotation of the d-ball, embedded in the probability layout."""
     return embed_rotation(random_rotation(d, rng))
+
+
+def reference_embed_rotation(R: np.ndarray) -> np.ndarray:
+    """The matrix of ``embed_rotation(R)``, built entry by entry in the
+    order of the original double loop."""
+    R = np.asarray(R, dtype=float)
+    d = R.shape[0]
+    M = np.zeros((2 * d, 2 * d))
+    offsets = 0.5 * (1.0 - R.sum(axis=1))
+    for i in range(d):
+        for j in range(d):
+            M[2 * i, 2 * j] += R[i, j]
+        M[2 * i, 2 * i] += offsets[i]
+        M[2 * i, 2 * i + 1] += offsets[i]
+        M[2 * i + 1] = -M[2 * i]
+        M[2 * i + 1, 2 * i] += 1.0
+        M[2 * i + 1, 2 * i + 1] += 1.0
+    return M
 
 
 # -- qubit states in the six-entry layout --------------------------------------

@@ -25,7 +25,8 @@ Core claims:
       so do the classical and gbit dj-sweep entries; the branch-local and
       union runs filter the finite group without a phase_group run
     - a gbit, classical or ball system past its size bound exits 2 naming
-      it, before any map or state is built;
+      it, before its group or any state is built; so does an uncertainty run
+      past MAX_UNCERTAINTY_SAMPLES, before any state is drawn;
       --format without --out exits 2 before the run starts
     - no run imports scipy: a cold process that runs the effect search and
       every SUITE entry ends with no scipy module loaded, and the search
@@ -50,10 +51,12 @@ import gptifer.cli as cli
 import gptifer.interferometer as ifr
 import gptifer.phase as ph
 import gptifer.theories as th
+import gptifer.uncertainty as unc
 from gptifer.cli import build_parser, main
 from gptifer.core import LinearMap
 from gptifer.theories import THEORY_NAMES
 from gptifer.experiments import (
+    MAX_UNCERTAINTY_SAMPLES,
     REGISTRY,
     SUITE,
     ExperimentReport,
@@ -242,7 +245,9 @@ def test_json_round_trip_and_content_equality(tmp_path):
     report = run_experiment("containment", {})
     path = tmp_path / "report.json"
     emit_report(report, path)
-    parsed = ExperimentReport.from_json(path.read_text())
+    data = json.loads(path.read_text())
+    assert data == report.canonical_dict()
+    parsed = ExperimentReport(data["experiment"], data["theory"], data["parameters"], data["results"], data["pass"])
     assert parsed == report
 
 
@@ -558,10 +563,10 @@ def test_a_run_without_an_lp_never_imports_the_lp_solver():
 
 
 def test_cli_refuses_a_gbit_past_the_bound_before_building_it(monkeypatch, capsys):
-    def no_map(*args):
-        raise AssertionError("a relabeling map was built")
+    def no_images(*args):
+        raise AssertionError("a gbit group was built")
 
-    monkeypatch.setattr(th, "_relabeling", no_map)
+    monkeypatch.setattr(th, "_gbit_images", no_images)
     with pytest.raises(SystemExit) as exc:
         main(["run", "phase-group", "--theory", "gbit10"])
     assert exc.value.code == 2
@@ -586,16 +591,30 @@ def test_cli_refuses_a_ball_past_the_bound_before_building_it(d, monkeypatch, ca
 
 @pytest.mark.parametrize("N", [9, 12])
 def test_cli_refuses_a_classical_system_past_the_bound_before_building_it(N, monkeypatch, capsys):
-    def no_map(*args):
-        raise AssertionError("a permutation map was built")
+    def no_images(*args):
+        raise AssertionError("a permutation group was built")
 
-    monkeypatch.setattr(th, "_relabeling", no_map)
+    monkeypatch.setattr(th, "_classical_images", no_images)
     with pytest.raises(SystemExit) as exc:
         main(["run", "phase-group", "--theory", "classical", "--N", str(N)])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"classical takes N <= 8 (MAX_CLASSICAL_OUTCOMES), got N = {N}" in captured.err
+
+
+def test_cli_refuses_uncertainty_samples_past_the_bound_before_drawing_any(monkeypatch, capsys):
+    def no_states(*args):
+        raise AssertionError("a qubit state was drawn")
+
+    monkeypatch.setattr(unc, "random_pure_qubit_states", no_states)
+    samples = MAX_UNCERTAINTY_SAMPLES + 1
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "uncertainty", "--samples", str(samples)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"uncertainty takes samples <= 1000000 (MAX_UNCERTAINTY_SAMPLES), got samples = {samples}" in captured.err
 
 
 FINITE_THEORIES = [

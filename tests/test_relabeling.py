@@ -27,7 +27,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import gptifer.theories as th
+import gptifer.core as core
 from gptifer.core import FiniteGroup, GptState, LinearMap, Relabeling, apply
 from gptifer.phase import (
     branch_local_subgroup,
@@ -203,8 +203,13 @@ def test_gbit6_builds_under_five_megabytes():
 
 def test_a_name_lookup_builds_only_the_element_it_returns(monkeypatch):
     built = []
-    real = th._relabeling
-    monkeypatch.setattr(th, "_relabeling", lambda image, name: built.append(name) or real(image, name))
+
+    class Counted(Relabeling):
+        def __init__(self, image, name=""):
+            built.append(name)
+            super().__init__(image, name)
+
+    monkeypatch.setattr(core, "Relabeling", Counted)
     m = gbit_theory(6)
     found = m.group.by_name("X1-flip")
     assert built == ["X1-flip"]

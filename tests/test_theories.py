@@ -2,12 +2,13 @@
 
 Core claims:
     - classical: simplex, permutation group only, fair coin valid; N is
-      bounded by MAX_CLASSICAL_OUTCOMES = 8, checked before any map is built
+      bounded by MAX_CLASSICAL_OUTCOMES = 8, checked before the group is built
     - qubit: six-entry layout with ball membership, pole and plus states
     - gbit: hypercube vertices, hyperoctahedral group order 2^d d!; d is
-      bounded by MAX_GBIT_MEASUREMENTS = 6, checked before any map is built
+      bounded by MAX_GBIT_MEASUREMENTS = 6, checked before the group is built
     - dball: center and surface behavior, d=3 matches the qubit exactly; d is
-      bounded by MAX_BALL_MEASUREMENTS = 64, checked before any state is built
+      bounded by MAX_BALL_MEASUREMENTS = 64, checked before any state is built;
+      embed_rotation gives the bytes of the entry-by-entry loop
     - toy bit: recorded subset-sign convention fixes all statistics vectors;
       epistemic pure states have one deterministic pair and the rest uniform
     - quaternionic two-level states project exactly onto the 5-ball
@@ -108,7 +109,7 @@ import numpy as np
 import pytest
 
 import gptifer.theories as th
-from gptifer.core import DiagonalMap, Effect, GptState, LinearMap, near_zero, preserves_statespace
+from gptifer.core import DiagonalMap, Effect, GptState, LinearMap, near_zero
 from gptifer.quaternion import (
     NumericConsistencyError,
     QuatMatrix,
@@ -144,6 +145,7 @@ from gptifer.theories import (
     theory_sizes,
 )
 from reference import (
+    preserves_statespace,
     quat_diagonal,
     quat_pure,
     quaternionic_two_level_gpt_state,
@@ -154,6 +156,7 @@ from reference import (
     random_symplectic,
     random_unit_quaternion,
     random_unitary,
+    reference_embed_rotation,
 )
 
 
@@ -227,10 +230,10 @@ def test_gbit_size_is_bounded_before_any_map_is_built(monkeypatch):
     # the largest gbit still builds its whole hyperoctahedral group
     assert len(gbit_theory(MAX_GBIT_MEASUREMENTS).group.elements) == 720 * 2**6
 
-    def no_map(*args):
-        raise AssertionError("a relabeling map was built")
+    def no_images(*args):
+        raise AssertionError("a gbit group was built")
 
-    monkeypatch.setattr(th, "_relabeling", no_map)
+    monkeypatch.setattr(th, "_gbit_images", no_images)
     for d in (1, MAX_GBIT_MEASUREMENTS + 1, 10):
         with pytest.raises(ValueError, match=rf"^gbit<d> takes 2 <= d <= 6 \(MAX_GBIT_MEASUREMENTS\), got d = {d}$"):
             theory_by_name(f"gbit{d}")
@@ -240,10 +243,10 @@ def test_classical_size_is_bounded_before_any_map_is_built(monkeypatch):
     # the largest classical system still builds its whole permutation group
     assert len(classical_theory(MAX_CLASSICAL_OUTCOMES).group.elements) == 40_320
 
-    def no_map(*args):
-        raise AssertionError("a permutation map was built")
+    def no_images(*args):
+        raise AssertionError("a permutation group was built")
 
-    monkeypatch.setattr(th, "_relabeling", no_map)
+    monkeypatch.setattr(th, "_classical_images", no_images)
     for N in (MAX_CLASSICAL_OUTCOMES + 1, 12):
         with pytest.raises(ValueError, match=rf"^classical takes N <= 8 \(MAX_CLASSICAL_OUTCOMES\), got N = {N}$"):
             theory_by_name("classical", N=N)
@@ -334,6 +337,17 @@ def test_rotation_embedding_composes_on_states():
                 (product.matrix @ s.probs), (direct.matrix @ s.probs), atol=1e-12
             )
     np.testing.assert_array_equal(embed_rotation(np.eye(3)).matrix, np.eye(6))
+
+
+def test_rotation_embedding_matches_the_loop_byte_for_byte():
+    from gptifer.theories import embed_rotation, random_rotation
+
+    rng = np.random.default_rng(25)
+    for d in [*range(1, 12), MAX_BALL_MEASUREMENTS]:
+        half_turn = np.diag([-1.0, -1.0] + [1.0] * (d - 2)) if d >= 2 else np.eye(1)
+        signed_zeros = -np.eye(d)  # its off-diagonal -0.0 entries land as 0.0
+        for R in [random_rotation(d, rng) for _ in range(20)] + [half_turn, signed_zeros]:
+            assert embed_rotation(R).matrix.tobytes() == reference_embed_rotation(R).tobytes()
 
 
 def test_three_ball_equals_qubit_state_space():
