@@ -36,12 +36,18 @@ def near_zero(x, atol: float) -> bool:
     return bool(not x.any() or np.abs(x).max() <= atol)
 
 
-def _exact_int(value, label: str) -> int:
-    # bool, str and float are refused rather than coerced; numpy integers
-    # become the equal Python int so that specs compare and serialize alike
+def _exact_int(value, label: str, low=None, high=None, owner: str = "", bound: str = "") -> int:
+    # the one integer rule for every size, count and branch index: bool, str and float are
+    # refused rather than coerced, and numpy integers become the equal Python int so that specs
+    # compare and serialize alike; a value outside [low, high] (either end optional) is refused
+    # as "{owner} takes {low} <= {label} <= {high} ({bound}), got {label} = {value}"
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{label} must be an integer, got {value!r}")
-    return operator.index(value)
+        raise ValueError(f"{label} must be an integer{f' for {owner}' if owner else ''}, got {value!r}")
+    value = operator.index(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        span = " <= ".join(str(x) for x in (low, label, high) if x is not None)
+        raise ValueError(f"{owner} takes {span}{f' ({bound})' if bound else ''}, got {label} = {value}")
+    return value
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -335,10 +341,14 @@ class TheoryModel:
             for b in range(self.n_branches)
         )
 
+    def _branch(self, branch) -> int:
+        # a branch index of this theory, by the one integer rule
+        return _exact_int(branch, "branch", 0, self._n_branches - 1, self.name)
+
     def face_states(self, branch: int) -> tuple:
         """Affine spanning set of the zero-support face of ``branch``: the
         spanning states with no probability on it."""
-        return self._faces[branch]
+        return self._faces[self._branch(branch)]
 
     def branch_local_probes(self, branch: int) -> tuple:
         """States probed by the branch-locality test.

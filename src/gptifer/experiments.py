@@ -277,8 +277,7 @@ DJ_SWEEP = {
 def _exp_grover(rng, *, theory="quantum", N=16, marked=None, iterations=None):
     # N is checked, and its bound refused under its own name, before the budget (the default for iterations) is taken from it
     cfg = ifr.GroverConfig(N, N // 3 if marked is None else marked, iterations or 0)
-    if N > th.MAX_MATRIX_LEVELS:
-        raise ValueError(f"grover takes N <= {th.MAX_MATRIX_LEVELS} (MAX_MATRIX_LEVELS), got N = {N}")
+    _exact_int(N, "N", 2, th.MAX_MATRIX_LEVELS, "grover", "MAX_MATRIX_LEVELS")
     budget = ifr.grover_iteration_budget(N)
     if iterations is None:
         cfg = replace(cfg, iterations=budget)
@@ -352,12 +351,7 @@ MAX_UNCERTAINTY_SAMPLES = 10**6
 
 
 def _exp_uncertainty(rng, *, samples=10000):
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if samples > MAX_UNCERTAINTY_SAMPLES:
-        raise ValueError(
-            f"uncertainty takes samples <= {MAX_UNCERTAINTY_SAMPLES} (MAX_UNCERTAINTY_SAMPLES), got samples = {samples}"
-        )
+    samples = _exact_int(samples, "samples", 1, MAX_UNCERTAINTY_SAMPLES, "uncertainty", "MAX_UNCERTAINTY_SAMPLES")
     states = unc.random_pure_qubit_states(samples, rng)
     lhs_s, rhs = unc.schrodinger_bound(states, unc.PAULI_X, unc.PAULI_Y)
     lhs_r, _ = unc.robertson_bound(states, unc.PAULI_X, unc.PAULI_Y)

@@ -79,12 +79,10 @@ class OracleSpec:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _exact_int(self.n, "n"))
+        object.__setattr__(self, "n", _exact_int(self.n, "n", low=1, owner="OracleSpec"))
         if isinstance(self.table, (str, bytes)) or not isinstance(self.table, (Sequence, np.ndarray)):
             raise ValueError(f"table must be a sequence of bits, got {self.table!r}")
         object.__setattr__(self, "table", tuple(_exact_int(b, "table entry") for b in self.table))
-        if self.n < 1:
-            raise ValueError("need at least one input bit")
         size = len(self.table)
         if size & (size - 1) or size.bit_length() != self.n + 1:  # 2**n, never formed
             raise ValueError(f"table must have 2**{self.n} entries")
@@ -124,8 +122,7 @@ MAX_PROMISE_BITS = 4
 def check_promise_bits(n: int) -> None:
     """Raise ValueError if n is above :data:`MAX_PROMISE_BITS`; a sweep calls
     this before it builds its instruments."""
-    if n > MAX_PROMISE_BITS:
-        raise ValueError(f"promise tables are enumerated for n <= {MAX_PROMISE_BITS}, got n = {n}")
+    _exact_int(n, "n", high=MAX_PROMISE_BITS, owner="constant_balanced_specs", bound="MAX_PROMISE_BITS")
 
 
 def constant_balanced_specs(n: int) -> tuple[OracleSpec, ...]:
@@ -170,6 +167,11 @@ class DJOutcome:
     output_state: object
 
 
+#: Largest number of search rounds: a curve keeps one probability per round, and
+#: its closed form another, about 64 MB at 10**6 rounds.
+MAX_GROVER_ITERATIONS = 10**6
+
+
 @dataclass(frozen=True)
 class GroverConfig:
     """Unordered-search setup: N branches, one marked, k repetitions."""
@@ -179,14 +181,12 @@ class GroverConfig:
     iterations: int
 
     def __post_init__(self):
-        for name in ("N", "marked", "iterations"):
-            object.__setattr__(self, name, _exact_int(getattr(self, name), name))
+        object.__setattr__(self, "N", _exact_int(self.N, "N"))
         if self.N < 2 or self.N & (self.N - 1):
             raise ValueError("N must be a power of two, at least 2")
-        if not 0 <= self.marked < self.N:
-            raise ValueError("marked branch out of range")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
+        object.__setattr__(self, "marked", _exact_int(self.marked, "marked", 0, self.N - 1, "GroverConfig"))
+        iterations = _exact_int(self.iterations, "iterations", 0, MAX_GROVER_ITERATIONS, "GroverConfig", "MAX_GROVER_ITERATIONS")
+        object.__setattr__(self, "iterations", iterations)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -212,7 +212,7 @@ def validate_encoding(m: TheoryModel, enc: BranchEncoding) -> None:
     the ascending-index composition order is physically irrelevant.  Identity
     members are exempt (the identity fixes every state and commutes with all)."""
     if enc.n_branches != m.n_branches:
-        raise ValueError("encoding and truth table must cover every branch")
+        raise ValueError(f"encoding covers {enc.n_branches} branches, theory {m.name!r} has {m.n_branches}")
     nontrivial = []
     failures = []
     for branch, bit, T in enc.members():
@@ -241,7 +241,7 @@ def _compose(m: TheoryModel, table, enc: BranchEncoding):
 def build_oracle(m: TheoryModel, spec: OracleSpec, enc: BranchEncoding):
     """Validate the encoding, then compose the choices the truth table selects."""
     if len(spec.table) != m.n_branches:
-        raise ValueError("encoding and truth table must cover every branch")
+        raise ValueError(f"truth table covers {len(spec.table)} branches, theory {m.name!r} has {m.n_branches}")
     validate_encoding(m, enc)
     return _compose(m, spec.table, enc)
 
@@ -275,9 +275,10 @@ def promise_sweep(m: TheoryModel, enc: BranchEncoding, s_in):
     """(spec, output state) per promise table on log2 N bits, in the order of
     :func:`constant_balanced_specs`, each state bit for bit as :func:`run_dj`
     forms it.  The encoding is validated once, before any table is composed."""
-    specs = constant_balanced_specs(int(round(math.log2(m.n_branches))))
-    if len(specs[0].table) != m.n_branches:
-        raise ValueError("encoding and truth table must cover every branch")
+    N = m.n_branches
+    if N & (N - 1):
+        raise ValueError(f"promise tables cover 2**n branches, theory {m.name!r} has {N}, no power of two")
+    specs = constant_balanced_specs(N.bit_length() - 1)
     validate_encoding(m, enc)
     return ((spec, m.apply(_compose(m, spec.table, enc), s_in)) for spec in specs)
 
@@ -378,11 +379,10 @@ def grover_success_curve(m: TheoryModel, marked: int, max_iterations: int):
     state stays pure, so it is evolved as a ket, O(N^2) per round, and read
     through the marked branch's diagonal effect in O(N).
     """
-    marked, max_iterations = _exact_int(marked, "marked"), _exact_int(max_iterations, "max_iterations")
-    if not 0 <= marked < m.n_branches:
-        raise ValueError(f"marked branch {marked} is outside [0, {m.n_branches})")
-    if max_iterations < 0:
-        raise ValueError("max_iterations must be non-negative")
+    marked = _exact_int(marked, "marked", 0, m.n_branches - 1, "grover_success_curve")
+    max_iterations = _exact_int(
+        max_iterations, "max_iterations", 0, MAX_GROVER_ITERATIONS, "grover_success_curve", "MAX_GROVER_ITERATIONS"
+    )
     if m.beamsplitter is None:
         diagnosis = ""
         try:

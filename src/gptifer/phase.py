@@ -34,11 +34,6 @@ def _on_image(m: TheoryModel, T) -> bool:
     return isinstance(T, Relabeling) and isinstance(m, VectorTheory)
 
 
-def _check_branch(m: TheoryModel, branch: int) -> None:
-    if not 0 <= branch < m.n_branches:
-        raise ValueError(f"branch {branch} out of range for {m.n_branches} branches")
-
-
 def is_phase_operation(m: TheoryModel, T) -> bool:
     """Whether ``T`` leaves every branch-measurement statistic unchanged.
 
@@ -55,7 +50,7 @@ def is_phase_operation(m: TheoryModel, T) -> bool:
 def is_branch_local(m: TheoryModel, T, branch: int) -> bool:
     """Whether ``T`` can be localized to ``branch``: it must fix every state
     that has no probability of being found there."""
-    _check_branch(m, branch)
+    branch = m._branch(branch)
     if _on_image(m, T):
         return bool(m.branch_local_mask(T.image, branch))
     return all(
@@ -86,14 +81,6 @@ class PhaseGroupReport:
         return tuple(sorted(e.name for e in self.elements))
 
 
-def _sample_count(samples) -> int:
-    # an integer count of at least one, checked before any group is read
-    samples = _exact_int(samples, "samples")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    return samples
-
-
 def _verify_family(m: TheoryModel, family: ParametricFamily, holds, claim: str, rng, samples):
     # a declared family is evidence only through seeded samples that pass
     rng = np.random.default_rng(0) if rng is None else rng
@@ -114,7 +101,7 @@ def phase_group(
     passed :func:`is_phase_operation`; a failing sample is a construction
     bug and raises.  ``samples`` must be an integer of at least 1.
     """
-    samples = _sample_count(samples)
+    samples = _exact_int(samples, "samples", low=1, owner="phase_group")
     if isinstance(m.group, FiniteGroup):
         return PhaseGroupReport(m.name, True, m.group.take(m.phase_rows()), None)
     family = m.group.phase_family
@@ -129,9 +116,9 @@ def branch_local_subgroup(
     samples: int = 100,
 ) -> PhaseGroupReport:
     """Members of the phase group localizable to ``branch``."""
-    samples = _sample_count(samples)
+    samples = _exact_int(samples, "samples", low=1, owner="branch_local_subgroup")
+    branch = m._branch(branch)
     if isinstance(m.group, FiniteGroup):
-        _check_branch(m, branch)
         rows = m.phase_rows()
         rows = rows[m.branch_local_mask(m.group.images[rows], branch)]
         return PhaseGroupReport(m.name, True, m.group.take(rows), None, branch=branch)

@@ -41,23 +41,10 @@ class Quaternion:
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return qmul(self, other)
-        if isinstance(other, (int, float)):
-            return Quaternion(self.a * other, self.b * other, self.c * other, self.d * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.a * other, self.b * other, self.c * other, self.d * other)
         return NotImplemented
 
     def __add__(self, other):
         return Quaternion(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other):
-        return Quaternion(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
-    def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)

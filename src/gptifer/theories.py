@@ -139,10 +139,7 @@ def classical_theory(N: int) -> TheoryModel:
     those enter the group.  N above :data:`MAX_CLASSICAL_OUTCOMES` raises
     ValueError before any map is built.
     """
-    if N < 2:
-        raise ValueError("a classical branch system needs N >= 2 outcomes")
-    if N > MAX_CLASSICAL_OUTCOMES:
-        raise ValueError(f"classical takes N <= {MAX_CLASSICAL_OUTCOMES} (MAX_CLASSICAL_OUTCOMES), got N = {N}")
+    N = _exact_int(N, "N", 2, MAX_CLASSICAL_OUTCOMES, "classical", "MAX_CLASSICAL_OUTCOMES")
     return _finite_theory("classical", (("Z", N),), 0, np.eye(N), _classical_images(N), _classical_name)
 
 
@@ -187,8 +184,7 @@ def gbit_theory(d: int) -> TheoryModel:
     every relabeling of measurements and outcomes.  d above
     :data:`MAX_GBIT_MEASUREMENTS` raises ValueError before any map is built.
     """
-    if not 2 <= d <= MAX_GBIT_MEASUREMENTS:
-        raise ValueError(f"gbit<d> takes 2 <= d <= {MAX_GBIT_MEASUREMENTS} (MAX_GBIT_MEASUREMENTS), got d = {d}")
+    d = _exact_int(d, "d", 2, MAX_GBIT_MEASUREMENTS, "gbit<d>", "MAX_GBIT_MEASUREMENTS")
     labels = _gbit_labels(d)
     vertices = [
         [float(q == o) for o in outcomes for q in (0, 1)]
@@ -253,8 +249,7 @@ def dball_theory(d: int) -> TheoryModel:
     qubit state space; d=5 the two-level quaternionic one.  d above
     :data:`MAX_BALL_MEASUREMENTS` raises ValueError before any state is built.
     """
-    if not 2 <= d <= MAX_BALL_MEASUREMENTS:
-        raise ValueError(f"dball<d> takes 2 <= d <= {MAX_BALL_MEASUREMENTS} (MAX_BALL_MEASUREMENTS), got d = {d}")
+    d = _exact_int(d, "d", 2, MAX_BALL_MEASUREMENTS, "dball<d>", "MAX_BALL_MEASUREMENTS")
     return _ball_theory(f"dball{d}", tuple(f"X{i}" for i in range(1, d + 1)))
 
 
@@ -451,7 +446,7 @@ class MatrixTheory(TheoryModel):
         return self._matrix(entries)
 
     def branch_state(self, j: int):
-        return self._dense(self._lift(np.eye(self.dim)[j]))
+        return self._dense(self._lift(np.eye(self.dim)[self._branch(j)]))
 
     def _column(self, amplitudes):
         # the N x 1 ket with the (k, N) entries ``amplitudes``
@@ -481,7 +476,7 @@ class MatrixTheory(TheoryModel):
 
     def branch_ket(self, j: int):
         """The ket of :meth:`branch_state`."""
-        return self._column(self._lift(np.eye(self.dim)[j]))
+        return self._column(self._lift(np.eye(self.dim)[self._branch(j)]))
 
     def uniform_superposition(self):
         ket = self._column(self._lift(np.full(self.dim, 1.0 / np.sqrt(self.dim))))
@@ -502,11 +497,7 @@ class MatrixTheory(TheoryModel):
     def spanning_states(self):
         # branch kets plus one pair ket per pair of levels and phase: their
         # densities affinely span the unit-trace Hermitian matrices
-        if self.dim > MAX_SPANNING_LEVELS:
-            raise ValueError(
-                f"{self.name} spanning states are built for N <= {MAX_SPANNING_LEVELS} "
-                f"(MAX_SPANNING_LEVELS), got N = {self.dim}"
-            )
+        _exact_int(self.dim, "N", high=MAX_SPANNING_LEVELS, owner=f"{self.name} spanning set", bound="MAX_SPANNING_LEVELS")
         states = [self.branch_ket(j) for j in range(self.dim)]
         for j, k in itertools.combinations(range(self.dim), 2):
             states.extend(self._pair_ket(j, k, p) for p in range(len(self.PHASES)))
@@ -547,7 +538,7 @@ class MatrixTheory(TheoryModel):
         quaternions) force that entry to be central.  With two branches the
         mixture is the remote projector, which is the whole face.
         """
-        N = self.dim
+        N, branch = self.dim, self._branch(branch)
         ramp, uniform, pinned = self._probe_bases
         # weights 1, ..., N - 1 (scaled) on the remote branches in order, 0 on the branch
         mixture = self.diagonal_map(np.concatenate((ramp[1 : branch + 1], [0.0], ramp[branch + 1 : N])))
@@ -733,11 +724,8 @@ class DensityMatrixTheory(MatrixTheory):
     BRANCH_FAMILY = "phase on branch {branch} up to a global phase"
 
     def __init__(self, n_qubits: int):
-        n_qubits = _exact_int(n_qubits, "n")
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        if n_qubits > MAX_MATRIX_LEVELS.bit_length() - 1:  # compared without building 2**n
-            raise ValueError(f"quantum takes 2**n <= {MAX_MATRIX_LEVELS} (MAX_MATRIX_LEVELS), got n = {n_qubits}")
+        # 2**n <= MAX_MATRIX_LEVELS, compared without building 2**n
+        n_qubits = _exact_int(n_qubits, "n", 1, MAX_MATRIX_LEVELS.bit_length() - 1, "quantum", "log2 MAX_MATRIX_LEVELS")
         super().__init__("quantum", 2**n_qubits)
 
     _matrix_type = np.ndarray
@@ -793,11 +781,7 @@ class QuaternionicTheory(MatrixTheory):
     BRANCH_FAMILY = "unit quaternion on branch {branch}, common sign elsewhere"
 
     def __init__(self, N: int):
-        N = _exact_int(N, "N")
-        if N < 2:
-            raise ValueError("need at least two levels")
-        if N > MAX_MATRIX_LEVELS:
-            raise ValueError(f"quaternionic takes N <= {MAX_MATRIX_LEVELS} (MAX_MATRIX_LEVELS), got N = {N}")
+        N = _exact_int(N, "N", 2, MAX_MATRIX_LEVELS, "quaternionic", "MAX_MATRIX_LEVELS")
         super().__init__("quaternionic", N)
 
     _matrix_type = QuatMatrix

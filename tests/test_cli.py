@@ -197,14 +197,14 @@ def test_cli_refuses_promise_tables_beyond_the_bound(argv, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "promise tables are enumerated for n <= 4, got n = 5" in capsys.readouterr().err
+    assert "constant_balanced_specs takes n <= 4 (MAX_PROMISE_BITS), got n = 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["run", "dj-sweep", "--theory", "quantum", "--n", "12"], "promise tables are enumerated for n <= 4, got n = 12"),
-        (["run", "dj-sweep", "--theory", "quaternionic", "--N", "1024"], "promise tables are enumerated for n <= 4, got n = 10"),
+        (["run", "dj-sweep", "--theory", "quantum", "--n", "12"], "constant_balanced_specs takes n <= 4 (MAX_PROMISE_BITS), got n = 12"),
+        (["run", "dj-sweep", "--theory", "quaternionic", "--N", "1024"], "constant_balanced_specs takes n <= 4 (MAX_PROMISE_BITS), got n = 10"),
         (["run", "phase-group", "--theory", "quantum", "--n", "8"], "N <= 64 (MAX_SPANNING_LEVELS), got N = 256"),
         (["run", "phase-group", "--theory", "quaternionic", "--N", "128"], "N <= 64 (MAX_SPANNING_LEVELS), got N = 128"),
     ],
@@ -238,7 +238,7 @@ def test_cli_refuses_a_search_past_the_matrix_bound_by_its_own_size(theory, caps
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.search(r"^gptifer: error: grover takes N <= 1024 \(MAX_MATRIX_LEVELS\), got N = 2048$", captured.err, re.M)
+    assert re.search(r"^gptifer: error: grover takes 2 <= N <= 1024 \(MAX_MATRIX_LEVELS\), got N = 2048$", captured.err, re.M)
 
 
 def test_json_round_trip_and_content_equality(tmp_path):
@@ -600,7 +600,7 @@ def test_cli_refuses_a_classical_system_past_the_bound_before_building_it(N, mon
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"classical takes N <= 8 (MAX_CLASSICAL_OUTCOMES), got N = {N}" in captured.err
+    assert f"classical takes 2 <= N <= 8 (MAX_CLASSICAL_OUTCOMES), got N = {N}" in captured.err
 
 
 def test_cli_refuses_uncertainty_samples_past_the_bound_before_drawing_any(monkeypatch, capsys):
@@ -614,7 +614,7 @@ def test_cli_refuses_uncertainty_samples_past_the_bound_before_drawing_any(monke
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"uncertainty takes samples <= 1000000 (MAX_UNCERTAINTY_SAMPLES), got samples = {samples}" in captured.err
+    assert f"uncertainty takes 1 <= samples <= 1000000 (MAX_UNCERTAINTY_SAMPLES), got samples = {samples}" in captured.err
 
 
 FINITE_THEORIES = [
@@ -686,3 +686,32 @@ def test_finite_dj_sweep_entries_check_the_phase_group(theory, change, monkeypat
     real = ph.phase_group
     monkeypatch.setattr(ph, "phase_group", lambda *args, **kwargs: change(real(*args, **kwargs)))
     assert not run_experiment("dj-sweep", {"theory": theory}).passed
+
+
+def test_emit_report_refuses_an_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+        emit_report(run_experiment("containment", {}), tmp_path / "report.xml", fmt="xml")
+    assert not (tmp_path / "report.xml").exists()
+
+
+def test_csv_rows_index_the_entries_of_a_list(tmp_path):
+    report = ExperimentReport("e", None, {"sizes": [2, 4]}, {"pairs": [[0, 1], (True, None)]}, True)
+    path = tmp_path / "report.csv"
+    emit_report(report, path, fmt="csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["key", "value"], ["experiment", "e"], ["parameters.sizes.0", "2"], ["parameters.sizes.1", "4"],
+        ["pass", "true"], ["results.pairs.0.0", "0"], ["results.pairs.0.1", "1"], ["results.pairs.1.0", "true"],
+        ["results.pairs.1.1", "null"], ["theory", "null"],
+    ]
+
+
+@pytest.mark.parametrize("theory", ["classical", "gbit2", "qubit"])
+def test_grover_refuses_a_theory_without_a_search(theory, monkeypatch):
+    def fail(*args):
+        raise AssertionError("a search curve was computed")
+
+    monkeypatch.setattr(ifr, "grover_success_curve", fail)
+    with pytest.raises(ValueError, match=f"^grover does not support theory '{theory}'$"):
+        run_experiment("grover", {"theory": theory})

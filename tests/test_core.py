@@ -29,6 +29,8 @@ from gptifer.core import (
     FiniteGroup,
     GptState,
     LinearMap,
+    TheoryModel,
+    VectorTheory,
     apply,
     near_zero,
     probability,
@@ -315,3 +317,31 @@ def test_a_diagonal_is_unit_exactly_when_each_entry_has_modulus_one(entry, unit)
     assert DiagonalMap(column).unit is unit
     assert DiagonalMap(np.hstack([signs, column])).unit is unit
     assert DiagonalMap(signs).unit is True
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: GptState([[1.0, 0.0]]), "a state must be a flat probability vector"),
+        (lambda: Effect([[1.0], [0.0]]), "an effect must be a flat covector"),
+        (lambda: LinearMap(np.ones((2, 3))), "a transformation must be a square matrix"),
+        (lambda: LinearMap(np.ones(2)), "a transformation must be a square matrix"),
+        (lambda: TheoryModel("one-arm", 1, None), "the branch measurement needs at least two outcomes"),
+        (lambda: VectorTheory("t", (("Z", 2), ("X", 1)), 0, (), None), "measurement 'X' needs at least two outcomes"),
+        (
+            lambda: VectorTheory("t", (("Z", 2),), 0, (GptState([1.0, 0.0]), GptState([1.0, 0.0, 0.0])), None),
+            "inconsistent state dimensions in theory definition",
+        ),
+    ],
+)
+def test_a_malformed_value_or_theory_definition_is_refused(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_a_vector_state_whose_block_misses_one_is_not_contained():
+    # every entry within [0, 1], but a measurement block sums to 0.9 or 1.1
+    assert not classical_theory(2).contains(GptState([0.5, 0.4]))
+    assert not gbit_theory(2).contains(GptState([1.0, 0.0, 0.6, 0.5]))
+    assert gbit_theory(2).contains(GptState([1.0, 0.0, 0.5, 0.5]))

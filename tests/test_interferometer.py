@@ -202,7 +202,7 @@ def test_promise_tables_are_enumerated_up_to_the_bound(monkeypatch):
 
     monkeypatch.setattr(ifr, "OracleSpec", no_spec)
     for n in (5, 30):
-        with pytest.raises(ValueError, match=f"enumerated for n <= 4, got n = {n}"):
+        with pytest.raises(ValueError, match=rf"^constant_balanced_specs takes n <= 4 \(MAX_PROMISE_BITS\), got n = {n}$"):
             constant_balanced_specs(n)
 
 
@@ -747,9 +747,9 @@ def test_grover_config_validation():
 def test_success_curve_rejects_out_of_range_inputs():
     m = quantum_theory(2)
     for marked in (-1, 4):
-        with pytest.raises(ValueError, match="marked branch"):
+        with pytest.raises(ValueError, match=f"^grover_success_curve takes 0 <= marked <= 3, got marked = {marked}$"):
             grover_success_curve(m, marked, 1)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match=r"^grover_success_curve takes 0 <= max_iterations <= 1000000 \(MAX_GROVER_ITERATIONS\), got max_iterations = -1$"):
         grover_success_curve(m, 0, -1)
     for marked, iterations, label in ((True, 1, "marked"), (1.0, 1, "marked"), (0, 1.5, "max_iterations")):
         with pytest.raises(ValueError, match=f"^{label} must be an integer"):
@@ -792,3 +792,50 @@ def test_grover_config_accepts_only_integers(text, label):
     with pytest.raises(ValueError, match=keys if label == "JSON" else f"^{label} must be an integer"):
         GroverConfig.from_json(text)
     assert GroverConfig(np.int64(16), 1, 3) == GroverConfig(16, 1, 3)
+
+
+def _identity_encoding(m):
+    return BranchEncoding(((m.identity_map(), m.identity_map()),) * m.n_branches)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(
+            lambda: ifr.validate_encoding(quantum_theory(2), sign_encoding(quantum_theory(1))),
+            "encoding covers 2 branches, theory 'quantum' has 4",
+            id="validate_encoding",
+        ),
+        pytest.param(
+            lambda: build_oracle(quantum_theory(2), OracleSpec(1, (0, 1)), sign_encoding(quantum_theory(2))),
+            "truth table covers 2 branches, theory 'quantum' has 4",
+            id="build_oracle",
+        ),
+        pytest.param(
+            lambda: promise_sweep(classical_theory(3), _identity_encoding(classical_theory(3)), GptState(np.full(3, 1 / 3))),
+            "promise tables cover 2**n branches, theory 'classical' has 3, no power of two",
+            id="promise_sweep",
+        ),
+    ],
+)
+def test_a_branch_count_mismatch_names_both_counts(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_run_grover_refuses_a_config_of_another_size():
+    with pytest.raises(ValueError, match="^configured branch count does not match the theory$"):
+        run_grover(quantum_theory(1), GroverConfig(4, 0, 1))
+
+
+@pytest.mark.parametrize("m", [gbit_theory(2), classical_theory(2), qubit_theory()], ids=lambda m: m.name)
+def test_sign_encoding_needs_a_matrix_theory(m):
+    with pytest.raises(UnsupportedTheoryError, match=f"^no sign encoding for theory '{m.name}'$"):
+        sign_encoding(m)
+
+
+@pytest.mark.parametrize("N", [3, 5, 6])
+def test_matrix_instruments_need_a_power_of_two_branch_count(N):
+    with pytest.raises(ValueError, match="^branch count must be a power of two$"):
+        quaternionic_dj_instruments(N)

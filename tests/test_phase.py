@@ -205,13 +205,15 @@ def test_parametric_phase_groups_verify_by_sampling():
         assert not report.is_finite
         assert report.verified_samples == 50
     # the count is an integer of at least one, for either report and any group
-    for samples, message in ((-1, "samples must be at least 1, got -1"), (0, "samples must be at least 1, got 0"),
-                             (2.5, "samples must be an integer, got 2.5"), (True, "samples must be an integer, got True")):
-        for run in (lambda m: phase_group(m, samples=samples), lambda m: branch_local_subgroup(m, 0, samples=samples)):
+    for samples, message in ((-1, "{} takes 1 <= samples, got samples = -1"), (0, "{} takes 1 <= samples, got samples = 0"),
+                             (2.5, "samples must be an integer for {}, got 2.5"), (True, "samples must be an integer for {}, got True")):
+        runs = (("phase_group", lambda m: phase_group(m, samples=samples)),
+                ("branch_local_subgroup", lambda m: branch_local_subgroup(m, 0, samples=samples)))
+        for owner, run in runs:
             for m in (quantum_theory(1), gbit_theory(2)):
                 with pytest.raises(ValueError) as err:
                     run(m)
-                assert str(err.value) == message
+                assert str(err.value) == message.format(owner)
 
 
 def test_a_phase_family_with_a_non_phase_sample_fails_verification():

@@ -362,3 +362,9 @@ def test_a_matrix_product_is_read_only():
     assert product.comps.tobytes() == _hamilton_matmul(S.comps, T.comps).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         product.comps[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 2, 2), (4, 2, 2, 1)])
+def test_a_component_array_of_another_shape_is_refused(shape):
+    with pytest.raises(ValueError, match=r"^component array must have shape \(4, rows, cols\)$"):
+        QuatMatrix(np.zeros(shape))

@@ -248,7 +248,7 @@ def test_classical_size_is_bounded_before_any_map_is_built(monkeypatch):
 
     monkeypatch.setattr(th, "_classical_images", no_images)
     for N in (MAX_CLASSICAL_OUTCOMES + 1, 12):
-        with pytest.raises(ValueError, match=rf"^classical takes N <= 8 \(MAX_CLASSICAL_OUTCOMES\), got N = {N}$"):
+        with pytest.raises(ValueError, match=rf"^classical takes 2 <= N <= 8 \(MAX_CLASSICAL_OUTCOMES\), got N = {N}$"):
             theory_by_name("classical", N=N)
 
 
@@ -719,10 +719,10 @@ def test_theory_forms_cover_the_exact_names_and_both_families():
 @pytest.mark.parametrize(
     "name,N,message",
     [
-        ("classical", 1, "needs N >= 2"),
-        ("classical", 0, "needs N >= 2"),
-        ("quaternionic", 1, "need at least two levels"),
-        ("quaternionic", -3, "need at least two levels"),
+        ("classical", 1, "classical takes 2 <= N <= 8"),
+        ("classical", 0, "classical takes 2 <= N <= 8"),
+        ("quaternionic", 1, "quaternionic takes 2 <= N <= 1024"),
+        ("quaternionic", -3, "quaternionic takes 2 <= N <= 1024"),
     ],
 )
 def test_theory_by_name_passes_small_N_to_the_constructor(name, N, message):
@@ -733,14 +733,14 @@ def test_theory_by_name_passes_small_N_to_the_constructor(name, N, message):
 @pytest.mark.parametrize(
     "build,size,message",
     [
-        (quantum_theory, 1.0, r"^n must be an integer, got 1\.0$"),
-        (quantum_theory, True, r"^n must be an integer, got True$"),
-        (quantum_theory, 11, r"^quantum takes 2\*\*n <= 1024 \(MAX_MATRIX_LEVELS\), got n = 11$"),
-        (quantum_theory, 64, r"^quantum takes 2\*\*n <= 1024 \(MAX_MATRIX_LEVELS\), got n = 64$"),
-        (quantum_theory, 10**9, r"^quantum takes 2\*\*n <= 1024 \(MAX_MATRIX_LEVELS\), got n = 1000000000$"),
-        (quaternionic_theory, 2.0, r"^N must be an integer, got 2\.0$"),
-        (quaternionic_theory, "4", r"^N must be an integer, got '4'$"),
-        (quaternionic_theory, 1025, r"^quaternionic takes N <= 1024 \(MAX_MATRIX_LEVELS\), got N = 1025$"),
+        (quantum_theory, 1.0, r"^n must be an integer for quantum, got 1\.0$"),
+        (quantum_theory, True, r"^n must be an integer for quantum, got True$"),
+        (quantum_theory, 11, r"^quantum takes 1 <= n <= 10 \(log2 MAX_MATRIX_LEVELS\), got n = 11$"),
+        (quantum_theory, 64, r"^quantum takes 1 <= n <= 10 \(log2 MAX_MATRIX_LEVELS\), got n = 64$"),
+        (quantum_theory, 10**9, r"^quantum takes 1 <= n <= 10 \(log2 MAX_MATRIX_LEVELS\), got n = 1000000000$"),
+        (quaternionic_theory, 2.0, r"^N must be an integer for quaternionic, got 2\.0$"),
+        (quaternionic_theory, "4", r"^N must be an integer for quaternionic, got '4'$"),
+        (quaternionic_theory, 1025, r"^quaternionic takes 2 <= N <= 1024 \(MAX_MATRIX_LEVELS\), got N = 1025$"),
     ],
 )
 def test_a_matrix_theory_size_is_an_integer_within_the_bound(build, size, message):
@@ -1603,3 +1603,16 @@ def test_locality_checks_keep_no_per_branch_probe_store():
     finally:
         tracemalloc.stop()
     assert verdicts == [b == 1 for b in range(m.dim)] and held < 16 * 32 * m.dim
+
+
+def test_a_hermitian_matrix_of_trace_other_than_one_is_not_a_state():
+    for m in (quantum_theory(1), quaternionic_theory(2)):
+        for diagonal in ([0.5, 0.2], [1.0, 0.5]):
+            assert not m.contains(m.dense(m.diagonal_map(diagonal)))
+        assert m.contains(m.dense(m.diagonal_map([0.5, 0.5])))
+
+
+@pytest.mark.parametrize("support", [frozenset({1}), frozenset({1, 2, 3}), frozenset({1, 5}), frozenset({0, 1})])
+def test_an_epistemic_state_needs_a_two_point_support(support):
+    with pytest.raises(ValueError, match="^an epistemic state is a two-element subset of the four points$"):
+        spekkens_epistemic_statistics(support)
