@@ -29,9 +29,18 @@ DEFAULT_ATOL = 1e-9
 PROBABILITY_FLOOR = 1e-12
 
 
+#: Scalars that ``near_zero`` decides without numpy dispatch: a real's
+#: modulus is exact, so the verdict is the array path's.  A complex scalar
+#: takes the array path: Python's and numpy's scalar moduli differ from the
+#: array modulus by an ulp for about 1% of values.
+_REAL_SCALARS = (int, float, np.floating)
+
+
 def near_zero(x, atol: float) -> bool:
     """Whether every entry of ``x`` is within ``atol`` of zero: the one closeness
     test, absolute, and failed by a NaN or infinite entry."""
+    if isinstance(x, _REAL_SCALARS):
+        return bool(not x or abs(x) <= atol)
     x = np.asarray(x)
     return bool(not x.any() or np.abs(x).max() <= atol)
 
@@ -64,8 +73,9 @@ class DiagonalMap:
 
     ``comps`` is read-only.  ``finite`` records, once and when first read,
     whether every entry is finite, ``real`` whether every entry is real: no
-    imaginary part and no component past the first, and ``unit`` whether
-    every entry's squared components sum to exactly 1.0.
+    imaginary part and no component past the first, ``unit`` whether
+    every entry's squared components sum to exactly 1.0, and ``constant``
+    whether every entry equals the first exactly.
     ``MatrixTheory.dense`` gives the N x N matrix.  A matrix theory also
     reads a diagonal as a state or an effect diagonal in the branch basis.
     """
@@ -88,6 +98,10 @@ class DiagonalMap:
     def unit(self) -> bool:
         with np.errstate(over="ignore"):  # an overflowing square is not 1.0
             return bool(((np.abs(self.comps) ** 2).sum(axis=0) == 1.0).all())
+
+    @cached_property
+    def constant(self) -> bool:
+        return bool((self.comps == self.comps[:, :1]).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +167,7 @@ class LinearMap:
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
-        return self.matrix.shape == other.matrix.shape and np.array_equal(self.matrix, other.matrix)
+        return self.matrix.shape == other.matrix.shape and bool((self.matrix == other.matrix).all())
 
     def __hash__(self):
         return hash((self.matrix.shape, (self.matrix + 0.0).tobytes()))  # + 0.0 makes -0.0 hash as 0.0
@@ -295,10 +309,8 @@ class TheoryModel:
         group: TransformationGroup,
         atol: float = DEFAULT_ATOL,
     ):
-        if n_branches < 2:
-            raise ValueError("the branch measurement needs at least two outcomes")
         self.name = name
-        self._n_branches = int(n_branches)
+        self._n_branches = _exact_int(n_branches, "n_branches", low=2, owner=name)
         self.group = group
         self.atol = float(atol)
         #: Hadamard-type transform mixing all branches, if the theory has one.
@@ -401,13 +413,11 @@ class VectorTheory(TheoryModel):
         atol: float = DEFAULT_ATOL,
         extremal_states: Sequence[GptState] | None = None,
     ):
-        for label, count in fiducial_layout:
-            if count < 2:
-                raise ValueError(f"measurement {label!r} needs at least two outcomes")
-        counts = [count for _, count in fiducial_layout]
+        layout = tuple((label, _exact_int(count, f"{label} outcomes", low=2, owner=name)) for label, count in fiducial_layout)
+        counts = [count for _, count in layout]
         n_branches = counts[branch_measurement]
         super().__init__(name, n_branches, group, atol)
-        self.fiducial_layout = tuple(fiducial_layout)
+        self.fiducial_layout = layout
         self._spanning = tuple(spanning_states)
         self._within = within
         #: Vertices of the state polytope, or None for round state spaces.

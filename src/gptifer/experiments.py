@@ -13,7 +13,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +196,7 @@ def _dj_classical(theory):
     # tables and confirm the statistics never depend on f
     enc = ifr.BranchEncoding(((m.identity_map(), m.identity_map()),) * 2)
     outputs = [out.probs for _, out in ifr.promise_sweep(m, enc, GptState([0.5, 0.5]))]
-    f_independent = all(np.array_equal(outputs[0], out) for out in outputs)
+    f_independent = all(out.shape == outputs[0].shape and (out == outputs[0]).all() for out in outputs)
     results = {
         "phase_group": list(group.element_names()),
         "branch_local_trivial": locals_trivial,
@@ -482,6 +482,12 @@ REGISTRY = {
 }
 
 
+@cache
+def _keyword_only(run) -> frozenset[str]:
+    """The keyword-only parameters a run function reads, from its signature, read once."""
+    return frozenset(p.name for p in inspect.signature(run).parameters.values() if p.kind is p.KEYWORD_ONLY)
+
+
 def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
     """Execute a registered experiment and assemble its report.
 
@@ -505,8 +511,7 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
         run = partial(entry, theory)
     else:
         run = partial(run, rng)
-    reads = inspect.signature(run.func).parameters.values()
-    unread = sorted(set(params) - {p.name for p in reads if p.kind is p.KEYWORD_ONLY})
+    unread = sorted(set(params) - _keyword_only(run.func))
     if unread:
         on = f" on theory {theory!r}" if theory and "theory" not in unread else ""
         raise ValueError(f"{name}{on} does not read parameter(s): {', '.join(unread)}")

@@ -142,7 +142,11 @@ class QuatMatrix:
     @classmethod
     def _of_product(cls, comps: np.ndarray) -> "QuatMatrix":
         # a freshly computed (4, rows, cols) float array that nothing else
-        # holds, taken read-only as it is instead of copied
+        # holds, taken read-only as it is instead of copied; an array of
+        # another dtype (a diagonal's complex entries times an image) is
+        # converted and checked by the constructor
+        if comps.dtype != np.float64:
+            return cls(comps)
         comps.setflags(write=False)
         M = object.__new__(cls)
         object.__setattr__(M, "comps", comps)

@@ -541,15 +541,18 @@ class MatrixTheory(TheoryModel):
         N, branch = self.dim, self._branch(branch)
         ramp, uniform, pinned = self._probe_bases
         # weights 1, ..., N - 1 (scaled) on the remote branches in order, 0 on the branch
-        mixture = self.diagonal_map(np.concatenate((ramp[1 : branch + 1], [0.0], ramp[branch + 1 : N])))
+        weights = np.zeros(self._diagonal_shape, dtype=self.PHASES.dtype)
+        weights[0, :branch] = ramp[1 : branch + 1]
+        weights[0, branch + 1 :] = ramp[branch + 1 : N]
+        mixture = DiagonalMap(weights)
         if N == 2:
             return (mixture,)
         amplitudes = self._lift(uniform)
         amplitudes[:, branch] = 0.0
-        pair = tuple(x for x in range(3) if x != branch)[:2]  # the first two remote branches
+        pair = (0, 1) if branch > 1 else (1 - branch, 2)  # the first two remote branches
         if pair not in pinned:
             pinned[pair] = tuple(self._pair_ket(*pair, p) for p in self.PINNED)
-        return (mixture, self._column(amplitudes)) + pinned[pair]
+        return (mixture, self._of_product(amplitudes[:, :, None])) + pinned[pair]
 
     @cached_property
     def _probe_bases(self):
@@ -581,7 +584,7 @@ class MatrixTheory(TheoryModel):
         fa, fb = self._form(a, _STATE), self._form(b, _STATE)
         if fa == fb:  # equal bits, a zero's sign aside: how a sign flip leaves each probe it fixes
             entries = getattr(a, "comps", a)
-            if np.array_equal(entries, getattr(b, "comps", b)) and np.isfinite(entries).all():
+            if (entries == getattr(b, "comps", b)).all() and np.isfinite(entries).all():
                 return True
             if fa == "ket":
                 return self._kets_close(a, b)
@@ -636,6 +639,8 @@ class MatrixTheory(TheoryModel):
         # every entry finite, those off the diagonal within atol of zero, and
         # the diagonal a central unit
         if form == "diagonal":
+            if M.real and M.unit:  # entries exactly +-1: they deviate from one sign by 0 or by 2
+                return near_zero(0.0 if M.constant else 2.0, self.atol)
             return M.finite and self._is_central_unit(M.comps)
         entries = self._entries(M)
         d = np.diagonal(entries, axis1=-2, axis2=-1)
@@ -673,7 +678,7 @@ class MatrixTheory(TheoryModel):
             image = mul(d[:, :, None], self._entries(state))
             if form == "density":
                 image = mul(image, conj(d)[:, None, :])
-            return self._matrix(image)
+            return self._of_product(image)
         if form == "ket":
             return self._read_only(trans @ state)
         return self._read_only(self._conjugate(trans, self._as_dense(state, form)))
@@ -737,6 +742,7 @@ class DensityMatrixTheory(MatrixTheory):
         return M
 
     _matrix = staticmethod(lambda entries: DensityMatrixTheory._read_only(entries[0]))
+    _of_product = _matrix
 
     _entries = staticmethod(lambda M: np.asarray(M)[None])
     _dagger = staticmethod(lambda M: np.asarray(M).conj().T)
@@ -786,6 +792,7 @@ class QuaternionicTheory(MatrixTheory):
 
     _matrix_type = QuatMatrix
     _matrix = staticmethod(QuatMatrix)
+    _of_product = staticmethod(QuatMatrix._of_product)
     _read_only = staticmethod(lambda M: M)  # a QuatMatrix is read-only already
     _entries = staticmethod(lambda M: M.comps)
     _dagger = staticmethod(QuatMatrix.dagger)

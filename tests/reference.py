@@ -80,6 +80,41 @@ def reference_maps_commute(m, a, b) -> bool:
     return all(m.states_close(apply(ab, s), apply(ba, s)) for s in m.spanning_states)
 
 
+# -- matrix-theory states and probes --------------------------------------------------
+
+
+def reference_states_close(m, a, b) -> bool:
+    """``m.states_close`` as the dense comparison: both states of a matrix
+    theory as N x N densities (a ket as psi psi^dagger, a diagonal
+    materialized), every entry of their difference within atol."""
+
+    def density(x):
+        if isinstance(x, DiagonalMap):
+            return m._entries(m.dense(x))
+        x = m._entries(x)
+        if x.shape[-1] == m.dim:
+            return x
+        return m._entries(m._matrix(x) @ m._dagger(m._matrix(x)))
+
+    with np.errstate(all="ignore"):  # a NaN or infinite entry spreads, and fails below
+        return near_zero(density(a) - density(b), m.atol)
+
+
+def reference_branch_local_probes(m, branch: int) -> tuple:
+    """The locality probes of a matrix theory as once built on every call:
+    the mixture's weights joined by ``np.concatenate`` and lifted, the
+    uniform amplitudes lifted and zeroed on the branch."""
+    N = m.dim
+    ramp = np.arange(float(N + 1)) / (N * (N - 1) / 2)
+    mixture = m.diagonal_map(np.concatenate((ramp[1 : branch + 1], [0.0], ramp[branch + 1 : N])))
+    if N == 2:
+        return (mixture,)
+    amplitudes = m._lift(np.full(N, 1.0 / np.sqrt(N - 1.0)))
+    amplitudes[:, branch] = 0.0
+    pair = tuple(x for x in range(3) if x != branch)[:2]
+    return (mixture, m._column(amplitudes)) + tuple(m._pair_ket(*pair, p) for p in m.PINNED)
+
+
 # -- validity of maps and effects -------------------------------------------------
 
 

@@ -12,10 +12,14 @@ Core claims:
     - finite groups are closed and contain the identity
     - near_zero, the one closeness test, is absolute: a NaN or infinite
       entry fails it, exactly atol passes and the next float above fails;
-      an effect with a NaN weight is not a valid effect
+      an effect with a NaN weight is not a valid effect; a scalar (Python
+      or numpy, real or complex, int and bool too) gets the verdict of its
+      one-entry array, and a real one is decided without numpy dispatch
     - DiagonalMap.unit holds exactly when every entry's squared components
       sum to 1.0: signs, unit complex numbers and (1/2, 1/2, 1/2, 1/2) pass;
-      1 + 2**-52, 2, 1e200 (without an overflow warning), NaN and +-inf fail
+      1 + 2**-52, 2, 1e200 (without an overflow warning), NaN and +-inf fail;
+      DiagonalMap.constant holds exactly when every entry equals the first
+      in every component (a zero's sign aside), and fails on NaN
 """
 
 import itertools
@@ -286,6 +290,35 @@ def test_near_zero_reads_complex_magnitudes_and_passes_an_empty_array():
     assert near_zero(np.array([]), 0.0)
 
 
+_ATOL = 1e-9
+_SCALARS = [
+    0.0, -0.0, np.nan, np.inf, -np.inf, _ATOL, -_ATOL, np.nextafter(_ATOL, 1.0), -np.nextafter(_ATOL, 1.0),
+    complex(_ATOL, 0.0), complex(0.0, -0.0), complex(0.6e-9, 0.8e-9), complex(0.6e-9, 0.9e-9), complex(np.nan, 0.0), complex(0.0, np.inf),
+    np.float64(-0.0), np.float64(_ATOL), np.float64(np.nextafter(_ATOL, 1.0)), np.float64(np.nan), np.float64(-np.inf),
+    np.complex128(_ATOL), np.complex128(complex(0.0, np.nextafter(_ATOL, 1.0))), np.complex128(complex(np.inf, 0.0)),
+    0, 1, -1, True, False,
+]
+
+
+@pytest.mark.parametrize("atol", [_ATOL, 0.0, 1.0])
+@pytest.mark.parametrize("value", _SCALARS, ids=repr)
+def test_near_zero_decides_a_scalar_as_its_one_entry_array(value, atol):
+    verdict = near_zero(value, atol)
+    assert type(verdict) is bool and verdict is near_zero(np.array([value]), atol)
+
+
+@pytest.mark.parametrize("value", [0.5, -0.0, np.nan, -np.inf, np.float64(1e-10), 3, True], ids=repr)
+def test_near_zero_decides_a_real_scalar_without_numpy_dispatch(value, monkeypatch):
+    expected = near_zero(np.array([value]), _ATOL)
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("a real scalar took the array path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "asarray", no_array)
+        assert near_zero(value, _ATOL) is expected
+
+
 # -- the unit flag of a diagonal ---------------------------------------------------
 
 
@@ -320,14 +353,32 @@ def test_a_diagonal_is_unit_exactly_when_each_entry_has_modulus_one(entry, unit)
 
 
 @pytest.mark.parametrize(
+    "comps,constant",
+    [
+        ([[1.0, 1.0, 1.0]], True),
+        ([[-1.0, -1.0, -1.0]], True),
+        ([[-0.0, 0.0, 0.0]], True),
+        ([[1.0, -1.0, 1.0]], False),
+        ([[1.0, 1.0, 1.0 + 2.0**-52]], False),
+        ([[np.nan, np.nan, np.nan]], False),
+        ([[1.0, 1.0, 1.0], [0.0, 0.0, 1e-300]], False),
+        ([[1j, 1j, 1j]], True),
+    ],
+    ids=["ones", "minus-ones", "signed-zeros", "sign-flip", "one-ulp", "nan", "past-first-component", "complex"],
+)
+def test_a_diagonal_is_constant_exactly_when_every_entry_equals_the_first(comps, constant):
+    assert DiagonalMap(np.array(comps)).constant is constant
+
+
+@pytest.mark.parametrize(
     "build,message",
     [
         (lambda: GptState([[1.0, 0.0]]), "a state must be a flat probability vector"),
         (lambda: Effect([[1.0], [0.0]]), "an effect must be a flat covector"),
         (lambda: LinearMap(np.ones((2, 3))), "a transformation must be a square matrix"),
         (lambda: LinearMap(np.ones(2)), "a transformation must be a square matrix"),
-        (lambda: TheoryModel("one-arm", 1, None), "the branch measurement needs at least two outcomes"),
-        (lambda: VectorTheory("t", (("Z", 2), ("X", 1)), 0, (), None), "measurement 'X' needs at least two outcomes"),
+        (lambda: TheoryModel("one-armed", 1, None), "one-armed takes 2 <= n_branches, got n_branches = 1"),
+        (lambda: VectorTheory("t", (("Z", 2), ("X", 1)), 0, (), None), "t takes 2 <= X outcomes, got X outcomes = 1"),
         (
             lambda: VectorTheory("t", (("Z", 2),), 0, (GptState([1.0, 0.0]), GptState([1.0, 0.0, 0.0])), None),
             "inconsistent state dimensions in theory definition",

@@ -20,7 +20,7 @@ import pytest
 
 from gptifer import theories as th
 from gptifer.cli import main
-from gptifer.core import _exact_int
+from gptifer.core import GptState, TheoryModel, VectorTheory, _exact_int
 from gptifer.interferometer import MAX_GROVER_ITERATIONS, GroverConfig
 from gptifer.phase import branch_local_subgroup, is_branch_local
 from gptifer.theories import classical_theory, dball_theory, gbit_theory, quantum_theory
@@ -138,6 +138,12 @@ def _probe_entries(m, branch):
         ),
         pytest.param(
             lambda: branch_local_subgroup(gbit_theory(2), -1), "gbit2 takes 0 <= branch <= 1, got branch = -1", id="subgroup-finite"
+        ),
+        pytest.param(lambda: TheoryModel("x", 2.5, None), "n_branches must be an integer for x, got 2.5", id="branch-count-float"),
+        pytest.param(
+            lambda: VectorTheory("t", (("Z", 2.0),), 0, (GptState([1.0, 0.0]),), None),
+            "Z outcomes must be an integer for t, got 2.0",
+            id="layout-count-float",
         ),
         pytest.param(
             lambda: GroverConfig(4, 1, 10**9),

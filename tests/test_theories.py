@@ -69,9 +69,15 @@ Core claims:
       flip is refused on structured and on materialized probes alike
     - a locality check forms no dense probe: under 64 KB at quantum
       N = 256 and quaternionic N = 128; each branch's probes, built from
-      shared read-only bases, equal a fresh build bit for bit and are
+      shared read-only bases with the mixture's weights written in place,
+      equal the np.concatenate build of tests/reference.py bit for bit
+      (quantum N = 2..16, quaternionic N = 2, 3, 4, 8, 16) and are
       read-only, and a check at every branch keeps O(N) bytes, no probe
       set per branch
+    - states_close on two states of one form (ket, diagonal, density; both
+      algebras) with -0.0, NaN, inf and one-ulp entries gives the dense
+      comparison's verdict; a real unit diagonal is the identity exactly
+      when the central-unit check says so, at atol 1e-9 and 2.0
     - quantum n and quaternionic N are exact integers, bounded by
       MAX_MATRIX_LEVELS = 1024 levels, and refused by name otherwise
     - a matrix theory past MAX_SPANNING_LEVELS = 64 levels refuses its
@@ -109,7 +115,7 @@ import numpy as np
 import pytest
 
 import gptifer.theories as th
-from gptifer.core import DiagonalMap, Effect, GptState, LinearMap, near_zero
+from gptifer.core import DEFAULT_ATOL, DiagonalMap, Effect, GptState, LinearMap, near_zero
 from gptifer.quaternion import (
     NumericConsistencyError,
     QuatMatrix,
@@ -156,7 +162,9 @@ from reference import (
     random_symplectic,
     random_unit_quaternion,
     random_unitary,
+    reference_branch_local_probes,
     reference_embed_rotation,
+    reference_states_close,
 )
 
 
@@ -1017,6 +1025,22 @@ def test_sign_flips_commute_without_an_entrywise_product(m, monkeypatch):
         assert m.maps_commute(flip, flips[0]) is m.maps_commute(flips[-1], flip) is m.maps_commute(flip, m.identity_map()) is True
 
 
+@pytest.mark.parametrize("m", [quantum_theory(2), quaternionic_theory(4)], ids=_label)
+@pytest.mark.parametrize("atol", [DEFAULT_ATOL, 2.0])
+def test_a_real_unit_diagonal_is_the_identity_by_its_flags(m, atol, monkeypatch):
+    # entries exactly +-1 deviate from one sign by 0 or by exactly 2, so the cached flags give
+    # the central-unit verdict; any other diagonal (not unit, not real, not finite) takes the check
+    monkeypatch.setattr(m, "atol", atol)
+    signs = [np.ones(m.dim), -np.ones(m.dim)] + [1.0 - 2.0 * (np.arange(m.dim) == x) for x in range(m.dim)]
+    others = [np.full(m.dim, 0.5), np.full(m.dim, np.nan), np.r_[1.0, np.full(m.dim - 1, 1.0 + 2.0**-52)]]
+    diagonals = [m.diagonal_map(values) for values in signs + others]
+    diagonals.append(DiagonalMap(np.repeat(m.PHASES[1][:, None], m.dim, axis=1)))  # i times the identity
+    assert [D.real and D.unit for D in diagonals] == [True] * len(signs) + [False] * 4
+    for D in diagonals:
+        assert m.is_identity_map(D) is (D.finite and m._is_central_unit(D.comps)) is m.is_identity_map(m.dense(D))
+    assert [m.is_identity_map(D) for D in diagonals[:3]] == [True, True, atol == 2.0]
+
+
 def test_non_real_unit_diagonals_take_the_full_rule():
     # exact units, neither side real: i against j does not commute; (i, j)
     # against (j, i) does, since conj(b_i a_i) a_i b_i is -1 at both entries
@@ -1558,28 +1582,15 @@ def test_a_locality_check_forms_no_dense_probe(m):
     assert verdicts == [False, True] and peak < 64 * 2**10
 
 
-def _fresh_probes(m, branch):
-    # the probes built from nothing, as branch_local_probes once built them on every call
-    N = m.dim
-    weights = np.arange(float(N))
-    weights[:branch] += 1.0
-    weights[branch] = 0.0
-    mixture = m.diagonal_map(weights / (N * (N - 1) / 2))
-    if N == 2:
-        return (mixture,)
-    uniform = m._lift(np.full(N, 1.0 / np.sqrt(N - 1.0)))
-    uniform[:, branch] = 0.0
-    j, k = [x for x in range(3) if x != branch][:2]
-    return (mixture, m._column(uniform)) + tuple(m._pair_ket(j, k, p) for p in m.PINNED)
-
-
-@pytest.mark.parametrize("m", [quantum_theory(1), quantum_theory(3), quaternionic_theory(2), quaternionic_theory(8)], ids=_label)
+@pytest.mark.parametrize(
+    "m", [quantum_theory(n) for n in (1, 2, 3, 4)] + [quaternionic_theory(N) for N in (2, 3, 4, 8, 16)], ids=_label
+)
 def test_locality_probes_from_shared_bases_match_a_fresh_build(m):
-    # each branch's probes are built from read-only bases no branch changes;
-    # a first and a later call give the fresh probes bit for bit
+    # each branch's probes are built from read-only bases no branch changes, the mixture's
+    # weights written in place; a first and a later call give the np.concatenate build bit for bit
     for _ in range(2):
         for branch in range(m.dim):
-            probes, fresh = m.branch_local_probes(branch), _fresh_probes(m, branch)
+            probes, fresh = m.branch_local_probes(branch), reference_branch_local_probes(m, branch)
             assert len(probes) == len(fresh)
             for probe, expected in zip(probes, fresh):
                 assert _state_form(m, probe) == _state_form(m, expected)
@@ -1589,6 +1600,36 @@ def test_locality_probes_from_shared_bases_match_a_fresh_build(m):
     ramp, uniform, pinned = m._probe_bases
     assert not ramp.flags.writeable and not uniform.flags.writeable
     assert len(pinned) == (0 if m.dim == 2 else 3)
+
+
+def _same_form_variants(m, x):
+    # x and copies of x with one entry changed: a zero's sign, a NaN, an infinity, one ulp up
+    entries = x.comps if isinstance(x, DiagonalMap) else m._entries(x)
+    rebuild = DiagonalMap if isinstance(x, DiagonalMap) else m._matrix
+    flat = np.flatnonzero(entries == 0.0)[0], np.flatnonzero(entries)[0]
+    variants = [x]
+    for at, value in ((flat[0], -0.0), (flat[1], np.nan), (flat[1], np.inf), (flat[1], np.nextafter(entries.flat[flat[1]].real, 2.0))):
+        changed = entries.copy()
+        changed.flat[at] = value
+        variants.append(rebuild(changed))
+    return variants
+
+
+@pytest.mark.parametrize("m", [quantum_theory(2), quaternionic_theory(4)], ids=_label)
+def test_states_close_of_one_form_matches_the_dense_comparison(m):
+    # the exact path (== and .all(), then a finiteness check) and the paths after it give
+    # the dense comparison's verdict for every same-form pair, over all three forms
+    psi = m.apply(m.beamsplitter, m.branch_ket(0))
+    psi = m.apply(m.diagonal_map(np.arange(m.dim) != 1), psi)  # a zero entry, for the zero's sign
+    for x in (psi, _density(psi), m.branch_local_probes(0)[0]):
+        variants = _same_form_variants(m, x)
+        assert len({_state_form(m, v) for v in variants}) == 1
+        verdicts = set()
+        for a, b in itertools.product(variants, repeat=2):
+            verdict = m.states_close(a, b)
+            assert verdict is reference_states_close(m, a, b)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 def test_locality_checks_keep_no_per_branch_probe_store():

@@ -6,7 +6,9 @@ infinities ``near_zero`` does not have), no module compares a value with
 ``>`` against ``atol`` or ``self.atol`` (a NaN passes that comparison, and
 fails ``near_zero``), and the probability floor is written once, as
 ``core.PROBABILITY_FLOOR``, across ``core``, ``theories`` and ``phase``.
-The experiments' pass predicates keep their own bounds.
+The experiments' pass predicates keep their own bounds.  Exact equality
+has one idiom too: ``==`` and ``.all()`` after a shape check, never
+numpy's ``array_equal``.
 """
 
 import ast
@@ -29,6 +31,17 @@ def test_no_numpy_closeness_call(path):
             found += [f"line {node.lineno}: from numpy import {a.name}" for a in node.names
                       if a.name in ("allclose", "isclose")]
     assert not found, f"{path.name} compares through numpy: {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_array_equal_call(path):
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "array_equal":
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"line {node.lineno}: from numpy import {a.name}" for a in node.names if a.name == "array_equal"]
+    assert not found, f"{path.name} compares exactly through numpy's array_equal, not == and .all(): {found}"
 
 
 def _is_atol(node) -> bool:
