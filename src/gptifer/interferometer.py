@@ -426,11 +426,10 @@ def sign_encoding(m: TheoryModel) -> BranchEncoding:
     """Identity / phase-flip pair on every branch of a matrix theory."""
     if not isinstance(m, MatrixTheory):
         raise UnsupportedTheoryError(f"no sign encoding for theory {m.name!r}")
-    # 1 - 2 e_x flips the sign of branch x alone; every branch shares one
-    # read-only identity
+    # row x of 1 - 2 I flips the sign of branch x alone; every branch shares
+    # one read-only identity
     identity = m.identity_map()
-    flips = (m.diagonal_map(1.0 - 2.0 * (np.arange(m.dim) == x)) for x in range(m.dim))
-    return BranchEncoding(tuple((identity, flip) for flip in flips))
+    return BranchEncoding(tuple((identity, m.diagonal_map(row)) for row in 1.0 - 2.0 * np.eye(m.dim)))
 
 
 def _matrix_dj_instruments(m: MatrixTheory):

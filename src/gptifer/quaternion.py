@@ -101,8 +101,10 @@ def _hamilton_contract(pairs: np.ndarray) -> np.ndarray:
 def _hamilton_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # real matrices commute with the unit symbols, so every pair of
     # components contributes one real matrix product; one batched matmul
-    # forms all sixteen and the sign tensor sums them into four components
-    return _hamilton_contract(np.matmul(a[:, None], b[None, :]))
+    # forms all sixteen and the sign tensor sums them into four components,
+    # contracted here rather than by _hamilton_contract: a search round's kernel
+    pairs = np.matmul(a[:, None], b[None, :])
+    return (_HAMILTON @ pairs.reshape(16, -1)).reshape(4, a.shape[1], b.shape[2])
 
 
 def _hamilton_entrywise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,6 +129,9 @@ def _product_trace(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _hamilton_contract(np.einsum("pij,qji->pq", a, b))
 
 
+_FLOAT = np.dtype(np.float64)
+
+
 class QuatMatrix:
     """Matrix of quaternions stored as a (4, rows, cols) component array."""
 
@@ -143,9 +148,9 @@ class QuatMatrix:
     def _of_product(cls, comps: np.ndarray) -> "QuatMatrix":
         # a freshly computed (4, rows, cols) float array that nothing else
         # holds, taken read-only as it is instead of copied; an array of
-        # another dtype (a diagonal's complex entries times an image) is
+        # another dtype (a long-double diagonal's entries times an image) is
         # converted and checked by the constructor
-        if comps.dtype != np.float64:
+        if comps.dtype is not _FLOAT:  # an identity test: != converts np.float64 on every call
             return cls(comps)
         comps.setflags(write=False)
         M = object.__new__(cls)

@@ -44,6 +44,7 @@ from .quaternion import (
     QuatMatrix,
     _conj,
     _hamilton_entrywise,
+    _hamilton_matmul,
     _real_part,
     conjugate_state,
     real_trace_prob,
@@ -375,12 +376,12 @@ class MatrixTheory(TheoryModel):
     Shared code, ``apply`` and ``probability`` too, reads a matrix through its
     *entries*, a (k, rows, cols) array of the k algebra components.  A
     subclass declares its algebra (``PHASES``, ``PINNED``, family
-    descriptions, ``_``-prefixed hooks) and four kernels: ``_diagonal_read``
-    (a ket read by a real diagonal), ``_conjugate`` (T rho T^dagger),
-    ``_trace_prob`` (tr(E rho)) and ``_real`` (a trace's checked real part).
+    descriptions, ``_``-prefixed hooks) and five kernels: ``_ket_image`` (T psi),
+    ``_diagonal_read`` (a ket read by a real diagonal), ``_conjugate`` (T rho
+    T^dagger), ``_trace_prob`` (tr(E rho)) and ``_real`` (a trace's real part).
 
     Every operand, state, map or effect, is classified once per public call
-    by :meth:`_form`.  A state takes one of three forms: an N x N density, a
+    by :meth:`_form`, by its exact type.  A state takes one of three forms: an N x N density, a
     ket (an N x 1 matrix of the same type, for a pure state:
     :meth:`branch_ket`, the spanning states, the locality probes), or a
     :class:`DiagonalMap` (a state diagonal in the branch basis: the weighted
@@ -414,6 +415,7 @@ class MatrixTheory(TheoryModel):
         k = self.PHASES.shape[1]  # a one-component algebra keeps native N x N arrays
         lead = () if k == 1 else (k,)
         self._diagonal_shape, self._ket_shape, self._map_shape = (k, N), (*lead, N, 1), (*lead, N, N)
+        self._complex_entries = self.PHASES.dtype.kind == "c"  # a quaternion's components are real
         n_qubits = int(round(np.log2(N)))
         if 2**n_qubits == N:
             self.beamsplitter = self._matrix(self._lift(hadamard_matrix(n_qubits)))
@@ -453,26 +455,37 @@ class MatrixTheory(TheoryModel):
         return self._matrix(amplitudes[:, :, None])
 
     def _form(self, x, role: str) -> str:
-        # the one operand rule, read once per operand of every public call: "diagonal" for a
-        # DiagonalMap of (k, N) entries, "density" for an N x N matrix of the algebra's own type,
-        # "ket" for an N x 1 one read as a state; any other type or shape is refused by name
-        if isinstance(x, DiagonalMap):
-            if x.comps.shape != self._diagonal_shape:
-                raise ValueError(f"{self.name} theory expects a diagonal of {self.dim} entries, got one of shape {x.comps.shape}")
-            return "diagonal"
-        if not isinstance(x, self._matrix_type):
-            kind = self._matrix_type.__name__
-            raise ValueError(f"{self.name} theory expects {role} of type {kind} or DiagonalMap, got {type(x).__name__}")
-        shape = getattr(x, "comps", x).shape
-        if shape == self._map_shape:
-            return "density"
-        if role == _STATE:
-            if shape == self._ket_shape:
+        # the one operand rule, read once per operand of every public call, by exact type: "diagonal"
+        # for a DiagonalMap of (k, N) entries (not complex for quaternions), "density" for an
+        # N x N matrix of the algebra's own type, "ket" for an N x 1 one read as a state.  Anything
+        # else, a subclass of either type too, is refused by name
+        kind = type(x)
+        if kind is DiagonalMap:
+            if x.comps.shape == self._diagonal_shape and (self._complex_entries or x.comps.dtype.kind != "c"):
+                return "diagonal"
+        elif kind is self._matrix_type:
+            shape = getattr(x, "comps", x).shape
+            if shape == self._map_shape:
+                return "density"
+            if shape == self._ket_shape and role == _STATE:
                 return "ket"
-            expected = f"a {self.dim}x1 ket or a {self.dim}x{self.dim} density matrix"
+        raise self._refusal(x, role)
+
+    def _refusal(self, x, role: str) -> ValueError:
+        # why _form took no form for x: its type, then its shape, then a diagonal's dtype
+        N, kind = self.dim, type(x)
+        if kind is DiagonalMap:
+            if x.comps.shape != self._diagonal_shape:
+                got = f"a diagonal of {N} entries, got one of shape {x.comps.shape}"
+            else:
+                got = f"a diagonal of real components, got one of dtype {x.comps.dtype}"
+        elif kind is not self._matrix_type:
+            got = f"{role} of type {self._matrix_type.__name__} or DiagonalMap, got {kind.__name__}"
+        elif role == _STATE:
+            got = f"a {N}x1 ket or a {N}x{N} density matrix, got a matrix of shape {self._entries(x).shape[1:]}"
         else:
-            expected = f"a {self.dim}x{self.dim} map or effect"
-        raise ValueError(f"{self.name} theory expects {expected}, got a matrix of shape {self._entries(x).shape[1:]}")
+            got = f"a {N}x{N} map or effect, got a matrix of shape {self._entries(x).shape[1:]}"
+        return ValueError(f"{self.name} theory expects {got}")
 
     def branch_ket(self, j: int):
         """The ket of :meth:`branch_state`."""
@@ -584,7 +597,7 @@ class MatrixTheory(TheoryModel):
         fa, fb = self._form(a, _STATE), self._form(b, _STATE)
         if fa == fb:  # equal bits, a zero's sign aside: how a sign flip leaves each probe it fixes
             entries = getattr(a, "comps", a)
-            if (entries == getattr(b, "comps", b)).all() and np.isfinite(entries).all():
+            if not np.count_nonzero(entries != getattr(b, "comps", b)) and np.count_nonzero(np.isfinite(entries)) == entries.size:
                 return True
             if fa == "ket":
                 return self._kets_close(a, b)
@@ -656,10 +669,9 @@ class MatrixTheory(TheoryModel):
             return self._trace_prob(effect, self._as_dense(state, form), self.atol)
         if not effect.real:  # a non-real diagonal is not self-adjoint
             raise ValueError(f"{self.name} theory reads a diagonal effect with real entries, got a non-real (non-Hermitian) one")
-        d = effect.comps[0]  # read in O(N)
-        if form == "ket":
-            return self._diagonal_read(d, state)
-        return float(d.real @ self._branch_probabilities(state, form))
+        if form == "ket":  # read in O(N)
+            return self._diagonal_read(effect.comps, state)
+        return float(effect.comps[0].real @ self._branch_probabilities(state, form))
 
     def _ket_trace(self, effect, ket) -> np.ndarray:
         # the k components of tr(E psi psi^dagger) = sum_i (E psi)_i conj(psi_i), in that order:
@@ -680,7 +692,7 @@ class MatrixTheory(TheoryModel):
                 image = mul(image, conj(d)[:, None, :])
             return self._of_product(image)
         if form == "ket":
-            return self._read_only(trans @ state)
+            return self._ket_image(trans, state)
         return self._read_only(self._conjugate(trans, self._as_dense(state, form)))
 
     def maps_commute(self, a, b) -> bool:
@@ -754,8 +766,16 @@ class DensityMatrixTheory(MatrixTheory):
     _entrywise = staticmethod(np.multiply)
     _conj = staticmethod(np.conj)
 
-    _diagonal_read = staticmethod(lambda d, ket: float(np.vdot(ket, d[:, None] * ket).real))
+    # d, the (1, N) entries: d.T * psi is the column of products d_i psi_i, with no per-call slice
+    _diagonal_read = staticmethod(lambda d, ket: float(np.vdot(ket, d.T * ket).real))
     _conjugate = staticmethod(lambda T, rho: T @ rho @ T.conj().T)
+
+    @staticmethod
+    def _ket_image(T, psi):
+        # T psi through np.dot, the bytes of T @ psi sooner, read-only
+        image = np.dot(T, psi)
+        image.setflags(write=False)
+        return image
 
     _trace_prob = staticmethod(lambda E, rho, atol: DensityMatrixTheory._real(np.einsum("ij,ji->", E, rho), atol))
 
@@ -804,8 +824,9 @@ class QuaternionicTheory(MatrixTheory):
         q = rng.standard_normal((count, 4))
         return (q / np.linalg.norm(q, axis=1, keepdims=True)).T
 
-    # d . sum_c psi_c^2, which no unit on the right changes
-    _diagonal_read = staticmethod(lambda d, ket: float(d @ (ket.comps[:, :, 0] ** 2).sum(axis=0)))
+    # d . sum_c psi_c^2, which no unit on the right changes, summed in place on the (4, N, 1) components
+    _diagonal_read = staticmethod(lambda d, ket: float(np.vdot(d[0], np.add.reduce(ket.comps**2, 0))))
+    _ket_image = staticmethod(lambda S, psi: QuatMatrix._of_product(_hamilton_matmul(S.comps, psi.comps)))
     # conjugate_state and real_trace_prob are looked up at call time, so a wrapper sees each call
     _conjugate = staticmethod(lambda S, rho: conjugate_state(S, rho))
     _trace_prob = staticmethod(lambda E, rho, atol: real_trace_prob(E, rho, atol))

@@ -115,6 +115,34 @@ def reference_branch_local_probes(m, branch: int) -> tuple:
     return (mixture, m._column(amplitudes)) + tuple(m._pair_ket(*pair, p) for p in m.PINNED)
 
 
+def reference_form(m, x, role: str):
+    """The form the matrix core's operand rule gives ``x`` read as ``role``
+    ("a state" or "a map or effect"), or None where it refuses: the rule
+    spelled out from the algebra's component count, by exact type."""
+    k, N = m.PHASES.shape[1], m.dim
+    lead = () if k == 1 else (k,)
+    if type(x) is DiagonalMap:
+        return "diagonal" if x.comps.shape == (k, N) and (k == 1 or not np.iscomplexobj(x.comps)) else None
+    if type(x) is not (np.ndarray if k == 1 else QuatMatrix):
+        return None
+    shape = x.comps.shape if k > 1 else x.shape
+    if shape == (*lead, N, N):
+        return "density"
+    return "ket" if shape == (*lead, N, 1) and role == "a state" else None
+
+
+def reference_diagonal_flags(comps) -> dict:
+    """A DiagonalMap's four flags, each from its own definition."""
+    with np.errstate(over="ignore"):  # an overflowing square is not 1.0
+        unit = bool(((np.abs(comps) ** 2).sum(axis=0) == 1.0).all())
+    return {
+        "finite": bool(np.isfinite(comps).all()),
+        "real": not ((np.iscomplexobj(comps) and comps.imag.any()) or comps[1:].any()),
+        "unit": unit,
+        "constant": bool((comps == comps[:, :1]).all()),
+    }
+
+
 # -- validity of maps and effects -------------------------------------------------
 
 

@@ -14,15 +14,19 @@ Core claims:
       entry fails it, exactly atol passes and the next float above fails;
       an effect with a NaN weight is not a valid effect; a scalar (Python
       or numpy, real or complex, int and bool too) gets the verdict of its
-      one-entry array, and a real one is decided without numpy dispatch
+      one-entry array, and a real one is decided without numpy dispatch;
+      the most negative signed integer, which np.abs wraps, is far from zero
     - DiagonalMap.unit holds exactly when every entry's squared components
       sum to 1.0: signs, unit complex numbers and (1/2, 1/2, 1/2, 1/2) pass;
       1 + 2**-52, 2, 1e200 (without an overflow warning), NaN and +-inf fail;
       DiagonalMap.constant holds exactly when every entry equals the first
-      in every component (a zero's sign aside), and fails on NaN
+      in every component (a zero's sign aside), and fails on NaN; the four
+      flags of one first-read pass equal their separate definitions over
+      float, complex, int and bool entries with one or four components
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -52,7 +56,7 @@ from gptifer.theories import (
     spekkens_ontic_theory,
     qubit_theory,
 )
-from reference import is_valid_effect, preserves_statespace
+from reference import is_valid_effect, preserves_statespace, reference_diagonal_flags
 
 
 FINITE_THEORIES = [classical_theory(2), gbit_theory(2), gbit_theory(3),
@@ -284,6 +288,16 @@ def test_near_zero_is_absolute_at_its_edge():
     assert not near_zero(1e6 * (1.0 + 1e-12) - 1e6, 1e-9)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_near_zero_reads_the_most_negative_integer_as_far_from_zero(dtype):
+    # np.abs wraps it to itself, a negative number below any atol
+    low = np.iinfo(dtype).min
+    assert not near_zero(np.array([low], dtype=dtype), 1e-9)
+    assert not near_zero(np.array([low, 5], dtype=dtype), 10.0)
+    assert near_zero(np.array([-5, 5, 0], dtype=dtype), 5.0) and not near_zero(np.array([-6, 5], dtype=dtype), 5.0)
+    assert not near_zero(low, 1e-9) and not near_zero(np.array([np.iinfo(np.uint64).max], dtype=np.uint64), 1e-9)
+
+
 def test_near_zero_reads_complex_magnitudes_and_passes_an_empty_array():
     assert near_zero([0.6e-9 + 0.8e-9j], 1e-9)
     assert not near_zero([0.6e-9 + 0.9e-9j], 1e-9)
@@ -368,6 +382,31 @@ def test_a_diagonal_is_unit_exactly_when_each_entry_has_modulus_one(entry, unit)
 )
 def test_a_diagonal_is_constant_exactly_when_every_entry_equals_the_first(comps, constant):
     assert DiagonalMap(np.array(comps)).constant is constant
+
+
+_FLAG_ENTRIES = [1.0, -1.0, 0.0, -0.0, 0.5, 2.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 1e200, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("kind", [float, complex, int, bool])
+def test_the_four_flags_of_one_pass_match_their_definitions(k, kind):
+    # every pair of entries over k components, then a sign flip; reading one flag sets all four
+    rng = np.random.default_rng(k)
+    pool = [x for x in _FLAG_ENTRIES if kind in (float, complex) or abs(x) < 1e3]
+    for _ in range(200):
+        comps = np.zeros((k, 3), dtype=kind)
+        comps[0] = rng.choice(pool, 3)
+        if kind is complex:
+            comps[0] += 1j * rng.choice([0.0, 0.0, 1.0, -0.6, np.nan], 3)
+        if k == 4 and rng.random() < 0.5:
+            comps[rng.integers(1, 4), rng.integers(3)] = rng.choice(pool)
+        d = DiagonalMap(comps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.unit is reference_diagonal_flags(d.comps)["unit"]
+        assert {name: d.__dict__[name] for name in ("finite", "real", "unit", "constant")} == reference_diagonal_flags(d.comps)
+    flip = DiagonalMap(np.array([[1.0, -1.0, 1.0]]))
+    assert (flip.finite, flip.real, flip.unit, flip.constant) == (True, True, True, False)
 
 
 @pytest.mark.parametrize(

@@ -684,6 +684,9 @@ def test_sign_encoding_shares_one_read_only_identity(monkeypatch):
         enc = sign_encoding(m)
         identity = enc.pairs[0][0]
         assert all(t0 is identity for t0, _ in enc.pairs) and m.is_identity_map(identity)
+        # flip x is 1 - 2 e_x, bit for bit, though its rows come from one stacked array
+        for x, (_, flip) in enumerate(enc.pairs):
+            assert flip.comps.tobytes() == m.diagonal_map(1.0 - 2.0 * (np.arange(m.dim) == x)).comps.tobytes()
         # each member is still checked on its own
         checked = _recording(m, "is_identity_map", monkeypatch)
         build_oracle(m, OracleSpec(m.n_branches.bit_length() - 1, (1,) + (0,) * (m.n_branches - 1)), enc)
