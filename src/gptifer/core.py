@@ -61,8 +61,12 @@ def _exact_int(value, label: str, low=None, high=None, owner: str = "", bound: s
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
-    # C order: a transposed view would slow every entrywise product
-    arr = np.array(values, dtype=dtype, order="C")
+    # C order: a transposed view would slow every entrywise product.  Strings and objects are refused, not
+    # parsed, and complex entries for a given dtype, not cut to real parts; an ndarray is copied once
+    arr = np.asarray(values)
+    if arr.dtype.kind not in ("biufc" if dtype is None else "biuf"):
+        raise ValueError(f"entries must be {'real ' if dtype is not None else ''}numbers, got dtype {arr.dtype}")
+    arr = np.array(arr, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -453,7 +457,7 @@ class VectorTheory(TheoryModel):
         return self._spanning
 
     def branch_probabilities(self, state) -> np.ndarray:
-        return self._z_weights @ state.probs
+        return self._z_weights @ self._own(state).probs
 
     def probability(self, effect, state) -> float:
         return probability(self._own(effect, "effect"), self._own(state))
@@ -461,9 +465,16 @@ class VectorTheory(TheoryModel):
     def apply(self, trans, state):
         return apply(self._own(trans, "map"), self._own(state))
 
+    #: the article of each role's name and the exact types it admits
+    _ROLES = {"state": ("a", (GptState,)), "effect": ("an", (Effect,)), "map": ("a", (LinearMap, Relabeling))}
+
     def _own(self, operand, kind: str = "state"):
-        # a state, map or effect of this dimension, as it is; any other
-        # dimension is refused, naming its kind, never broadcast
+        # the one operand check of every method: the role's exact type, refused by name, then this
+        # dimension, refused naming the role and both dimensions, never broadcast
+        article, types = self._ROLES[kind]
+        if type(operand) not in types:
+            names = " or ".join(t.__name__ for t in types)
+            raise ValueError(f"{self.name} theory expects {article} {kind} of type {names}, got {type(operand).__name__}")
         if operand.dim != self.state_dim:
             raise ValueError(
                 f"{kind} dimension {operand.dim} does not match theory dimension {self.state_dim}"
@@ -486,10 +497,10 @@ class VectorTheory(TheoryModel):
             return near_zero(self._own(a).probs - self._own(b).probs, self.atol)
 
     def compose(self, second, first):
+        second, first = self._own(second, "map"), self._own(first, "map")
         name = ""
         if second.name and first.name:
             name = f"{second.name}*{first.name}"
-        second, first = self._own(second, "map"), self._own(first, "map")
         if isinstance(second, Relabeling) and isinstance(first, Relabeling):
             return Relabeling(second.image[first.image], name)
         return LinearMap(second.matrix @ first.matrix, name)
@@ -504,8 +515,8 @@ class VectorTheory(TheoryModel):
         return near_zero(trans.matrix - np.eye(self.state_dim), self.atol)
 
     def maps_commute(self, a, b) -> bool:
+        a, b = self._own(a, "map"), self._own(b, "map")
         if isinstance(a, Relabeling) and isinstance(b, Relabeling):
-            a, b = self._own(a, "map"), self._own(b, "map")
             # ab and ba agree on every state when ba^-1 ab fixes the spanning states
             ab, undo_ba = a.image[b.image], np.empty_like(self._coords)
             undo_ba[b.image[a.image]] = self._coords

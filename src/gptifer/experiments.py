@@ -88,21 +88,6 @@ def _round(x: float, places: int = 12) -> float:
     return 0.0 if r == 0.0 else r
 
 
-def _jsonsafe(value):
-    """Convert numpy scalars and containers to plain JSON-ready values."""
-    if isinstance(value, dict):
-        return {str(k): _jsonsafe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonsafe(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Individual experiments
 # ---------------------------------------------------------------------------
@@ -126,62 +111,60 @@ def _finite_answers(m) -> tuple:
     return answers.get(m.name) or answers[th.theory_form(m.name)]
 
 
+def _agrees(names, expected) -> bool:
+    """Whether a phase group's sorted names give its ``_finite_answers`` entry: those names, or their count."""
+    return (len(names) if isinstance(expected, int) else names) == expected
+
+
 def _sized_theory(theory: str, n, N):
     """The model a group run reads, and its parameters as reported."""
     sizes = th.theory_sizes(theory, n, N)
     return th.theory_by_name(theory, **sizes), {"theory": theory, **sizes}
 
 
-def _dj_runs(instruments):
-    """(spec, outcome) per promise table, one at a time from the one sweep."""
+def _dj_runs(instruments) -> tuple[list, int]:
+    """(spec, outcome) per promise table from the one sweep, and how many verdicts are right."""
     m, enc, s_in, e_C = instruments
-    return ((spec, ifr.dj_outcome(m, out, e_C)) for spec, out in ifr.promise_sweep(m, enc, s_in))
+    runs = [(spec, ifr.dj_outcome(m, out, e_C)) for spec, out in ifr.promise_sweep(m, enc, s_in)]
+    return runs, sum(out.verdict == ifr.classify(spec) for spec, out in runs)
 
 
-def _verdicts_and_probabilities(instruments) -> tuple[bool, dict]:
-    """Whether each one-bit verdict is right, and p(constant effect) per table."""
-    ok, probs = True, {}
-    for spec, out in _dj_runs(instruments):
-        probs["".join(map(str, spec.table))] = out.p_constant_effect
-        ok = ok and out.verdict == ifr.classify(spec)
-    return ok, probs
+def _probabilities(runs) -> dict:
+    """p(constant effect) per table, keyed by its bits, rounded as every reported float is."""
+    return {"".join(map(str, spec.table)): _round(out.p_constant_effect) for spec, out in runs}
 
 
 def _dj_quantum(theory, *, n=2):
     ifr.check_promise_bits(n)
-    correct, max_dev = 0, 0.0
-    for functions, (spec, out) in enumerate(_dj_runs(ifr.quantum_dj_instruments(n)), 1):
-        closed = abs(sum((-1.0) ** b for b in spec.table)) ** 2 / 4.0**n
-        max_dev = max(max_dev, abs(out.p_constant_effect - closed))
-        correct += out.verdict == ifr.classify(spec)
+    runs, correct = _dj_runs(ifr.quantum_dj_instruments(n))
+    # in closed form, p(constant effect) = |sum_x (-1)^f(x)|^2 / 4^n
+    max_dev = max(abs(out.p_constant_effect - abs(sum((-1.0) ** b for b in spec.table)) ** 2 / 4.0**n) for spec, out in runs)
     results = {
         "n": n,
-        "functions": functions,
+        "functions": len(runs),
         "correct_verdicts": correct,
         "max_closed_form_deviation": _round(max_dev),
     }
-    return theory, {"n": n}, results, correct == functions and max_dev <= 1e-12
+    return theory, {"n": n}, results, correct == len(runs) and max_dev <= 1e-12
 
 
 def _dj_quaternionic(theory, *, N=4):
     n = N.bit_length() - 1  # log2 N; an N that is no power of two is refused by the instruments
     ifr.check_promise_bits(n)
     m, *_ = instruments = ifr.quaternionic_dj_instruments(N)
-    correct, probs = 0, {}
-    for functions, (spec, out) in enumerate(_dj_runs(instruments), 1):
-        correct += out.verdict == ifr.classify(spec)
-        probs[spec.table] = [*m.branch_probabilities(out.output_state), out.p_constant_effect]
+    runs, correct = _dj_runs(instruments)
+    probs = {spec.table: [*m.branch_probabilities(out.output_state), out.p_constant_effect] for spec, out in runs}
     # each table's negation is a promise table too, so it ran in this sweep
     negation_gap = max(
         abs(p - q) for t, ps in probs.items() for p, q in zip(ps, probs[tuple(1 - b for b in t)])
     )
     results = {
         "N": N,
-        "functions": functions,
+        "functions": len(runs),
         "correct_verdicts": correct,
         "max_negation_gap": _round(negation_gap),
     }
-    return theory, {"N": N}, results, correct == functions and negation_gap <= 1e-9
+    return theory, {"N": N}, results, correct == len(runs) and negation_gap <= 1e-9
 
 
 def _dj_classical(theory):
@@ -202,7 +185,7 @@ def _dj_classical(theory):
         "branch_local_trivial": locals_trivial,
         "outputs_f_independent": f_independent,
     }
-    passed = group.element_names() == phase and locals_trivial and f_independent
+    passed = _agrees(group.element_names(), phase) and locals_trivial and f_independent
     return theory, {}, results, passed
 
 
@@ -228,13 +211,13 @@ def _dj_gbit(theory):
         "encodings_attempted": attempted,
         "encodings_rejected": rejected,
     }
-    order_or_names = len(group.elements) if isinstance(phase, int) else group.element_names()
-    passed = order_or_names == phase and union == expected_union and rejected == attempted
+    passed = _agrees(group.element_names(), phase) and union == expected_union and rejected == attempted
     if theory == "gbit2":
         gm, x_flip, s_in, e_C = ifr.gbit_global_instruments()
-        outs = {s: ifr.run_dj_with_global_oracle(gm, s, x_flip, s_in, e_C) for s in ifr.constant_balanced_specs(1)}
+        # exact: p(constant effect) is 1.0 on each constant table and 0.0 on each balanced one, so each verdict is right
         results["global_protocol_exact"] = global_ok = all(
-            out.verdict == ifr.classify(spec) and out.p_constant_effect in (0.0, 1.0) for spec, out in outs.items()
+            ifr.run_dj_with_global_oracle(gm, s, x_flip, s_in, e_C).p_constant_effect == (1.0 if ifr.classify(s) == "constant" else 0.0)
+            for s in ifr.constant_balanced_specs(1)
         )
         passed = passed and global_ok
     return theory, {}, results, passed
@@ -242,10 +225,10 @@ def _dj_gbit(theory):
 
 def _dj_spekkens_epistemic(theory):
     instruments = ifr.spekkens_epistemic_dj_instruments()
-    ok, probs = _verdicts_and_probabilities(instruments)
+    runs, correct = _dj_runs(instruments)
     witness = ifr.find_distinguishing_effect(*instruments[:3], strict=True)
-    results = {"probabilities": probs, "strict_effect_exists": witness is not None}
-    return theory, {}, results, ok and witness is not None
+    results = {"probabilities": _probabilities(runs), "strict_effect_exists": witness is not None}
+    return theory, {}, results, correct == len(runs) and witness is not None
 
 
 def _dj_spekkens_ontic(theory):
@@ -262,8 +245,8 @@ def _dj_spekkens_ontic(theory):
 
 
 def _dj_ball(theory):
-    ok, probs = _verdicts_and_probabilities(ifr.ball_dj_instruments(th.theory_by_name(theory)))
-    return theory, {}, {"probabilities": {k: _round(p) for k, p in probs.items()}}, ok
+    runs, correct = _dj_runs(ifr.ball_dj_instruments(th.theory_by_name(theory)))
+    return theory, {}, {"probabilities": _probabilities(runs)}, correct == len(runs)
 
 
 #: dj-sweep runs one entry per theory name, or per form of ``th.THEORY_NAMES``.
@@ -313,7 +296,7 @@ def _exp_phase_group(rng, *, theory="gbit2", n=None, N=None):
         expected = _finite_answers(m)[0]
         if isinstance(expected, int):  # the answer is an order, and the report gives it
             results["order"] = len(names)
-        passed = results.get("order", names) == expected
+        passed = _agrees(names, expected)
     else:
         results = {
             "is_finite": False,
@@ -523,8 +506,8 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentReport:
     return ExperimentReport(
         experiment=name,
         theory=theory,
-        parameters=_jsonsafe(used_params),
-        results=_jsonsafe(results),
+        parameters=used_params,
+        results=results,
         passed=bool(passed),
     )
 

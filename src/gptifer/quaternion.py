@@ -138,7 +138,11 @@ class QuatMatrix:
     __slots__ = ("comps",)
 
     def __init__(self, comps):
-        arr = np.array(comps, dtype=float)
+        # complex components, which a float read cuts to their real parts, strings and objects are refused
+        arr = np.asarray(comps)
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"QuatMatrix components must be real numbers, got dtype {arr.dtype}")
+        arr = np.array(arr, dtype=float)
         if arr.ndim != 3 or arr.shape[0] != 4:
             raise ValueError("component array must have shape (4, rows, cols)")
         arr.setflags(write=False)

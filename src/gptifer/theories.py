@@ -593,7 +593,9 @@ class MatrixTheory(TheoryModel):
         """Whether ``a`` and ``b`` are one state within atol: two of one form
         with equal, finite entries are at once; otherwise two diagonals
         compare entrywise, two kets after aligning their global phase, and
-        any other pair as densities."""
+        any other pair as densities.  The ket test, O(N) against O(N^2), is
+        one-sided: kets it accepts are close as densities, not the converse
+        ((1, 0) and (1, 5e-10) in ``quantum_theory(1)`` fail it)."""
         fa, fb = self._form(a, _STATE), self._form(b, _STATE)
         if fa == fb:  # equal bits, a zero's sign aside: how a sign flip leaves each probe it fixes
             entries = getattr(a, "comps", a)

@@ -23,6 +23,9 @@ Core claims:
       in every component (a zero's sign aside), and fails on NaN; the four
       flags of one first-read pass equal their separate definitions over
       float, complex, int and bool entries with one or four components
+    - a state, effect, map or diagonal refuses string and object entries
+      by name, and a state, effect or map complex ones, rather than parse
+      or cut them; integers and booleans convert, and an array is copied
 """
 
 import itertools
@@ -422,12 +425,33 @@ def test_the_four_flags_of_one_pass_match_their_definitions(k, kind):
             lambda: VectorTheory("t", (("Z", 2),), 0, (GptState([1.0, 0.0]), GptState([1.0, 0.0, 0.0])), None),
             "inconsistent state dimensions in theory definition",
         ),
+        # strings were parsed into floats, and complex entries cut to their real parts with only a ComplexWarning
+        (lambda: GptState(["0.5", "0.5"]), "entries must be real numbers, got dtype <U3"),
+        (lambda: Effect(["1", "0"]), "entries must be real numbers, got dtype <U1"),
+        (lambda: LinearMap([["1", "0"], ["0", "1"]]), "entries must be real numbers, got dtype <U1"),
+        (lambda: DiagonalMap(np.array([["1", "1"]])), "entries must be numbers, got dtype <U1"),
+        (lambda: GptState(np.array([0.5, 0.5], dtype=object)), "entries must be real numbers, got dtype object"),
+        (lambda: DiagonalMap(np.array([[1.0, None]])), "entries must be numbers, got dtype object"),
+        (lambda: GptState(np.array([0.5 + 0j, 0.5])), "entries must be real numbers, got dtype complex128"),
+        (lambda: Effect([1.0 + 2j, 0.0]), "entries must be real numbers, got dtype complex128"),
+        (lambda: LinearMap(np.eye(2) * (1 + 2j)), "entries must be real numbers, got dtype complex128"),
     ],
 )
 def test_a_malformed_value_or_theory_definition_is_refused(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_a_constructor_converts_integers_and_booleans_and_copies_an_array():
+    assert GptState([True, 0]).probs.dtype == np.float64
+    assert (LinearMap(np.eye(2, dtype=int)).matrix == np.eye(2)).all()
+    assert DiagonalMap(np.ones((1, 2), dtype=int)).comps.dtype == np.int64
+    assert DiagonalMap(np.ones((1, 2), dtype=complex)).comps.dtype == np.complex128
+    probs = np.array([0.5, 0.5])
+    state = GptState(probs)
+    probs[0] = 1.0  # the caller's array stays writable and the state keeps its own copy
+    assert state.probs[0] == 0.5 and not state.probs.flags.writeable
 
 
 def test_a_vector_state_whose_block_misses_one_is_not_contained():

@@ -38,7 +38,8 @@ Core claims:
       1 MB tracemalloc peak at n = 10**8
     - invalid search inputs (a marked branch or a round count that is out
       of range or not an integer) and inconclusive LP solves raise instead
-      of returning a curve or a no-go
+      of returning a curve or a no-go; a theory with no beamsplitter is
+      refused, with its localizable union when it has a finite one
 """
 
 import hashlib
@@ -735,6 +736,13 @@ def test_search_unsupported_without_beamsplitter():
     with pytest.raises(UnsupportedTheoryError) as err:
         run_grover(spekkens_ontic_theory(), GroverConfig(2, 0, 1))
     assert "2134" in str(err.value)  # the diagnosis lists what is localizable
+
+
+def test_search_without_beamsplitter_and_without_finite_union_names_no_union():
+    # a round theory has no finite localizable union: the diagnosis is left out
+    with pytest.raises(UnsupportedTheoryError) as err:
+        grover_success_curve(qubit_theory(), 0, 1)
+    assert str(err.value) == "theory 'qubit' has no beamsplitter transform"
 
 
 def test_grover_config_validation():

@@ -14,15 +14,27 @@ Core claims:
       ket evolves as T @ psi, a quaternionic one as the Hamilton product's
       batched matmul and contraction, and a real diagonal effect reads a
       ket as vdot(psi, d psi) (quantum) or d . sum_c psi_c^2 (quaternionic)
+    - a vector theory reads every operand of every method through one
+      check, VectorTheory._own: a list, an ndarray, a subclass, a map as a
+      state, a state as a map or an effect as a state is refused naming the
+      theory, the role, its exact types and the operand's type, where it
+      once raised an AttributeError or a numpy broadcast error
 """
 
 import numpy as np
 import pytest
 from reference import reference_form
 
-from gptifer.core import DiagonalMap
+from gptifer.core import DiagonalMap, GptState
 from gptifer.quaternion import QuatMatrix, _hamilton_contract
-from gptifer.theories import quantum_theory, quaternionic_theory
+from gptifer.theories import (
+    classical_theory,
+    gbit_theory,
+    quantum_theory,
+    quaternionic_theory,
+    qubit_theory,
+    spekkens_ontic_theory,
+)
 
 _STATE, _MAP = "a state", "a map or effect"
 
@@ -121,6 +133,52 @@ def test_a_quaternionic_theory_refuses_a_complex_diagonal_by_name():
         assert str(err.value) == message
     # a quantum theory reads the same entries as its own
     assert quantum_theory(1).is_identity_map(DiagonalMap(np.array([[1j, 1j]])))
+
+
+# -- the vector theories' operand check ------------------------------------------------
+
+
+class _State(GptState):
+    """A trivial GptState subclass."""
+
+
+_VECTOR_TYPES = {"state": "a state of type GptState", "effect": "an effect of type Effect", "map": "a map of type LinearMap or Relabeling"}
+
+
+def _vector_calls(m):
+    # (method, the roles of its operands, one good operand per role)
+    state, effect, trans = m.spanning_states[0], m.z_effects[0], m.identity_map()
+    good = {"state": state, "effect": effect, "map": trans}
+    for name, roles in (
+        ("branch_probabilities", ("state",)),
+        ("contains", ("state",)),
+        ("states_close", ("state", "state")),
+        ("probability", ("effect", "state")),
+        ("apply", ("map", "state")),
+        ("compose", ("map", "map")),
+        ("is_identity_map", ("map",)),
+        ("maps_commute", ("map", "map")),
+    ):
+        yield getattr(m, name), roles, [good[r] for r in roles]
+
+
+@pytest.mark.parametrize("m", [classical_theory(2), gbit_theory(2), spekkens_ontic_theory(), qubit_theory()], ids=lambda m: m.name)
+def test_a_vector_theory_refuses_an_operand_of_another_type_by_name(m):
+    D = m.state_dim
+    wrong = {
+        "state": [[0.5] * D, np.full(D, 0.5), _State(np.full(D, 0.5)), m.identity_map(), m.z_effects[0]],
+        "effect": [[1.0] * D, np.ones(D), m.spanning_states[0]],
+        "map": [np.eye(D).tolist(), np.eye(D), m.spanning_states[0], m.z_effects[0]],
+    }
+    for method, roles, operands in _vector_calls(m):
+        method(*operands)  # the good operands pass
+        for slot, role in enumerate(roles):
+            for x in wrong[role]:
+                args = list(operands)
+                args[slot] = x
+                with pytest.raises(ValueError) as err:
+                    method(*args)
+                assert str(err.value) == f"{m.name} theory expects {_VECTOR_TYPES[role]}, got {type(x).__name__}", (method.__name__, slot)
 
 
 # -- the ket kernels of a search round ------------------------------------------------

@@ -16,7 +16,7 @@ Core claims:
     - a declared family with one sample outside its claim fails verification;
       a sample count that is not an integer of at least one is refused
     - one report type serves phase groups and branch-local subgroups, with
-      ``branch`` set only in the latter
+      ``branch`` set only in the latter; a parametric one names no element
 """
 
 import numpy as np
@@ -365,6 +365,13 @@ def test_one_report_type_serializes_branch_only_when_set():
     assert local.family == "phase on branch 3 up to a global phase"
     assert local.verified_samples == 5
     assert local.elements is None and not local.is_finite and local.theory == "quantum"
+
+
+def test_a_parametric_report_names_no_element():
+    group = phase_group(qubit_theory(), rng=np.random.default_rng(0), samples=3)
+    local = branch_local_subgroup(quantum_theory(1), 0, rng=np.random.default_rng(0), samples=3)
+    assert group.elements is local.elements is None
+    assert group.element_names() == local.element_names() == ()
 
 
 def test_report_element_order_is_name_sorted():

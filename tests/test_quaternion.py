@@ -19,6 +19,9 @@ Core claims:
       each state form (diagonal, ket, density) of both matrix algebras
     - the entrywise product equals the broadcast reference to the bit, the
       sign of every zero included; a matrix product is read-only
+    - complex, string and object components are refused by name, where
+      complex ones were cut to their real parts with only a ComplexWarning;
+      a product of another float dtype is converted to float64
 """
 
 import itertools
@@ -368,3 +371,32 @@ def test_a_matrix_product_is_read_only():
 def test_a_component_array_of_another_shape_is_refused(shape):
     with pytest.raises(ValueError, match=r"^component array must have shape \(4, rows, cols\)$"):
         QuatMatrix(np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "comps,dtype",
+    [
+        (np.stack([np.eye(2) * (1 + 2j)] + [np.zeros((2, 2))] * 3), "complex128"),
+        (np.full((4, 2, 2), "0.5"), "<U3"),
+        (np.zeros((4, 2, 2), dtype=object), "object"),
+    ],
+    ids=["complex", "str", "object"],
+)
+def test_components_that_are_not_real_numbers_are_refused(comps, dtype):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            QuatMatrix(comps)
+    assert str(err.value) == f"QuatMatrix components must be real numbers, got dtype {dtype}"
+    assert QuatMatrix(np.ones((4, 1, 1), dtype=int)).comps.dtype == np.float64
+
+
+def test_a_long_double_image_is_converted_to_float64():
+    # QuatMatrix._of_product takes a float64 product as it is and converts any other
+    m = quaternionic_theory(2)
+    entries = np.zeros((4, 2))
+    entries[0] = (1.0, -0.5)
+    image = m.apply(DiagonalMap(entries.astype(np.longdouble)), m.branch_ket(1))
+    expected = m.apply(DiagonalMap(entries), m.branch_ket(1))
+    assert type(image) is QuatMatrix and image.comps.dtype == np.float64
+    assert image.comps.tobytes() == expected.comps.tobytes() and not image.comps.flags.writeable

@@ -65,7 +65,9 @@ Core claims:
       branch and closing read-outs within 1e-12
     - two kets are compared after aligning their global phase, linearly in
       the error and soundly: a pair judged close is close as densities at
-      the same atol, and a 1e-6 phase error on one remote entry of a sign
+      the same atol (a seeded sweep, and a derandomized hypothesis search
+      at quantum N = 4 and quaternionic N = 3), though not the converse:
+      (1, 0) and (1, 5e-10) are close as densities only; and a 1e-6 phase error on one remote entry of a sign
       flip is refused on structured and on materialized probes alike
     - a locality check forms no dense probe: under 64 KB at quantum
       N = 256 and quaternionic N = 128; each branch's probes, built from
@@ -113,6 +115,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gptifer.theories as th
 from gptifer.core import DEFAULT_ATOL, DiagonalMap, Effect, GptState, LinearMap, near_zero
@@ -1545,6 +1549,35 @@ def test_a_ket_pair_judged_close_is_close_as_densities(m):
             verdicts.add(close)
             assert not close or m.states_close(_density(a), _density(psi))
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("m", [quantum_theory(2), quaternionic_theory(3)], ids=_label)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-1.5, 1.5), spread=st.booleans())
+def test_kets_judged_close_are_close_as_densities(m, seed, exponent, spread):
+    # the ket test is one-sided: True as kets implies True as densities (and so in mixed forms),
+    # never the converse; errors of atol * 10**exponent, over every entry or on one
+    rng = np.random.default_rng(seed)
+    psi = _random_ket(m, rng)
+    shape = m._entries(psi).shape
+    error = rng.standard_normal(shape) if spread else np.eye(1, shape[0] * shape[1], rng.integers(shape[0] * shape[1])).reshape(shape)
+    if isinstance(m, DensityMatrixTheory):
+        error = error * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape))
+    error *= m.atol * 10.0**exponent / np.abs(error).max()
+    a = m._matrix(m._entries(_times_global_phase(m, psi, rng)) + error)
+    if m.states_close(a, psi):
+        assert m.states_close(_density(a), _density(psi))
+        assert m.states_close(a, _density(psi)) and m.states_close(_density(a), psi)
+
+
+def test_two_kets_close_as_densities_may_read_not_close():
+    # the ket test bounds every entry of a - b u by atol / (3 sqrt(k) S): a 5e-10 entry is past it,
+    # though the densities differ by at most 5e-10 in any entry
+    q = quantum_theory(1)
+    a, b = np.array([[1.0], [0.0]], dtype=complex), np.array([[1.0], [5e-10]], dtype=complex)
+    assert not q.states_close(a, b)
+    assert q.states_close(_density(a), _density(b))
+    assert q.states_close(a, _density(b)) and q.states_close(_density(a), b)
 
 
 @pytest.mark.parametrize("m", _DIAGONAL_THEORIES, ids=_label)
