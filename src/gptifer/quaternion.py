@@ -3,8 +3,11 @@
 Quaternions are stored component-wise (1, i, j, k); matrices keep a single
 ``(4, rows, cols)`` float array so products reduce to real matrix products.
 A ket is a one-column matrix.  :class:`QuatMatrix` keeps what the matrix
-core reads (components, ``shape``, ``@``, ``dagger``, ``complex_adjoint``);
-``QuaternionicTheory`` builds identity and diagonal matrices.
+core reads (components, ``shape``, ``real``, ``@``, ``dagger``,
+``complex_adjoint``); ``QuaternionicTheory`` builds identity and diagonal
+matrices.  A product of two real matrices (i, j and k components all zero)
+is one real matrix product, the bytes of the Hamilton kernel's for finite
+entries; an infinite entry stays real, where that kernel's 0 * inf made NaN.
 The symplectic dagger is transpose plus entrywise conjugation, and a square
 matrix is symplectic when ``S @ S.dagger()`` is the identity.  Probabilities
 of a general effect are always extracted as a trace, tr(E rho) through
@@ -133,9 +136,13 @@ _FLOAT = np.dtype(np.float64)
 
 
 class QuatMatrix:
-    """Matrix of quaternions stored as a (4, rows, cols) component array."""
+    """Matrix of quaternions stored as a (4, rows, cols) component array.
 
-    __slots__ = ("comps",)
+    ``real`` is true exactly when the i, j and k components are all zero
+    (either sign): a real matrix times a real matrix is one real product.
+    """
+
+    __slots__ = ("comps", "real")
 
     def __init__(self, comps):
         # complex components, which a float read cuts to their real parts, strings and objects are refused
@@ -147,18 +154,22 @@ class QuatMatrix:
             raise ValueError("component array must have shape (4, rows, cols)")
         arr.setflags(write=False)
         object.__setattr__(self, "comps", arr)
+        # count_nonzero, not .any(): about 0.5 us against 2 us on a search-sized array
+        object.__setattr__(self, "real", not np.count_nonzero(arr[1:]))
 
     @classmethod
-    def _of_product(cls, comps: np.ndarray) -> "QuatMatrix":
+    def _of_product(cls, comps: np.ndarray, real: bool | None = None) -> "QuatMatrix":
         # a freshly computed (4, rows, cols) float array that nothing else
-        # holds, taken read-only as it is instead of copied; an array of
-        # another dtype (a long-double diagonal's entries times an image) is
-        # converted and checked by the constructor
+        # holds, taken read-only as it is instead of copied, with ``real``
+        # read off it unless the caller knows it; an array of another dtype
+        # (a long-double diagonal's entries times an image) is converted and
+        # checked by the constructor
         if comps.dtype is not _FLOAT:  # an identity test: != converts np.float64 on every call
             return cls(comps)
         comps.setflags(write=False)
         M = object.__new__(cls)
         object.__setattr__(M, "comps", comps)
+        object.__setattr__(M, "real", not np.count_nonzero(comps[1:]) if real is None else real)
         return M
 
     def __setattr__(self, name, value):
@@ -174,7 +185,17 @@ class QuatMatrix:
 
     def __matmul__(self, other):
         if isinstance(other, QuatMatrix):
-            return QuatMatrix._of_product(_hamilton_matmul(self.comps, other.comps))
+            a, b = self.comps, other.comps
+            if self.real and other.real:
+                # the one product with no zero factor, by the call the Hamilton
+                # kernel makes for it, so the same BLAS or fallback loop for
+                # every memory layout; the other fifteen products are zeros
+                # for finite entries, which the contraction's sums, started
+                # from +0, do not change
+                comps = np.zeros((4, a.shape[1], b.shape[2]))
+                np.matmul(a[0], b[0], out=comps[0])
+                return QuatMatrix._of_product(comps, True)
+            return QuatMatrix._of_product(_hamilton_matmul(a, b))
         return NotImplemented
 
     def dagger(self) -> "QuatMatrix":

@@ -44,7 +44,6 @@ from .quaternion import (
     QuatMatrix,
     _conj,
     _hamilton_entrywise,
-    _hamilton_matmul,
     _real_part,
     conjugate_state,
     real_trace_prob,
@@ -368,6 +367,7 @@ MAX_MATRIX_LEVELS = 1024
 MAX_SPANNING_LEVELS = 64
 
 _STATE, _MAP = "a state", "a map or effect"  # the roles MatrixTheory._form reads an operand in
+_COMPLEX, _FLOAT = np.dtype(complex), np.dtype(float)  # the usual entries' dtypes, taken by identity
 
 
 class MatrixTheory(TheoryModel):
@@ -457,22 +457,25 @@ class MatrixTheory(TheoryModel):
     def _form(self, x, role: str) -> str:
         # the one operand rule, read once per operand of every public call, by exact type: "diagonal"
         # for a DiagonalMap of (k, N) entries (not complex for quaternions), "density" for an
-        # N x N matrix of the algebra's own type, "ket" for an N x 1 one read as a state.  Anything
-        # else, a subclass of either type too, is refused by name
+        # N x N matrix of the algebra's own type and a numeric dtype, "ket" for an N x 1 one read
+        # as a state.  Anything else, a subclass of either type or a string or object array too, is refused by name
         kind = type(x)
         if kind is DiagonalMap:
             if x.comps.shape == self._diagonal_shape and (self._complex_entries or x.comps.dtype.kind != "c"):
                 return "diagonal"
         elif kind is self._matrix_type:
-            shape = getattr(x, "comps", x).shape
-            if shape == self._map_shape:
-                return "density"
-            if shape == self._ket_shape and role == _STATE:
-                return "ket"
+            entries = getattr(x, "comps", x)
+            dtype = entries.dtype
+            if dtype is _COMPLEX or dtype is _FLOAT or dtype.kind in "biufc":
+                shape = entries.shape
+                if shape == self._map_shape:
+                    return "density"
+                if shape == self._ket_shape and role == _STATE:
+                    return "ket"
         raise self._refusal(x, role)
 
     def _refusal(self, x, role: str) -> ValueError:
-        # why _form took no form for x: its type, then its shape, then a diagonal's dtype
+        # why _form took no form for x: its type, then a matrix's dtype, then its shape, then a diagonal's dtype
         N, kind = self.dim, type(x)
         if kind is DiagonalMap:
             if x.comps.shape != self._diagonal_shape:
@@ -481,6 +484,8 @@ class MatrixTheory(TheoryModel):
                 got = f"a diagonal of real components, got one of dtype {x.comps.dtype}"
         elif kind is not self._matrix_type:
             got = f"{role} of type {self._matrix_type.__name__} or DiagonalMap, got {kind.__name__}"
+        elif self._entries(x).dtype.kind not in "biufc":
+            got = f"{role} of numeric dtype, got dtype {self._entries(x).dtype}"
         elif role == _STATE:
             got = f"a {N}x1 ket or a {N}x{N} density matrix, got a matrix of shape {self._entries(x).shape[1:]}"
         else:
@@ -826,9 +831,14 @@ class QuaternionicTheory(MatrixTheory):
         q = rng.standard_normal((count, 4))
         return (q / np.linalg.norm(q, axis=1, keepdims=True)).T
 
-    # d . sum_c psi_c^2, which no unit on the right changes, summed in place on the (4, N, 1) components
-    _diagonal_read = staticmethod(lambda d, ket: float(np.vdot(d[0], np.add.reduce(ket.comps**2, 0))))
-    _ket_image = staticmethod(lambda S, psi: QuatMatrix._of_product(_hamilton_matmul(S.comps, psi.comps)))
+    @staticmethod
+    def _diagonal_read(d, ket) -> float:
+        # d . sum_c psi_c^2, which no unit on the right changes, summed in place on the (4, N, 1)
+        # components; a real ket's other squares are +0, which leave the sum's bits as they are
+        comps = ket.comps
+        return float(np.vdot(d[0], comps[0] ** 2 if ket.real else np.add.reduce(comps**2, 0)))
+
+    _ket_image = staticmethod(QuatMatrix.__matmul__)  # S psi by the one product rule of maps: real takes one real product
     # conjugate_state and real_trace_prob are looked up at call time, so a wrapper sees each call
     _conjugate = staticmethod(lambda S, rho: conjugate_state(S, rho))
     _trace_prob = staticmethod(lambda E, rho, atol: real_trace_prob(E, rho, atol))

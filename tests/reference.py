@@ -125,7 +125,10 @@ def reference_form(m, x, role: str):
         return "diagonal" if x.comps.shape == (k, N) and (k == 1 or not np.iscomplexobj(x.comps)) else None
     if type(x) is not (np.ndarray if k == 1 else QuatMatrix):
         return None
-    shape = x.comps.shape if k > 1 else x.shape
+    entries = x.comps if k > 1 else x
+    if not (np.issubdtype(entries.dtype, np.number) or entries.dtype == bool):
+        return None
+    shape = entries.shape
     if shape == (*lead, N, N):
         return "density"
     return "ket" if shape == (*lead, N, 1) and role == "a state" else None

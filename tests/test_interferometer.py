@@ -26,7 +26,8 @@ Core claims:
       density-matrix reference; the locality probes reach apply as a
       diagonal and kets, every read-out is the marked branch's diagonal
       effect on the ket, and no density is formed; 200-round curves (quantum N = 4, 64; quaternionic N = 2,
-      16) are pinned byte for byte by one sha256 each; sign_encoding shares one read-only identity, and each
+      16, 64) are pinned byte for byte by one sha256 each; a non-real ket under the real search step
+      takes the Hamilton kernel; sign_encoding shares one read-only identity, and each
       member is still checked on its own; it holds diagonals only, under
       4 N^2 scalars at N = 128 for both matrix theories; the quantum DJ
       input state and closing effect are read-only too
@@ -84,7 +85,7 @@ from gptifer.interferometer import (
     spekkens_epistemic_dj_instruments,
     spekkens_ontic_dj_instruments,
 )
-from gptifer.quaternion import Quaternion
+from gptifer.quaternion import Quaternion, _hamilton_matmul
 from gptifer.theories import (
     QuaternionicTheory,
     classical_theory,
@@ -625,6 +626,7 @@ SEARCH_CURVE_DIGESTS = {
     ("quantum", 6): "5032e3b47b24da31eb5137092641a9cbb781162e15dfbb40247d57dc3c89a66c",
     ("quaternionic", 2): "f569c6f4b73a33283a128791cc598990a03413621620860bc5f211dea07f1cb8",
     ("quaternionic", 16): "39593aebc24bb07b6cd173f8b554cd14d36b317f19de35f09f0cce3382f07381",
+    ("quaternionic", 64): "a0decfb65d79464a5f688ecc9d9be4ef566dc0d947715a49072f7f2f04170a6e",
 }
 
 
@@ -633,6 +635,21 @@ def test_search_curves_are_pinned_byte_for_byte(name, size):
     m = quantum_theory(size) if name == "quantum" else quaternionic_theory(size)
     curve = grover_success_curve(m, m.n_branches - 1, 200)
     assert hashlib.sha256(np.array(curve).tobytes()).hexdigest() == SEARCH_CURVE_DIGESTS[name, size]
+
+
+def test_a_non_real_ket_under_the_real_search_step_takes_the_hamilton_kernel():
+    # the step of a search round, as grover_success_curve composes it, is real; a ket with a j
+    # entry is not, so its image comes from the sixteen-product kernel, bit for bit
+    m = quaternionic_theory(16)
+    enc = sign_encoding(m)
+    marked, flip0 = (build_oracle(m, OracleSpec(4, tuple(int(x == b) for x in range(16))), enc) for b in (15, 0))
+    B = m.beamsplitter
+    step = m.compose(B, m.compose(flip0, m.compose(B, marked)))
+    ket = m._pair_ket(0, 15, 2)  # (|0> + |15> j) / sqrt(2)
+    assert B.real and step.real and not ket.real
+    image = m.apply(step, ket)
+    assert not image.real
+    assert image.comps.tobytes() == _hamilton_matmul(step.comps, ket.comps).tobytes()
 
 
 def _form(state) -> str:

@@ -9,7 +9,8 @@ Core claims:
     - an ndarray subclass and a DiagonalMap subclass are refused by their
       type's name; a quaternionic theory refuses a diagonal of complex
       dtype by name, where apply once dropped its imaginary parts with
-      only a ComplexWarning
+      only a ComplexWarning; a quantum theory refuses a string or object
+      array by its dtype, where numpy's matmul once raised a UFuncTypeError
     - the ket kernels give the bytes of the forms they replace: a quantum
       ket evolves as T @ psi, a quaternionic one as the Hamilton product's
       batched matmul and contraction, and a real diagonal effect reads a
@@ -75,6 +76,10 @@ def _operands(m):
         yield "ket-subclass", m.branch_ket(0).view(_Array)
         yield "quatmatrix", QuatMatrix(np.zeros((4, N, N)))
         yield "real-density", np.eye(N)
+        yield "bool-density", np.eye(N, dtype=bool)
+        yield "string-density", np.eye(N).astype(str)
+        yield "object-density", np.eye(N, dtype=object)
+        yield "string-ket", np.ones((N, 1)).astype(str)
     else:
         yield "plain-components", m._lift(np.eye(N))
         yield "components-subclass", m._lift(np.eye(N)).view(_Array)
@@ -133,6 +138,28 @@ def test_a_quaternionic_theory_refuses_a_complex_diagonal_by_name():
         assert str(err.value) == message
     # a quantum theory reads the same entries as its own
     assert quantum_theory(1).is_identity_map(DiagonalMap(np.array([[1j, 1j]])))
+
+
+def test_a_quantum_theory_refuses_a_string_or_object_array_by_its_dtype():
+    # each once raised numpy's UFuncTypeError, or, in branch_probabilities, returned an object array
+    q = quantum_theory(1)
+    for bad in (np.array([["1", "0"], ["0", "0"]]), np.array([[1, 0], [0, 0]], dtype=object)):
+        column = bad[:, :1].copy()
+        for call, role in (
+            (lambda: q.apply(q.beamsplitter, bad), _STATE),
+            (lambda: q.apply(q.beamsplitter, column), _STATE),
+            (lambda: q.apply(bad, q.branch_ket(0)), _MAP),
+            (lambda: q.probability(q.z_effects[0], column), _STATE),
+            (lambda: q.probability(bad, q.branch_ket(0)), _MAP),
+            (lambda: q.compose(bad, q.beamsplitter), _MAP),
+            (lambda: q.compose(q.beamsplitter, bad), _MAP),
+            (lambda: q.maps_commute(q.beamsplitter, bad), _MAP),
+            (lambda: q.branch_probabilities(bad), _STATE),
+            (lambda: q.branch_probabilities(column), _STATE),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"quantum theory expects {role} of numeric dtype, got dtype {bad.dtype}"
 
 
 # -- the vector theories' operand check ------------------------------------------------

@@ -19,6 +19,11 @@ Core claims:
       each state form (diagonal, ket, density) of both matrix algebras
     - the entrywise product equals the broadcast reference to the bit, the
       sign of every zero included; a matrix product is read-only
+    - the real flag says exactly whether the i, j and k components are all
+      zero, after construction, dagger, products and entrywise images; a
+      real product is the Hamilton kernel's to the bit, in every memory
+      layout, zeros of both signs included; with an infinite entry it
+      stays real, where that kernel's 0 * inf made every component NaN
     - complex, string and object components are refused by name, where
       complex ones were cut to their real parts with only a ComplexWarning;
       a product of another float dtype is converted to float64
@@ -365,6 +370,75 @@ def test_a_matrix_product_is_read_only():
     assert product.comps.tobytes() == _hamilton_matmul(S.comps, T.comps).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         product.comps[0, 0, 0] = 1.0
+
+
+def _real_components(rng, shape, layout):
+    # component 0 random with about a third of its entries zero, the others
+    # zero: each zero of either sign; laid out C-ordered, Fortran-ordered or
+    # as a transposed view, the layouts the constructor keeps
+    comps = np.where(rng.random((4, *shape)) < 0.5, 0.0, -0.0)
+    comps[0] = np.where(rng.random(shape) < 0.67, rng.standard_normal(shape), comps[0])
+    if layout == "F":
+        return np.asfortranarray(comps)
+    if layout == "T":
+        return np.ascontiguousarray(comps.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return comps
+
+
+@pytest.mark.parametrize("N", [2, 3, 16, 64, 257])
+@pytest.mark.parametrize("wide", [False, True], ids=["ket", "map"])
+def test_a_real_product_is_the_hamilton_kernel_to_the_bit(N, wide):
+    rng = np.random.default_rng(N * 2 + wide)
+    for layout in ("C", "F", "T"):
+        for _ in range(2 if N > 64 else 8):
+            A = QuatMatrix(_real_components(rng, (N, N), layout))
+            B = QuatMatrix(_real_components(rng, (N, N if wide else 1), layout))
+            assert A.real and B.real
+            product = A @ B
+            assert product.real and not product.comps.flags.writeable
+            assert product.comps.tobytes() == _hamilton_matmul(A.comps, B.comps).tobytes(), layout
+
+
+def test_a_real_product_with_an_infinite_entry_stays_real():
+    # the sixteen-product kernel forms 0 * inf = NaN in every component; a real product forms none
+    a, b = np.zeros((4, 2, 2)), np.zeros((4, 2, 1))
+    a[0], b[0] = [[np.inf, 1.0], [0.0, 1.0]], [[1.0], [2.0]]
+    product = QuatMatrix(a) @ QuatMatrix(b)
+    assert product.real
+    assert product.comps[:, :, 0].tolist() == [[np.inf, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_hamilton_matmul(a, b)[:, 0]).all()
+
+
+def _flag_is_exact(M):
+    return M.real is (not M.comps[1:].any())
+
+
+def test_the_real_flag_says_exactly_whether_i_j_and_k_are_zero():
+    rng = np.random.default_rng(31)
+    real = QuatMatrix(_real_components(rng, (3, 3), "C"))
+    negated = QuatMatrix(-real.comps)  # every i, j, k component -0
+    tiny = real.comps.copy()
+    tiny[3, 2, 1] = -5e-324
+    general = QuatMatrix(rng.standard_normal((4, 3, 3)))
+    matrices = [real, negated, QuatMatrix(tiny), general, QuatMatrix(np.zeros((4, 3, 1)))]
+    assert [M.real for M in matrices] == [True, True, False, False, True]
+    for M in matrices:
+        assert _flag_is_exact(M) and _flag_is_exact(M.dagger())
+    for A, B in itertools.product(matrices[:4], repeat=2):
+        assert _flag_is_exact(A @ B) and (A @ B).real is (A.real and B.real)
+    # entrywise images: a real or a non-real diagonal on a real or a non-real ket or density
+    m = quaternionic_theory(3)
+    ket, pair = m.branch_ket(1), m._pair_ket(0, 2, 2)
+    quarter_turn = m.diagonal_map(np.ones(3)).comps.copy()
+    quarter_turn[:, 1] = (0.0, 0.0, 1.0, 0.0)
+    images = [
+        m.apply(d, x)
+        for d in (m.diagonal_map([1.0, -1.0, 2.0]), DiagonalMap(quarter_turn))
+        for x in (ket, pair, real, general)
+    ]
+    assert [M.real for M in images] == [True, False, True, False, False, False, False, False]
+    assert all(_flag_is_exact(M) for M in images + [pair, ket])
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (3, 2, 2), (4, 2, 2, 1)])
