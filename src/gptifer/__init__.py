@@ -6,6 +6,7 @@ from .core import (
     FiniteGroup,
     GptState,
     LinearMap,
+    NumericConsistencyError,
     ParametricFamily,
     ParametricGroup,
     Relabeling,
@@ -14,7 +15,7 @@ from .core import (
     apply,
     probability,
 )
-from .quaternion import NumericConsistencyError, QuatMatrix
+from .quaternion import QuatMatrix
 from .theories import (
     DensityMatrixTheory,
     MatrixTheory,

@@ -29,6 +29,11 @@ DEFAULT_ATOL = 1e-9
 PROBABILITY_FLOOR = 1e-12
 
 
+class NumericConsistencyError(ArithmeticError):
+    """A numeric result fails a check it must pass: a quantity that must be
+    real carries imaginary residue, or an LP verdict fails its exact check."""
+
+
 #: Scalars that ``near_zero`` decides without numpy dispatch: a real's
 #: modulus is exact, so the verdict is the array path's.  A complex scalar
 #: takes the array path: Python's and numpy's scalar moduli differ from the

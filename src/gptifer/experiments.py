@@ -431,13 +431,14 @@ def _exp_quaternionic_globalphase(rng):
     j_plus = m.apply(DiagonalMap(units[:, [0, 2]]), uniform)  # (1, j) / sqrt(2)
     states = [m.branch_ket(0), uniform, j_plus]
     effects = list(m.z_effects) + [psi @ psi.dagger() for psi in states[1:]]
+    unshifted = [[m.probability(E, psi) for E in effects] for psi in states]
 
     def max_shift(h: np.ndarray) -> float:
         G = DiagonalMap(np.column_stack([h, h]))  # the unit h times the identity
         return max(
-            abs(m.probability(E, m.apply(G, psi)) - m.probability(E, psi))
-            for psi in states
-            for E in effects
+            abs(m.probability(E, shifted) - p)
+            for shifted, row in zip((m.apply(G, psi) for psi in states), unshifted)
+            for E, p in zip(effects, row)
         )
 
     shift_i = max_shift(units[1])

@@ -6,7 +6,9 @@ agents; each choice must be localizable to its own branch (criterion i), and
 the assembled transformations must pairwise commute so the composition order
 carries no physics.  The constant-vs-balanced run then asks for one fixed
 effect that separates the two output classes (criterion ii), either exactly
-or, in the weak variant, by a majority margin.
+or, in the weak variant, by a majority: one homogeneous linear system in the
+effect e and its bound s, checked exactly in (e, s), of which e/s is the
+float image.
 """
 
 from __future__ import annotations
@@ -297,8 +299,6 @@ def run_dj_with_global_oracle(m: TheoryModel, spec: OracleSpec, balanced_op, s_i
 # Criterion ii: searching for a distinguishing effect
 # ---------------------------------------------------------------------------
 
-WEAK_MARGIN = 1e-6
-
 
 def find_distinguishing_effect(
     m: TheoryModel,
@@ -308,50 +308,47 @@ def find_distinguishing_effect(
 ):
     """Search for one effect satisfying criterion ii over all promise tables.
 
-    For polytope theories the search is a linear feasibility problem over
-    the effect polytope cut out by the extremal states: strict mode demands
-    pairing 1 with every constant output and 0 with every balanced output;
-    weak mode demands a majority margin on both sides.  Round and
-    matrix-backed theories raise :class:`UnsupportedTheoryError`.
-    Returns a witness effect, checked exactly against every constraint, or
-    None only with a checked Farkas certificate: multipliers that prove the
-    constraints infeasible in exact arithmetic (see :mod:`gptifer.lp`).  A
-    failed exact check raises :class:`NumericConsistencyError`, and any
-    other solver outcome RuntimeError, rather than claim a no-go.
+    For polytope theories the search is a linear feasibility problem in
+    (e, s), homogeneous, with s standing for the bound 1: every vertex v
+    gives 0 <= v.e <= s.  Strict mode sets s = 1 and demands pairing 1 with
+    every constant output and 0 with every balanced one.  Weak mode demands
+    out.e - s/2 >= 1 on every constant output, <= -1 on every balanced one,
+    and s >= 1: any strict majority scales to this, so no margin is chosen
+    and every coefficient is a statistic, 0, +-1 or +-1/2.  Round and
+    matrix-backed theories raise :class:`UnsupportedTheoryError`.  Returns
+    a witness effect, checked exactly against every row (weak mode checks
+    (e, s) and returns its float image e/s), or None only with a checked
+    Farkas certificate: multipliers that prove the rows infeasible in exact
+    arithmetic (see :mod:`gptifer.lp`).  A failed exact check raises
+    :class:`NumericConsistencyError`, any other outcome RuntimeError, not a no-go.
     """
     if not isinstance(m, VectorTheory) or m.extremal_states is None:
         raise UnsupportedTheoryError("effect search needs a polytope theory")
-    a_ub = []
-    b_ub = []
-    for v in m.extremal_states:
-        a_ub.append(v.probs)
-        b_ub.append(1.0)
-        a_ub.append(-v.probs)
-        b_ub.append(0.0)
-    a_eq = []
-    b_eq = []
+    a_ub, a_eq = [], []
+    for v in m.extremal_states:  # v.e - s <= 0 and -v.e <= 0
+        a_ub += [np.append(v.probs, -1.0), np.append(-v.probs, 0.0)]
+    b_ub = [0.0] * len(a_ub)
     for spec, out in promise_sweep(m, enc, s_in):
         constant = classify(spec) == "constant"
-        if strict:
-            a_eq.append(out.probs)
-            b_eq.append(1.0 if constant else 0.0)
-        else:
-            sign = -1.0 if constant else 1.0
-            a_ub.append(sign * out.probs)
-            b_ub.append(sign * 0.5 - WEAK_MARGIN)
-    result = linprog(
-        A_ub=np.array(a_ub),
-        b_ub=np.array(b_ub),
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-    )
+        if strict:  # out.e - s = 0 or out.e = 0
+            a_eq.append(np.append(out.probs, -1.0 if constant else 0.0))
+        else:  # -(out.e - s/2) <= -1 or out.e - s/2 <= -1
+            a_ub.append((-1.0 if constant else 1.0) * np.append(out.probs, -0.5))
+            b_ub.append(-1.0)
+    if strict:  # s = 1 moves the last column to the right-hand sides, as 0.0 - x: never -0.0
+        a_ub, a_eq = np.array(a_ub), np.array(a_eq)
+        kw = dict(A_ub=a_ub[:, :-1], b_ub=np.array(b_ub) - a_ub[:, -1], A_eq=a_eq[:, :-1], b_eq=0.0 - a_eq[:, -1])
+    else:  # and -s <= -1
+        a_ub.append(np.append(np.zeros_like(v.probs), -1.0))
+        kw = dict(A_ub=np.array(a_ub), b_ub=np.array(b_ub + [-1.0]), A_eq=None, b_eq=None)
+    result = linprog(**kw)
     if result.status == 2:
         return None
     if not result.success:
         raise RuntimeError(
             f"effect search LP ended with status {result.status}: {result.message}"
         )
-    return Effect(result.x)
+    return Effect(result.x if strict else result.x[:-1] / result.x[-1])
 
 
 # ---------------------------------------------------------------------------

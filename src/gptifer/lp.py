@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import NumericConsistencyError
+from .core import NumericConsistencyError
 
 #: Below this a float tableau entry, reduced cost or phase-1 objective counts
 #: as zero.  It steers the float search only; the exact stage decides.

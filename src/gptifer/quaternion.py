@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, near_zero
-
-
-class NumericConsistencyError(ArithmeticError):
-    """A numeric result fails a check it must pass: a quantity that must be
-    real carries imaginary residue, or an LP verdict fails its exact check."""
+from .core import DEFAULT_ATOL, NumericConsistencyError, near_zero
 
 
 @dataclass(frozen=True)
@@ -158,18 +153,18 @@ class QuatMatrix:
         object.__setattr__(self, "real", not np.count_nonzero(arr[1:]))
 
     @classmethod
-    def _of_product(cls, comps: np.ndarray, real: bool | None = None) -> "QuatMatrix":
+    def _of_product(cls, comps: np.ndarray, real: bool = False) -> "QuatMatrix":
         # a freshly computed (4, rows, cols) float array that nothing else
         # holds, taken read-only as it is instead of copied, with ``real``
-        # read off it unless the caller knows it; an array of another dtype
-        # (a long-double diagonal's entries times an image) is converted and
-        # checked by the constructor
+        # read off it unless the caller knows it is real; an array of another
+        # dtype (a long-double diagonal's entries times an image) is converted
+        # and checked by the constructor
         if comps.dtype is not _FLOAT:  # an identity test: != converts np.float64 on every call
             return cls(comps)
         comps.setflags(write=False)
         M = object.__new__(cls)
         object.__setattr__(M, "comps", comps)
-        object.__setattr__(M, "real", not np.count_nonzero(comps[1:]) if real is None else real)
+        object.__setattr__(M, "real", real or not np.count_nonzero(comps[1:]))
         return M
 
     def __setattr__(self, name, value):
@@ -199,7 +194,8 @@ class QuatMatrix:
         return NotImplemented
 
     def dagger(self) -> "QuatMatrix":
-        return QuatMatrix(_conj(np.transpose(self.comps, (0, 2, 1))))
+        # _conj's copy is C-ordered and held by nothing else; conjugation keeps every zero a zero
+        return QuatMatrix._of_product(_conj(np.transpose(self.comps, (0, 2, 1))), self.real)
 
     def complex_adjoint(self) -> np.ndarray:
         """Complex 2N x 2M matrix representing this matrix faithfully.

@@ -32,6 +32,7 @@ from .core import (
     FiniteGroup,
     GptState,
     LinearMap,
+    NumericConsistencyError,
     ParametricFamily,
     ParametricGroup,
     TheoryModel,
@@ -40,7 +41,6 @@ from .core import (
     near_zero,
 )
 from .quaternion import (
-    NumericConsistencyError,
     QuatMatrix,
     _conj,
     _hamilton_entrywise,
@@ -690,14 +690,14 @@ class MatrixTheory(TheoryModel):
         form = self._form(state, _STATE)
         if self._form(trans, _MAP) == "diagonal":  # d psi, d_i w_i conj(d_i), or d_i rho_ij conj(d_j): entrywise
             mul, conj, d = self._entrywise, self._conj, trans.comps
-            if trans.real and trans.finite:  # a real d scales by its component 0: no algebra product
+            if scales := trans.real and trans.finite:  # a real d scales by its component 0: no algebra product
                 mul, conj, d = np.multiply, np.conj, d[:1]
             if form == "diagonal":
                 return DiagonalMap(mul(mul(d, state.comps), conj(d)))
             image = mul(d[:, :, None], self._entries(state))
             if form == "density":
                 image = mul(image, conj(d)[:, None, :])
-            return self._of_product(image)
+            return self._of_product(image, scales and state.real)  # scaled, a real operand stays real
         if form == "ket":
             return self._ket_image(trans, state)
         return self._read_only(self._conjugate(trans, self._as_dense(state, form)))
@@ -760,8 +760,8 @@ class DensityMatrixTheory(MatrixTheory):
         M.setflags(write=False)
         return M
 
-    _matrix = staticmethod(lambda entries: DensityMatrixTheory._read_only(entries[0]))
-    _of_product = _matrix
+    # ``real`` is a quaternionic shortcut, unread here, where ``.real`` is a real-part array
+    _matrix = _of_product = staticmethod(lambda entries, real=False: DensityMatrixTheory._read_only(entries[0]))
 
     _entries = staticmethod(lambda M: np.asarray(M)[None])
     _dagger = staticmethod(lambda M: np.asarray(M).conj().T)

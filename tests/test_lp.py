@@ -3,13 +3,20 @@
 Core claims:
     - on seeded small systems (2-8 variables: feasible, infeasible,
       degenerate with repeated or zero rows, rank-deficient, equality-only,
-      inequality-only, small-integer and general float coefficients) and on
+      inequality-only, small-integer and general float coefficients, and
+      dyadic degenerate: more tight rows than variables at a planted point,
+      coefficients in {0, +-1/2, +-1}, right-hand sides in {0, -1}) and on
       the four toy-bit effect searches, every verdict agrees with HiGHS;
       every witness meets the float rows within 1e-9, and every
       certificate passes a Farkas check in Fractions, made here
     - the four toy-bit searches reach the verdicts the paper states: no
       effect for the hidden variable, strict or weak; one for the restricted
-      toy bit, strict or weak
+      toy bit, strict or weak; every coefficient and right-hand side of
+      their rows is dyadic with a denominator of at most 16, so no margin
+      such as 1e-6 sits in them
+    - weak searches over every fifth (branch-local encoding, vertex input)
+      pair of the restricted toy bit, 308 of 1,536, never raise, agree with
+      HiGHS, and each witness separates the outputs at 1/2
     - no corruption of the float basis yields a wrong verdict: a flipped
       verdict, a repeated column or any one column replaced either raises
       NumericConsistencyError naming the failed check or gives the right
@@ -20,6 +27,7 @@ Core claims:
       side, mismatched shapes, NaN or infinite entries, no rows
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +37,20 @@ from hypothesis import strategies as st
 
 import gptifer.interferometer as ifr
 import gptifer.lp as lp
-from gptifer.quaternion import NumericConsistencyError
+from gptifer import NumericConsistencyError
+from gptifer.phase import branch_local_subgroup
+
+
+def _searched(m, enc, s_in, strict):
+    # the effect find_distinguishing_effect returns and the rows it hands the solver
+    seen = []
+    real = ifr.linprog
+    ifr.linprog = lambda **kw: seen.append(kw) or real(**kw)
+    try:
+        effect = ifr.find_distinguishing_effect(m, enc, s_in, strict)
+    finally:
+        ifr.linprog = real
+    return effect, seen[0]
 
 
 def _toy_systems():
@@ -38,21 +59,50 @@ def _toy_systems():
     for name in ("ontic", "epistemic"):
         m, enc, s_in, _ = getattr(ifr, f"spekkens_{name}_dj_instruments")()
         for strict in (True, False):
-            seen = []
-            real = ifr.linprog
-            ifr.linprog = lambda **kw: seen.append(kw) or real(**kw)
-            try:
-                ifr.find_distinguishing_effect(m, enc, s_in, strict)
-            finally:
-                ifr.linprog = real
-            systems[f"{name}-{'strict' if strict else 'weak'}"] = seen[0]
+            systems[f"{name}-{'strict' if strict else 'weak'}"] = _searched(m, enc, s_in, strict)[1]
     return systems
 
 
 TOY = _toy_systems()
 TOY_FEASIBLE = {"ontic-strict": False, "ontic-weak": False, "epistemic-strict": True, "epistemic-weak": True}
 
-KINDS = ("feasible", "infeasible", "degenerate", "rank-deficient", "equality-only", "inequality-only")
+KINDS = ("feasible", "infeasible", "degenerate", "rank-deficient", "equality-only", "inequality-only", "dyadic-degenerate")
+HALVES = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+def _dyadic_degenerate(rng, n, infeasible):
+    """More tight rows than variables at a planted point x0 in {-1, 0, 1}^n,
+    every coefficient in {0, +-1/2, +-1} and every right-hand side in {0, -1}.
+
+    x0's last coordinate is 1 and balances each tight row, as s does in the
+    weak effect search; a row it cannot balance is drawn again.  Some rows
+    hold with slack at least 1/2.  An infeasible system gains the first tight
+    row a.x <= b reversed, -a.x <= -1 - b, which asks a.x >= b + 1.
+    """
+    x0 = rng.integers(-1, 2, n).astype(float)
+    x0[-1] = 1.0
+
+    def rows(count, tight):
+        drawn = []
+        while len(drawn) < count:
+            a = rng.choice(HALVES, n)
+            if tight:
+                t = a[:-1] @ x0[:-1]
+                b = 0.0 if abs(t) <= 1.0 else -1.0
+                a[-1] = b - t
+            else:
+                b = -1.0 if a @ x0 <= -1.5 else 0.0
+            if a[-1] in HALVES and a @ x0 <= b - (0.0 if tight else 0.5):
+                drawn.append((a, b))
+        return drawn
+
+    ub = rows(n + 1 + int(rng.integers(0, n + 1)), True) + rows(int(rng.integers(0, n)), False)
+    eq = rows(int(rng.integers(0, 3)), True)
+    if infeasible:
+        ub.append((-ub[0][0], -1.0 - ub[0][1]))
+    ub = [ub[i] for i in rng.permutation(len(ub))]
+    a_eq, b_eq = (np.array([a for a, _ in eq]), np.array([b for _, b in eq])) if eq else (None, None)
+    return np.array([a for a, _ in ub]), np.array([b for _, b in ub]), a_eq, b_eq
 
 
 def _system(kind, seed, integral):
@@ -68,6 +118,8 @@ def _system(kind, seed, integral):
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
+    if kind == "dyadic-degenerate":
+        return _dyadic_degenerate(rng, n, infeasible=seed % 2)
     integral = integral or kind in ("degenerate", "rank-deficient")
 
     def coefficients(rows, cols=n):
@@ -142,16 +194,16 @@ def _highs_status(system):
     return highs(np.zeros(n), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=[(None, None)] * n, method="highs").status
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@settings(derandomize=True, database=None, deadline=None, max_examples=140)
 @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1), integral=st.booleans())
 def test_every_verdict_agrees_with_highs_and_is_sound(kind, seed, integral):
     system = _system(kind, seed, integral)
     a_ub, b_ub, a_eq, b_eq = system
     result = lp.linprog(A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
     assert result.status == _highs_status(system)
-    if kind == "infeasible":
+    if kind == "infeasible" or (kind == "dyadic-degenerate" and seed % 2):
         assert result.status == 2
-    elif kind in ("feasible", "degenerate", "equality-only", "inequality-only"):
+    elif kind in ("feasible", "degenerate", "equality-only", "inequality-only", "dyadic-degenerate"):
         assert result.status == 0
     _assert_sound(system, result)
 
@@ -164,6 +216,42 @@ def test_the_toy_bit_searches_agree_with_highs(name):
     assert result.success == TOY_FEASIBLE[name]
     assert result.status == _highs_status(system)
     _assert_sound(system, result)
+
+
+def test_every_toy_coefficient_is_dyadic_with_a_small_denominator():
+    # statistics, 0, +-1 and +-1/2; a right-hand side of 1/2 - 1e-6 has a denominator of 2**53
+    for name, kw in TOY.items():
+        values = [v for key in ("A_ub", "b_ub", "A_eq", "b_eq") if kw[key] is not None for v in kw[key].ravel().tolist()]
+        assert max(v.as_integer_ratio()[1] for v in values) <= 16, name
+
+
+def _epistemic_pairs():
+    # every (branch-local encoding, vertex input) pair of the restricted toy bit, in one fixed
+    # order: each branch picks an ordered pair of its four branch-local members, 16 x 16
+    # encodings, each with the 6 vertices as inputs
+    m = ifr.spekkens_epistemic_theory()
+    local = [list(itertools.product(branch_local_subgroup(m, b).elements, repeat=2)) for b in range(m.n_branches)]
+    return m, [(ifr.BranchEncoding(pairs), v) for pairs in itertools.product(*local) for v in m.extremal_states]
+
+
+def test_weak_searches_over_the_restricted_toy_bit_never_raise_and_agree_with_highs():
+    # every fifth pair: 308 searches, 93 feasible.  With the margin 1e-6 in the right-hand
+    # sides, 40 of these 93 (192 of all 1,536 pairs) raised the witness check
+    m, pairs = _epistemic_pairs()
+    assert len(pairs) == 1536
+    found = 0
+    for enc, v in pairs[::5]:
+        effect, kw = _searched(m, enc, v, strict=False)
+        assert (2 if effect is None else 0) == _highs_status((kw["A_ub"], kw["b_ub"], kw["A_eq"], kw["b_eq"]))
+        if effect is None:
+            continue
+        found += 1
+        reads = [u.probs @ effect.weights for u in m.extremal_states]
+        assert min(reads) >= -1e-12 and max(reads) <= 1.0 + 1e-12
+        for spec, out in ifr.promise_sweep(m, enc, v):
+            margin = out.probs @ effect.weights - 0.5
+            assert margin > 0.0 if ifr.classify(spec) == "constant" else margin < 0.0
+    assert found == 93
 
 
 def _tampered(monkeypatch, change):

@@ -20,7 +20,10 @@ Core claims:
     - the entrywise product equals the broadcast reference to the bit, the
       sign of every zero included; a matrix product is read-only
     - the real flag says exactly whether the i, j and k components are all
-      zero, after construction, dagger, products and entrywise images; a
+      zero, after construction, dagger, products and entrywise images (a
+      real finite diagonal passes a real operand's flag on, every other
+      image is read); the dagger is the constructor path's to the bit in
+      every memory layout; a
       real product is the Hamilton kernel's to the bit, in every memory
       layout, zeros of both signs included; with an infinite entry it
       stays real, where that kernel's 0 * inf made every component NaN
@@ -48,7 +51,7 @@ from gptifer.quaternion import (
     real_trace_prob,
 )
 from gptifer.core import DiagonalMap, near_zero
-from gptifer.quaternion import _hamilton_contract, _hamilton_entrywise, _hamilton_matmul, _product_trace
+from gptifer.quaternion import _conj, _hamilton_contract, _hamilton_entrywise, _hamilton_matmul, _product_trace
 from gptifer.theories import quantum_theory, quaternionic_theory
 from reference import _vec_inner, is_symplectic, quat_diagonal, quat_pure, random_symplectic, random_unit_quaternion
 
@@ -372,17 +375,21 @@ def test_a_matrix_product_is_read_only():
         product.comps[0, 0, 0] = 1.0
 
 
-def _real_components(rng, shape, layout):
-    # component 0 random with about a third of its entries zero, the others
-    # zero: each zero of either sign; laid out C-ordered, Fortran-ordered or
-    # as a transposed view, the layouts the constructor keeps
-    comps = np.where(rng.random((4, *shape)) < 0.5, 0.0, -0.0)
-    comps[0] = np.where(rng.random(shape) < 0.67, rng.standard_normal(shape), comps[0])
+def _laid_out(comps, layout):
+    # C-ordered, Fortran-ordered or a transposed view: the layouts the constructor keeps
     if layout == "F":
         return np.asfortranarray(comps)
     if layout == "T":
         return np.ascontiguousarray(comps.transpose(0, 2, 1)).transpose(0, 2, 1)
     return comps
+
+
+def _real_components(rng, shape, layout):
+    # component 0 random with about a third of its entries zero, the others
+    # zero: each zero of either sign; laid out as _laid_out gives
+    comps = np.where(rng.random((4, *shape)) < 0.5, 0.0, -0.0)
+    comps[0] = np.where(rng.random(shape) < 0.67, rng.standard_normal(shape), comps[0])
+    return _laid_out(comps, layout)
 
 
 @pytest.mark.parametrize("N", [2, 3, 16, 64, 257])
@@ -439,6 +446,45 @@ def test_the_real_flag_says_exactly_whether_i_j_and_k_are_zero():
     ]
     assert [M.real for M in images] == [True, False, True, False, False, False, False, False]
     assert all(_flag_is_exact(M) for M in images + [pair, ket])
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "T"])
+def test_the_dagger_is_the_constructor_path_to_the_bit(layout):
+    # the dagger keeps _conj's fresh copy and the operand's flag: the bytes, strides and
+    # flag of the constructor path, which copies that array again and reads the flag
+    rng = np.random.default_rng(ord(layout))
+    for shape in ((3, 3), (4, 2), (5, 1)):
+        for comps in (_real_components(rng, shape, layout), _laid_out(rng.standard_normal((4, *shape)), layout)):
+            M = QuatMatrix(comps)
+            expected, D = QuatMatrix(_conj(np.transpose(M.comps, (0, 2, 1)))), M.dagger()
+            assert D.comps.tobytes() == expected.comps.tobytes() and D.comps.strides == expected.comps.strides
+            assert D.real is expected.real is M.real and not D.comps.flags.writeable
+
+
+def test_an_entrywise_image_carries_the_flag_a_fresh_read_gives():
+    # a real finite diagonal hands a real operand's image the flag unread; every other image
+    # is read, for a zero entry can make a non-real operand's image real
+    m = quaternionic_theory(3)
+    rng = np.random.default_rng(33)
+    i_on_0 = np.zeros((4, 3, 1))
+    i_on_0[0, 1, 0], i_on_0[1, 0, 0] = 1.0, 0.5
+    quarter_turn = np.zeros((4, 3))
+    quarter_turn[0], quarter_turn[:, 1] = 1.0, (0.0, 0.0, 1.0, 0.0)
+    operands = [
+        m.branch_ket(1),
+        m._pair_ket(0, 2, 2),
+        QuatMatrix(i_on_0),
+        QuatMatrix(_real_components(rng, (3, 3), "F")),
+        QuatMatrix(rng.standard_normal((4, 3, 3))),
+        m.diagonal_map([0.5, -1.0, 0.0]),
+        DiagonalMap(quarter_turn),
+    ]
+    diagonals = [m.diagonal_map(v) for v in ([1.0, -1.0, 2.0], [0.0, 1.0, -2.0], [np.inf, 1.0, 1.0])]
+    for d, x in itertools.product(diagonals + [DiagonalMap(quarter_turn)], operands):
+        with np.errstate(invalid="ignore"):  # inf times a zero component
+            image = m.apply(d, x)
+        assert image.real is (not np.count_nonzero(image.comps[1:])), (d.comps, x)
+    assert m.apply(diagonals[1], QuatMatrix(i_on_0)).real  # the i entry meets the zero
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (3, 2, 2), (4, 2, 2, 1)])
